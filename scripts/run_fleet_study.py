@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from qrng_audit.aggregate import (
     build_matrix,
     build_report,
@@ -87,10 +85,7 @@ def main() -> None:
     )
     print(f"simultaneous-pass proportion: {ramp_report.simultaneous_pass_proportion:.4f}")
     print(f"spearman(rho, failure ratio): {rho_s:+.4f}")
-    mean_stat = np.mean([
-        cell.statistic for row in ramp_matrix.cells for cell in row
-    ])
-    print(f"mean statistic over the fleet: {mean_stat:.1f}")
+    print(f"mean statistic over the fleet: {ramp_matrix.statistic.mean():.1f}")
 
 
 if __name__ == "__main__":

@@ -12,79 +12,35 @@ alongside so any other coefficient can be recomputed externally.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .autocorr import AutocorrResult, TestParams, Verdict, run_test
-from .ingest import CalibrationRecord, JobRecord
-
-THREADS_ENV_VAR = "QRNG_AUDIT_THREADS"
+from .autocorr import PValueMatrix, TestParams, autocorr_statistic
+from .ingest import CalibrationRecord, JobRecord, ResultRows
 
 
 class ShapeError(ValueError):
-    """Jobs do not share one rectangular qubit set."""
+    """Jobs do not share one rectangular qubit set and stream length."""
 
 
 class InsufficientDataError(ValueError):
     """Too few complete pairs for a rank correlation."""
 
 
-def worker_count() -> int:
-    """Parallelism cap from QRNG_AUDIT_THREADS (0 or unset = auto)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 0, got {cap}")
-    if cap == 0:
-        return min(8, os.cpu_count() or 1)
-    return cap
-
-
-@dataclass(frozen=True)
-class PValueMatrix:
-    """Test outcomes on a (jobs x qubits) grid, rows in job-time order."""
-
-    job_ids: tuple[str, ...]
-    qubit_ids: tuple[int, ...]
-    cells: tuple[tuple[AutocorrResult, ...], ...]  # cells[row][col]
-    alpha: float
-    lag: int
-    timestamps: tuple[datetime, ...] | None = None
-
-    def column(self, qubit_id: int) -> tuple[AutocorrResult, ...]:
-        col = self.qubit_ids.index(qubit_id)
-        return tuple(row[col] for row in self.cells)
-
-    @property
-    def n_jobs(self) -> int:
-        return len(self.job_ids)
-
-
-def _effective_verdict(cell: AutocorrResult, alpha: float) -> Verdict:
-    if cell.verdict is Verdict.DEGENERATE:
-        return Verdict.DEGENERATE
-    return Verdict.FAIL if cell.p_value < alpha else Verdict.PASS
-
-
 def build_matrix(jobs: Sequence[JobRecord], params: TestParams) -> PValueMatrix:
     """Run the autocorrelation test on every (job, qubit) stream.
 
     Jobs are ordered by timestamp (job_id breaking ties); every job must
-    carry the same qubit set. Cell evaluation may be spread over a thread
-    pool capped by QRNG_AUDIT_THREADS; results are placed by index, so the
-    matrix is identical at any parallelism.
+    carry the same qubit set and every stream the same length. Each stream
+    is read once for its XOR count and ones count; the rest of the test runs
+    on all cells at once.
     """
-    if not jobs:
-        raise ValueError("no jobs to analyze")
     ordered = sorted(jobs, key=lambda j: (j.timestamp, j.job_id))
+    streams = [seq for job in ordered for _, seq in job.streams]
+    if not streams:
+        raise ValueError("no streams to analyze")
     qubit_ids = ordered[0].qubit_ids
     for job in ordered:
         if job.qubit_ids != qubit_ids:
@@ -92,55 +48,41 @@ def build_matrix(jobs: Sequence[JobRecord], params: TestParams) -> PValueMatrix:
                 f"job {job.job_id!r} has qubit set {job.qubit_ids}, "
                 f"expected {qubit_ids}"
             )
-
-    def row_for(job: JobRecord) -> tuple[AutocorrResult, ...]:
-        return tuple(run_test(seq, params) for _, seq in job.streams)
-
-    workers = worker_count()
-    if workers > 1 and len(ordered) * len(qubit_ids) >= 64:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row_for, ordered))
-    else:
-        rows = [row_for(job) for job in ordered]
-
-    return PValueMatrix(
-        job_ids=tuple(j.job_id for j in ordered),
-        qubit_ids=qubit_ids,
-        cells=tuple(rows),
-        alpha=params.alpha,
-        lag=params.lag,
-        timestamps=tuple(j.timestamp for j in ordered),
+    n = len(streams[0])
+    if any(len(seq) != n for seq in streams):
+        raise ShapeError(f"streams differ in length from the first one's {n} bits")
+    shape = (len(ordered), len(qubit_ids))
+    statistic = np.array([autocorr_statistic(seq, params.lag) for seq in streams],
+                         dtype=np.int64).reshape(shape)
+    ones = np.array([seq.ones_count() for seq in streams], dtype=np.int64).reshape(shape)
+    return PValueMatrix.from_counts(
+        tuple(j.job_id for j in ordered), qubit_ids, n, statistic, ones, params
     )
 
 
-def matrix_from_results(
-    rows: Iterable[tuple[str, int, AutocorrResult]],
-    alpha: float = 0.01,
-) -> PValueMatrix:
-    """Rebuild a matrix from results-file rows (row order = job order)."""
-    per_job: dict[str, dict[int, AutocorrResult]] = {}
-    order: list[str] = []
-    for job_id, qubit, res in rows:
-        if job_id not in per_job:
-            per_job[job_id] = {}
-            order.append(job_id)
-        if qubit in per_job[job_id]:
-            raise ShapeError(f"duplicate cell for job {job_id!r} qubit {qubit}")
-        per_job[job_id][qubit] = res
-    if not order:
+def matrix_from_results(rows: ResultRows, alpha: float = 0.01) -> PValueMatrix:
+    """Place results-file rows on the (jobs x qubits) grid: jobs in order of
+    first appearance, qubits ascending; every cell exactly once."""
+    if not rows.job_id:
         raise ValueError("no result rows to aggregate")
-    qubit_ids = tuple(sorted(per_job[order[0]]))
-    lags = set()
-    cells = []
-    for job_id in order:
-        if tuple(sorted(per_job[job_id])) != qubit_ids:
-            raise ShapeError(f"job {job_id!r} does not cover the qubit set {qubit_ids}")
-        row = tuple(per_job[job_id][q] for q in qubit_ids)
-        lags.update(cell.lag for cell in row)
-        cells.append(row)
+    job_ids = tuple(dict.fromkeys(rows.job_id))
+    qubit_ids = tuple(sorted(set(rows.qubit_id)))
+    cells = list(zip(rows.job_id, rows.qubit_id))
+    position = {cell: i for i, cell in enumerate(cells)}
+    if len(position) != len(cells):
+        job_id, qubit = next(c for i, c in enumerate(cells) if position[c] != i)
+        raise ShapeError(f"duplicate cell for job {job_id!r} qubit {qubit}")
+    try:
+        order = [position[j, q] for j in job_ids for q in qubit_ids]
+    except KeyError as exc:
+        raise ShapeError(
+            f"job {exc.args[0][0]!r} does not cover the qubit set {qubit_ids}"
+        ) from None
+    shape = (len(job_ids), len(qubit_ids))
     return PValueMatrix(
-        job_ids=tuple(order), qubit_ids=qubit_ids, cells=tuple(cells),
-        alpha=alpha, lag=lags.pop() if len(lags) == 1 else -1,
+        job_ids=job_ids, qubit_ids=qubit_ids, n=rows.n, lag=rows.lag, alpha=alpha,
+        **{field: getattr(rows, field)[order].reshape(shape)
+           for field in ("statistic", "bias", "normalized", "p_value")},
     )
 
 
@@ -148,47 +90,32 @@ def failure_ratio_per_qubit(
     matrix: PValueMatrix, alpha: float | None = None
 ) -> dict[int, float]:
     """Per-qubit #Fail / (#Fail + #Pass); NaN for an all-degenerate column."""
-    alpha = matrix.alpha if alpha is None else alpha
-    out: dict[int, float] = {}
-    for col, qubit in enumerate(matrix.qubit_ids):
-        verdicts = [_effective_verdict(row[col], alpha) for row in matrix.cells]
-        fails = sum(v is Verdict.FAIL for v in verdicts)
-        decided = sum(v is not Verdict.DEGENERATE for v in verdicts)
-        out[qubit] = fails / decided if decided else math.nan
-    return out
+    fails = matrix.failed(alpha).sum(axis=0).tolist()
+    decided = (~matrix.degenerate).sum(axis=0).tolist()
+    return {
+        q: f / d if d else math.nan
+        for q, f, d in zip(matrix.qubit_ids, fails, decided)
+    }
 
 
 def degenerate_count_per_qubit(matrix: PValueMatrix) -> dict[int, int]:
-    return {
-        qubit: sum(row[col].verdict is Verdict.DEGENERATE for row in matrix.cells)
-        for col, qubit in enumerate(matrix.qubit_ids)
-    }
+    return dict(zip(matrix.qubit_ids, matrix.degenerate.sum(axis=0).tolist()))
 
 
 def simultaneous_pass_proportion(
     matrix: PValueMatrix, alpha: float | None = None
 ) -> float:
     """Fraction of jobs whose streams pass on every qubit at once."""
-    alpha = matrix.alpha if alpha is None else alpha
-    all_pass = sum(
-        all(_effective_verdict(cell, alpha) is Verdict.PASS for cell in row)
-        for row in matrix.cells
-    )
-    return all_pass / len(matrix.cells)
+    passed = ~(matrix.failed(alpha) | matrix.degenerate)
+    return int(passed.all(axis=1).sum()) / len(matrix.job_ids)
 
 
 def pass_proportion_overall(
     matrix: PValueMatrix, alpha: float | None = None
 ) -> float:
     """Fraction of non-degenerate cells with p-value >= alpha."""
-    alpha = matrix.alpha if alpha is None else alpha
-    passed = decided = 0
-    for row in matrix.cells:
-        for cell in row:
-            v = _effective_verdict(cell, alpha)
-            if v is not Verdict.DEGENERATE:
-                decided += 1
-                passed += v is Verdict.PASS
+    decided = int((~matrix.degenerate).sum())
+    passed = decided - int(matrix.failed(alpha).sum())
     return passed / decided if decided else math.nan
 
 

@@ -7,6 +7,10 @@ standardized with variance ``(n-l) q (1-q)``; the two-sided p-value is
 ``erfc(|A'| / sqrt(2))``. A sequence fails at level alpha when p-value < alpha
 (p-value == alpha passes). All-zero / all-one sequences have zero variance and
 get the separate Degenerate verdict instead of a p-value.
+
+``run_test`` is the readable one-sequence reference. ``PValueMatrix.from_counts``
+runs the same arithmetic, in the same operation order, on a whole (jobs x
+qubits) grid of XOR counts and ones counts at once.
 """
 
 from __future__ import annotations
@@ -65,9 +69,10 @@ class BitSequence:
 
     @classmethod
     def from_string(cls, text: str) -> "BitSequence":
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a bit string: {text!r}")
-        return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
+        try:
+            return cls(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
+        except ValueError:
+            raise ValueError(f"not a bit string: {text!r}") from None
 
     def to_string(self) -> str:
         return (self.bits + ord("0")).tobytes().decode("ascii")
@@ -173,6 +178,85 @@ def p_value(normalized: float) -> float:
     if not math.isfinite(normalized):
         raise ValueError(f"normalized statistic must be finite, got {normalized!r}")
     return max(erfc(abs(normalized) / math.sqrt(2.0)), _TINY)
+
+
+@dataclass(frozen=True, eq=False)
+class PValueMatrix:
+    """Test outcomes on a (jobs x qubits) grid, rows in job-time order.
+
+    Every cell shares one stream length ``n`` and one ``lag``. The per-cell
+    fields are (jobs, qubits) arrays: ``statistic`` (int64), ``bias``,
+    ``normalized`` and ``p_value`` (float64); ``normalized`` and ``p_value``
+    are NaN exactly on degenerate cells. ``alpha`` is the default level that
+    pass/fail are read at.
+    """
+
+    job_ids: tuple[str, ...]
+    qubit_ids: tuple[int, ...]
+    n: int
+    lag: int
+    alpha: float
+    statistic: np.ndarray
+    bias: np.ndarray
+    normalized: np.ndarray
+    p_value: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = (len(self.job_ids), len(self.qubit_ids))
+        cells = (self.statistic, self.bias, self.normalized, self.p_value)
+        if any(a.shape != shape for a in cells):
+            raise ValueError(f"every per-cell array must have shape {shape}")
+
+    @classmethod
+    def from_counts(
+        cls,
+        job_ids: tuple[str, ...],
+        qubit_ids: tuple[int, ...],
+        n: int,
+        statistic: np.ndarray,
+        ones: np.ndarray,
+        params: TestParams,
+    ) -> "PValueMatrix":
+        """``run_test`` on every cell at once, given each stream's XOR count
+        and ones count; equal to it cell for cell."""
+        m = n - params.lag
+        if params.fixed_bias is None:
+            bias = ones / n
+        else:
+            bias = np.full(statistic.shape, params.fixed_bias, dtype=float)
+        q = pair_mismatch_rate(bias)
+        degenerate = q * (1.0 - q) <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normalized = (statistic - q * m) / np.sqrt(m * q * (1.0 - q))
+        normalized[degenerate] = np.nan
+        p = np.full(statistic.shape, np.nan)
+        p[~degenerate] = [p_value(z) for z in normalized[~degenerate].tolist()]
+        return cls(
+            job_ids=job_ids, qubit_ids=qubit_ids, n=n, lag=params.lag,
+            alpha=params.alpha, statistic=statistic, bias=bias,
+            normalized=normalized, p_value=p,
+        )
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return np.isnan(self.p_value)
+
+    @property
+    def low_sample(self) -> np.ndarray:
+        """Non-degenerate cells with (n-lag) q (1-q) < LOW_SAMPLE_VARIANCE."""
+        q = pair_mismatch_rate(self.bias)
+        spread = (self.n - self.lag) * q * (1.0 - q)
+        return ~self.degenerate & (spread < LOW_SAMPLE_VARIANCE)
+
+    def failed(self, alpha: float | None = None) -> np.ndarray:
+        """Cells with p-value < alpha (default: the matrix's level)."""
+        return self.p_value < (self.alpha if alpha is None else alpha)
+
+    def verdicts(self, alpha: float | None = None) -> np.ndarray:
+        """Per-cell Verdict at level alpha, as an object array."""
+        out = np.where(self.failed(alpha), Verdict.FAIL, Verdict.PASS)
+        out[self.degenerate] = Verdict.DEGENERATE
+        return out
 
 
 def run_test(seq: BitSequence, params: TestParams = TestParams()) -> AutocorrResult:

@@ -116,13 +116,8 @@ def cmd_test(args: argparse.Namespace) -> int:
     with open(args.infile, newline="") as fh:
         jobs = parse_jobs(fh)
     matrix = agg.build_matrix(jobs, params)
-    rows = [
-        (matrix.job_ids[r], matrix.qubit_ids[c], matrix.cells[r][c])
-        for r in range(len(matrix.job_ids))
-        for c in range(len(matrix.qubit_ids))
-    ]
     with open(args.out, "w", newline="") as fh:
-        write_results(rows, fh)
+        write_results(matrix, fh)
     print(
         f"tested {len(matrix.job_ids)} jobs x {len(matrix.qubit_ids)} qubits "
         f"(lag {params.lag}, alpha {params.alpha}) -> {args.out}"
@@ -131,9 +126,10 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"alpha must be in (0, 1), got {args.alpha}")
     with open(args.infile, newline="") as fh:
-        rows = read_results(fh)
-    matrix = agg.matrix_from_results(rows, alpha=args.alpha)
+        matrix = agg.matrix_from_results(read_results(fh), alpha=args.alpha)
     calibration = None
     if args.calibration is not None:
         with open(args.calibration, newline="") as fh:

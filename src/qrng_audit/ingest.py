@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .autocorr import AutocorrResult, BitSequence, Verdict
+from .autocorr import BitSequence, PValueMatrix, Verdict
 
 JOB_HEADER = ["job_id", "timestamp", "qubit_id", "bits"]
 CALIBRATION_HEADER = ["timestamp", "qubit_id", "t1_us"]
@@ -155,9 +156,11 @@ def parse_jobs(stream: TextIO | Iterable[str], expected_bits: int | None = None)
         qubit = _parse_qubit_id(qubit_text, line)
         if not bits_text:
             raise ParseError("empty bit string", line)
-        bad = set(bits_text) - {"0", "1"}
-        if bad:
-            raise ParseError(f"bit string contains non-bit character {min(bad)!r}", line)
+        try:
+            seq = BitSequence.from_string(bits_text)
+        except ValueError:
+            bad = min(set(bits_text) - {"0", "1"})
+            raise ParseError(f"bit string contains non-bit character {bad!r}", line) from None
         if declared is None:
             declared = len(bits_text)
         elif len(bits_text) != declared:
@@ -176,7 +179,7 @@ def parse_jobs(stream: TextIO | Iterable[str], expected_bits: int | None = None)
             raise ParseError(
                 f"job {job_id!r} has conflicting timestamps", line
             )
-        streams[job_id].append((qubit, BitSequence.from_string(bits_text)))
+        streams[job_id].append((qubit, seq))
 
     return [
         JobRecord(job_id=j, timestamp=timestamps[j], streams=tuple(streams[j]))
@@ -260,48 +263,83 @@ def unpack_bits(data: bytes) -> tuple[BitSequence, bytes]:
     return BitSequence(bits), data[8 + n_bytes :]
 
 
-def _format_float(value: float | None) -> str:
-    return "" if value is None else repr(value)
+class ResultRows(NamedTuple):
+    """A results file as columns, one entry per row in file order; every row
+    shares one ``n`` and one ``lag`` (None for a file without rows)."""
+
+    job_id: list[str]
+    qubit_id: list[int]
+    n: int | None
+    lag: int | None
+    statistic: np.ndarray
+    bias: np.ndarray
+    normalized: np.ndarray
+    p_value: np.ndarray
 
 
-def write_results(
-    rows: Iterable[tuple[str, int, AutocorrResult]], stream: TextIO
-) -> None:
-    """Write per-(job, qubit) test outcomes as the results CSV."""
+def _format_float(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
+
+
+def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
+    """Write every cell of the matrix as one results-CSV row, in row order."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(RESULT_HEADER)
-    for job_id, qubit, res in rows:
-        writer.writerow([
-            job_id, qubit, res.n, res.lag, repr(res.bias), res.statistic,
-            _format_float(res.normalized), _format_float(res.p_value),
-            res.verdict.value,
-        ])
+    keys = ((job_id, qubit) for job_id in matrix.job_ids for qubit in matrix.qubit_ids)
+    cells = zip(*(a.ravel().tolist() for a in (
+        matrix.statistic, matrix.bias, matrix.normalized, matrix.p_value,
+        matrix.verdicts(),
+    )))
+    writer.writerows(
+        [job_id, qubit, matrix.n, matrix.lag, repr(bias), statistic,
+         _format_float(normalized), _format_float(p), verdict.value]
+        for (job_id, qubit), (statistic, bias, normalized, p, verdict) in zip(keys, cells)
+    )
 
 
-def read_results(stream: TextIO | Iterable[str]) -> list[tuple[str, int, AutocorrResult]]:
+def read_results(stream: TextIO | Iterable[str]) -> ResultRows:
+    """Parse a results CSV. A row is degenerate exactly when its normalized
+    and p_value fields are empty; otherwise normalized is finite and p_value
+    lies in (0, 1]."""
     reader = csv.reader(stream)
     header = next(reader, None)
     _check_header(header, RESULT_HEADER)
-    out: list[tuple[str, int, AutocorrResult]] = []
+    n_lag: tuple[int, int] | None = None
+    # job_id, qubit_id, statistic, bias, normalized, p_value
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
     for row in reader:
         line = reader.line_num
         if not row:
             continue
         if len(row) != len(RESULT_HEADER):
             raise ParseError(f"expected {len(RESULT_HEADER)} fields, got {len(row)}", line)
+        job_id, qubit_text, n_text, lag_text, bias_text = row[:5]
+        stat_text, z_text, p_text, v_text = row[5:]
         try:
-            verdict = Verdict(row[8])
+            verdict = Verdict(v_text)
         except ValueError:
-            raise ParseError(f"unknown verdict {row[8]!r}", line) from None
+            raise ParseError(f"unknown verdict {v_text!r}", line) from None
         try:
-            result = AutocorrResult(
-                n=int(row[2]), lag=int(row[3]), statistic=int(row[5]),
-                bias=float(row[4]),
-                normalized=float(row[6]) if row[6] else None,
-                p_value=float(row[7]) if row[7] else None,
-                verdict=verdict,
-            )
+            n, lag, statistic = int(n_text), int(lag_text), int(stat_text)
+            bias = float(bias_text)
+            normalized = float(z_text) if z_text else math.nan
+            p = float(p_text) if p_text else math.nan
         except ValueError as exc:
             raise ParseError(f"malformed result row: {exc}", line) from None
-        out.append((row[0], _parse_qubit_id(row[1], line), result))
-    return out
+        n_lag = n_lag or (n, lag)
+        if (n, lag) != n_lag:
+            raise ParseError(f"(n, lag) = {(n, lag)} differs from {n_lag} of earlier rows", line)
+        degenerate = verdict is Verdict.DEGENERATE
+        if degenerate != (not z_text) or degenerate != (not p_text):
+            raise ParseError("normalized and p_value must be empty exactly on degenerate rows", line)
+        if not degenerate and not (math.isfinite(normalized) and 0.0 < p <= 1.0):
+            raise ParseError(
+                f"need a finite normalized and a p_value in (0, 1], got {z_text!r}, {p_text!r}",
+                line,
+            )
+        qubit = _parse_qubit_id(qubit_text, line)
+        for column, value in zip(columns, (job_id, qubit, statistic, bias, normalized, p)):
+            column.append(value)
+    job_ids, qubits, *values = columns
+    n, lag = n_lag or (None, None)
+    return ResultRows(job_ids, qubits, n, lag, *(np.array(v) for v in values))

@@ -4,7 +4,9 @@ import io
 import math
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrng_audit.aggregate import (
     InsufficientDataError,
@@ -18,12 +20,11 @@ from qrng_audit.aggregate import (
     pass_proportion_overall,
     simultaneous_pass_proportion,
     spearman,
-    worker_count,
     write_report_csv,
     write_scatter_csv,
 )
-from qrng_audit.autocorr import BitSequence, TestParams, Verdict
-from qrng_audit.ingest import CalibrationRecord, JobRecord
+from qrng_audit.autocorr import BitSequence, TestParams, Verdict, run_test
+from qrng_audit.ingest import CalibrationRecord, JobRecord, read_results, write_results
 from qrng_audit.simulate import DeviceRunConfig, IdealSource, generate_device_run
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
@@ -49,16 +50,15 @@ def test_build_matrix_all_zero_cells_degenerate():
         make_job("j2", 1, [(0, "0" * 16), (1, "0" * 16)]),
     ]
     matrix = build_matrix(jobs, TestParams(lag=1))
-    assert all(
-        cell.verdict is Verdict.DEGENERATE for row in matrix.cells for cell in row
-    )
+    assert (matrix.verdicts() == Verdict.DEGENERATE).all()
+    assert np.isnan(matrix.normalized).all() and np.isnan(matrix.p_value).all()
     assert degenerate_count_per_qubit(matrix) == {0: 2, 1: 2}
 
 
 def test_build_matrix_alternating_cells_fail():
     jobs = [make_job("j1", 0, [(0, alternating(512)), (1, alternating(512))])]
     matrix = build_matrix(jobs, TestParams(lag=1))
-    assert all(cell.verdict is Verdict.FAIL for row in matrix.cells for cell in row)
+    assert (matrix.verdicts() == Verdict.FAIL).all()
 
 
 def test_build_matrix_orders_rows_by_timestamp():
@@ -79,6 +79,15 @@ def test_build_matrix_rejects_ragged_qubits():
         build_matrix(jobs, TestParams(lag=1))
 
 
+def test_build_matrix_rejects_ragged_stream_lengths():
+    jobs = [
+        make_job("j1", 0, [(0, "0110"), (1, "0110")]),
+        make_job("j2", 1, [(0, "0110"), (1, "01101")]),
+    ]
+    with pytest.raises(ShapeError):
+        build_matrix(jobs, TestParams(lag=1))
+
+
 def test_build_matrix_rejects_empty():
     with pytest.raises(ValueError):
         build_matrix([], TestParams(lag=1))
@@ -89,33 +98,50 @@ def test_build_matrix_ideal_fleet_false_positive_band():
     config = DeviceRunConfig(qubit_count=20, jobs=100, bits_per_job=8192,
                              models=IdealSource(0.5), master_seed=12)
     matrix = build_matrix(generate_device_run(config).jobs, TestParams(lag=1))
-    fails = sum(
-        cell.verdict is Verdict.FAIL for row in matrix.cells for cell in row
-    )
+    fails = int((matrix.verdicts() == Verdict.FAIL).sum())
     assert 0.002 <= fails / 2000 <= 0.025
 
 
-def test_build_matrix_thread_cap_is_deterministic(monkeypatch):
-    config = DeviceRunConfig(qubit_count=4, jobs=20, bits_per_job=256,
-                             models=IdealSource(0.5), master_seed=11)
-    jobs = generate_device_run(config).jobs
-    monkeypatch.setenv("QRNG_AUDIT_THREADS", "1")
-    sequential = build_matrix(jobs, TestParams(lag=1))
-    monkeypatch.setenv("QRNG_AUDIT_THREADS", "4")
-    threaded = build_matrix(jobs, TestParams(lag=1))
-    assert sequential == threaded
+@st.composite
+def stream_grids(draw):
+    """A small job set: random n, lag < n, bias mode, and streams that may be
+    all zeros or all ones."""
+    n = draw(st.integers(2, 80))
+    lag = draw(st.integers(1, n - 1))
+    fixed_bias = draw(st.one_of(
+        st.none(), st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)))
+    stream = st.one_of(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
+            lambda bits: "".join(map(str, bits))),
+        st.sampled_from(["0" * n, "1" * n]),
+    )
+    n_qubits = draw(st.integers(1, 3))
+    jobs = [
+        make_job(f"j{r}", r, [(q, draw(stream)) for q in range(n_qubits)])
+        for r in range(draw(st.integers(1, 3)))
+    ]
+    return jobs, TestParams(lag=lag, fixed_bias=fixed_bias)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("QRNG_AUDIT_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("QRNG_AUDIT_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.delenv("QRNG_AUDIT_THREADS")
-    assert worker_count() >= 1
-    monkeypatch.setenv("QRNG_AUDIT_THREADS", "-2")
-    with pytest.raises(ValueError):
-        worker_count()
+@given(stream_grids())
+@settings(max_examples=150, deadline=None)
+def test_build_matrix_equals_run_test_cell_for_cell(case):
+    jobs, params = case
+    matrix = build_matrix(jobs, params)
+    verdicts = matrix.verdicts()
+    for r, job in enumerate(jobs):
+        for c, (_, seq) in enumerate(job.streams):
+            ref = run_test(seq, params)
+            assert matrix.statistic[r, c] == ref.statistic
+            assert matrix.bias[r, c] == ref.bias
+            if ref.normalized is None:
+                assert math.isnan(matrix.normalized[r, c])
+                assert math.isnan(matrix.p_value[r, c])
+            else:
+                assert matrix.normalized[r, c] == ref.normalized
+                assert matrix.p_value[r, c] == ref.p_value
+            assert verdicts[r, c] is ref.verdict
+            assert matrix.low_sample[r, c] == ref.low_sample
 
 
 # ---------------------------------------------------------- ratios, passes
@@ -163,10 +189,12 @@ def test_counting_identity_per_column():
     matrix = build_verdict_matrix(["FPD", "PPP"])
     ratios = failure_ratio_per_qubit(matrix)
     degenerates = degenerate_count_per_qubit(matrix)
+    verdicts = matrix.verdicts()
     for col, qubit in enumerate(matrix.qubit_ids):
-        fails = sum(row[col].verdict is Verdict.FAIL for row in matrix.cells)
-        passes = sum(row[col].verdict is Verdict.PASS for row in matrix.cells)
-        assert fails + passes + degenerates[qubit] == len(matrix.cells)
+        fails = int((verdicts[:, col] == Verdict.FAIL).sum())
+        passes = int((verdicts[:, col] == Verdict.PASS).sum())
+        assert fails + passes + degenerates[qubit] == len(matrix.job_ids)
+        assert ratios[qubit] == fails / (fails + passes)
 
 
 def test_simultaneous_pass_bounded_by_min_column_pass():
@@ -288,26 +316,38 @@ def test_build_report_without_calibration():
         write_scatter_csv(report, io.StringIO())
 
 
+def results_text(matrix):
+    buf = io.StringIO()
+    write_results(matrix, buf)
+    return buf.getvalue()
+
+
 def test_matrix_from_results_round_trip():
-    matrix = build_verdict_matrix(["FP", "PP"])
-    rows = [
-        (matrix.job_ids[r], matrix.qubit_ids[c], matrix.cells[r][c])
-        for r in range(2)
-        for c in range(2)
-    ]
-    rebuilt = matrix_from_results(rows, alpha=0.01)
-    assert rebuilt.job_ids == matrix.job_ids
-    assert rebuilt.cells == matrix.cells
+    matrix = build_verdict_matrix(["FPD", "PPP"])
+    rebuilt = matrix_from_results(read_results(io.StringIO(results_text(matrix))))
+    assert (rebuilt.job_ids, rebuilt.qubit_ids) == (matrix.job_ids, matrix.qubit_ids)
+    assert (rebuilt.n, rebuilt.lag, rebuilt.alpha) == (matrix.n, matrix.lag, matrix.alpha)
+    for field in ("statistic", "bias", "normalized", "p_value"):
+        assert np.array_equal(getattr(rebuilt, field), getattr(matrix, field),
+                              equal_nan=True), field
+
+
+def test_matrix_from_results_places_shuffled_rows():
+    matrix = build_verdict_matrix(["FPD", "PPF"])
+    header, *rows = results_text(matrix).splitlines()
+    shuffled = [header, rows[4], rows[1], rows[0], rows[5], rows[3], rows[2]]
+    rebuilt = matrix_from_results(read_results(io.StringIO("\n".join(shuffled))))
+    assert rebuilt.job_ids == ("j2", "j0", "j1")  # order of first appearance
+    assert np.array_equal(rebuilt.statistic, matrix.statistic[[2, 0, 1]])
+    assert failure_ratio_per_qubit(rebuilt) == failure_ratio_per_qubit(matrix)
 
 
 def test_matrix_from_results_rejects_ragged():
     matrix = build_verdict_matrix(["FP", "PP"])
-    rows = [
-        ("j0", 0, matrix.cells[0][0]),
-        ("j0", 1, matrix.cells[0][1]),
-        ("j1", 0, matrix.cells[1][0]),
-    ]
+    lines = results_text(matrix).splitlines()
     with pytest.raises(ShapeError):
-        matrix_from_results(rows)
+        matrix_from_results(read_results(io.StringIO("\n".join(lines[:-1]))))
+    with pytest.raises(ShapeError):
+        matrix_from_results(read_results(io.StringIO("\n".join(lines + lines[-1:]))))
     with pytest.raises(ValueError):
-        matrix_from_results([])
+        matrix_from_results(read_results(io.StringIO(lines[0])))

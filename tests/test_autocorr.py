@@ -93,8 +93,9 @@ def test_bitsequence_validation():
         BitSequence([])
     with pytest.raises(ValueError):
         BitSequence([0, 2, 1])
-    with pytest.raises(ValueError):
-        BitSequence.from_string("01a0")
+    for text in ("01a0", "", "01,0", "01\u00e90"):
+        with pytest.raises(ValueError):
+            BitSequence.from_string(text)
     with pytest.raises(ValueError):
         BitSequence(np.zeros((2, 2), dtype=np.uint8))
 

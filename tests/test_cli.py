@@ -170,6 +170,47 @@ def test_aggregate_single_job_proportions_are_binary(tmp_path):
     assert footer[0].split("=")[1] in ("0.0", "1.0")
 
 
+RESULTS_HEADER = "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
+GOOD_ROW = "j1,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        "j1,1,8,1,0.5,3,-0.3779644730092272,,pass\n",  # empty p_value, not degenerate
+        "j1,1,8,1,0.5,3,-0.3779644730092272,nan,pass\n",
+        "j1,1,8,1,0.5,3,-0.3779644730092272,7,fail\n",
+        "j1,1,8,2,0.5,3,-0.3779644730092272,0.705456536697442,pass\n",  # second lag
+        "j1,1,9,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n",  # second n
+        "j1,1,8,1,1.0,0,,,pass\n",  # empty fields need the degenerate verdict
+        "j1,1,8,1,0.5,3,0.1,0.9,degenerate\n",
+    ],
+    ids=["empty-p", "nan-p", "p-above-one", "mixed-lag", "mixed-n",
+         "pass-without-p", "degenerate-with-p"],
+)
+def test_aggregate_rejects_bad_results_row(tmp_path, capsys, bad_row):
+    results = tmp_path / "results.csv"
+    results.write_text(RESULTS_HEADER + GOOD_ROW + bad_row)
+    code = run(["aggregate", "--in", results, "--report", tmp_path / "report.csv"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "line 3" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", [0, 1, -0.5, 2, "nan"])
+def test_aggregate_alpha_outside_unit_interval_exits_2(tmp_path, capsys, alpha):
+    results = tmp_path / "results.csv"
+    results.write_text(RESULTS_HEADER + GOOD_ROW)
+    code = run(["aggregate", "--in", results, "--report", tmp_path / "report.csv",
+                "--alpha", alpha])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "alpha" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_small_table(tmp_path, capsys):
     out = tmp_path / "table.csv"
     assert run(["oracle", "--n", 3, "--lag", 1, "--p", 0.5, "--out", out]) == 0

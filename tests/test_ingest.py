@@ -3,10 +3,11 @@
 import io
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrng_audit.autocorr import AutocorrResult, BitSequence, Verdict
+from qrng_audit.autocorr import BitSequence, PValueMatrix
 from qrng_audit.ingest import (
     CalibrationRecord,
     JobRecord,
@@ -229,20 +230,25 @@ def test_calibration_round_trip():
 # ----------------------------------------------------------------- results
 
 def test_results_round_trip():
-    rows = [
-        ("j1", 0, AutocorrResult(n=8, lag=1, statistic=3, bias=0.5,
-                                 normalized=-0.3779644730092272,
-                                 p_value=0.705456536697442, verdict=Verdict.PASS)),
-        ("j1", 1, AutocorrResult(n=8, lag=1, statistic=0, bias=1.0,
-                                 normalized=None, p_value=None,
-                                 verdict=Verdict.DEGENERATE)),
-    ]
+    matrix = PValueMatrix(
+        job_ids=("j1",), qubit_ids=(0, 1), n=8, lag=1, alpha=0.01,
+        statistic=np.array([[3, 0]]), bias=np.array([[0.5, 1.0]]),
+        normalized=np.array([[-0.3779644730092272, np.nan]]),
+        p_value=np.array([[0.705456536697442, np.nan]]),
+    )
     buf = io.StringIO()
-    write_results(rows, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict"
+    write_results(matrix, buf)
+    assert buf.getvalue().splitlines() == [
+        "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict",
+        "j1,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass",
+        "j1,1,8,1,1.0,0,,,degenerate",
+    ]
     parsed = read_results(io.StringIO(buf.getvalue()))
-    assert parsed == rows
+    assert (parsed.job_id, parsed.qubit_id, parsed.n, parsed.lag) == (
+        ["j1", "j1"], [0, 1], 8, 1)
+    for field in ("statistic", "bias", "normalized", "p_value"):
+        assert np.array_equal(getattr(parsed, field), getattr(matrix, field).ravel(),
+                              equal_nan=True), field
 
 
 def test_read_results_rejects_bad_verdict():

@@ -296,8 +296,6 @@ def test_ten_t1_reset_fleet_indistinguishable_from_ideal():
     def fail_fraction(models):
         config = DeviceRunConfig(models=models, **shape)
         matrix = build_matrix(generate_device_run(config).jobs, TestParams(lag=1))
-        return sum(
-            cell.verdict is Verdict.FAIL for row in matrix.cells for cell in row
-        ) / 200
+        return int((matrix.verdicts() == Verdict.FAIL).sum()) / 200
 
     assert abs(fail_fraction(reset_models) - fail_fraction(IdealSource(0.5))) <= 0.02
