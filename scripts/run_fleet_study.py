@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 
 from qrng_audit.aggregate import (
+    InsufficientDataError,
     build_matrix,
     build_report,
     failure_ratio_per_qubit,
@@ -41,7 +42,12 @@ def fleet_table(report, rho_by_qubit=None):
     return "\n".join(lines)
 
 
-def main() -> None:
+def signed(rho):
+    """A Spearman coefficient, or "undefined" where it has none."""
+    return "undefined" if rho is None else f"{rho:+.4f}"
+
+
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=120)
     parser.add_argument("--qubits", type=int, default=20)
@@ -49,7 +55,7 @@ def main() -> None:
     parser.add_argument("--alpha", type=float, default=0.01)
     parser.add_argument("--max-rho", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=20190509)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     params = TestParams(lag=1, alpha=args.alpha)
 
@@ -65,7 +71,7 @@ def main() -> None:
     print(f"simultaneous-pass proportion: {report.simultaneous_pass_proportion:.4f}"
           f"  (analytic (1-alpha)^q = {analytic:.4f})")
     print(f"overall pass proportion:      {report.pass_proportion_overall:.4f}")
-    print(f"spearman(T1, failure ratio):  {report.spearman_t1_failure:+.4f}")
+    print(f"spearman(T1, failure ratio):  {signed(report.spearman_t1_failure)}")
 
     print()
     print("=== correlated fleet: lag-1 autocorrelation ramped over qubits ===")
@@ -79,12 +85,15 @@ def main() -> None:
     ramp_report = build_report(ramp_matrix)
     print(fleet_table(ramp_report, rho_by_qubit=rhos))
     ratios = failure_ratio_per_qubit(ramp_matrix)
-    rho_s = spearman(
-        [rhos[q] for q in range(args.qubits)],
-        [ratios[q] for q in range(args.qubits)],
-    )
+    try:
+        rho_s = spearman(
+            [rhos[q] for q in range(args.qubits)],
+            [ratios[q] for q in range(args.qubits)],
+        )
+    except InsufficientDataError:
+        rho_s = None
     print(f"simultaneous-pass proportion: {ramp_report.simultaneous_pass_proportion:.4f}")
-    print(f"spearman(rho, failure ratio): {rho_s:+.4f}")
+    print(f"spearman(rho, failure ratio): {signed(rho_s)}")
     print(f"mean statistic over the fleet: {ramp_matrix.statistic.mean():.1f}")
 
 

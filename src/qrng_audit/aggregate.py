@@ -17,46 +17,68 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .autocorr import PValueMatrix, TestParams, autocorr_statistic
-from .ingest import CalibrationRecord, JobRecord, ResultRows
+from .autocorr import PValueMatrix, TestParams, autocorr_counts
+from .ingest import CalibrationRecord, JobRows, ResultRows
 
 
 class ShapeError(ValueError):
-    """Jobs do not share one rectangular qubit set and stream length."""
+    """Rows do not fill the (jobs x qubits) grid, each cell exactly once."""
 
 
 class InsufficientDataError(ValueError):
     """Too few complete pairs for a rank correlation."""
 
 
-def build_matrix(jobs: Sequence[JobRecord], params: TestParams) -> PValueMatrix:
-    """Run the autocorrelation test on every (job, qubit) stream.
+# Rows of the bit matrix handed to the kernel at once, in bytes: small enough
+# that the kernel's temporaries stay in cache and add nothing to peak memory.
+BLOCK_BYTES = 1 << 16
 
-    Jobs are ordered by timestamp (job_id breaking ties); every job must
-    carry the same qubit set and every stream the same length. Each stream
-    is read once for its XOR count and ones count; the rest of the test runs
-    on all cells at once.
+
+def _grid_order(
+    job_id: list[str], qubit_id: list[int], job_ids: tuple[str, ...]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Place rows on the (job_ids x ascending qubits) grid: returns the qubit
+    ids and the row order that fills the grid row by row. Every cell must be
+    covered exactly once."""
+    qubit_ids = tuple(sorted(set(qubit_id)))
+    row_start = {job: i * len(qubit_ids) for i, job in enumerate(job_ids)}
+    column = {qubit: i for i, qubit in enumerate(qubit_ids)}
+    cell = np.array([row_start[job] + column[q] for job, q in zip(job_id, qubit_id)])
+    count = np.bincount(cell, minlength=len(job_ids) * len(qubit_ids))
+    repeated = count[cell] > 1
+    if repeated.any():
+        i = int(np.argmax(repeated))
+        raise ShapeError(f"duplicate cell for job {job_id[i]!r} qubit {qubit_id[i]}")
+    if not count.all():
+        job = job_ids[int(np.argmin(count)) // len(qubit_ids)]
+        raise ShapeError(f"job {job!r} does not cover the qubit set {qubit_ids}")
+    return qubit_ids, np.argsort(cell)
+
+
+def build_matrix(rows: JobRows, params: TestParams) -> PValueMatrix:
+    """Run the autocorrelation test on every row of a job file.
+
+    Jobs are ordered by timestamp (job_id breaking ties) and qubits ascend;
+    every job must carry every qubit once. The kernel reads the bit matrix in
+    blocks of rows, in file order, for each row's XOR count and ones count;
+    only those counts are moved onto the grid.
     """
-    ordered = sorted(jobs, key=lambda j: (j.timestamp, j.job_id))
-    streams = [seq for job in ordered for _, seq in job.streams]
-    if not streams:
+    if not rows.job_id:
         raise ValueError("no streams to analyze")
-    qubit_ids = ordered[0].qubit_ids
-    for job in ordered:
-        if job.qubit_ids != qubit_ids:
-            raise ShapeError(
-                f"job {job.job_id!r} has qubit set {job.qubit_ids}, "
-                f"expected {qubit_ids}"
-            )
-    n = len(streams[0])
-    if any(len(seq) != n for seq in streams):
-        raise ShapeError(f"streams differ in length from the first one's {n} bits")
-    shape = (len(ordered), len(qubit_ids))
-    statistic = np.array([autocorr_statistic(seq, params.lag) for seq in streams],
-                         dtype=np.int64).reshape(shape)
-    ones = np.array([seq.ones_count() for seq in streams], dtype=np.int64).reshape(shape)
+    timestamps = dict(zip(rows.job_id, rows.timestamp))
+    job_ids = tuple(sorted(timestamps, key=lambda job: (timestamps[job], job)))
+    qubit_ids, order = _grid_order(rows.job_id, rows.qubit_id, job_ids)
+    n = rows.bits.shape[1]
+    step = max(1, BLOCK_BYTES // n)
+    statistic = np.empty(len(rows.job_id), dtype=np.int64)
+    ones = np.empty_like(statistic)
+    for start in range(0, statistic.size, step):
+        block = slice(start, start + step)
+        statistic[block], ones[block] = autocorr_counts(rows.bits[block], params.lag)
+    shape = (len(job_ids), len(qubit_ids))
     return PValueMatrix.from_counts(
-        tuple(j.job_id for j in ordered), qubit_ids, n, statistic, ones, params
+        job_ids, qubit_ids, n, statistic[order].reshape(shape),
+        ones[order].reshape(shape), params,
     )
 
 
@@ -66,18 +88,7 @@ def matrix_from_results(rows: ResultRows, alpha: float = 0.01) -> PValueMatrix:
     if not rows.job_id:
         raise ValueError("no result rows to aggregate")
     job_ids = tuple(dict.fromkeys(rows.job_id))
-    qubit_ids = tuple(sorted(set(rows.qubit_id)))
-    cells = list(zip(rows.job_id, rows.qubit_id))
-    position = {cell: i for i, cell in enumerate(cells)}
-    if len(position) != len(cells):
-        job_id, qubit = next(c for i, c in enumerate(cells) if position[c] != i)
-        raise ShapeError(f"duplicate cell for job {job_id!r} qubit {qubit}")
-    try:
-        order = [position[j, q] for j in job_ids for q in qubit_ids]
-    except KeyError as exc:
-        raise ShapeError(
-            f"job {exc.args[0][0]!r} does not cover the qubit set {qubit_ids}"
-        ) from None
+    qubit_ids, order = _grid_order(rows.job_id, rows.qubit_id, job_ids)
     shape = (len(job_ids), len(qubit_ids))
     return PValueMatrix(
         job_ids=job_ids, qubit_ids=qubit_ids, n=rows.n, lag=rows.lag, alpha=alpha,

@@ -8,9 +8,10 @@ standardized with variance ``(n-l) q (1-q)``; the two-sided p-value is
 (p-value == alpha passes). All-zero / all-one sequences have zero variance and
 get the separate Degenerate verdict instead of a p-value.
 
-``run_test`` is the readable one-sequence reference. ``PValueMatrix.from_counts``
-runs the same arithmetic, in the same operation order, on a whole (jobs x
-qubits) grid of XOR counts and ones counts at once.
+``run_test`` is the readable one-sequence reference. ``autocorr_counts`` takes
+the XOR counts and ones counts of a whole block of streams at once, and
+``PValueMatrix.from_counts`` runs ``run_test``'s arithmetic, in the same
+operation order, on a (jobs x qubits) grid of those counts.
 """
 
 from __future__ import annotations
@@ -146,6 +147,16 @@ def autocorr_statistic(seq: BitSequence, lag: int) -> int:
     if not 1 <= lag < n:
         raise InvalidLagError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
     return int((seq.bits[:-lag] ^ seq.bits[lag:]).sum(dtype=np.int64))
+
+
+def autocorr_counts(bits: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row XOR count (as ``autocorr_statistic``) and ones count of a
+    (rows, n) block of bits, both int64."""
+    n = bits.shape[1]
+    if not 1 <= lag < n:
+        raise InvalidLagError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
+    statistic = (bits[:, :-lag] ^ bits[:, lag:]).sum(axis=1, dtype=np.int64)
+    return statistic, bits.sum(axis=1, dtype=np.int64)
 
 
 def estimate_bias(seq: BitSequence) -> float:

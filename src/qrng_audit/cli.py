@@ -8,8 +8,9 @@ Subcommands:
 * ``oracle``    exact-vs-normal-approximation error table
 * ``pipeline``  the three stages end to end in one working directory
 
-Exit codes: 0 success, 1 data/IO error, 2 usage error. Every subcommand is
-deterministic given its flags; repeated runs produce byte-identical files.
+Exit codes: 0 success, 1 data/IO error, 2 usage error. Data goes to files and
+status lines to stderr. Every subcommand is deterministic given its flags;
+repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ from .oracle import EnumerationLimitError, approximation_error
 
 class UsageError(ValueError):
     """Flag combination outside the valid range (exit code 2)."""
+
+
+def _status(line: str) -> None:
+    print(line, file=sys.stderr)
 
 
 def _parse_schedule(text: str, jobs: int) -> sim.DriftingSource:
@@ -98,7 +103,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.calibration_out is not None:
         with open(args.calibration_out, "w", newline="") as fh:
             serialize_calibration(run.calibration, fh)
-    print(
+    _status(
         f"simulated {config.jobs} jobs x {config.qubit_count} qubits x "
         f"{config.bits_per_job} bits (model {args.model}, seed {config.master_seed}) "
         f"-> {args.out}"
@@ -118,7 +123,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     matrix = agg.build_matrix(jobs, params)
     with open(args.out, "w", newline="") as fh:
         write_results(matrix, fh)
-    print(
+    _status(
         f"tested {len(matrix.job_ids)} jobs x {len(matrix.qubit_ids)} qubits "
         f"(lag {params.lag}, alpha {params.alpha}) -> {args.out}"
     )
@@ -135,20 +140,20 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         with open(args.calibration, newline="") as fh:
             calibration, duplicates = parse_calibration(fh)
         if duplicates:
-            print(f"notice: {duplicates} duplicate calibration rows (last kept)")
+            _status(f"notice: {duplicates} duplicate calibration rows (last kept)")
     report = agg.build_report(matrix, calibration)
     with open(args.report, "w", newline="") as fh:
         agg.write_report_csv(report, fh)
     if calibration is not None and args.scatter is not None:
         with open(args.scatter, "w", newline="") as fh:
             agg.write_scatter_csv(report, fh)
-    print(f"simultaneous-pass proportion: {report.simultaneous_pass_proportion:.4f}")
+    _status(f"simultaneous-pass proportion: {report.simultaneous_pass_proportion:.4f}")
     if report.spearman_t1_failure is not None:
-        print(f"spearman(T1, failure ratio): {report.spearman_t1_failure:.4f}")
+        _status(f"spearman(T1, failure ratio): {report.spearman_t1_failure:.4f}")
     elif calibration is None:
-        print("no calibration data: T1 fields omitted from the report")
+        _status("no calibration data: T1 fields omitted from the report")
     else:
-        print("spearman undefined: fewer than 3 complete pairs or constant ranks")
+        _status("spearman undefined: fewer than 3 complete pairs or constant ranks")
     return 0
 
 
@@ -168,7 +173,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             fh.write(
                 f"{row.statistic},{row.exact_p!r},{row.approx_p!r},{row.difference!r}\n"
             )
-    print(f"max |exact - approx|: {table.max_abs_difference:.6g}")
+    _status(f"max |exact - approx|: {table.max_abs_difference:.6g}")
     return 0
 
 

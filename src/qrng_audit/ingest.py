@@ -9,10 +9,10 @@ Three file kinds, all UTF-8 CSV with a fixed header:
 * results         ``job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict``
 
 Parsers are strict: every rejection raises ParseError carrying the offending
-line number. Serializers emit a canonical form (rows sorted by job order then
-qubit id, timestamps second-precision UTC with a trailing Z, floats in
-shortest round-trip notation), so serialize(parse(f)) is byte-identical for
-canonical inputs.
+line number. Serializers emit a canonical form (job and result rows in the
+order held, which for a generated run is job order then qubit id; timestamps
+second-precision UTC with a trailing Z; floats in shortest round-trip
+notation), so serialize(parse(f)) is byte-identical for canonical inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
-from .autocorr import BitSequence, PValueMatrix, Verdict
+from .autocorr import PValueMatrix, Verdict
 
 JOB_HEADER = ["job_id", "timestamp", "qubit_id", "bits"]
 CALIBRATION_HEADER = ["timestamp", "qubit_id", "t1_us"]
@@ -56,32 +56,14 @@ class CalibrationRecord:
             raise ValueError(f"t1_us must be positive, got {self.t1_us}")
 
 
-@dataclass(frozen=True)
-class JobRecord:
-    """One job: its id, submission instant, and one bit stream per qubit."""
+class JobRows(NamedTuple):
+    """A job file as columns, one entry per row in file order, and one
+    (rows, n) uint8 matrix holding every row's bits."""
 
-    job_id: str
-    timestamp: datetime
-    streams: tuple[tuple[int, BitSequence], ...]
-
-    def __post_init__(self) -> None:
-        qubits = [q for q, _ in self.streams]
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"job {self.job_id}: duplicate qubit ids")
-        if qubits != sorted(qubits):
-            object.__setattr__(
-                self, "streams", tuple(sorted(self.streams, key=lambda s: s[0]))
-            )
-
-    @property
-    def qubit_ids(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.streams)
-
-    def stream(self, qubit_id: int) -> BitSequence:
-        for q, seq in self.streams:
-            if q == qubit_id:
-                return seq
-        raise KeyError(qubit_id)
+    job_id: list[str]
+    timestamp: list[datetime]
+    qubit_id: list[int]
+    bits: np.ndarray
 
 
 def _parse_timestamp(text: str, line: int) -> datetime:
@@ -119,12 +101,9 @@ def _check_header(row: list[str] | None, expected: list[str]) -> None:
         )
 
 
-def parse_jobs(stream: TextIO | Iterable[str], expected_bits: int | None = None) -> list[JobRecord]:
-    """Parse a job CSV into records, in file order of first appearance.
-
-    ``expected_bits`` pins the declared per-stream length; by default the
-    first data row declares it.
-    """
+def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
+    """Parse a job CSV into columns in file order; the first data row
+    declares the per-stream bit count."""
     reader = csv.reader(stream)
     try:
         header = next(reader, None)
@@ -132,10 +111,12 @@ def parse_jobs(stream: TextIO | Iterable[str], expected_bits: int | None = None)
         raise ParseError(f"unreadable CSV: {exc}", line=1) from None
     _check_header(header, JOB_HEADER)
 
-    declared = expected_bits
-    order: list[str] = []
+    declared: int | None = None
+    job_ids: list[str] = []
+    stamps: list[datetime] = []
+    qubits: list[int] = []
+    buffer = bytearray()
     timestamps: dict[str, datetime] = {}
-    streams: dict[str, list[tuple[int, BitSequence]]] = {}
     seen: set[tuple[str, int]] = set()
     while True:
         try:
@@ -156,11 +137,10 @@ def parse_jobs(stream: TextIO | Iterable[str], expected_bits: int | None = None)
         qubit = _parse_qubit_id(qubit_text, line)
         if not bits_text:
             raise ParseError("empty bit string", line)
-        try:
-            seq = BitSequence.from_string(bits_text)
-        except ValueError:
+        raw = bits_text.encode()
+        if raw.translate(None, b"01"):
             bad = min(set(bits_text) - {"0", "1"})
-            raise ParseError(f"bit string contains non-bit character {bad!r}", line) from None
+            raise ParseError(f"bit string contains non-bit character {bad!r}", line)
         if declared is None:
             declared = len(bits_text)
         elif len(bits_text) != declared:
@@ -171,35 +151,35 @@ def parse_jobs(stream: TextIO | Iterable[str], expected_bits: int | None = None)
         if (job_id, qubit) in seen:
             raise ParseError(f"duplicate stream for job {job_id!r} qubit {qubit}", line)
         seen.add((job_id, qubit))
-        if job_id not in timestamps:
-            order.append(job_id)
-            timestamps[job_id] = timestamp
-            streams[job_id] = []
-        elif timestamps[job_id] != timestamp:
+        if timestamps.setdefault(job_id, timestamp) != timestamp:
             raise ParseError(
                 f"job {job_id!r} has conflicting timestamps", line
             )
-        streams[job_id].append((qubit, seq))
+        job_ids.append(job_id)
+        stamps.append(timestamp)
+        qubits.append(qubit)
+        buffer += raw
 
-    return [
-        JobRecord(job_id=j, timestamp=timestamps[j], streams=tuple(streams[j]))
-        for j in order
-    ]
+    bits = np.frombuffer(buffer, dtype=np.uint8).reshape(len(job_ids), declared or 0)
+    bits -= ord("0")
+    return JobRows(job_ids, stamps, qubits, bits)
 
 
-def serialize_jobs(records: Iterable[JobRecord], stream: TextIO) -> None:
-    """Write records as canonical job CSV (job order, then ascending qubit)."""
+def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
+    """Write job rows as job CSV, in the order held (job order, then
+    ascending qubit, for a generated run)."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(JOB_HEADER)
-    for record in records:
-        ts = format_timestamp(record.timestamp)
-        for qubit, seq in record.streams:
-            writer.writerow([record.job_id, ts, qubit, seq.to_string()])
+    stamps = {ts: format_timestamp(ts) for ts in set(rows.timestamp)}
+    writer.writerows(
+        [job_id, stamps[ts], qubit, (bits + ord("0")).tobytes().decode("ascii")]
+        for job_id, ts, qubit, bits in zip(rows.job_id, rows.timestamp, rows.qubit_id, rows.bits)
+    )
 
 
-def serialize_jobs_str(records: Iterable[JobRecord]) -> str:
+def serialize_jobs_str(rows: JobRows) -> str:
     buf = io.StringIO()
-    serialize_jobs(records, buf)
+    serialize_jobs(rows, buf)
     return buf.getvalue()
 
 
@@ -239,28 +219,6 @@ def serialize_calibration(records: Iterable[CalibrationRecord], stream: TextIO) 
     writer.writerow(CALIBRATION_HEADER)
     for rec in sorted(records, key=lambda r: (r.timestamp, r.qubit_id)):
         writer.writerow([format_timestamp(rec.timestamp), rec.qubit_id, repr(rec.t1_us)])
-
-
-def pack_bits(seq: BitSequence) -> bytes:
-    """Packed stream form for large runs: 8-byte big-endian bit count, then
-    the bits 8 per byte, most significant bit first, zero-padded at the tail."""
-    return len(seq).to_bytes(8, "big") + np.packbits(seq.bits).tobytes()
-
-
-def unpack_bits(data: bytes) -> tuple[BitSequence, bytes]:
-    """Inverse of pack_bits; returns (sequence, remaining bytes) so packed
-    streams can be concatenated."""
-    if len(data) < 8:
-        raise ParseError("packed stream truncated before its length prefix")
-    n = int.from_bytes(data[:8], "big")
-    if n < 1:
-        raise ParseError(f"packed stream declares {n} bits")
-    n_bytes = (n + 7) // 8
-    payload = data[8 : 8 + n_bytes]
-    if len(payload) < n_bytes:
-        raise ParseError(f"packed stream declares {n} bits but carries {len(payload) * 8}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n]
-    return BitSequence(bits), data[8 + n_bytes :]
 
 
 class ResultRows(NamedTuple):

@@ -26,7 +26,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .autocorr import BitSequence
-from .ingest import CalibrationRecord, JobRecord
+from .ingest import CalibrationRecord, JobRows
 
 # Experiment-shaped defaults: 20 qubits, 579 jobs of 8192 bits spread over
 # roughly three and a half days.
@@ -245,6 +245,8 @@ class DeviceRunConfig:
     def __post_init__(self) -> None:
         if min(self.qubit_count, self.jobs, self.bits_per_job) < 1:
             raise ValueError("qubit_count, jobs, and bits_per_job must all be >= 1")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"master seed must be in [0, 2**64), got {self.master_seed}")
         if isinstance(self.models, tuple) and len(self.models) != self.qubit_count:
             raise ValueError(
                 f"got {len(self.models)} per-qubit models for {self.qubit_count} qubits"
@@ -261,7 +263,7 @@ class DeviceRunConfig:
 
 @dataclass(frozen=True)
 class DeviceRun:
-    jobs: list[JobRecord]
+    jobs: JobRows
     calibration: list[CalibrationRecord] | None = None
 
 
@@ -286,16 +288,18 @@ def generate_device_run(
             raise InvalidScheduleError(
                 f"qubit {q}: schedule covers {model.total_jobs} jobs, run has {config.jobs}"
             )
-    jobs = [
-        JobRecord(
-            job_id=f"j{j + 1:04d}",
-            timestamp=config.job_timestamp(j),
-            streams=tuple(
-                (q, _job_stream(config, j, q)) for q in range(config.qubit_count)
-            ),
-        )
-        for j in range(config.jobs)
-    ]
+    cells = [(j, q) for j in range(config.jobs) for q in range(config.qubit_count)]
+    bits = np.empty((len(cells), config.bits_per_job), dtype=np.uint8)
+    for row, (j, q) in enumerate(cells):
+        bits[row] = _job_stream(config, j, q).bits
+    job_ids = [f"j{j + 1:04d}" for j in range(config.jobs)]
+    timestamps = [config.job_timestamp(j) for j in range(config.jobs)]
+    jobs = JobRows(
+        job_id=[job_ids[j] for j, _ in cells],
+        timestamp=[timestamps[j] for j, _ in cells],
+        qubit_id=[q for _, q in cells],
+        bits=bits,
+    )
     calibration = generate_calibration_series(config) if with_calibration else None
     return DeviceRun(jobs=jobs, calibration=calibration)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrng_audit.aggregate import (
+    BLOCK_BYTES,
     InsufficientDataError,
     ShapeError,
     build_matrix,
@@ -24,17 +25,21 @@ from qrng_audit.aggregate import (
     write_scatter_csv,
 )
 from qrng_audit.autocorr import BitSequence, TestParams, Verdict, run_test
-from qrng_audit.ingest import CalibrationRecord, JobRecord, read_results, write_results
+from qrng_audit.ingest import CalibrationRecord, JobRows, read_results, write_results
 from qrng_audit.simulate import DeviceRunConfig, IdealSource, generate_device_run
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 
 
-def make_job(job_id, minute, streams):
-    return JobRecord(
-        job_id=job_id,
-        timestamp=TS + timedelta(minutes=minute),
-        streams=tuple((q, BitSequence.from_string(bits)) for q, bits in streams),
+def make_rows(jobs):
+    """JobRows from (job_id, minute, [(qubit, bits), ...]) job specs: one row
+    per (job, qubit), in spec order."""
+    cells = [(job_id, TS + timedelta(minutes=minute), q, bits)
+             for job_id, minute, streams in jobs for q, bits in streams]
+    return JobRows(
+        job_id=[c[0] for c in cells], timestamp=[c[1] for c in cells],
+        qubit_id=[c[2] for c in cells],
+        bits=np.array([[int(b) for b in c[3]] for c in cells], dtype=np.uint8),
     )
 
 
@@ -46,51 +51,42 @@ def alternating(n):
 
 def test_build_matrix_all_zero_cells_degenerate():
     jobs = [
-        make_job("j1", 0, [(0, "0" * 16), (1, "0" * 16)]),
-        make_job("j2", 1, [(0, "0" * 16), (1, "0" * 16)]),
+        ("j1", 0, [(0, "0" * 16), (1, "0" * 16)]),
+        ("j2", 1, [(0, "0" * 16), (1, "0" * 16)]),
     ]
-    matrix = build_matrix(jobs, TestParams(lag=1))
+    matrix = build_matrix(make_rows(jobs), TestParams(lag=1))
     assert (matrix.verdicts() == Verdict.DEGENERATE).all()
     assert np.isnan(matrix.normalized).all() and np.isnan(matrix.p_value).all()
     assert degenerate_count_per_qubit(matrix) == {0: 2, 1: 2}
 
 
 def test_build_matrix_alternating_cells_fail():
-    jobs = [make_job("j1", 0, [(0, alternating(512)), (1, alternating(512))])]
-    matrix = build_matrix(jobs, TestParams(lag=1))
+    jobs = [("j1", 0, [(0, alternating(512)), (1, alternating(512))])]
+    matrix = build_matrix(make_rows(jobs), TestParams(lag=1))
     assert (matrix.verdicts() == Verdict.FAIL).all()
 
 
 def test_build_matrix_orders_rows_by_timestamp():
     jobs = [
-        make_job("late", 30, [(0, "0110")]),
-        make_job("early", 0, [(0, "1001")]),
+        ("late", 30, [(0, "0110")]),
+        ("early", 0, [(0, "1001")]),
     ]
-    matrix = build_matrix(jobs, TestParams(lag=1))
+    matrix = build_matrix(make_rows(jobs), TestParams(lag=1))
     assert matrix.job_ids == ("early", "late")
 
 
 def test_build_matrix_rejects_ragged_qubits():
     jobs = [
-        make_job("j1", 0, [(0, "0110")]),
-        make_job("j2", 1, [(0, "0110"), (1, "0110")]),
+        ("j1", 0, [(0, "0110")]),
+        ("j2", 1, [(0, "0110"), (1, "0110")]),
     ]
-    with pytest.raises(ShapeError):
-        build_matrix(jobs, TestParams(lag=1))
-
-
-def test_build_matrix_rejects_ragged_stream_lengths():
-    jobs = [
-        make_job("j1", 0, [(0, "0110"), (1, "0110")]),
-        make_job("j2", 1, [(0, "0110"), (1, "01101")]),
-    ]
-    with pytest.raises(ShapeError):
-        build_matrix(jobs, TestParams(lag=1))
+    with pytest.raises(ShapeError, match="job 'j1' does not cover the qubit set"):
+        build_matrix(make_rows(jobs), TestParams(lag=1))
 
 
 def test_build_matrix_rejects_empty():
     with pytest.raises(ValueError):
-        build_matrix([], TestParams(lag=1))
+        build_matrix(JobRows([], [], [], np.empty((0, 0), np.uint8)), TestParams(lag=1))
 
 
 def test_build_matrix_ideal_fleet_false_positive_band():
@@ -117,7 +113,7 @@ def stream_grids(draw):
     )
     n_qubits = draw(st.integers(1, 3))
     jobs = [
-        make_job(f"j{r}", r, [(q, draw(stream)) for q in range(n_qubits)])
+        (f"j{r}", r, [(q, draw(stream)) for q in range(n_qubits)])
         for r in range(draw(st.integers(1, 3)))
     ]
     return jobs, TestParams(lag=lag, fixed_bias=fixed_bias)
@@ -127,11 +123,11 @@ def stream_grids(draw):
 @settings(max_examples=150, deadline=None)
 def test_build_matrix_equals_run_test_cell_for_cell(case):
     jobs, params = case
-    matrix = build_matrix(jobs, params)
+    matrix = build_matrix(make_rows(jobs), params)
     verdicts = matrix.verdicts()
-    for r, job in enumerate(jobs):
-        for c, (_, seq) in enumerate(job.streams):
-            ref = run_test(seq, params)
+    for r, (_, _, streams) in enumerate(jobs):
+        for c, (_, bits) in enumerate(streams):
+            ref = run_test(BitSequence.from_string(bits), params)
             assert matrix.statistic[r, c] == ref.statistic
             assert matrix.bias[r, c] == ref.bias
             if ref.normalized is None:
@@ -142,6 +138,36 @@ def test_build_matrix_equals_run_test_cell_for_cell(case):
                 assert matrix.p_value[r, c] == ref.p_value
             assert verdicts[r, c] is ref.verdict
             assert matrix.low_sample[r, c] == ref.low_sample
+
+
+def test_build_matrix_blocks_and_placement_match_run_test():
+    """Streams long enough that a kernel block holds two rows, filed in
+    reverse time order with qubits descending."""
+    n = BLOCK_BYTES // 2 - 8
+    rng = np.random.default_rng(5)
+    specs = [
+        (f"j{r}", 10 - r, [
+            (q, "".join(map(str, rng.integers(0, 2, n).tolist())))
+            for q in (2, 1, 0)
+        ])
+        for r in range(3)
+    ]
+    params = TestParams(lag=3)
+    matrix = build_matrix(make_rows(specs), params)
+    assert matrix.job_ids == ("j2", "j1", "j0")
+    assert matrix.qubit_ids == (0, 1, 2)
+    for job_id, _, streams in specs:
+        for q, bits in streams:
+            ref = run_test(BitSequence.from_string(bits), params)
+            cell = (matrix.job_ids.index(job_id), q)
+            assert (matrix.statistic[cell], matrix.bias[cell]) == (ref.statistic, ref.bias)
+            assert matrix.p_value[cell] == ref.p_value
+
+
+def test_build_matrix_rejects_duplicate_cells():
+    jobs = [("j1", 0, [(0, "0110"), (0, "0110")])]
+    with pytest.raises(ShapeError, match="duplicate cell for job 'j1' qubit 0"):
+        build_matrix(make_rows(jobs), TestParams(lag=1))
 
 
 # ---------------------------------------------------------- ratios, passes
@@ -159,8 +185,8 @@ def build_verdict_matrix(columns):
                 # seeded balanced stream that passes comfortably
                 bits = "0110" * 128
             streams.append((q, bits))
-        jobs.append(make_job(f"j{r}", r, streams))
-    return build_matrix(jobs, TestParams(lag=1))
+        jobs.append((f"j{r}", r, streams))
+    return build_matrix(make_rows(jobs), TestParams(lag=1))
 
 
 def test_failure_ratio_examples():
@@ -212,13 +238,13 @@ def test_permuting_jobs_leaves_report_fields_unchanged():
     columns = ["FPPPF", "PPFPP"]
     matrix = build_verdict_matrix(columns)
     jobs = [
-        make_job(f"j{r}", 10 - r, [  # reversed timestamps
+        (f"j{r}", 10 - r, [  # reversed timestamps
             (q, alternating(512) if columns[q][r] == "F" else "0110" * 128)
             for q in range(2)
         ])
         for r in range(5)
     ]
-    permuted = build_matrix(jobs, TestParams(lag=1))
+    permuted = build_matrix(make_rows(jobs), TestParams(lag=1))
     assert failure_ratio_per_qubit(matrix) == failure_ratio_per_qubit(permuted)
     assert simultaneous_pass_proportion(matrix) == simultaneous_pass_proportion(permuted)
 

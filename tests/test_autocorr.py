@@ -12,6 +12,7 @@ from qrng_audit.autocorr import (
     InvalidLagError,
     TestParams,
     Verdict,
+    autocorr_counts,
     autocorr_statistic,
     estimate_bias,
     normalize_statistic,
@@ -87,6 +88,24 @@ def test_statistic_reversal_invariant(case):
 
 
 # ---------------------------------------------------------------- sequences
+
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=5),
+    st.integers(1, n - 1),
+)))
+def test_counts_kernel_matches_scalar_reference(case):
+    rows, lag = case
+    statistic, ones = autocorr_counts(np.array(rows, dtype=np.uint8), lag)
+    assert statistic.dtype == ones.dtype == np.int64
+    assert statistic.tolist() == [autocorr_statistic(BitSequence(r), lag) for r in rows]
+    assert ones.tolist() == [BitSequence(r).ones_count() for r in rows]
+
+
+@pytest.mark.parametrize("lag", [0, -1, 10, 11])
+def test_counts_kernel_invalid_lag(lag):
+    with pytest.raises(InvalidLagError):
+        autocorr_counts(np.zeros((3, 10), dtype=np.uint8), lag)
+
 
 def test_bitsequence_validation():
     with pytest.raises(ValueError):

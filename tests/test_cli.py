@@ -22,7 +22,7 @@ def test_simulate_writes_expected_rows(tmp_path, capsys):
                 "--seed", 42, "--out", out]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 3 * 4
-    assert "seed 42" in capsys.readouterr().out
+    assert "seed 42" in capsys.readouterr().err
 
 
 def test_simulate_deterministic_by_seed(tmp_path):
@@ -39,6 +39,17 @@ def test_simulate_markov_rho_out_of_range_exits_2(tmp_path, capsys):
                 "--out", tmp_path / "x.csv"])
     assert code == 2
     assert "rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_simulate_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--qubits", 1, "--jobs", 1, "--bits", 8,
+                "--seed", seed, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate_drifting_needs_schedule(tmp_path):
@@ -152,9 +163,9 @@ def test_aggregate_without_calibration(tmp_path, capsys):
                 "--scatter", scatter]) == 0
     assert report.exists()
     assert not scatter.exists()
-    out = capsys.readouterr().out
-    assert "simultaneous-pass proportion" in out
-    assert "no calibration" in out
+    err = capsys.readouterr().err
+    assert "simultaneous-pass proportion" in err
+    assert "no calibration" in err
 
 
 def test_aggregate_single_job_proportions_are_binary(tmp_path):
@@ -218,7 +229,7 @@ def test_oracle_small_table(tmp_path, capsys):
     assert lines[0] == "statistic,exact_p,approx_p,difference"
     exact = [float(l.split(",")[1]) for l in lines[1:]]
     assert exact == [0.5, 1.0, 0.5]
-    assert "max |exact - approx|" in capsys.readouterr().out
+    assert "max |exact - approx|" in capsys.readouterr().err
 
 
 def test_oracle_size_limit_exits_2(tmp_path):
@@ -254,6 +265,15 @@ def test_pipeline_matches_manual_stages(tmp_path):
         (scatter, workdir / "scatter.csv"),
     ]:
         assert sha256(manual) == sha256(staged), staged.name
+
+
+def test_pipeline_writes_nothing_to_stdout(tmp_path, capsys):
+    assert run(["pipeline", "--qubits", 2, "--jobs", 3, "--bits", 128,
+                "--seed", 4, "--workdir", tmp_path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "simulated 3 jobs" in captured.err
+    assert "simultaneous-pass proportion" in captured.err
 
 
 def test_pipeline_repeated_runs_identical(tmp_path):

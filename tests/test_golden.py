@@ -1,0 +1,88 @@
+"""Golden outputs: small ``pipeline`` runs pinned by SHA-256.
+
+The digests were recorded before the bit side of the pipeline moved to one
+(rows x bits) matrix and pin that every output file stays byte-identical.
+``results.csv`` is pinned without its ``p_value`` column, the one field that
+rests on the platform's ``erfc``.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import random
+
+import numpy as np
+import pytest
+
+from qrng_audit import cli
+from qrng_audit.aggregate import build_matrix
+from qrng_audit.autocorr import TestParams
+from qrng_audit.ingest import parse_jobs
+
+SHAPE = ["--jobs", "6", "--qubits", "4", "--bits", "256", "--seed", "7"]
+
+CALIBRATION = "a94da6ce7e0eff0ced9b31e80bee330e7d9e72132fb921a129ca28d432dba161"
+GOLDEN = {
+    "ideal": ([], {
+        "jobs.csv": "839edbe43e1fe49228ef3bc85f0cd90e86833acbfe9d08e265ce8e19f25fc33e",
+        "calibration.csv": CALIBRATION,
+        "report.csv": "bfc980b173913795e1bfbf443175ddc75f6ed7fb429fbb6dc3a74f660fbd395b",
+        "scatter.csv": "c6b671655aaa63291ac8946c0e586b92c9eb9b307634e6bf6e8d1f25c434fb58",
+        "results.csv": "7fc638ef8b9f659e7b574e499a4c27b3071875a5f85e31cfe8377cc69af6c65d",
+    }),
+    "markov": (["--model", "markov", "--rho", "0.05"], {
+        "jobs.csv": "fa2011d94a972e3688440cfd09d82df8c7c165229a5669f7b8bff38928530dea",
+        "calibration.csv": CALIBRATION,
+        "report.csv": "9b222ecb948ef957b5693236cbb282adb553c9fa950caa16afd05338da9b2932",
+        "scatter.csv": "ffe03f4292de09536a278e429c353b1f3be4ee7022c7d75b96e35af1db9c10f4",
+        "results.csv": "b8c8bb42bc3bf76b552f22f1af2680860c1522c89bf3a80a3272e3475faa9f9e",
+    }),
+    "drifting": (["--model", "drifting", "--schedule", "0.5:3,0.6:3", "--lag", "2"], {
+        "jobs.csv": "7d1ac7e40f7a96acb5b3022e6ed1113c85bb7804f0c8d3c056f605234b606f8c",
+        "calibration.csv": CALIBRATION,
+        "report.csv": "5aee3a5b09d1abed0d3c0d9c24012d0022f71027c6cbe76bd6838c1c4a92327d",
+        "scatter.csv": "c6b671655aaa63291ac8946c0e586b92c9eb9b307634e6bf6e8d1f25c434fb58",
+        "results.csv": "c964f44eafdb0bec0ba08fc3d8f63e02ddb91c519652024582370492cb766132",
+    }),
+    "fixed-bias": (["--bias", "fixed:0.3"], {
+        "jobs.csv": "839edbe43e1fe49228ef3bc85f0cd90e86833acbfe9d08e265ce8e19f25fc33e",
+        "calibration.csv": CALIBRATION,
+        "report.csv": "d948755ae584335fb979f300e1360b8f4ac09cdaee9f4f3348f02522bbbf2ddd",
+        "scatter.csv": "f8026c8781b38c03e52bc39c19d20a675e6243dbb75f11f6f099361ac5d2ab73",
+        "results.csv": "3a201706454ecbf8ae8324d308410d1c438a8d628cb88934136680dcd1824cb1",
+    }),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _without_p_value(text: str) -> bytes:
+    rows = list(csv.reader(io.StringIO(text)))
+    drop = rows[0].index("p_value")
+    return "".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows).encode()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_pipeline_outputs_match_golden_digests(case, tmp_path):
+    extra, expected = GOLDEN[case]
+    assert cli.main(["pipeline", *SHAPE, *extra, "--workdir", str(tmp_path)]) == 0
+    got = {name: _sha256((tmp_path / name).read_bytes()) for name in expected}
+    got["results.csv"] = _sha256(_without_p_value((tmp_path / "results.csv").read_text()))
+    assert got == expected
+
+
+def test_row_shuffled_job_file_gives_the_same_matrix(tmp_path):
+    assert cli.main(["pipeline", *SHAPE, *GOLDEN["markov"][0], "--workdir", str(tmp_path)]) == 0
+    text = (tmp_path / "jobs.csv").read_text()
+    header, *rows = text.splitlines(True)
+    random.Random(3).shuffle(rows)
+    params = TestParams(lag=1)
+    canonical = build_matrix(parse_jobs(io.StringIO(text)), params)
+    shuffled = build_matrix(parse_jobs(io.StringIO(header + "".join(rows))), params)
+    assert (shuffled.job_ids, shuffled.qubit_ids) == (canonical.job_ids, canonical.qubit_ids)
+    for field in ("statistic", "bias", "normalized", "p_value"):
+        np.testing.assert_array_equal(getattr(shuffled, field), getattr(canonical, field))

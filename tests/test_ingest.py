@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrng_audit.autocorr import BitSequence, PValueMatrix
+from qrng_audit.aggregate import build_matrix
+from qrng_audit.autocorr import PValueMatrix, TestParams
 from qrng_audit.ingest import (
     CalibrationRecord,
-    JobRecord,
+    JobRows,
     ParseError,
     parse_calibration,
     parse_jobs,
@@ -27,27 +28,42 @@ def job_file(*rows, header="job_id,timestamp,qubit_id,bits"):
     return io.StringIO("\n".join([header, *rows]) + "\n")
 
 
+def job_rows(*cells):
+    """JobRows from (job_id, timestamp, qubit_id, bit string) cells, in order."""
+    return JobRows(
+        job_id=[c[0] for c in cells], timestamp=[c[1] for c in cells],
+        qubit_id=[c[2] for c in cells],
+        bits=np.array([[int(b) for b in c[3]] for c in cells], dtype=np.uint8),
+    )
+
+
 # -------------------------------------------------------------------- jobs
 
 def test_parse_single_row():
-    records = parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,0110"))
-    assert len(records) == 1
-    job = records[0]
-    assert job.job_id == "j1"
-    assert job.timestamp == TS
-    assert job.qubit_ids == (0,)
-    assert job.stream(0) == BitSequence.from_string("0110")
+    rows = parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,0110"))
+    assert (rows.job_id, rows.timestamp, rows.qubit_id) == (["j1"], [TS], [0])
+    assert rows.bits.dtype == np.uint8
+    assert rows.bits.tolist() == [[0, 1, 1, 0]]
 
 
 def test_parse_groups_rows_into_jobs():
-    records = parse_jobs(job_file(
+    rows = parse_jobs(job_file(
         "j1,2019-05-09T11:24:27Z,1,01",
         "j1,2019-05-09T11:24:27Z,0,11",
         "j2,2019-05-09T11:33:10Z,0,10",
         "j2,2019-05-09T11:33:10Z,1,00",
     ))
-    assert [r.job_id for r in records] == ["j1", "j2"]
-    assert records[0].qubit_ids == (0, 1)  # sorted ascending within the job
+    assert rows.job_id == ["j1", "j1", "j2", "j2"]  # file order is kept
+    assert rows.qubit_id == [1, 0, 0, 1]
+    assert rows.bits.tolist() == [[0, 1], [1, 1], [1, 0], [0, 0]]
+    matrix = build_matrix(rows, TestParams(lag=1))
+    assert (matrix.job_ids, matrix.qubit_ids) == (("j1", "j2"), (0, 1))
+    assert matrix.statistic.tolist() == [[0, 1], [1, 0]]
+
+
+def test_parse_empty_file_has_no_rows():
+    rows = parse_jobs(job_file())
+    assert rows.job_id == [] and rows.bits.shape == (0, 0)
 
 
 def test_parse_bad_bit_names_line():
@@ -64,11 +80,6 @@ def test_parse_length_mismatch():
             "j1,2019-05-09T11:24:27Z,1,011",
         ))
     assert err.value.line == 3
-
-
-def test_parse_expected_bits_override():
-    with pytest.raises(ParseError):
-        parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,0110"), expected_bits=8)
 
 
 def test_parse_duplicate_stream():
@@ -113,11 +124,8 @@ def test_parse_structured_rejections(row):
 
 
 def test_serialize_canonical_order():
-    record = JobRecord(
-        job_id="j1", timestamp=TS,
-        streams=((1, BitSequence.from_string("01")), (0, BitSequence.from_string("11"))),
-    )
-    text = serialize_jobs_str([record])
+    rows = job_rows(("j1", TS, 0, "11"), ("j1", TS, 1, "01"))
+    text = serialize_jobs_str(rows)
     assert text.splitlines() == [
         "job_id,timestamp,qubit_id,bits",
         "j1,2019-05-09T11:24:27Z,0,11",
@@ -126,15 +134,12 @@ def test_serialize_canonical_order():
 
 
 def test_serialize_empty_is_header_only():
-    assert serialize_jobs_str([]) == "job_id,timestamp,qubit_id,bits\n"
+    assert serialize_jobs_str(parse_jobs(job_file())) == "job_id,timestamp,qubit_id,bits\n"
 
 
 def test_serialize_twenty_qubits_twenty_rows():
-    record = JobRecord(
-        job_id="j1", timestamp=TS,
-        streams=tuple((q, BitSequence.from_string("0101")) for q in range(20)),
-    )
-    assert len(serialize_jobs_str([record]).splitlines()) == 21
+    rows = job_rows(*(("j1", TS, q, "0101") for q in range(20)))
+    assert len(serialize_jobs_str(rows).splitlines()) == 21
 
 
 job_ids = st.text(alphabet="abcdefghij0123456789-", min_size=1, max_size=8)
@@ -144,41 +149,26 @@ timestamps = st.integers(0, 2**31 - 1).map(
 
 
 @st.composite
-def job_records(draw, bits_len):
-    n_qubits = draw(st.integers(1, 4))
-    return JobRecord(
-        job_id=draw(job_ids),
-        timestamp=draw(timestamps),
-        streams=tuple(
-            (q, BitSequence(draw(st.lists(st.integers(0, 1),
-                                          min_size=bits_len, max_size=bits_len))))
-            for q in range(n_qubits)
-        ),
-    )
-
-
-@st.composite
 def job_corpora(draw):
+    """Canonical job rows: distinct jobs, each with qubits 0..k-1 in order."""
     bits_len = draw(st.integers(1, 16))
-    n_jobs = draw(st.integers(0, 5))
-    records = []
-    seen = set()
-    for _ in range(n_jobs):
-        record = draw(job_records(bits_len))
-        if record.job_id in seen:
-            continue
-        seen.add(record.job_id)
-        records.append(record)
-    return records
+    streams = st.lists(st.text(alphabet="01", min_size=bits_len, max_size=bits_len),
+                       min_size=1, max_size=4)
+    jobs = draw(st.lists(st.tuples(job_ids, timestamps, streams), max_size=5,
+                         unique_by=lambda job: job[0]))
+    return job_rows(*((job_id, ts, q, bits) for job_id, ts, qubit_bits in jobs
+                      for q, bits in enumerate(qubit_bits)))
 
 
 @given(job_corpora())
 @settings(max_examples=60, deadline=None)
-def test_job_round_trip_identity(records):
+def test_job_round_trip_identity(rows):
     """serialize(parse(F)) is byte-identical to canonical F."""
-    text = serialize_jobs_str(records)
-    parsed = parse_jobs(io.StringIO(text)) if records else []
-    assert parsed == records or not records
+    text = serialize_jobs_str(rows)
+    parsed = parse_jobs(io.StringIO(text))
+    assert (parsed.job_id, parsed.timestamp, parsed.qubit_id) == (
+        rows.job_id, rows.timestamp, rows.qubit_id)
+    assert parsed.bits.tolist() == rows.bits.tolist()
     assert serialize_jobs_str(parsed) == text
 
 
@@ -259,62 +249,16 @@ def test_read_results_rejects_bad_verdict():
         ))
 
 
-# ------------------------------------------------------------------ packed
-
-def test_pack_bits_layout():
-    from qrng_audit.ingest import pack_bits, unpack_bits
-
-    data = pack_bits(BitSequence.from_string("10000000"))
-    assert data == (8).to_bytes(8, "big") + b"\x80"  # MSB first
-    seq, rest = unpack_bits(data)
-    assert seq == BitSequence.from_string("10000000")
-    assert rest == b""
-
-
-def test_pack_bits_concatenated_streams():
-    from qrng_audit.ingest import pack_bits, unpack_bits
-
-    first = BitSequence.from_string("101")
-    second = BitSequence.from_string("0110011")
-    blob = pack_bits(first) + pack_bits(second)
-    got_first, rest = unpack_bits(blob)
-    got_second, tail = unpack_bits(rest)
-    assert (got_first, got_second, tail) == (first, second, b"")
-
-
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=100))
-def test_pack_bits_round_trip(bits):
-    from qrng_audit.ingest import pack_bits, unpack_bits
-
-    seq = BitSequence(bits)
-    got, rest = unpack_bits(pack_bits(seq))
-    assert got == seq and rest == b""
-
-
-def test_unpack_bits_truncation_errors():
-    from qrng_audit.ingest import pack_bits, unpack_bits
-
-    blob = pack_bits(BitSequence.from_string("10101010101"))
-    with pytest.raises(ParseError):
-        unpack_bits(blob[:4])
-    with pytest.raises(ParseError):
-        unpack_bits(blob[:-1])
-
-
 # -------------------------------------------------------------------- fuzz
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_job_files_never_crash(data):
     """Arbitrary mutations either parse or raise ParseError, never crash."""
-    base = serialize_jobs_str([
-        JobRecord(job_id="j1", timestamp=TS,
-                  streams=((0, BitSequence.from_string("0110")),
-                           (1, BitSequence.from_string("1001")))),
-        JobRecord(job_id="j2", timestamp=TS,
-                  streams=((0, BitSequence.from_string("0000")),
-                           (1, BitSequence.from_string("1111")))),
-    ])
+    base = serialize_jobs_str(job_rows(
+        ("j1", TS, 0, "0110"), ("j1", TS, 1, "1001"),
+        ("j2", TS, 0, "0000"), ("j2", TS, 1, "1111"),
+    ))
     text = list(base)
     for _ in range(data.draw(st.integers(1, 4))):
         kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))

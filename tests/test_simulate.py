@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from qrng_audit.autocorr import autocorr_statistic
+from qrng_audit.autocorr import BitSequence, autocorr_statistic
 from qrng_audit.simulate import (
     DeviceRunConfig,
     DriftingSource,
@@ -206,32 +206,27 @@ def test_device_run_shape_and_subset_regeneration():
     config = DeviceRunConfig(
         qubit_count=3, jobs=2, bits_per_job=16, models=IdealSource(0.5), master_seed=7
     )
-    run = generate_device_run(config)
-    assert len(run.jobs) == 2
-    for job in run.jobs:
-        assert job.qubit_ids == (0, 1, 2)
-        assert all(len(seq) == 16 for _, seq in job.streams)
+    rows = generate_device_run(config).jobs
+    assert rows.job_id == ["j0001"] * 3 + ["j0002"] * 3
+    assert rows.qubit_id == [0, 1, 2] * 2
+    assert rows.bits.shape == (6, 16) and rows.bits.dtype == np.uint8
     # any (job, qubit) stream regenerates independently, bit for bit
-    for j, job in enumerate(run.jobs):
-        for q, seq in job.streams:
-            assert seq == ideal_source(0.5, 16, stream_seed(7, j, q))
+    for row, (j, q) in enumerate((j, q) for j in range(2) for q in range(3)):
+        assert BitSequence(rows.bits[row]) == ideal_source(0.5, 16, stream_seed(7, j, q))
 
 
 def test_device_run_deterministic():
     config = DeviceRunConfig(qubit_count=2, jobs=3, bits_per_job=32, master_seed=5)
-    a = generate_device_run(config)
-    b = generate_device_run(config)
-    for ja, jb in zip(a.jobs, b.jobs):
-        assert ja == jb
+    a = generate_device_run(config).jobs
+    b = generate_device_run(config).jobs
+    assert (a.job_id, a.timestamp, a.qubit_id) == (b.job_id, b.timestamp, b.qubit_id)
+    assert np.array_equal(a.bits, b.bits)
 
 
 def test_device_run_timestamps_advance():
     config = DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8, job_interval_s=60.0)
-    run = generate_device_run(config)
-    deltas = [
-        (b.timestamp - a.timestamp).total_seconds()
-        for a, b in zip(run.jobs, run.jobs[1:])
-    ]
+    stamps = generate_device_run(config).jobs.timestamp
+    deltas = [(b - a).total_seconds() for a, b in zip(stamps, stamps[1:])]
     assert deltas == [60.0, 60.0]
 
 
@@ -239,9 +234,9 @@ def test_device_run_per_qubit_models():
     models = (IdealSource(0.5), MarkovSource(0.5, 0.3))
     config = DeviceRunConfig(qubit_count=2, jobs=1, bits_per_job=4096, models=models,
                              master_seed=9)
-    run = generate_device_run(config)
-    ideal_stat = autocorr_statistic(run.jobs[0].stream(0), 1)
-    markov_stat = autocorr_statistic(run.jobs[0].stream(1), 1)
+    ideal, markov = generate_device_run(config).jobs.bits
+    ideal_stat = autocorr_statistic(BitSequence(ideal), 1)
+    markov_stat = autocorr_statistic(BitSequence(markov), 1)
     assert markov_stat < ideal_stat  # rho=0.3 suppresses adjacent flips hard
 
 
@@ -257,6 +252,10 @@ def test_device_run_config_validation():
         DeviceRunConfig(qubit_count=0)
     with pytest.raises(ValueError):
         DeviceRunConfig(qubit_count=2, models=(IdealSource(0.5),))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            DeviceRunConfig(master_seed=seed)
+    assert DeviceRunConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 def test_calibration_series():
