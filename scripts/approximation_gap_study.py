@@ -15,49 +15,51 @@ from __future__ import annotations
 
 import argparse
 
-from qrng_audit.oracle import approximation_error
+import numpy as np
+
+from qrng_audit.oracle import ApproximationTable, approximation_error
 
 
-def gap_line(n, lag, bias):
-    table = approximation_error(n, lag, bias)
-    region = [
-        r for r in table.rows
-        if 0.005 <= r.approx_p <= 0.05 or 0.005 <= r.exact_p <= 0.05
-    ]
-    region_gap = max((abs(r.difference) for r in region), default=float("nan"))
+def critical_region(table: ApproximationTable) -> np.ndarray:
+    """Rows where either p-value lies in [0.005, 0.05]."""
+    return (((0.005 <= table.approx_p) & (table.approx_p <= 0.05))
+            | ((0.005 <= table.exact_p) & (table.exact_p <= 0.05)))
+
+
+def gap_line(table: ApproximationTable) -> str:
+    region = np.abs(table.difference[critical_region(table)])
+    region_gap = float(region.max()) if region.size else float("nan")
     return (
-        f"n={n:>5} lag={lag} bias={bias:<4}  "
+        f"n={table.n:>5} lag={table.lag} bias={table.bias:<4}  "
         f"max|gap| {table.max_abs_difference:.5f}   "
         f"critical-region max|gap| {region_gap:.5f}"
     )
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--big-n", type=int, default=8192,
                         help="closed-form binomial setting (bias 0.5)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print("exact enumeration, small n:")
     for n in (16, 20, 24):
         for bias in (0.5, 0.3, 0.1):
-            print("  " + gap_line(n, 1, bias))
+            print("  " + gap_line(approximation_error(n, 1, bias)))
 
     print("closed-form binomial, large n:")
-    for n in (1024, args.big_n):
-        print("  " + gap_line(n, 1, 0.5))
+    big = approximation_error(args.big_n, 1, 0.5)
+    print("  " + gap_line(approximation_error(1024, 1, 0.5)))
+    print("  " + gap_line(big))
 
     print()
     print("worst critical-region rows at the large-n setting:")
-    table = approximation_error(args.big_n, 1, 0.5)
-    rows = [
-        r for r in table.rows
-        if 0.005 <= r.approx_p <= 0.05 or 0.005 <= r.exact_p <= 0.05
-    ]
-    rows.sort(key=lambda r: -abs(r.difference))
+    rows = np.flatnonzero(critical_region(big))
+    rows = rows[np.argsort(-np.abs(big.difference[rows]), kind="stable")]
     print("  statistic     exact_p    approx_p  difference")
-    for r in rows[:8]:
-        print(f"  {r.statistic:9d}  {r.exact_p:.6f}  {r.approx_p:.6f}  {r.difference:+.6f}")
+    for i in rows[:8]:
+        print(f"  {big.statistic[i]:9d}  {big.exact_p[i]:.6f}  {big.approx_p[i]:.6f}  "
+              f"{big.difference[i]:+.6f}")
 
 
 if __name__ == "__main__":

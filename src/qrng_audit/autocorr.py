@@ -169,8 +169,13 @@ def pair_mismatch_rate(bias: float) -> float:
     return 2.0 * bias * (1.0 - bias)
 
 
-def normalize_statistic(statistic: float, n: int, lag: int, bias: float) -> float:
-    """Standardize the XOR count: (A - q(n-lag)) / sqrt((n-lag) q (1-q))."""
+def normalize_statistic(
+    statistic: float | np.ndarray, n: int, lag: int, bias: float
+) -> float | np.ndarray:
+    """Standardize the XOR count: (A - q(n-lag)) / sqrt((n-lag) q (1-q)).
+
+    ``statistic`` may be an array of XOR counts, standardized elementwise
+    with the same operations."""
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must be in [0, 1], got {bias}")
     m = n - lag
@@ -189,6 +194,18 @@ def p_value(normalized: float) -> float:
     if not math.isfinite(normalized):
         raise ValueError(f"normalized statistic must be finite, got {normalized!r}")
     return max(erfc(abs(normalized) / math.sqrt(2.0)), _TINY)
+
+
+def p_values(normalized: np.ndarray) -> np.ndarray:
+    """``p_value`` of every element of an array, equal to it bit for bit."""
+    z = np.asarray(normalized, dtype=float)
+    finite = np.isfinite(z)
+    if not finite.all():
+        bad = float(z[~finite][0])
+        raise ValueError(f"normalized statistic must be finite, got {bad!r}")
+    x = (np.abs(z) / math.sqrt(2.0)).ravel().tolist()
+    p = np.fromiter(map(math.erfc, x), dtype=float, count=len(x))
+    return np.maximum(p, _TINY).reshape(z.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +258,7 @@ class PValueMatrix:
             normalized = (statistic - q * m) / np.sqrt(m * q * (1.0 - q))
         normalized[degenerate] = np.nan
         p = np.full(statistic.shape, np.nan)
-        p[~degenerate] = [p_value(z) for z in normalized[~degenerate].tolist()]
+        p[~degenerate] = p_values(normalized[~degenerate])
         return cls(
             job_ids=job_ids, qubit_ids=qubit_ids, n=n, lag=params.lag,
             alpha=params.alpha, statistic=statistic, bias=bias,

@@ -30,7 +30,11 @@ from .ingest import (
     serialize_jobs,
     write_results,
 )
-from .oracle import EnumerationLimitError, approximation_error
+from .oracle import approximation_error
+
+
+# Rows of the oracle table formatted per block of the CSV write.
+_ORACLE_CSV_BLOCK = 1 << 14
 
 
 class UsageError(ValueError):
@@ -165,13 +169,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         k_range = (args.k_min, args.k_max)
     try:
         table = approximation_error(args.n, args.lag, args.p, k_range)
-    except EnumerationLimitError as exc:
+    except ValueError as exc:
+        # Every input of the table is a flag.
         raise UsageError(str(exc)) from None
+    columns = (table.statistic, table.exact_p, table.approx_p, table.difference)
     with open(args.out, "w", newline="") as fh:
         fh.write("statistic,exact_p,approx_p,difference\n")
-        for row in table.rows:
-            fh.write(
-                f"{row.statistic},{row.exact_p!r},{row.approx_p!r},{row.difference!r}\n"
+        # A block of rows at a time: Python scalars for every row of a long
+        # table would cost 32 bytes per cell of peak memory.
+        for lo in range(0, table.statistic.size, _ORACLE_CSV_BLOCK):
+            block = (c[lo:lo + _ORACLE_CSV_BLOCK].tolist() for c in columns)
+            fh.writelines(
+                f"{k},{exact!r},{approx!r},{difference!r}\n"
+                for k, exact, approx, difference in zip(*block)
             )
     _status(f"max |exact - approx|: {table.max_abs_difference:.6g}")
     return 0

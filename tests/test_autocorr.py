@@ -1,10 +1,11 @@
 """Core autocorrelation test: statistic, normalization, p-value, verdicts."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qrng_audit.autocorr import (
     BitSequence,
@@ -17,6 +18,7 @@ from qrng_audit.autocorr import (
     estimate_bias,
     normalize_statistic,
     p_value,
+    p_values,
     run_test,
 )
 
@@ -209,6 +211,35 @@ def test_p_value_monotone_in_magnitude(a, b):
 
 def test_p_value_never_zero():
     assert 0.0 < p_value(200.0) <= 1.0
+
+
+# 0 gives p = 1; near |z| = 38 erfc(|z|/sqrt(2)) is subnormal, and from about
+# |z| = 38.6 it underflows to 0 and the p-value is clamped to 5e-324.
+SUBNORMAL_Z = (37.6, -38.0, 38.4)
+EDGE_Z = (0.0, -0.0, *SUBNORMAL_Z, 39.0, -40.0, 1e300, -1e300)
+
+
+@given(st.lists(st.one_of(st.sampled_from(EDGE_Z), st.floats(-45.0, 45.0)), max_size=40))
+@example(list(EDGE_Z))
+def test_p_values_equal_scalar_p_value_bit_for_bit(zs):
+    got = p_values(np.array(zs, dtype=float))
+    assert got.tobytes() == np.array([p_value(z) for z in zs], dtype=float).tobytes()
+
+
+def test_p_values_edges_and_shape():
+    p = p_values(np.array(EDGE_Z).reshape(3, 3))
+    assert p.shape == (3, 3)
+    p = p.ravel()
+    assert p[0] == p[1] == 1.0
+    assert all(0.0 < v < sys.float_info.min for v in p[2:5])
+    assert p[2] > 5e-324
+    assert np.all(p[5:] == 5e-324)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_p_values_reject_non_finite(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        p_values(np.array([0.5, bad]))
 
 
 # ----------------------------------------------------------------- run_test

@@ -236,6 +236,29 @@ def test_oracle_size_limit_exits_2(tmp_path):
     assert run(["oracle", "--n", 30, "--p", 0.3, "--out", tmp_path / "t.csv"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", 24, "--lag", 0], "lag must satisfy"),
+        (["--n", 8192, "--lag", 0], "lag must satisfy"),
+        (["--n", 1], "lag must satisfy"),
+        (["--n", 12, "--p", "nan"], "bias must be in [0, 1]"),
+        (["--n", 12, "--p", -0.1], "bias must be in [0, 1]"),
+        (["--n", 12, "--p", 0], "zero variance"),
+        (["--n", 12, "--p", 1], "zero variance"),
+        (["--n", 12, "--k-min", 3, "--k-max", 12], "k_range must lie within"),
+        (["--n", 12, "--k-min", 5, "--k-max", 4], "k_range must lie within"),
+    ],
+)
+def test_oracle_flag_errors_exit_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "t.csv"
+    assert run(["oracle", *flags, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_oracle_big_n_fair_bias_allowed(tmp_path):
     out = tmp_path / "t.csv"
     assert run(["oracle", "--n", 1024, "--lag", 1, "--p", 0.5,

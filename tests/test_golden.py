@@ -1,9 +1,12 @@
-"""Golden outputs: small ``pipeline`` runs pinned by SHA-256.
+"""Golden outputs: small ``pipeline`` runs and ``oracle`` tables pinned by SHA-256.
 
-The digests were recorded before the bit side of the pipeline moved to one
-(rows x bits) matrix and pin that every output file stays byte-identical.
-``results.csv`` is pinned without its ``p_value`` column, the one field that
-rests on the platform's ``erfc``.
+The pipeline digests were recorded before the bit side of the pipeline moved
+to one (rows x bits) matrix, and the oracle digests before the binomial pmf
+moved to a walk out from the mode and the table to columns; they pin that
+every output file stays byte-identical. ``results.csv`` is pinned without its
+``p_value`` column and the oracle tables without ``approx_p`` and
+``difference``, the fields that rest on the platform's ``erfc``; those two
+are checked instead against the scalar ``p_value`` route, byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pytest
 
 from qrng_audit import cli
 from qrng_audit.aggregate import build_matrix
-from qrng_audit.autocorr import TestParams
+from qrng_audit.autocorr import TestParams, normalize_statistic, p_value
 from qrng_audit.ingest import parse_jobs
 
 SHAPE = ["--jobs", "6", "--qubits", "4", "--bits", "256", "--seed", "7"]
@@ -55,6 +58,17 @@ GOLDEN = {
     }),
 }
 
+# (n, lag, p, k range or None) -> digest of the statistic and exact_p columns
+ORACLE_GOLDEN = {
+    (8192, 1, 0.5, None): "487bf753562b34b61a5bee7ef3f32e980ef0b39626b0ecd0288fbd2273cb4392",
+    (24, 3, 0.1, None): "7f47e286db20dacd089ac5d9c9a4582ebc3b46bf2f3bf617898794204677405a",
+    (24, 1, 0.3, None): "d8e3e4816701eadc0b4d8a25cf1a32ced4a614ebd61a40d7478792e1b44db617",
+    (20000, 7, 0.5, None): "ed92971592a10aecae7dcbd0bddbe9a0ac8ad8a3120db9b5c13357709b8b1327",
+    (20000, 1, 0.5, (9700, 10300)):
+        "b30b1462d2f8ace612aaf880aecb88f745cb88d6c0b474774ab4898ab2a860fa",
+    (20, 2, 0.3, (3, 9)): "ceb35469cf9d6ada09e88827a45f73c5db62b5c0a0b1e84bd4468f2d1e83872a",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -86,3 +100,19 @@ def test_row_shuffled_job_file_gives_the_same_matrix(tmp_path):
     assert (shuffled.job_ids, shuffled.qubit_ids) == (canonical.job_ids, canonical.qubit_ids)
     for field in ("statistic", "bias", "normalized", "p_value"):
         np.testing.assert_array_equal(getattr(shuffled, field), getattr(canonical, field))
+
+
+@pytest.mark.parametrize("case", list(ORACLE_GOLDEN), ids=str)
+def test_oracle_tables_match_golden_digests(case, tmp_path):
+    n, lag, p, k_range = case
+    out = tmp_path / "oracle.csv"
+    flags = [] if k_range is None else ["--k-min", str(k_range[0]), "--k-max", str(k_range[1])]
+    assert cli.main(["oracle", "--n", str(n), "--lag", str(lag), "--p", repr(p),
+                     *flags, "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header == ["statistic", "exact_p", "approx_p", "difference"]
+    exact_columns = "".join(f"{r[0]},{r[1]}\n" for r in [header, *rows])
+    assert _sha256(exact_columns.encode()) == ORACLE_GOLDEN[case]
+    for k, exact, approx, difference in rows:
+        scalar = p_value(normalize_statistic(int(k), n, lag, p))
+        assert (approx, difference) == (repr(scalar), repr(float(exact) - scalar))

@@ -1,13 +1,16 @@
 """Exact-distribution oracles and the normal-approximation error table."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qrng_audit.autocorr import normalize_statistic, p_value
 from qrng_audit.oracle import (
     ENUMERATION_MAX_N,
+    ApproximationRow,
     EnumerationLimitError,
     approximation_error,
     exact_distribution_binomial,
@@ -34,6 +37,52 @@ def test_binomial_examples():
     assert exact_distribution_binomial(3, 1).as_dict() == {0: 0.25, 1: 0.5, 2: 0.25}
     assert exact_distribution_binomial(2, 1).as_dict() == {0: 0.5, 1: 0.5}
     assert exact_distribution_binomial(8192, 1).mean() == pytest.approx(4095.5, abs=1e-9)
+
+
+def full_recurrence_pmf(m):
+    """Binomial(m, 1/2) pmf by the exact recurrence over every k from 0: the
+    reference the mode-out walk must match bit for bit."""
+    denominator = 1 << m
+    pmf = np.empty(m + 1)
+    coeff = 1
+    for k in range(m + 1):
+        pmf[k] = coeff / denominator
+        coeff = coeff * (m - k) // (k + 1)
+    return pmf
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_binomial_pmf_equals_full_recurrence_every_lag(n):
+    for lag in range(1, n):
+        assert np.array_equal(exact_distribution_binomial(n, lag).pmf,
+                              full_recurrence_pmf(n - lag))
+
+
+@given(st.integers(2, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
+@example((2, 1))
+@example((1001, 1))
+@example((1002, 1))
+@settings(max_examples=40, deadline=None)
+def test_binomial_pmf_equals_full_recurrence(n_lag):
+    """Examples: m = 1, then m even and odd; drawn cases past m of about 2100
+    also cover tails that underflow to 0.0."""
+    n, lag = n_lag
+    assert np.array_equal(exact_distribution_binomial(n, lag).pmf,
+                          full_recurrence_pmf(n - lag))
+
+
+def test_binomial_pmf_underflow_edge_is_correctly_rounded():
+    """At n = 100000 the walk stops where C(m, k) / 2^m first rounds to 0.0;
+    both sides of that edge match the exact rational, rounded once."""
+    m = 100_000 - 1
+    pmf = exact_distribution_binomial(100_000, 1).pmf
+    last = int(np.flatnonzero(pmf)[0])
+    assert 0 < last < m // 2
+    for k in (last, last - 1):
+        assert pmf[k] == float(Fraction(math.comb(m, k), 2**m))
+        assert pmf[m - k] == pmf[k]
+    assert pmf[last] > 0.0 and pmf[last - 1] == 0.0
+    assert not pmf[:last].any() and not pmf[m - last + 1:].any()
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 14, 17])
@@ -95,6 +144,55 @@ def test_two_sided_p_rejects_out_of_range():
     for observed in (-1, 3):
         with pytest.raises(ValueError):
             exact_two_sided_p(dist, observed)
+
+
+def loop_approximation_error(n, lag, bias):
+    """The table row by row: tie runs found by a loop and one scalar
+    standardization and p-value per statistic value."""
+    dist = (exact_distribution_enumerate(n, lag, bias) if n <= ENUMERATION_MAX_N
+            else exact_distribution_binomial(n, lag))
+    m = n - lag
+    distances = np.abs(dist.support - dist.mean())
+    order = np.argsort(-distances, kind="stable")
+    tail = np.empty(m + 1)
+    tail[order] = np.cumsum(dist.pmf[order])
+    exact_by_k = np.empty(m + 1)
+    sorted_d = distances[order]
+    run_start = 0
+    for i in range(1, m + 2):
+        if i == m + 1 or sorted_d[i] < sorted_d[run_start] - 1e-9:
+            exact_by_k[order[run_start:i]] = tail[order[i - 1]]
+            run_start = i
+    rows = []
+    for k in range(m + 1):
+        approx = p_value(normalize_statistic(k, n, lag, bias))
+        exact = float(min(exact_by_k[k], 1.0))
+        rows.append(ApproximationRow(k, exact, approx, exact - approx))
+    return rows
+
+
+ENUMERATED = [(n, lag, bias) for n in (2, 7, 12, 15)
+              for lag in sorted({1, 2, n - 1}) if lag < n
+              for bias in (0.1, 0.3, 0.5, 0.73, 0.9)]
+BINOMIAL = [(n, lag, 0.5) for n in (25, 101, 1000, 8193, 20000)
+            for lag in (1, 2, 7, 24)]
+
+
+@pytest.mark.parametrize("n, lag, bias", ENUMERATED + BINOMIAL)
+def test_approximation_table_equals_row_loop(n, lag, bias):
+    table = approximation_error(n, lag, bias)
+    reference = loop_approximation_error(n, lag, bias)
+    assert table.rows == tuple(reference)
+    for name in ("statistic", "exact_p", "approx_p", "difference"):
+        assert np.array_equal(getattr(table, name),
+                              [getattr(r, name) for r in reference]), name
+    assert table.max_abs_difference == max(abs(r.difference) for r in reference)
+
+
+def test_approximation_table_rows_are_python_scalars():
+    row = approximation_error(12, 1, 0.3, k_range=(4, 4)).rows[0]
+    assert [type(v) for v in (row.statistic, row.exact_p, row.approx_p, row.difference)] \
+        == [int, float, float, float]
 
 
 def test_approximation_error_center_is_exact():

@@ -23,3 +23,13 @@ def test_fleet_study_runs_at_a_tiny_shape(capsys):
     assert "spearman(rho, failure ratio): undefined" in out
     assert study.signed(None) == "undefined"
     assert study.signed(0.25) == "+0.2500"
+
+
+def test_approximation_gap_study_runs_at_a_small_big_n(capsys):
+    study = load_script("approximation_gap_study")
+    study.main(["--big-n", "1024"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "exact enumeration, small n:"
+    assert sum("critical-region max|gap|" in line for line in lines) == 11
+    assert lines[-9] == "  statistic     exact_p    approx_p  difference"
+    assert lines[-8].split()[0] in {"480", "543"}
