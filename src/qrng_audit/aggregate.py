@@ -97,11 +97,9 @@ def matrix_from_results(rows: ResultRows, alpha: float = 0.01) -> PValueMatrix:
     )
 
 
-def failure_ratio_per_qubit(
-    matrix: PValueMatrix, alpha: float | None = None
-) -> dict[int, float]:
+def failure_ratio_per_qubit(matrix: PValueMatrix) -> dict[int, float]:
     """Per-qubit #Fail / (#Fail + #Pass); NaN for an all-degenerate column."""
-    fails = matrix.failed(alpha).sum(axis=0).tolist()
+    fails = matrix.failed().sum(axis=0).tolist()
     decided = (~matrix.degenerate).sum(axis=0).tolist()
     return {
         q: f / d if d else math.nan
@@ -113,20 +111,16 @@ def degenerate_count_per_qubit(matrix: PValueMatrix) -> dict[int, int]:
     return dict(zip(matrix.qubit_ids, matrix.degenerate.sum(axis=0).tolist()))
 
 
-def simultaneous_pass_proportion(
-    matrix: PValueMatrix, alpha: float | None = None
-) -> float:
+def simultaneous_pass_proportion(matrix: PValueMatrix) -> float:
     """Fraction of jobs whose streams pass on every qubit at once."""
-    passed = ~(matrix.failed(alpha) | matrix.degenerate)
+    passed = ~(matrix.failed() | matrix.degenerate)
     return int(passed.all(axis=1).sum()) / len(matrix.job_ids)
 
 
-def pass_proportion_overall(
-    matrix: PValueMatrix, alpha: float | None = None
-) -> float:
+def pass_proportion_overall(matrix: PValueMatrix) -> float:
     """Fraction of non-degenerate cells with p-value >= alpha."""
     decided = int((~matrix.degenerate).sum())
-    passed = decided - int(matrix.failed(alpha).sum())
+    passed = decided - int(matrix.failed().sum())
     return passed / decided if decided else math.nan
 
 
@@ -201,12 +195,11 @@ class AggregateReport:
 def build_report(
     matrix: PValueMatrix,
     calibration: Iterable[CalibrationRecord] | None = None,
-    alpha: float | None = None,
 ) -> AggregateReport:
-    """Assemble the full fleet report; T1 fields are omitted (None) when no
-    calibration data is supplied or too few qubits have both values."""
-    alpha = matrix.alpha if alpha is None else alpha
-    ratios = failure_ratio_per_qubit(matrix, alpha)
+    """Assemble the full fleet report at the matrix's alpha; T1 fields are
+    omitted (None) when no calibration data is supplied or too few qubits
+    have both values."""
+    ratios = failure_ratio_per_qubit(matrix)
     degenerates = degenerate_count_per_qubit(matrix)
     mean_t1 = None
     rho_s: float | None = None
@@ -224,11 +217,11 @@ def build_report(
         failure_ratio=ratios,
         degenerate_per_qubit=degenerates,
         mean_t1_us=mean_t1,
-        simultaneous_pass_proportion=simultaneous_pass_proportion(matrix, alpha),
-        pass_proportion_overall=pass_proportion_overall(matrix, alpha),
+        simultaneous_pass_proportion=simultaneous_pass_proportion(matrix),
+        pass_proportion_overall=pass_proportion_overall(matrix),
         spearman_t1_failure=rho_s,
         degenerate_count=sum(degenerates.values()),
-        alpha=alpha,
+        alpha=matrix.alpha,
         lag=matrix.lag,
     )
 

@@ -215,8 +215,8 @@ class PValueMatrix:
     Every cell shares one stream length ``n`` and one ``lag``. The per-cell
     fields are (jobs, qubits) arrays: ``statistic`` (int64), ``bias``,
     ``normalized`` and ``p_value`` (float64); ``normalized`` and ``p_value``
-    are NaN exactly on degenerate cells. ``alpha`` is the default level that
-    pass/fail are read at.
+    are NaN exactly on degenerate cells. ``alpha`` is the level pass/fail
+    are read at.
     """
 
     job_ids: tuple[str, ...]
@@ -276,13 +276,13 @@ class PValueMatrix:
         spread = (self.n - self.lag) * q * (1.0 - q)
         return ~self.degenerate & (spread < LOW_SAMPLE_VARIANCE)
 
-    def failed(self, alpha: float | None = None) -> np.ndarray:
-        """Cells with p-value < alpha (default: the matrix's level)."""
-        return self.p_value < (self.alpha if alpha is None else alpha)
+    def failed(self) -> np.ndarray:
+        """Cells with p-value < alpha."""
+        return self.p_value < self.alpha
 
-    def verdicts(self, alpha: float | None = None) -> np.ndarray:
+    def verdicts(self) -> np.ndarray:
         """Per-cell Verdict at level alpha, as an object array."""
-        out = np.where(self.failed(alpha), Verdict.FAIL, Verdict.PASS)
+        out = np.where(self.failed(), Verdict.FAIL, Verdict.PASS)
         out[self.degenerate] = Verdict.DEGENERATE
         return out
 

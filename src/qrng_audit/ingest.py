@@ -9,8 +9,13 @@ Three file kinds, all UTF-8 CSV with a fixed header:
 * results         ``job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict``
 
 Parsers are strict: every rejection raises ParseError carrying the offending
-line number. Serializers emit a canonical form (job and result rows in the
-order held, which for a generated run is job order then qubit id; timestamps
+line number. All three read rows through one reader, ``_rows``, which owns
+the header check, strict quoting, the field count, blank-row skipping, and
+turning csv module errors (bad quoting, a field over its 131072-character
+limit) into ParseError. A results row must be one a ``test`` run can write.
+
+Serializers emit a canonical form (job and result rows in the order held,
+which for a generated run is job order then qubit id; timestamps
 second-precision UTC with a trailing Z; floats in shortest round-trip
 notation), so serialize(parse(f)) is byte-identical for canonical inputs.
 """
@@ -22,7 +27,7 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -75,7 +80,10 @@ def _parse_timestamp(text: str, line: int) -> datetime:
         raise ParseError(f"malformed timestamp {raw!r}", line) from None
     if ts.tzinfo is None:
         raise ParseError(f"timestamp {raw!r} must carry a UTC offset", line)
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ParseError(f"timestamp {raw!r} is out of range in UTC", line) from None
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -92,25 +100,35 @@ def _parse_qubit_id(text: str, line: int) -> int:
     return qubit
 
 
-def _check_header(row: list[str] | None, expected: list[str]) -> None:
-    if row != expected:
-        raise ParseError(
-            f"expected header {','.join(expected)!r}, got "
-            f"{','.join(row) if row else '<empty file>'!r}",
-            line=1,
-        )
+def _rows(stream: TextIO | Iterable[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, fields) for each non-blank data row of a CSV whose first
+    row is ``header`` and whose rows all carry as many fields. Quoting is
+    strict; any csv.Error (bad quoting, a field over the csv module's size
+    limit) becomes a ParseError at the line the reader stopped on."""
+    reader = csv.reader(stream, strict=True)
+    try:
+        first = next(reader, None)
+        if first != header:
+            raise ParseError(
+                f"expected header {','.join(header)!r}, got "
+                f"{','.join(first) if first else '<empty file>'!r}",
+                line=1,
+            )
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(fields)}", reader.line_num
+                )
+            yield reader.line_num, fields
+    except csv.Error as exc:
+        raise ParseError(f"unreadable CSV: {exc}", reader.line_num) from None
 
 
 def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
     """Parse a job CSV into columns in file order; the first data row
     declares the per-stream bit count."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise ParseError(f"unreadable CSV: {exc}", line=1) from None
-    _check_header(header, JOB_HEADER)
-
     declared: int | None = None
     job_ids: list[str] = []
     stamps: list[datetime] = []
@@ -118,19 +136,7 @@ def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
     buffer = bytearray()
     timestamps: dict[str, datetime] = {}
     seen: set[tuple[str, int]] = set()
-    while True:
-        try:
-            row = next(reader, None)
-        except csv.Error as exc:
-            raise ParseError(f"unreadable CSV: {exc}", reader.line_num) from None
-        if row is None:
-            break
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line)
-        job_id, ts_text, qubit_text, bits_text = row
+    for line, (job_id, ts_text, qubit_text, bits_text) in _rows(stream, JOB_HEADER):
         if not job_id:
             raise ParseError("empty job_id", line)
         timestamp = _parse_timestamp(ts_text, line)
@@ -188,26 +194,17 @@ def parse_calibration(stream: TextIO | Iterable[str]) -> tuple[list[CalibrationR
 
     Repeated (timestamp, qubit_id) keys keep the last value seen.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    _check_header(header, CALIBRATION_HEADER)
-
     by_key: dict[tuple[datetime, int], CalibrationRecord] = {}
     duplicates = 0
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line)
-        ts = _parse_timestamp(row[0], line)
-        qubit = _parse_qubit_id(row[1], line)
+    for line, (ts_text, qubit_text, t1_text) in _rows(stream, CALIBRATION_HEADER):
+        ts = _parse_timestamp(ts_text, line)
+        qubit = _parse_qubit_id(qubit_text, line)
         try:
-            t1 = float(row[2])
+            t1 = float(t1_text)
         except ValueError:
-            raise ParseError(f"t1_us {row[2]!r} is not a number", line) from None
+            raise ParseError(f"t1_us {t1_text!r} is not a number", line) from None
         if not 0.0 < t1 < float("inf"):
-            raise ParseError(f"t1_us must be a positive finite value, got {row[2]}", line)
+            raise ParseError(f"t1_us must be a positive finite value, got {t1_text}", line)
         if (ts, qubit) in by_key:
             duplicates += 1
         by_key[(ts, qubit)] = CalibrationRecord(timestamp=ts, qubit_id=qubit, t1_us=t1)
@@ -256,23 +253,19 @@ def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
 
 
 def read_results(stream: TextIO | Iterable[str]) -> ResultRows:
-    """Parse a results CSV. A row is degenerate exactly when its normalized
-    and p_value fields are empty; otherwise normalized is finite and p_value
-    lies in (0, 1]."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    _check_header(header, RESULT_HEADER)
+    """Parse a results CSV, accepting only rows a ``test`` run can write:
+    a non-empty job_id, 1 <= lag < n, statistic in [0, n - lag], bias in
+    [0, 1], one n and one lag per file. A row is degenerate exactly when its
+    normalized and p_value fields are empty; otherwise normalized is finite
+    and p_value lies in (0, 1]."""
     n_lag: tuple[int, int] | None = None
     # job_id, qubit_id, statistic, bias, normalized, p_value
     columns: tuple[list, ...] = ([], [], [], [], [], [])
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != len(RESULT_HEADER):
-            raise ParseError(f"expected {len(RESULT_HEADER)} fields, got {len(row)}", line)
+    for line, row in _rows(stream, RESULT_HEADER):
         job_id, qubit_text, n_text, lag_text, bias_text = row[:5]
         stat_text, z_text, p_text, v_text = row[5:]
+        if not job_id:
+            raise ParseError("empty job_id", line)
         try:
             verdict = Verdict(v_text)
         except ValueError:
@@ -284,6 +277,12 @@ def read_results(stream: TextIO | Iterable[str]) -> ResultRows:
             p = float(p_text) if p_text else math.nan
         except ValueError as exc:
             raise ParseError(f"malformed result row: {exc}", line) from None
+        if not 1 <= lag < n:
+            raise ParseError(f"lag must satisfy 1 <= lag < n, got lag={lag}, n={n}", line)
+        if not 0 <= statistic <= n - lag:
+            raise ParseError(f"statistic {statistic} outside [0, n - lag = {n - lag}]", line)
+        if not 0.0 <= bias <= 1.0:
+            raise ParseError(f"bias must be in [0, 1], got {bias_text!r}", line)
         n_lag = n_lag or (n, lag)
         if (n, lag) != n_lag:
             raise ParseError(f"(n, lag) = {(n, lag)} differs from {n_lag} of earlier rows", line)

@@ -208,28 +208,6 @@ def markov_source(bias: float, rho: float, n: int, seed: int) -> BitSequence:
     return BitSequence(bits)
 
 
-def drifting_source(
-    schedule: Sequence[tuple[float, int]], n: int, seed: int
-) -> BitSequence:
-    """Independent bits with piecewise-constant bias covering indices 1..n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    biases = []
-    counts = []
-    for bias, count in schedule:
-        _check_bias(bias)
-        if count < 1:
-            raise InvalidScheduleError(f"phase bit count must be >= 1, got {count}")
-        biases.append(bias)
-        counts.append(count)
-    if sum(counts) != n:
-        raise InvalidScheduleError(
-            f"schedule covers {sum(counts)} bits but n={n}"
-        )
-    thresholds = np.repeat(biases, counts)
-    return BitSequence(_rng(seed).random(n) < thresholds)
-
-
 @dataclass(frozen=True)
 class DeviceRunConfig:
     """Shape and models for one synthetic device run."""

@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, exit codes, determinism, pipeline."""
 
+import contextlib
 import hashlib
+import io
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrng_audit.cli import main
 
@@ -195,9 +201,19 @@ GOOD_ROW = "j1,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
         "j1,1,9,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n",  # second n
         "j1,1,8,1,1.0,0,,,pass\n",  # empty fields need the degenerate verdict
         "j1,1,8,1,0.5,3,0.1,0.9,degenerate\n",
+        ",1,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n",
+        "j1,1,8,9,0.5,3,-0.3779644730092272,0.705456536697442,pass\n",
+        "j1,1,8,1,0.5,-1,-0.3779644730092272,0.705456536697442,pass\n",
+        "j1,1,8,1,0.5,8,-0.3779644730092272,0.705456536697442,pass\n",
+        "j1,1,8,1,nan,3,-0.3779644730092272,0.705456536697442,pass\n",
+        "j1,1,8,1,1.5,3,-0.3779644730092272,0.705456536697442,pass\n",
+        "j1,1,8,1,-0.5,3,-0.3779644730092272,0.705456536697442,pass\n",
     ],
     ids=["empty-p", "nan-p", "p-above-one", "mixed-lag", "mixed-n",
-         "pass-without-p", "degenerate-with-p"],
+         "pass-without-p", "degenerate-with-p", "empty-job-id", "lag-above-n",
+         "negative-statistic",
+         "statistic-above-n-minus-lag", "nan-bias", "bias-above-one",
+         "negative-bias"],
 )
 def test_aggregate_rejects_bad_results_row(tmp_path, capsys, bad_row):
     results = tmp_path / "results.csv"
@@ -208,6 +224,113 @@ def test_aggregate_rejects_bad_results_row(tmp_path, capsys, bad_row):
     assert "line 3" in err
     assert "Traceback" not in err
     assert not (tmp_path / "report.csv").exists()
+
+
+CALIBRATION_HEADER = "timestamp,qubit_id,t1_us\n"
+CALIBRATION_ROW = "2019-05-09T12:00:00Z,0,71.5\n"
+OVER_FIELD_LIMIT = "5" * (131072 + 1)  # the csv module's default field size limit
+
+
+@pytest.mark.parametrize(
+    "results_text, calibration_text",
+    [
+        (RESULTS_HEADER + GOOD_ROW + f"j{OVER_FIELD_LIMIT},1,8,1,0.5,3,0.1,0.9,pass\n", None),
+        (RESULTS_HEADER + GOOD_ROW + '"j1"x,1,8,1,0.5,3,0.1,0.9,pass\n', None),
+        (RESULTS_HEADER + GOOD_ROW,
+         CALIBRATION_HEADER + CALIBRATION_ROW + f"2019-05-09T12:00:00Z,0,{OVER_FIELD_LIMIT}\n"),
+        (RESULTS_HEADER + GOOD_ROW,
+         CALIBRATION_HEADER + CALIBRATION_ROW + '2019-05-09T12:00:00Z,0,"5'),
+    ],
+    ids=["results-over-field-limit", "results-text-after-quote",
+         "calibration-over-field-limit", "calibration-unterminated-quote"],
+)
+def test_aggregate_rejects_unreadable_csv(tmp_path, capsys, results_text, calibration_text):
+    results = tmp_path / "results.csv"
+    results.write_text(results_text)
+    args = ["aggregate", "--in", results, "--report", tmp_path / "report.csv"]
+    if calibration_text is not None:
+        calibration = tmp_path / "calibration.csv"
+        calibration.write_text(calibration_text)
+        args += ["--calibration", calibration, "--scatter", tmp_path / "scatter.csv"]
+    code = run(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "line 3: unreadable CSV" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "scatter.csv").exists()
+
+
+def mutate(data, text, alphabet):
+    """Apply 1-4 random single-character edits drawn from ``alphabet``."""
+    chars = list(text)
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        pos = data.draw(st.integers(0, max(len(chars) - 1, 0)))
+        char = data.draw(st.sampled_from(alphabet))
+        if kind == "replace" and chars:
+            chars[pos] = char
+        elif kind == "insert":
+            chars.insert(pos, char)
+        elif chars:
+            del chars[pos]
+    return "".join(chars)
+
+
+def aggregate_quietly(results_text, calibration_text):
+    """Run ``aggregate`` through ``main`` on the given files; returns the exit
+    code, stderr, and whether a report was written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        results, calibration, report = (
+            Path(tmp, name) for name in ("results.csv", "calibration.csv", "report.csv"))
+        results.write_text(results_text)
+        calibration.write_text(calibration_text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["aggregate", "--in", results, "--calibration", calibration,
+                        "--report", report, "--scatter", Path(tmp, "scatter.csv")])
+        return code, err.getvalue(), report.exists()
+
+
+FUZZ_RESULTS = RESULTS_HEADER + (
+    "j1,0,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,pass\n"
+    "j1,1,8,1,1.0,0,,,degenerate\n"
+    "j2,0,8,1,0.25,1,-1.2686700948330931,0.20455875272055268,pass\n"
+    "j2,1,8,1,0.5,7,2.6457513110645903,0.008150971593502709,fail\n"
+)
+FUZZ_CALIBRATION = CALIBRATION_HEADER + (
+    "2019-05-09T12:00:00Z,0,71.5\n"
+    "2019-05-09T12:00:00Z,1,60.25\n"
+    "2019-05-09T13:00:00Z,0,70.0\n"
+)
+# A results file can also fail as a whole grid, which has no line to name.
+GRID_ERROR = re.compile(r"error: (duplicate cell for job |job .* does not cover the qubit set )")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_results_files_never_crash(data):
+    """Mutated results files either aggregate or exit 1 with a located message."""
+    code, err, wrote_report = aggregate_quietly(
+        mutate(data, FUZZ_RESULTS, "0189.,-e\n\r\"jnapsfdg"), FUZZ_CALIBRATION)
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    assert wrote_report == (code == 0)
+    if code == 1:
+        assert err.startswith("error: line ") or GRID_ERROR.match(err), err
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_calibration_files_never_crash(data):
+    """Mutated calibration files either aggregate or exit 1 naming a line."""
+    code, err, wrote_report = aggregate_quietly(
+        FUZZ_RESULTS, mutate(data, FUZZ_CALIBRATION, "0129.,-+:TZe\n\r\"nix"))
+    assert code in (0, 1), err
+    assert "Traceback" not in err
+    assert wrote_report == (code == 0)
+    if code == 1:
+        assert err.startswith("error: line "), err
 
 
 @pytest.mark.parametrize("alpha", [0, 1, -0.5, 2, "nan"])

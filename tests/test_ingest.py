@@ -115,6 +115,8 @@ def test_parse_rejects_wrong_header():
         "j1,2019-05-09T11:24:27Z,0,",
         ",2019-05-09T11:24:27Z,0,01",
         "j1,2019-05-09T11:24:27Z,0",
+        "j1,0001-01-01T00:00:00+01:00,0,01",  # before year 1 in UTC
+        'j1,2019-05-09T11:24:27Z,0,"01',  # unterminated quote
     ],
 )
 def test_parse_structured_rejections(row):
@@ -247,6 +249,17 @@ def test_read_results_rejects_bad_verdict():
             "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
             "j1,0,8,1,0.5,3,0.1,0.9,maybe\n"
         ))
+
+
+@pytest.mark.parametrize("lag", [0, 8, 9])
+def test_read_results_rejects_lag_outside_range_on_first_row(lag):
+    with pytest.raises(ParseError) as err:
+        read_results(io.StringIO(
+            "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
+            f"j1,0,8,{lag},0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
+        ))
+    assert err.value.line == 2
+    assert "lag" in str(err.value)
 
 
 # -------------------------------------------------------------------- fuzz

@@ -16,7 +16,6 @@ from qrng_audit.simulate import (
     MarkovSource,
     QubitPhysicalParams,
     derive_substream_seed,
-    drifting_source,
     generate_calibration_series,
     generate_device_run,
     ideal_source,
@@ -158,34 +157,6 @@ def test_physical_params_validation():
         QubitPhysicalParams(qubit_id=0, t1_us=50.0, t_wait_us=-1.0)
     with pytest.raises(InvalidParameterError):
         QubitPhysicalParams(qubit_id=0, t1_us=50.0, coupling=2.0)
-
-
-# ---------------------------------------------------------------- drifting
-
-def test_drifting_constant_equals_ideal():
-    assert drifting_source([(0.5, 512)], 512, seed=21) == ideal_source(0.5, 512, seed=21)
-
-
-def test_drifting_two_phase_fractions():
-    n = 20_000
-    seq = drifting_source([(0.4, n // 2), (0.6, n // 2)], n, seed=22)
-    first = seq.bits[: n // 2].sum() / (n // 2)
-    second = seq.bits[n // 2 :].sum() / (n // 2)
-    assert abs(seq.ones_count() / n - 0.5) < 0.015
-    assert abs(first - 0.4) < 0.015
-    assert abs(second - 0.6) < 0.015
-
-
-def test_drifting_extreme_step_single_flip():
-    seq = drifting_source([(0.0, 100), (1.0, 100)], 200, seed=23)
-    assert autocorr_statistic(seq, 1) == 1
-
-
-def test_drifting_schedule_gap():
-    with pytest.raises(InvalidScheduleError):
-        drifting_source([(0.5, 10)], 20, seed=0)
-    with pytest.raises(InvalidScheduleError):
-        drifting_source([(0.5, 0), (0.5, 10)], 10, seed=0)
 
 
 # ---------------------------------------------------------------- seeds
