@@ -18,20 +18,11 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .autocorr import PValueMatrix, TestParams, autocorr_counts
-from .ingest import CalibrationRecord, JobRows, ResultRows
-
-
-class ShapeError(ValueError):
-    """Rows do not fill the (jobs x qubits) grid, each cell exactly once."""
+from .ingest import BLOCK_BYTES, CalibrationRecord, JobRows, ResultRows, ShapeError
 
 
 class InsufficientDataError(ValueError):
     """Too few complete pairs for a rank correlation."""
-
-
-# Rows of the bit matrix handed to the kernel at once, in bytes: small enough
-# that the kernel's temporaries stay in cache and add nothing to peak memory.
-BLOCK_BYTES = 1 << 16
 
 
 def _grid_order(

@@ -16,6 +16,7 @@ repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from . import aggregate as agg
 from . import simulate as sim
 from .autocorr import InvalidLagError, TestParams
 from .ingest import (
+    JobRows,
     parse_calibration,
     parse_jobs,
     read_results,
@@ -90,7 +92,7 @@ def _build_model(args: argparse.Namespace) -> sim.SourceModel:
         raise UsageError(str(exc)) from None
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _run_config(args: argparse.Namespace) -> sim.DeviceRunConfig:
     try:
         config = sim.DeviceRunConfig(
             qubit_count=args.qubits,
@@ -101,6 +103,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # A job file must stay readable by ``test``.
+    limit = csv.field_size_limit()
+    if config.bits_per_job > limit:
+        raise UsageError(
+            f"--bits {config.bits_per_job} exceeds the job CSV field limit "
+            f"of {limit} characters"
+        )
+    return config
+
+
+def _simulate(config: sim.DeviceRunConfig, args: argparse.Namespace) -> JobRows:
+    """Generate the run, write its job file (and calibration file, if asked
+    for), and return the job rows."""
     run = sim.generate_device_run(config, with_calibration=args.calibration_out is not None)
     with open(args.out, "w", newline="") as fh:
         serialize_jobs(run.jobs, fh)
@@ -112,25 +127,39 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"{config.bits_per_job} bits (model {args.model}, seed {config.master_seed}) "
         f"-> {args.out}"
     )
+    return run.jobs
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    _simulate(_run_config(args), args)
     return 0
 
 
-def cmd_test(args: argparse.Namespace) -> int:
+def _test_params(args: argparse.Namespace) -> TestParams:
     try:
-        params = TestParams(
+        return TestParams(
             lag=args.lag, alpha=args.alpha, fixed_bias=_parse_bias_flag(args.bias)
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with open(args.infile, newline="") as fh:
-        jobs = parse_jobs(fh)
+
+
+def _test(jobs: JobRows, params: TestParams, out: str) -> None:
+    """Test every stream of the job rows and write the results file."""
     matrix = agg.build_matrix(jobs, params)
-    with open(args.out, "w", newline="") as fh:
+    with open(out, "w", newline="") as fh:
         write_results(matrix, fh)
     _status(
         f"tested {len(matrix.job_ids)} jobs x {len(matrix.qubit_ids)} qubits "
-        f"(lag {params.lag}, alpha {params.alpha}) -> {args.out}"
+        f"(lag {params.lag}, alpha {params.alpha}) -> {out}"
     )
+
+
+def cmd_test(args: argparse.Namespace) -> int:
+    params = _test_params(args)
+    with open(args.infile, newline="") as fh:
+        jobs = parse_jobs(fh)
+    _test(jobs, params, args.out)
     return 0
 
 
@@ -188,15 +217,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    """Simulate, test and aggregate into one directory. The test stage takes
+    the simulated job rows as they are instead of parsing the job file just
+    written, since ``parse_jobs(serialize_jobs(rows))`` equals ``rows``."""
+    config, params = _run_config(args), _test_params(args)
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     args.out = str(workdir / "jobs.csv")
     args.calibration_out = str(workdir / "calibration.csv")
-    cmd_simulate(args)
-    args.infile = args.out
-    args.out = str(workdir / "results.csv")
-    cmd_test(args)
-    args.infile = args.out
+    args.infile = str(workdir / "results.csv")
+    _test(_simulate(config, args), params, args.infile)
     args.calibration = args.calibration_out
     args.report = str(workdir / "report.csv")
     args.scatter = str(workdir / "scatter.csv")

@@ -40,6 +40,11 @@ RESULT_HEADER = [
     "statistic", "normalized", "p_value", "verdict",
 ]
 
+# Bytes of a bit matrix handled at once, by the job-CSV writer and by the
+# test kernel: small enough that their temporaries stay in cache and add
+# nothing to peak memory.
+BLOCK_BYTES = 1 << 16
+
 
 class ParseError(ValueError):
     """Malformed input; ``line`` is the 1-based physical line number."""
@@ -48,6 +53,14 @@ class ParseError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
+
+
+class ShapeError(ValueError):
+    """Rows do not fill the (jobs x qubits) grid, each cell exactly once."""
+
+
+class DuplicateCellError(ParseError, ShapeError):
+    """A results row repeats an earlier row's (job, qubit) cell."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +101,15 @@ def _parse_timestamp(text: str, line: int) -> datetime:
 
 def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _check_job_id(job_id: str, line: int) -> None:
+    if not job_id:
+        raise ParseError("empty job_id", line)
+    # csv.writer quotes a newline but not a carriage return, so a job_id
+    # holding one could not be written back in a readable file.
+    if "\r" in job_id:
+        raise ParseError(f"job_id {job_id!r} contains a carriage return", line)
 
 
 def _parse_qubit_id(text: str, line: int) -> int:
@@ -137,8 +159,7 @@ def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
     timestamps: dict[str, datetime] = {}
     seen: set[tuple[str, int]] = set()
     for line, (job_id, ts_text, qubit_text, bits_text) in _rows(stream, JOB_HEADER):
-        if not job_id:
-            raise ParseError("empty job_id", line)
+        _check_job_id(job_id, line)
         timestamp = _parse_timestamp(ts_text, line)
         qubit = _parse_qubit_id(qubit_text, line)
         if not bits_text:
@@ -171,16 +192,40 @@ def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
     return JobRows(job_ids, stamps, qubits, bits)
 
 
+def _job_prefixes(rows: JobRows) -> Iterator[str]:
+    """Each row's ``job_id,timestamp,qubit_id,`` as csv.writer quotes it."""
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\n")
+    stamps = {ts: format_timestamp(ts) for ts in set(rows.timestamp)}
+    for job_id, ts, qubit in zip(rows.job_id, rows.timestamp, rows.qubit_id):
+        line.seek(0)
+        line.truncate()
+        # An empty last field leaves the row's text as its prefix plus "\n".
+        writer.writerow((job_id, stamps[ts], qubit, ""))
+        yield line.getvalue()[:-1]
+
+
 def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
     """Write job rows as job CSV, in the order held (job order, then
-    ascending qubit, for a generated run)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(JOB_HEADER)
-    stamps = {ts: format_timestamp(ts) for ts in set(rows.timestamp)}
-    writer.writerows(
-        [job_id, stamps[ts], qubit, (bits + ord("0")).tobytes().decode("ascii")]
-        for job_id, ts, qubit, bits in zip(rows.job_id, rows.timestamp, rows.qubit_id, rows.bits)
-    )
+    ascending qubit, for a generated run).
+
+    Bit text never needs quoting, so only the three short fields go through
+    csv.writer. The bits are turned into text a block of rows at a time, in
+    one reused buffer holding each row's bits plus '0' and then a '\n'."""
+    csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
+    prefixes = _job_prefixes(rows)
+    # An empty JobRows may carry 1-D bits; its bit count is then 0.
+    n = rows.bits.shape[-1]
+    step = max(1, BLOCK_BYTES // (n + 1))
+    text = np.empty((step, n + 1), dtype=np.uint8)
+    text[:, n] = ord("\n")
+    for start in range(0, len(rows.job_id), step):
+        count = min(step, len(rows.job_id) - start)
+        np.add(rows.bits[start:start + count], ord("0"), out=text[:count, :n])
+        block = text[:count].tobytes().decode("ascii")
+        for lo in range(0, len(block), n + 1):
+            stream.write(next(prefixes))
+            stream.write(block[lo:lo + n + 1])
 
 
 def serialize_jobs_str(rows: JobRows) -> str:
@@ -254,18 +299,19 @@ def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
 
 def read_results(stream: TextIO | Iterable[str]) -> ResultRows:
     """Parse a results CSV, accepting only rows a ``test`` run can write:
-    a non-empty job_id, 1 <= lag < n, statistic in [0, n - lag], bias in
-    [0, 1], one n and one lag per file. A row is degenerate exactly when its
+    a non-empty job_id without a carriage return, 1 <= lag < n, statistic in
+    [0, n - lag], bias in [0, 1], one n and one lag per file, and each
+    (job, qubit) cell once. A row is degenerate exactly when its
     normalized and p_value fields are empty; otherwise normalized is finite
     and p_value lies in (0, 1]."""
     n_lag: tuple[int, int] | None = None
+    seen: set[tuple[str, int]] = set()
     # job_id, qubit_id, statistic, bias, normalized, p_value
     columns: tuple[list, ...] = ([], [], [], [], [], [])
     for line, row in _rows(stream, RESULT_HEADER):
         job_id, qubit_text, n_text, lag_text, bias_text = row[:5]
         stat_text, z_text, p_text, v_text = row[5:]
-        if not job_id:
-            raise ParseError("empty job_id", line)
+        _check_job_id(job_id, line)
         try:
             verdict = Verdict(v_text)
         except ValueError:
@@ -295,6 +341,9 @@ def read_results(stream: TextIO | Iterable[str]) -> ResultRows:
                 line,
             )
         qubit = _parse_qubit_id(qubit_text, line)
+        if (job_id, qubit) in seen:
+            raise DuplicateCellError(f"duplicate cell for job {job_id!r} qubit {qubit}", line)
+        seen.add((job_id, qubit))
         for column, value in zip(columns, (job_id, qubit, statistic, bias, normalized, p)):
             column.append(value)
     job_ids, qubits, *values = columns

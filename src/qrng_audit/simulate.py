@@ -192,19 +192,29 @@ def ideal_source(bias: float, n: int, seed: int) -> BitSequence:
 def markov_source(bias: float, rho: float, n: int, seed: int) -> BitSequence:
     """Two-state chain: stationary ones-probability ``bias``, lag-1
     autocorrelation ``rho``. With rho=0 and the same seed this reproduces
-    ideal_source bit for bit (one uniform draw per bit either way)."""
+    ideal_source bit for bit (one uniform draw per bit either way).
+
+    Bit i is ``u[i] < (stay if bit i-1 else move)``, computed without a loop:
+    a draw below both thresholds forces a 1 and one at or above both forces
+    a 0, whatever came before. Any other draw is free: it copies the
+    previous bit when stay >= move (rho >= 0) and flips it otherwise. Bit 0
+    is forced to ``u[0] < bias``. So each bit is its last forced bit,
+    flipped once per free draw since then when rho < 0."""
     _check_markov(bias, rho)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     u = _rng(seed).random(n)
     stay = bias + rho * (1.0 - bias)
     move = bias * (1.0 - rho)
-    bits = np.empty(n, dtype=np.uint8)
-    previous = u[0] < bias
-    bits[0] = previous
-    for i, draw in enumerate(u[1:].tolist(), start=1):
-        previous = draw < (stay if previous else move)
-        bits[i] = previous
+    value = u < min(stay, move)
+    forced = value | (u >= max(stay, move))
+    value[0] = u[0] < bias
+    forced[0] = True
+    last_forced = np.maximum.accumulate(np.where(forced, np.arange(n), 0))
+    bits = value[last_forced]
+    if stay < move:
+        free = np.cumsum(~forced)
+        bits ^= ((free - free[last_forced]) & 1).astype(bool)
     return BitSequence(bits)
 
 

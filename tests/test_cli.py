@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrng_audit import cli
 from qrng_audit.cli import main
 
 
@@ -411,6 +412,63 @@ def test_pipeline_matches_manual_stages(tmp_path):
         (scatter, workdir / "scatter.csv"),
     ]:
         assert sha256(manual) == sha256(staged), staged.name
+
+
+def test_pipeline_tests_the_simulated_rows_without_parsing(tmp_path, monkeypatch):
+    flags = ["--qubits", 3, "--jobs", 5, "--bits", 256, "--seed", 9,
+             "--model", "markov", "--rho", -0.2, "--lag", 2, "--bias", "fixed:0.5"]
+    simulate_flags, test_flags = flags[:-4], flags[-4:]
+
+    def refuse(_):
+        raise AssertionError("pipeline parsed the job file it wrote")
+
+    workdir = tmp_path / "run"
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "parse_jobs", refuse)
+        assert run(["pipeline", *flags, "--workdir", workdir]) == 0
+    jobs, cal, results, report, scatter = (
+        tmp_path / name for name in ("jobs.csv", "cal.csv", "results.csv",
+                                     "report.csv", "scatter.csv"))
+    assert run(["simulate", *simulate_flags, "--out", jobs, "--calibration-out", cal]) == 0
+    assert run(["test", "--in", jobs, "--out", results, *test_flags]) == 0
+    assert run(["aggregate", "--in", results, "--calibration", cal,
+                "--report", report, "--scatter", scatter]) == 0
+    for manual in (jobs, results, report, scatter):
+        assert sha256(manual) == sha256(workdir / manual.name), manual.name
+    assert sha256(cal) == sha256(workdir / "calibration.csv")
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_bits_above_csv_field_limit_exit_2_before_generating(tmp_path, capsys, monkeypatch,
+                                                             command):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("generated a run that no job file can hold")
+
+    monkeypatch.setattr(cli.sim, "generate_device_run", refuse)
+    where = ["--out", tmp_path / "jobs.csv"] if command == "simulate" else [
+        "--workdir", tmp_path / "run"]
+    assert run([command, "--jobs", 1, "--qubits", 2, "--bits", 131072 + 1, *where]) == 2
+    err = capsys.readouterr().err
+    assert "field limit of 131072" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bits_at_csv_field_limit_round_trip(tmp_path):
+    jobs = tmp_path / "jobs.csv"
+    assert run(["simulate", "--jobs", 1, "--qubits", 1, "--bits", 131072, "--out", jobs]) == 0
+    assert run(["test", "--in", jobs, "--out", tmp_path / "results.csv"]) == 0
+
+
+def test_test_rejects_carriage_return_in_job_id(tmp_path, capsys):
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_bytes(b'job_id,timestamp,qubit_id,bits\n'
+                     b'"cr\rid",2020-01-01T00:00:00Z,0,0110\n'
+                     b'"cr\rid",2020-01-01T00:00:00Z,1,0110\n')
+    assert run(["test", "--in", jobs, "--out", tmp_path / "results.csv"]) == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: line \d+: job_id 'cr\\rid' contains a carriage return", err), err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_pipeline_writes_nothing_to_stdout(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Golden outputs: small ``pipeline`` runs and ``oracle`` tables pinned by SHA-256.
 
 The pipeline digests were recorded before the bit side of the pipeline moved
-to one (rows x bits) matrix, and the oracle digests before the binomial pmf
-moved to a walk out from the mode and the table to columns; they pin that
-every output file stays byte-identical. ``results.csv`` is pinned without its
+to one (rows x bits) matrix (the markov-negative and multi-block cases before
+the job-CSV writer moved to row blocks and the Markov source to arrays), and
+the oracle digests before the binomial pmf moved to a walk out from the mode
+and the table to columns; they pin that every output file stays
+byte-identical. ``results.csv`` is pinned without its
 ``p_value`` column and the oracle tables without ``approx_p`` and
 ``difference``, the fields that rest on the platform's ``erfc``; those two
 are checked instead against the scalar ``p_value`` route, byte for byte.
@@ -55,6 +57,22 @@ GOLDEN = {
         "report.csv": "d948755ae584335fb979f300e1360b8f4ac09cdaee9f4f3348f02522bbbf2ddd",
         "scatter.csv": "f8026c8781b38c03e52bc39c19d20a675e6243dbb75f11f6f099361ac5d2ab73",
         "results.csv": "3a201706454ecbf8ae8324d308410d1c438a8d628cb88934136680dcd1824cb1",
+    }),
+    "markov-negative": (["--model", "markov", "--rho", "-0.3"], {
+        "jobs.csv": "24f688ec345d0b43554489f084b564188da05cabe9ca0915c2afd7e5260515ae",
+        "calibration.csv": CALIBRATION,
+        "report.csv": "9034184335bd20fd05095ebb9fa43c217f8ec6689a92d1be83c331b7dcf4a026",
+        "scatter.csv": "7e8caa090d6badb75f05566278ed1d6d184d812895e19b5e60cdb9f6ccc4d005",
+        "results.csv": "38f0efe1a455cb9649fb9f7e89df7e846d457d81ce39eec32c0047be6ba48223",
+    }),
+    # 200 rows of 8193 bytes of bit text: the job file crosses many 64 KiB
+    # blocks of the serializer, the last one partial.
+    "multi-block": (["--jobs", "10", "--qubits", "20", "--bits", "8192"], {
+        "jobs.csv": "2da03ec21a1d51bfa1d3452210dc1ed2299e9051d0ca23f9175ee42f536558dd",
+        "calibration.csv": "efcdb2273907e81e5b84510fb050a6474c818e3b6d10617e9506a1663a8b64b6",
+        "report.csv": "3decc7a731872c317cf434739eeccba543250a44a6be3bdb0e85d1a84c06a2da",
+        "scatter.csv": "ca5c2f38f08a0b8b6d60e2e4dd4717afc2382bd063332f3a26a5a177d0225377",
+        "results.csv": "743ef31a1e2faf4bd8e837ea1d03268f3dd58566a88dc387fd841cdc57e101dd",
     }),
 }
 

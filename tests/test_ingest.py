@@ -1,5 +1,6 @@
 """CSV parsing and serialization: round trips, line-numbered rejections, fuzz."""
 
+import csv
 import io
 from datetime import datetime, timezone
 
@@ -13,6 +14,7 @@ from qrng_audit.ingest import (
     CalibrationRecord,
     JobRows,
     ParseError,
+    format_timestamp,
     parse_calibration,
     parse_jobs,
     read_results,
@@ -174,6 +176,61 @@ def test_job_round_trip_identity(rows):
     assert serialize_jobs_str(parsed) == text
 
 
+def whole_row_serialize_jobs(rows):
+    """The job CSV as one csv.writer wrote it, bit field included: the
+    reference the block-wise writer must match byte for byte."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["job_id", "timestamp", "qubit_id", "bits"])
+    stamps = {ts: format_timestamp(ts) for ts in set(rows.timestamp)}
+    writer.writerows(
+        [job_id, stamps[ts], qubit, (bits + ord("0")).tobytes().decode("ascii")]
+        for job_id, ts, qubit, bits in zip(rows.job_id, rows.timestamp, rows.qubit_id, rows.bits)
+    )
+    return buf.getvalue()
+
+
+@st.composite
+def bit_matrices(draw):
+    """(rows, n) bits; at n >= 2731 a 64 KiB block holds at most 23 rows, so
+    up to 24 rows span several blocks, the last one partial."""
+    n = draw(st.sampled_from([1, 2, 2730, 2731, 8191, 8192, 8193, 65535, 65536, 65537])
+             | st.integers(1, 64))
+    count = draw(st.integers(0, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).integers(0, 2, (count, n), dtype=np.uint8)
+
+
+@given(bit_matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_serialize_jobs_matches_whole_row_csv_writer(bits, data):
+    cells = data.draw(st.lists(st.tuples(
+        st.text(alphabet='ab7,"\n é', max_size=6), timestamps, st.integers(0, 10**6)),
+        min_size=len(bits), max_size=len(bits)))
+    rows = JobRows([c[0] for c in cells], [c[1] for c in cells], [c[2] for c in cells], bits)
+    assert serialize_jobs_str(rows) == whole_row_serialize_jobs(rows)
+
+
+@pytest.mark.parametrize("bits", [
+    np.array([], dtype=np.uint8),  # no rows, 1-D bits
+    np.zeros((0, 5), dtype=np.uint8),
+    np.zeros((3, 0), dtype=np.uint8),  # rows without bits
+    np.random.default_rng(1).integers(0, 2, (2 * 32768 + 3, 1), dtype=np.uint8),
+], ids=["empty-1d", "empty-2d", "zero-bits", "n1-three-blocks"])
+def test_serialize_jobs_matches_whole_row_csv_writer_at_edge_shapes(bits):
+    count = len(bits)
+    rows = JobRows([f"j,{i % 7}" for i in range(count)], [TS] * count,
+                   [i % 20 for i in range(count)], bits)
+    assert serialize_jobs_str(rows) == whole_row_serialize_jobs(rows)
+
+
+def test_parse_rejects_carriage_return_in_job_id():
+    with pytest.raises(ParseError) as err:
+        parse_jobs(job_file('"cr\rid",2020-01-01T00:00:00Z,0,0110'))
+    assert err.value.line == 2
+    assert "carriage return" in str(err.value)
+
+
 # ------------------------------------------------------------- calibration
 
 def test_parse_calibration_row():
@@ -260,6 +317,26 @@ def test_read_results_rejects_lag_outside_range_on_first_row(lag):
         ))
     assert err.value.line == 2
     assert "lag" in str(err.value)
+
+
+def test_read_results_rejects_carriage_return_in_job_id():
+    with pytest.raises(ParseError) as err:
+        read_results(io.StringIO(
+            "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
+            '"cr\rid",0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n'
+        ))
+    assert err.value.line == 2
+    assert "carriage return" in str(err.value)
+
+
+def test_read_results_rejects_duplicate_cell_at_its_second_row():
+    row = "j0001,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
+    with pytest.raises(ParseError) as err:
+        read_results(io.StringIO(
+            "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n" + row + row
+        ))
+    assert err.value.line == 3
+    assert "duplicate cell for job 'j0001' qubit 0" in str(err.value)
 
 
 # -------------------------------------------------------------------- fuzz

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as sp_stats
 
 from qrng_audit.autocorr import BitSequence, autocorr_statistic
@@ -69,6 +70,44 @@ def test_markov_rejects_out_of_range_rho():
     with pytest.raises(InvalidParameterError):
         markov_source(0.2, -0.3, 16, seed=0)  # below -min(p/(1-p), (1-p)/p)
     markov_source(0.2, -0.2, 16, seed=0)  # inside the valid range
+
+
+def loop_markov_bits(bias, rho, n, seed):
+    """The Markov chain one draw at a time: the reference the vectorized
+    markov_source must match bit for bit."""
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    stay = bias + rho * (1.0 - bias)
+    move = bias * (1.0 - rho)
+    bits = np.empty(n, dtype=np.uint8)
+    previous = u[0] < bias
+    bits[0] = previous
+    for i, draw in enumerate(u[1:].tolist(), start=1):
+        previous = draw < (stay if previous else move)
+        bits[i] = previous
+    return bits
+
+
+@st.composite
+def markov_parameters(draw):
+    """(bias, rho) anywhere in the valid region, its negative limit included."""
+    bias = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+    limit = -min(bias / (1 - bias), (1 - bias) / bias) if 0.0 < bias < 1.0 else 0.0
+    share = draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0, exclude_max=True))
+    rho = draw(st.sampled_from([limit, 0.0]) | st.just(limit + share * (1.0 - limit)))
+    try:
+        MarkovSource(bias, rho)
+    except InvalidParameterError:
+        assume(False)
+    return bias, rho
+
+
+@given(markov_parameters(), st.sampled_from([1, 2]) | st.integers(1, 2000),
+       st.integers(0, 2**64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_markov_matches_one_draw_at_a_time_loop(params, n, seed):
+    bias, rho = params
+    np.testing.assert_array_equal(markov_source(bias, rho, n, seed).bits,
+                                  loop_markov_bits(bias, rho, n, seed))
 
 
 def test_markov_near_one_holds_first_bit():
