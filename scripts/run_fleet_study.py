@@ -29,6 +29,7 @@ from qrng_audit.simulate import (
     DeviceRunConfig,
     IdealSource,
     MarkovSource,
+    generate_calibration_series,
     generate_device_run,
 )
 
@@ -64,8 +65,8 @@ def main(argv=None) -> None:
         qubit_count=args.qubits, jobs=args.jobs, bits_per_job=args.bits,
         models=IdealSource(0.5), master_seed=args.seed,
     )
-    run = generate_device_run(config, with_calibration=True)
-    report = build_report(build_matrix(run.jobs, params), run.calibration)
+    matrix = build_matrix(generate_device_run(config), params)
+    report = build_report(matrix, generate_calibration_series(config))
     print(fleet_table(report))
     analytic = (1.0 - args.alpha) ** args.qubits
     print(f"simultaneous-pass proportion: {report.simultaneous_pass_proportion:.4f}"
@@ -81,7 +82,7 @@ def main(argv=None) -> None:
         models=tuple(MarkovSource(0.5, rhos[q]) for q in range(args.qubits)),
         master_seed=args.seed,
     )
-    ramp_matrix = build_matrix(generate_device_run(ramp_config).jobs, params)
+    ramp_matrix = build_matrix(generate_device_run(ramp_config), params)
     ramp_report = build_report(ramp_matrix)
     print(fleet_table(ramp_report, rho_by_qubit=rhos))
     ratios = failure_ratio_per_qubit(ramp_matrix)

@@ -41,8 +41,8 @@ def _grid_order(
         i = int(np.argmax(repeated))
         raise ShapeError(f"duplicate cell for job {job_id[i]!r} qubit {qubit_id[i]}")
     if not count.all():
-        job = job_ids[int(np.argmin(count)) // len(qubit_ids)]
-        raise ShapeError(f"job {job!r} does not cover the qubit set {qubit_ids}")
+        job, column = divmod(int(np.argmin(count)), len(qubit_ids))
+        raise ShapeError(f"job {job_ids[job]!r} has no row for qubit {qubit_ids[column]}")
     return qubit_ids, np.argsort(cell)
 
 

@@ -22,8 +22,9 @@ from pathlib import Path
 
 from . import aggregate as agg
 from . import simulate as sim
-from .autocorr import InvalidLagError, TestParams
+from .autocorr import InvalidLagError, PValueMatrix, TestParams
 from .ingest import (
+    CalibrationRecord,
     JobRows,
     parse_calibration,
     parse_jobs,
@@ -113,25 +114,28 @@ def _run_config(args: argparse.Namespace) -> sim.DeviceRunConfig:
     return config
 
 
-def _simulate(config: sim.DeviceRunConfig, args: argparse.Namespace) -> JobRows:
+def _simulate(config: sim.DeviceRunConfig, model: str, out: str,
+              calibration_out: str | None) -> tuple[JobRows, list[CalibrationRecord] | None]:
     """Generate the run, write its job file (and calibration file, if asked
-    for), and return the job rows."""
-    run = sim.generate_device_run(config, with_calibration=args.calibration_out is not None)
-    with open(args.out, "w", newline="") as fh:
-        serialize_jobs(run.jobs, fh)
-    if args.calibration_out is not None:
-        with open(args.calibration_out, "w", newline="") as fh:
-            serialize_calibration(run.calibration, fh)
+    for), and return the job rows and calibration records."""
+    jobs = sim.generate_device_run(config)
+    with open(out, "w", newline="") as fh:
+        serialize_jobs(jobs, fh)
+    calibration = None
+    if calibration_out is not None:
+        calibration = sim.generate_calibration_series(config)
+        with open(calibration_out, "w", newline="") as fh:
+            serialize_calibration(calibration, fh)
     _status(
         f"simulated {config.jobs} jobs x {config.qubit_count} qubits x "
-        f"{config.bits_per_job} bits (model {args.model}, seed {config.master_seed}) "
-        f"-> {args.out}"
+        f"{config.bits_per_job} bits (model {model}, seed {config.master_seed}) "
+        f"-> {out}"
     )
-    return run.jobs
+    return jobs, calibration
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _simulate(_run_config(args), args)
+    _simulate(_run_config(args), args.model, args.out, args.calibration_out)
     return 0
 
 
@@ -144,8 +148,9 @@ def _test_params(args: argparse.Namespace) -> TestParams:
         raise UsageError(str(exc)) from None
 
 
-def _test(jobs: JobRows, params: TestParams, out: str) -> None:
-    """Test every stream of the job rows and write the results file."""
+def _test(jobs: JobRows, params: TestParams, out: str) -> PValueMatrix:
+    """Test every stream of the job rows, write the results file, and return
+    the matrix it holds."""
     matrix = agg.build_matrix(jobs, params)
     with open(out, "w", newline="") as fh:
         write_results(matrix, fh)
@@ -153,6 +158,7 @@ def _test(jobs: JobRows, params: TestParams, out: str) -> None:
         f"tested {len(matrix.job_ids)} jobs x {len(matrix.qubit_ids)} qubits "
         f"(lag {params.lag}, alpha {params.alpha}) -> {out}"
     )
+    return matrix
 
 
 def cmd_test(args: argparse.Namespace) -> int:
@@ -161,6 +167,25 @@ def cmd_test(args: argparse.Namespace) -> int:
         jobs = parse_jobs(fh)
     _test(jobs, params, args.out)
     return 0
+
+
+def _aggregate(matrix: PValueMatrix, calibration: list[CalibrationRecord] | None,
+               report_path: str, scatter_path: str | None) -> None:
+    """Write the fleet report (and the scatter, given calibration and a
+    path) and print its headline numbers."""
+    report = agg.build_report(matrix, calibration)
+    with open(report_path, "w", newline="") as fh:
+        agg.write_report_csv(report, fh)
+    if calibration is not None and scatter_path is not None:
+        with open(scatter_path, "w", newline="") as fh:
+            agg.write_scatter_csv(report, fh)
+    _status(f"simultaneous-pass proportion: {report.simultaneous_pass_proportion:.4f}")
+    if report.spearman_t1_failure is not None:
+        _status(f"spearman(T1, failure ratio): {report.spearman_t1_failure:.4f}")
+    elif calibration is None:
+        _status("no calibration data: T1 fields omitted from the report")
+    else:
+        _status("spearman undefined: fewer than 3 complete pairs or constant ranks")
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
@@ -174,19 +199,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
             calibration, duplicates = parse_calibration(fh)
         if duplicates:
             _status(f"notice: {duplicates} duplicate calibration rows (last kept)")
-    report = agg.build_report(matrix, calibration)
-    with open(args.report, "w", newline="") as fh:
-        agg.write_report_csv(report, fh)
-    if calibration is not None and args.scatter is not None:
-        with open(args.scatter, "w", newline="") as fh:
-            agg.write_scatter_csv(report, fh)
-    _status(f"simultaneous-pass proportion: {report.simultaneous_pass_proportion:.4f}")
-    if report.spearman_t1_failure is not None:
-        _status(f"spearman(T1, failure ratio): {report.spearman_t1_failure:.4f}")
-    elif calibration is None:
-        _status("no calibration data: T1 fields omitted from the report")
-    else:
-        _status("spearman undefined: fewer than 3 complete pairs or constant ranks")
+    _aggregate(matrix, calibration, args.report, args.scatter)
     return 0
 
 
@@ -217,20 +230,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    """Simulate, test and aggregate into one directory. The test stage takes
-    the simulated job rows as they are instead of parsing the job file just
-    written, since ``parse_jobs(serialize_jobs(rows))`` equals ``rows``."""
+    """Simulate, test and aggregate into one directory. Each stage takes
+    what the one before it returned instead of parsing the file just
+    written: ``parse_jobs(serialize_jobs(rows))`` equals ``rows``, and the
+    results and calibration files round-trip every float through ``repr``
+    in the order they are held."""
     config, params = _run_config(args), _test_params(args)
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    args.out = str(workdir / "jobs.csv")
-    args.calibration_out = str(workdir / "calibration.csv")
-    args.infile = str(workdir / "results.csv")
-    _test(_simulate(config, args), params, args.infile)
-    args.calibration = args.calibration_out
-    args.report = str(workdir / "report.csv")
-    args.scatter = str(workdir / "scatter.csv")
-    return cmd_aggregate(args)
+    jobs, calibration = _simulate(config, args.model, str(workdir / "jobs.csv"),
+                                  str(workdir / "calibration.csv"))
+    matrix = _test(jobs, params, str(workdir / "results.csv"))
+    _aggregate(matrix, calibration, str(workdir / "report.csv"), str(workdir / "scatter.csv"))
+    return 0
 
 
 def _add_test_flags(parser: argparse.ArgumentParser) -> None:

@@ -103,7 +103,9 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _check_job_id(job_id: str, line: int) -> None:
+def _check_job_id(job_id: str, line: int | None = None) -> None:
+    """Refuse a job_id no file can hold: at its line when parsing, and with
+    no line, before anything is written, when writing."""
     if not job_id:
         raise ParseError("empty job_id", line)
     # csv.writer quotes a newline but not a carriage return, so a job_id
@@ -212,6 +214,8 @@ def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
     Bit text never needs quoting, so only the three short fields go through
     csv.writer. The bits are turned into text a block of rows at a time, in
     one reused buffer holding each row's bits plus '0' and then a '\n'."""
+    for job_id in dict.fromkeys(rows.job_id):
+        _check_job_id(job_id)
     csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
     prefixes = _job_prefixes(rows)
     # An empty JobRows may carry 1-D bits; its bit count is then 0.
@@ -283,6 +287,8 @@ def _format_float(value: float) -> str:
 
 def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
     """Write every cell of the matrix as one results-CSV row, in row order."""
+    for job_id in matrix.job_ids:
+        _check_job_id(job_id)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(RESULT_HEADER)
     keys = ((job_id, qubit) for job_id in matrix.job_ids for qubit in matrix.qubit_ids)
@@ -303,8 +309,10 @@ def read_results(stream: TextIO | Iterable[str]) -> ResultRows:
     [0, n - lag], bias in [0, 1], one n and one lag per file, and each
     (job, qubit) cell once. A row is degenerate exactly when its
     normalized and p_value fields are empty; otherwise normalized is finite
-    and p_value lies in (0, 1]."""
+    and p_value lies in (0, 1]. Every fail p_value lies below every pass
+    p_value, as both sides of the alpha they were read at."""
     n_lag: tuple[int, int] | None = None
+    max_fail, min_pass = -math.inf, math.inf
     seen: set[tuple[str, int]] = set()
     # job_id, qubit_id, statistic, bias, normalized, p_value
     columns: tuple[list, ...] = ([], [], [], [], [], [])
@@ -340,6 +348,16 @@ def read_results(stream: TextIO | Iterable[str]) -> ResultRows:
                 f"need a finite normalized and a p_value in (0, 1], got {z_text!r}, {p_text!r}",
                 line,
             )
+        if verdict is Verdict.FAIL:
+            if p >= min_pass:
+                raise ParseError(f"fail p_value {p_text} is not below the pass p_value "
+                                 f"{min_pass!r} of an earlier row", line)
+            max_fail = max(max_fail, p)
+        elif verdict is Verdict.PASS:
+            if p <= max_fail:
+                raise ParseError(f"pass p_value {p_text} is not above the fail p_value "
+                                 f"{max_fail!r} of an earlier row", line)
+            min_pass = min(min_pass, p)
         qubit = _parse_qubit_id(qubit_text, line)
         if (job_id, qubit) in seen:
             raise DuplicateCellError(f"duplicate cell for job {job_id!r} qubit {qubit}", line)

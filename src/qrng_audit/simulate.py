@@ -6,10 +6,12 @@ Three source families stand in for device data:
   single-qubit generator should exhibit.
 * ``MarkovSource``: a two-state chain with stationary ones-probability p
   and lag-1 autocorrelation rho, a phenomenological model of residual state
-  leaking through an imperfect wait-based reset. ``reset_rho`` maps physical
-  reset timing (relaxation time, wait, coupling) onto rho.
+  leaking through an imperfect wait-based reset.
 * ``DriftingSource``: independent bits whose bias follows a piecewise-
   constant trajectory over the job index, modelling slow device drift.
+
+All three are one two-state chain: ``model.chain(job_index)`` gives the
+(bias, rho) of a job's streams, and ideal and drifting streams have rho = 0.
 
 Every (job, qubit) stream draws from its own generator seeded by a SplitMix64
 mix of (master_seed, job, qubit), so any subset of a run can be regenerated
@@ -36,11 +38,6 @@ DEFAULT_BITS_PER_JOB = 8192
 DEFAULT_MASTER_SEED = 20190509
 DEFAULT_RUN_START = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 DEFAULT_JOB_INTERVAL_S = 523.0
-
-# Circuit timing: 1 kHz repetition gives a ~1 ms window per circuit, with
-# ~4 ms of interleaved calibration circuits between executions.
-REPETITION_PERIOD_US = 1000.0
-CALIBRATION_GAP_US = 4000.0
 
 
 class InvalidParameterError(ValueError):
@@ -105,8 +102,8 @@ class IdealSource:
     def __post_init__(self) -> None:
         _check_bias(self.bias)
 
-    def bias_for_job(self, job_index: int) -> float:
-        return self.bias
+    def chain(self, job_index: int) -> tuple[float, float]:
+        return self.bias, 0.0
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,8 @@ class MarkovSource:
     def __post_init__(self) -> None:
         _check_markov(self.bias, self.rho)
 
-    def bias_for_job(self, job_index: int) -> float:
-        return self.bias
+    def chain(self, job_index: int) -> tuple[float, float]:
+        return self.bias, self.rho
 
 
 @dataclass(frozen=True)
@@ -139,11 +136,11 @@ class DriftingSource:
     def total_jobs(self) -> int:
         return sum(count for _, count in self.phases)
 
-    def bias_for_job(self, job_index: int) -> float:
+    def chain(self, job_index: int) -> tuple[float, float]:
         offset = job_index
         for bias, count in self.phases:
             if offset < count:
-                return bias
+                return bias, 0.0
             offset -= count
         raise InvalidScheduleError(
             f"job index {job_index} beyond schedule covering {self.total_jobs} jobs"
@@ -153,59 +150,25 @@ class DriftingSource:
 SourceModel = Union[IdealSource, MarkovSource, DriftingSource]
 
 
-@dataclass(frozen=True)
-class QubitPhysicalParams:
-    """Reset timing of one qubit: relaxation time, wait, and how strongly
-    surviving excitation couples into the next output bit."""
-
-    qubit_id: int
-    t1_us: float
-    t_wait_us: float = REPETITION_PERIOD_US
-    coupling: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.t1_us > 0:
-            raise InvalidParameterError(f"t1_us must be positive, got {self.t1_us}")
-        if self.t_wait_us < 0:
-            raise InvalidParameterError(f"t_wait_us must be >= 0, got {self.t_wait_us}")
-        if not 0.0 <= self.coupling <= 1.0:
-            raise InvalidParameterError(f"coupling must be in [0, 1], got {self.coupling}")
-
-
-def reset_rho(params: QubitPhysicalParams) -> float:
-    """Residual lag-1 correlation c * exp(-t_wait / T1) left by a wait-based reset."""
-    return params.coupling * math.exp(-params.t_wait_us / params.t1_us)
-
-
-def markov_from_physical(params: QubitPhysicalParams, bias: float = 0.5) -> MarkovSource:
-    return MarkovSource(bias=bias, rho=reset_rho(params))
-
-
-def ideal_source(bias: float, n: int, seed: int) -> BitSequence:
-    """n i.i.d. Bernoulli(bias) bits from a deterministic seeded generator."""
-    _check_bias(bias)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return BitSequence(_rng(seed).random(n) < bias)
-
-
-def markov_source(bias: float, rho: float, n: int, seed: int) -> BitSequence:
-    """Two-state chain: stationary ones-probability ``bias``, lag-1
-    autocorrelation ``rho``. With rho=0 and the same seed this reproduces
-    ideal_source bit for bit (one uniform draw per bit either way).
+def _chain_bits(bias: float, rho: float, n: int, seed: int) -> np.ndarray:
+    """n bits of the two-state chain with stationary ones-probability
+    ``bias`` and lag-1 autocorrelation ``rho``, as a bool array; one uniform
+    draw per bit.
 
     Bit i is ``u[i] < (stay if bit i-1 else move)``, computed without a loop:
     a draw below both thresholds forces a 1 and one at or above both forces
     a 0, whatever came before. Any other draw is free: it copies the
     previous bit when stay >= move (rho >= 0) and flips it otherwise. Bit 0
     is forced to ``u[0] < bias``. So each bit is its last forced bit,
-    flipped once per free draw since then when rho < 0."""
-    _check_markov(bias, rho)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    flipped once per free draw since then when rho < 0.
+
+    When stay == move (rho = 0, or a rho too small to move either threshold
+    in floats) both equal ``bias`` and every draw is forced."""
     u = _rng(seed).random(n)
-    stay = bias + rho * (1.0 - bias)
-    move = bias * (1.0 - rho)
+    stay = bias + rho * (1.0 - bias)   # P(1 | previous 1)
+    move = bias * (1.0 - rho)          # P(1 | previous 0)
+    if stay == move:
+        return u < bias
     value = u < min(stay, move)
     forced = value | (u >= max(stay, move))
     value[0] = u[0] < bias
@@ -215,7 +178,20 @@ def markov_source(bias: float, rho: float, n: int, seed: int) -> BitSequence:
     if stay < move:
         free = np.cumsum(~forced)
         bits ^= ((free - free[last_forced]) & 1).astype(bool)
-    return BitSequence(bits)
+    return bits
+
+
+def markov_source(bias: float, rho: float, n: int, seed: int) -> BitSequence:
+    """One stream of the two-state chain (see ``_chain_bits``)."""
+    _check_markov(bias, rho)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return BitSequence(_chain_bits(bias, rho, n, seed))
+
+
+def ideal_source(bias: float, n: int, seed: int) -> BitSequence:
+    """n i.i.d. Bernoulli(bias) bits from a deterministic seeded generator."""
+    return markov_source(bias, 0.0, n, seed)
 
 
 @dataclass(frozen=True)
@@ -249,27 +225,11 @@ class DeviceRunConfig:
         return self.start_time + timedelta(seconds=job_index * self.job_interval_s)
 
 
-@dataclass(frozen=True)
-class DeviceRun:
-    jobs: JobRows
-    calibration: list[CalibrationRecord] | None = None
-
-
-def _job_stream(config: DeviceRunConfig, job_index: int, qubit_id: int) -> BitSequence:
-    model = config.model_for(qubit_id)
-    seed = stream_seed(config.master_seed, job_index, qubit_id)
-    n = config.bits_per_job
-    if isinstance(model, MarkovSource):
-        return markov_source(model.bias, model.rho, n, seed)
-    return ideal_source(model.bias_for_job(job_index), n, seed)
-
-
-def generate_device_run(
-    config: DeviceRunConfig, with_calibration: bool = False
-) -> DeviceRun:
-    """Generate jobs x qubits streams (and optionally a drifting calibration
-    series). Each stream is independently derivable from its seed, so any
-    subset regenerates bit-for-bit."""
+def generate_device_run(config: DeviceRunConfig) -> JobRows:
+    """Generate the run's jobs x qubits streams, each drawn straight into its
+    row of the bit matrix. Each stream is independently derivable from its
+    seed, so any subset regenerates bit-for-bit. The calibration series is
+    ``generate_calibration_series(config)``."""
     for q in range(config.qubit_count):
         model = config.model_for(q)
         if isinstance(model, DriftingSource) and model.total_jobs != config.jobs:
@@ -278,18 +238,17 @@ def generate_device_run(
             )
     cells = [(j, q) for j in range(config.jobs) for q in range(config.qubit_count)]
     bits = np.empty((len(cells), config.bits_per_job), dtype=np.uint8)
+    n, seed = config.bits_per_job, config.master_seed
     for row, (j, q) in enumerate(cells):
-        bits[row] = _job_stream(config, j, q).bits
+        bits[row] = _chain_bits(*config.model_for(q).chain(j), n, stream_seed(seed, j, q))
     job_ids = [f"j{j + 1:04d}" for j in range(config.jobs)]
     timestamps = [config.job_timestamp(j) for j in range(config.jobs)]
-    jobs = JobRows(
+    return JobRows(
         job_id=[job_ids[j] for j, _ in cells],
         timestamp=[timestamps[j] for j, _ in cells],
         qubit_id=[q for _, q in cells],
         bits=bits,
     )
-    calibration = generate_calibration_series(config) if with_calibration else None
-    return DeviceRun(jobs=jobs, calibration=calibration)
 
 
 def generate_calibration_series(

@@ -40,6 +40,7 @@ from qrng_audit.simulate import (
     IdealSource,
     MarkovSource,
     derive_substream_seed,
+    generate_calibration_series,
     generate_device_run,
     ideal_source,
     markov_source,
@@ -205,11 +206,10 @@ def test_criterion_10_t1_relationship():
         qubit_count=20, jobs=120, bits_per_job=8192,
         models=IdealSource(0.5), master_seed=MASTER,
     )
-    run = generate_device_run(config, with_calibration=True)
-    matrix = build_matrix(run.jobs, PARAMS)
+    matrix = build_matrix(generate_device_run(config), PARAMS)
     ratios = failure_ratio_per_qubit(matrix)
     t1_sum: dict[int, list[float]] = {}
-    for rec in run.calibration:
+    for rec in generate_calibration_series(config):
         t1_sum.setdefault(rec.qubit_id, []).append(rec.t1_us)
     means = [float(np.mean(t1_sum[q])) for q in range(20)]
     null_rho = spearman(means, [ratios[q] for q in range(20)])
@@ -221,7 +221,7 @@ def test_criterion_10_t1_relationship():
         qubit_count=20, jobs=120, bits_per_job=8192,
         models=tuple(MarkovSource(0.5, r) for r in rhos), master_seed=MASTER,
     )
-    ramp_matrix = build_matrix(generate_device_run(ramp_config).jobs, PARAMS)
+    ramp_matrix = build_matrix(generate_device_run(ramp_config), PARAMS)
     ramp_ratios = failure_ratio_per_qubit(ramp_matrix)
     ramp_rho = spearman(rhos, [ramp_ratios[q] for q in range(20)])
     assert ramp_rho >= 0.8
@@ -243,12 +243,12 @@ def test_criterion_11_round_trip_and_fuzz():
                         master_seed=4),
     ]
     for config in corpora:
-        jobs = generate_device_run(config).jobs
+        jobs = generate_device_run(config)
         text = serialize_jobs_str(jobs)
         assert serialize_jobs_str(parse_jobs(iter(text.splitlines(True)))) == text
 
     # 10^4 mutated files: structured errors only, zero crashes
-    base = serialize_jobs_str(generate_device_run(corpora[0]).jobs)
+    base = serialize_jobs_str(generate_device_run(corpora[0]))
     rng = random.Random(11)
     alphabet = "01,\n\rjZT:-x\"'\x00 9"
     parsed_ok = rejected = 0

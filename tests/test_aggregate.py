@@ -80,7 +80,7 @@ def test_build_matrix_rejects_ragged_qubits():
         ("j1", 0, [(0, "0110")]),
         ("j2", 1, [(0, "0110"), (1, "0110")]),
     ]
-    with pytest.raises(ShapeError, match="job 'j1' does not cover the qubit set"):
+    with pytest.raises(ShapeError, match="job 'j1' has no row for qubit 1"):
         build_matrix(make_rows(jobs), TestParams(lag=1))
 
 
@@ -93,7 +93,7 @@ def test_build_matrix_ideal_fleet_false_positive_band():
     """Seeded fair fleet: fail-cell fraction stays in the alpha=0.01 band."""
     config = DeviceRunConfig(qubit_count=20, jobs=100, bits_per_job=8192,
                              models=IdealSource(0.5), master_seed=12)
-    matrix = build_matrix(generate_device_run(config).jobs, TestParams(lag=1))
+    matrix = build_matrix(generate_device_run(config), TestParams(lag=1))
     fails = int((matrix.verdicts() == Verdict.FAIL).sum())
     assert 0.002 <= fails / 2000 <= 0.025
 

@@ -305,7 +305,7 @@ FUZZ_CALIBRATION = CALIBRATION_HEADER + (
     "2019-05-09T13:00:00Z,0,70.0\n"
 )
 # A results file can also fail as a whole grid, which has no line to name.
-GRID_ERROR = re.compile(r"error: (duplicate cell for job |job .* does not cover the qubit set )")
+GRID_ERROR = re.compile(r"error: (duplicate cell for job |job .* has no row for qubit )")
 
 
 @given(st.data())
@@ -420,11 +420,12 @@ def test_pipeline_tests_the_simulated_rows_without_parsing(tmp_path, monkeypatch
     simulate_flags, test_flags = flags[:-4], flags[-4:]
 
     def refuse(_):
-        raise AssertionError("pipeline parsed the job file it wrote")
+        raise AssertionError("pipeline parsed a file it wrote")
 
     workdir = tmp_path / "run"
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "parse_jobs", refuse)
+        for reader in ("parse_jobs", "read_results", "parse_calibration"):
+            patched.setattr(cli, reader, refuse)
         assert run(["pipeline", *flags, "--workdir", workdir]) == 0
     jobs, cal, results, report, scatter = (
         tmp_path / name for name in ("jobs.csv", "cal.csv", "results.csv",

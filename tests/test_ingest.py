@@ -19,6 +19,7 @@ from qrng_audit.ingest import (
     parse_jobs,
     read_results,
     serialize_calibration,
+    serialize_jobs,
     serialize_jobs_str,
     write_results,
 )
@@ -205,7 +206,7 @@ def bit_matrices(draw):
 @settings(max_examples=80, deadline=None)
 def test_serialize_jobs_matches_whole_row_csv_writer(bits, data):
     cells = data.draw(st.lists(st.tuples(
-        st.text(alphabet='ab7,"\n é', max_size=6), timestamps, st.integers(0, 10**6)),
+        st.text(alphabet='ab7,"\n é', min_size=1, max_size=6), timestamps, st.integers(0, 10**6)),
         min_size=len(bits), max_size=len(bits)))
     rows = JobRows([c[0] for c in cells], [c[1] for c in cells], [c[2] for c in cells], bits)
     assert serialize_jobs_str(rows) == whole_row_serialize_jobs(rows)
@@ -229,6 +230,15 @@ def test_parse_rejects_carriage_return_in_job_id():
         parse_jobs(job_file('"cr\rid",2020-01-01T00:00:00Z,0,0110'))
     assert err.value.line == 2
     assert "carriage return" in str(err.value)
+
+
+@pytest.mark.parametrize("job_id", ["", "cr\rid"])
+def test_serialize_jobs_rejects_job_id_no_parser_reads(job_id):
+    rows = job_rows(("j1", TS, 0, "0110"), (job_id, TS, 0, "1001"))
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="empty job_id|carriage return"):
+        serialize_jobs(rows, buf)
+    assert buf.getvalue() == ""
 
 
 # ------------------------------------------------------------- calibration
@@ -298,6 +308,38 @@ def test_results_round_trip():
     for field in ("statistic", "bias", "normalized", "p_value"):
         assert np.array_equal(getattr(parsed, field), getattr(matrix, field).ravel(),
                               equal_nan=True), field
+
+
+@pytest.mark.parametrize("job_id", ["", "cr\rid"])
+def test_write_results_rejects_job_id_no_parser_reads(job_id):
+    matrix = PValueMatrix(
+        job_ids=("j1", job_id), qubit_ids=(0,), n=8, lag=1, alpha=0.01,
+        statistic=np.array([[3], [3]]), bias=np.array([[0.5], [0.5]]),
+        normalized=np.array([[-0.3779644730092272], [-0.3779644730092272]]),
+        p_value=np.array([[0.705456536697442], [0.705456536697442]]),
+    )
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="empty job_id|carriage return"):
+        write_results(matrix, buf)
+    assert buf.getvalue() == ""
+
+
+RESULTS_HEADER = "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
+
+
+@pytest.mark.parametrize("rows", [
+    # a fail p-value not below an earlier pass p-value
+    "j1,0,8,1,0.5,3,-0.3,0.2,pass\nj1,1,8,1,0.5,4,0.4,0.3,fail\n",
+    "j1,0,8,1,0.5,3,-0.3,0.2,pass\nj1,1,8,1,0.5,4,0.4,0.2,fail\n",
+    # a pass p-value not above an earlier fail p-value
+    "j1,0,8,1,0.5,7,2.6,0.05,fail\nj1,1,8,1,0.5,4,0.4,0.01,pass\n",
+    "j1,0,8,1,0.5,7,2.6,0.05,fail\nj1,1,8,1,0.5,4,0.4,0.05,pass\n",
+])
+def test_read_results_rejects_verdicts_out_of_p_value_order(rows):
+    with pytest.raises(ParseError) as err:
+        read_results(io.StringIO(RESULTS_HEADER + "j0,0,8,1,1.0,0,,,degenerate\n" + rows))
+    assert err.value.line == 4
+    assert "of an earlier row" in str(err.value)
 
 
 def test_read_results_rejects_bad_verdict():

@@ -1,10 +1,11 @@
 """Bit-stream sources: determinism, parameter laws, and the device-run shape."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as sp_stats
 
 from qrng_audit.autocorr import BitSequence, autocorr_statistic
@@ -15,14 +16,11 @@ from qrng_audit.simulate import (
     InvalidParameterError,
     InvalidScheduleError,
     MarkovSource,
-    QubitPhysicalParams,
     derive_substream_seed,
     generate_calibration_series,
     generate_device_run,
     ideal_source,
-    markov_from_physical,
     markov_source,
-    reset_rho,
     stream_seed,
 )
 
@@ -103,6 +101,8 @@ def markov_parameters(draw):
 
 @given(markov_parameters(), st.sampled_from([1, 2]) | st.integers(1, 2000),
        st.integers(0, 2**64 - 1))
+# rho below float resolution: stay == move == 0.5, so every draw is forced
+@example((0.5, 1e-17), 4096, 21)
 @settings(max_examples=300, deadline=None)
 def test_markov_matches_one_draw_at_a_time_loop(params, n, seed):
     bias, rho = params
@@ -165,39 +165,6 @@ def test_markov_rho_zero_collapse_chi_square():
     assert p > 0.001, f"chi2={chi2:.1f}, p={p:.5f}"
 
 
-# --------------------------------------------------------------- reset_rho
-
-def test_reset_rho_ten_t1_rule():
-    params = QubitPhysicalParams(qubit_id=0, t1_us=70.0, t_wait_us=700.0, coupling=1.0)
-    assert reset_rho(params) == pytest.approx(math.exp(-10.0), rel=1e-12)
-
-
-def test_reset_rho_zero_coupling():
-    params = QubitPhysicalParams(qubit_id=0, t1_us=50.0, t_wait_us=0.0, coupling=0.0)
-    assert reset_rho(params) == 0.0
-
-
-def test_reset_rho_repetition_rate_example():
-    params = QubitPhysicalParams(qubit_id=3, t1_us=70.0, t_wait_us=1000.0, coupling=1.0)
-    assert reset_rho(params) == pytest.approx(math.exp(-1000.0 / 70.0), rel=1e-12)
-    assert reset_rho(params) == pytest.approx(6.2e-7, rel=0.02)
-
-
-def test_markov_from_physical_is_valid_source():
-    params = QubitPhysicalParams(qubit_id=0, t1_us=70.0, t_wait_us=700.0, coupling=1.0)
-    source = markov_from_physical(params)
-    assert source.rho == pytest.approx(4.54e-5, rel=0.01)
-
-
-def test_physical_params_validation():
-    with pytest.raises(InvalidParameterError):
-        QubitPhysicalParams(qubit_id=0, t1_us=0.0)
-    with pytest.raises(InvalidParameterError):
-        QubitPhysicalParams(qubit_id=0, t1_us=50.0, t_wait_us=-1.0)
-    with pytest.raises(InvalidParameterError):
-        QubitPhysicalParams(qubit_id=0, t1_us=50.0, coupling=2.0)
-
-
 # ---------------------------------------------------------------- seeds
 
 def test_substream_seeds_are_deterministic_and_distinct():
@@ -216,26 +183,39 @@ def test_device_run_shape_and_subset_regeneration():
     config = DeviceRunConfig(
         qubit_count=3, jobs=2, bits_per_job=16, models=IdealSource(0.5), master_seed=7
     )
-    rows = generate_device_run(config).jobs
+    rows = generate_device_run(config)
     assert rows.job_id == ["j0001"] * 3 + ["j0002"] * 3
     assert rows.qubit_id == [0, 1, 2] * 2
     assert rows.bits.shape == (6, 16) and rows.bits.dtype == np.uint8
+    cells = [(j, q) for j in range(2) for q in range(3)]
     # any (job, qubit) stream regenerates independently, bit for bit
-    for row, (j, q) in enumerate((j, q) for j in range(2) for q in range(3)):
+    for row, (j, q) in enumerate(cells):
         assert BitSequence(rows.bits[row]) == ideal_source(0.5, 16, stream_seed(7, j, q))
+    # and so does every other model's: markov at either sign of rho, and
+    # drifting at the bias of the job's phase
+    for rho in (0.3, -0.3):
+        markov = generate_device_run(replace(config, models=MarkovSource(0.5, rho)))
+        for row, (j, q) in enumerate(cells):
+            seed = stream_seed(7, j, q)
+            assert BitSequence(markov.bits[row]) == markov_source(0.5, rho, 16, seed)
+    phases = DriftingSource(phases=((0.2, 1), (0.9, 1)))
+    drifting = generate_device_run(replace(config, models=phases))
+    for row, (j, q) in enumerate(cells):
+        seed = stream_seed(7, j, q)
+        assert BitSequence(drifting.bits[row]) == ideal_source((0.2, 0.9)[j], 16, seed)
 
 
 def test_device_run_deterministic():
     config = DeviceRunConfig(qubit_count=2, jobs=3, bits_per_job=32, master_seed=5)
-    a = generate_device_run(config).jobs
-    b = generate_device_run(config).jobs
+    a = generate_device_run(config)
+    b = generate_device_run(config)
     assert (a.job_id, a.timestamp, a.qubit_id) == (b.job_id, b.timestamp, b.qubit_id)
     assert np.array_equal(a.bits, b.bits)
 
 
 def test_device_run_timestamps_advance():
     config = DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8, job_interval_s=60.0)
-    stamps = generate_device_run(config).jobs.timestamp
+    stamps = generate_device_run(config).timestamp
     deltas = [(b - a).total_seconds() for a, b in zip(stamps, stamps[1:])]
     assert deltas == [60.0, 60.0]
 
@@ -244,7 +224,7 @@ def test_device_run_per_qubit_models():
     models = (IdealSource(0.5), MarkovSource(0.5, 0.3))
     config = DeviceRunConfig(qubit_count=2, jobs=1, bits_per_job=4096, models=models,
                              master_seed=9)
-    ideal, markov = generate_device_run(config).jobs.bits
+    ideal, markov = generate_device_run(config).bits
     ideal_stat = autocorr_statistic(BitSequence(ideal), 1)
     markov_stat = autocorr_statistic(BitSequence(markov), 1)
     assert markov_stat < ideal_stat  # rho=0.3 suppresses adjacent flips hard
@@ -283,11 +263,10 @@ def test_calibration_series():
     assert all(70.0 / 3 <= v <= 70.0 * 3 for v in values)
 
 
-def test_device_run_with_calibration():
+def test_calibration_series_covers_every_qubit():
     config = DeviceRunConfig(qubit_count=2, jobs=2, bits_per_job=8)
-    run = generate_device_run(config, with_calibration=True)
-    assert run.calibration is not None
-    assert {r.qubit_id for r in run.calibration} == {0, 1}
+    calibration = generate_calibration_series(config)
+    assert {r.qubit_id for r in calibration} == {0, 1}
 
 
 def test_ten_t1_reset_fleet_indistinguishable_from_ideal():
@@ -295,16 +274,12 @@ def test_ten_t1_reset_fleet_indistinguishable_from_ideal():
     from qrng_audit.aggregate import build_matrix
     from qrng_audit.autocorr import TestParams, Verdict
 
-    params = [
-        QubitPhysicalParams(qubit_id=q, t1_us=70.0, t_wait_us=700.0, coupling=1.0)
-        for q in range(5)
-    ]
-    reset_models = tuple(markov_from_physical(p) for p in params)
+    reset_models = MarkovSource(0.5, math.exp(-10.0))
     shape = dict(qubit_count=5, jobs=40, bits_per_job=8192, master_seed=15)
 
     def fail_fraction(models):
         config = DeviceRunConfig(models=models, **shape)
-        matrix = build_matrix(generate_device_run(config).jobs, TestParams(lag=1))
+        matrix = build_matrix(generate_device_run(config), TestParams(lag=1))
         return int((matrix.verdicts() == Verdict.FAIL).sum()) / 200
 
     assert abs(fail_fraction(reset_models) - fail_fraction(IdealSource(0.5))) <= 0.02
