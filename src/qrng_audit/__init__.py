@@ -13,7 +13,6 @@ from .autocorr import (
     p_value,
     run_test,
 )
-from .special import erfc
 
 __version__ = "0.1.0"
 
@@ -25,7 +24,6 @@ __all__ = [
     "TestParams",
     "Verdict",
     "autocorr_statistic",
-    "erfc",
     "estimate_bias",
     "normalize_statistic",
     "p_value",

@@ -13,52 +13,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from datetime import datetime
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .autocorr import PValueMatrix, TestParams, autocorr_counts
-from .ingest import BLOCK_BYTES, CalibrationRecord, JobRows, ResultRows, ShapeError
+from .ingest import BLOCK_BYTES, CalibrationRecord, JobRows, ShapeError, grid_order
 
 
 class InsufficientDataError(ValueError):
     """Too few complete pairs for a rank correlation."""
 
 
-def _grid_order(
-    job_id: list[str], qubit_id: list[int], job_ids: tuple[str, ...]
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Place rows on the (job_ids x ascending qubits) grid: returns the qubit
-    ids and the row order that fills the grid row by row. Every cell must be
-    covered exactly once."""
-    qubit_ids = tuple(sorted(set(qubit_id)))
-    row_start = {job: i * len(qubit_ids) for i, job in enumerate(job_ids)}
-    column = {qubit: i for i, qubit in enumerate(qubit_ids)}
-    cell = np.array([row_start[job] + column[q] for job, q in zip(job_id, qubit_id)])
-    count = np.bincount(cell, minlength=len(job_ids) * len(qubit_ids))
-    repeated = count[cell] > 1
-    if repeated.any():
-        i = int(np.argmax(repeated))
-        raise ShapeError(f"duplicate cell for job {job_id[i]!r} qubit {qubit_id[i]}")
-    if not count.all():
-        job, column = divmod(int(np.argmin(count)), len(qubit_ids))
-        raise ShapeError(f"job {job_ids[job]!r} has no row for qubit {qubit_ids[column]}")
-    return qubit_ids, np.argsort(cell)
-
-
 def build_matrix(rows: JobRows, params: TestParams) -> PValueMatrix:
     """Run the autocorrelation test on every row of a job file.
 
     Jobs are ordered by timestamp (job_id breaking ties) and qubits ascend;
-    every job must carry every qubit once. The kernel reads the bit matrix in
-    blocks of rows, in file order, for each row's XOR count and ones count;
-    only those counts are moved onto the grid.
+    every job must carry every qubit once, at one timestamp. The kernel
+    reads the bit matrix in blocks of rows, in file order, for each row's
+    XOR count and ones count; only those counts are moved onto the grid.
     """
     if not rows.job_id:
         raise ValueError("no streams to analyze")
-    timestamps = dict(zip(rows.job_id, rows.timestamp))
+    timestamps: dict[str, datetime] = {}
+    for job, ts in zip(rows.job_id, rows.timestamp):
+        if timestamps.setdefault(job, ts) != ts:
+            raise ShapeError(f"job {job!r} has conflicting timestamps")
     job_ids = tuple(sorted(timestamps, key=lambda job: (timestamps[job], job)))
-    qubit_ids, order = _grid_order(rows.job_id, rows.qubit_id, job_ids)
+    qubit_ids, order = grid_order(rows.job_id, rows.qubit_id, job_ids)
     n = rows.bits.shape[1]
     step = max(1, BLOCK_BYTES // n)
     statistic = np.empty(len(rows.job_id), dtype=np.int64)
@@ -70,21 +53,6 @@ def build_matrix(rows: JobRows, params: TestParams) -> PValueMatrix:
     return PValueMatrix.from_counts(
         job_ids, qubit_ids, n, statistic[order].reshape(shape),
         ones[order].reshape(shape), params,
-    )
-
-
-def matrix_from_results(rows: ResultRows, alpha: float = 0.01) -> PValueMatrix:
-    """Place results-file rows on the (jobs x qubits) grid: jobs in order of
-    first appearance, qubits ascending; every cell exactly once."""
-    if not rows.job_id:
-        raise ValueError("no result rows to aggregate")
-    job_ids = tuple(dict.fromkeys(rows.job_id))
-    qubit_ids, order = _grid_order(rows.job_id, rows.qubit_id, job_ids)
-    shape = (len(job_ids), len(qubit_ids))
-    return PValueMatrix(
-        job_ids=job_ids, qubit_ids=qubit_ids, n=rows.n, lag=rows.lag, alpha=alpha,
-        **{field: getattr(rows, field)[order].reshape(shape)
-           for field in ("statistic", "bias", "normalized", "p_value")},
     )
 
 

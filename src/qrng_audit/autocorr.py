@@ -23,8 +23,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .special import erfc
-
 # Below this value of (n-l) * q * (1-q) the normal approximation is dubious;
 # results are still computed but flagged.
 LOW_SAMPLE_VARIANCE = 25.0
@@ -193,7 +191,7 @@ def p_value(normalized: float) -> float:
     normalized = float(normalized)
     if not math.isfinite(normalized):
         raise ValueError(f"normalized statistic must be finite, got {normalized!r}")
-    return max(erfc(abs(normalized) / math.sqrt(2.0)), _TINY)
+    return max(math.erfc(abs(normalized) / math.sqrt(2.0)), _TINY)
 
 
 def p_values(normalized: np.ndarray) -> np.ndarray:

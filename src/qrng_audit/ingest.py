@@ -12,7 +12,8 @@ Parsers are strict: every rejection raises ParseError carrying the offending
 line number. All three read rows through one reader, ``_rows``, which owns
 the header check, strict quoting, the field count, blank-row skipping, and
 turning csv module errors (bad quoting, a field over its 131072-character
-limit) into ParseError. A results row must be one a ``test`` run can write.
+limit) into ParseError. A results row must be one a ``test`` run can write,
+and ``read_results`` returns the file as the p-value matrix it describes.
 
 Serializers emit a canonical form (job and result rows in the order held,
 which for a generated run is job order then qubit id; timestamps
@@ -27,7 +28,7 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -56,11 +57,33 @@ class ParseError(ValueError):
 
 
 class ShapeError(ValueError):
-    """Rows do not fill the (jobs x qubits) grid, each cell exactly once."""
+    """Rows do not make one (jobs x qubits) grid: every cell exactly once,
+    and every job at one time."""
 
 
 class DuplicateCellError(ParseError, ShapeError):
     """A results row repeats an earlier row's (job, qubit) cell."""
+
+
+def grid_order(
+    job_id: list[str], qubit_id: list[int], job_ids: tuple[str, ...]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Place rows on the (job_ids x ascending qubits) grid: returns the qubit
+    ids and the row order that fills the grid row by row. Every cell must be
+    covered exactly once."""
+    qubit_ids = tuple(sorted(set(qubit_id)))
+    row_start = {job: i * len(qubit_ids) for i, job in enumerate(job_ids)}
+    column = {qubit: i for i, qubit in enumerate(qubit_ids)}
+    cell = np.array([row_start[job] + column[q] for job, q in zip(job_id, qubit_id)])
+    count = np.bincount(cell, minlength=len(job_ids) * len(qubit_ids))
+    repeated = count[cell] > 1
+    if repeated.any():
+        i = int(np.argmax(repeated))
+        raise ShapeError(f"duplicate cell for job {job_id[i]!r} qubit {qubit_id[i]}")
+    if not count.all():
+        job, column = divmod(int(np.argmin(count)), len(qubit_ids))
+        raise ShapeError(f"job {job_ids[job]!r} has no row for qubit {qubit_ids[column]}")
+    return qubit_ids, np.argsort(cell)
 
 
 @dataclass(frozen=True)
@@ -150,6 +173,25 @@ def _rows(stream: TextIO | Iterable[str], header: list[str]) -> Iterator[tuple[i
         raise ParseError(f"unreadable CSV: {exc}", reader.line_num) from None
 
 
+def _job_row_rules() -> Callable[[str, datetime, int, int | None], None]:
+    """The rules a job file's rows keep among themselves: a job_id a file
+    can hold, each (job, qubit) stream once, and one timestamp per job. The
+    returned check takes one row at a time, at its line when parsing and
+    with no line when checking rows before they are written."""
+    streams: set[tuple[str, int]] = set()
+    stamps: dict[str, datetime] = {}
+
+    def check(job_id: str, timestamp: datetime, qubit: int, line: int | None = None) -> None:
+        _check_job_id(job_id, line)
+        if (job_id, qubit) in streams:
+            raise ParseError(f"duplicate stream for job {job_id!r} qubit {qubit}", line)
+        streams.add((job_id, qubit))
+        if stamps.setdefault(job_id, timestamp) != timestamp:
+            raise ParseError(f"job {job_id!r} has conflicting timestamps", line)
+
+    return check
+
+
 def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
     """Parse a job CSV into columns in file order; the first data row
     declares the per-stream bit count."""
@@ -158,12 +200,11 @@ def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
     stamps: list[datetime] = []
     qubits: list[int] = []
     buffer = bytearray()
-    timestamps: dict[str, datetime] = {}
-    seen: set[tuple[str, int]] = set()
+    check = _job_row_rules()
     for line, (job_id, ts_text, qubit_text, bits_text) in _rows(stream, JOB_HEADER):
-        _check_job_id(job_id, line)
         timestamp = _parse_timestamp(ts_text, line)
         qubit = _parse_qubit_id(qubit_text, line)
+        check(job_id, timestamp, qubit, line)
         if not bits_text:
             raise ParseError("empty bit string", line)
         raw = bits_text.encode()
@@ -176,13 +217,6 @@ def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
             raise ParseError(
                 f"bit string length {len(bits_text)} does not match declared {declared}",
                 line,
-            )
-        if (job_id, qubit) in seen:
-            raise ParseError(f"duplicate stream for job {job_id!r} qubit {qubit}", line)
-        seen.add((job_id, qubit))
-        if timestamps.setdefault(job_id, timestamp) != timestamp:
-            raise ParseError(
-                f"job {job_id!r} has conflicting timestamps", line
             )
         job_ids.append(job_id)
         stamps.append(timestamp)
@@ -209,13 +243,15 @@ def _job_prefixes(rows: JobRows) -> Iterator[str]:
 
 def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
     """Write job rows as job CSV, in the order held (job order, then
-    ascending qubit, for a generated run).
+    ascending qubit, for a generated run). Rows that break a rule of
+    ``_job_row_rules`` are refused before anything is written.
 
     Bit text never needs quoting, so only the three short fields go through
     csv.writer. The bits are turned into text a block of rows at a time, in
     one reused buffer holding each row's bits plus '0' and then a '\n'."""
-    for job_id in dict.fromkeys(rows.job_id):
-        _check_job_id(job_id)
+    check = _job_row_rules()
+    for row in zip(rows.job_id, rows.timestamp, rows.qubit_id):
+        check(*row)
     csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
     prefixes = _job_prefixes(rows)
     # An empty JobRows may carry 1-D bits; its bit count is then 0.
@@ -267,20 +303,6 @@ def serialize_calibration(records: Iterable[CalibrationRecord], stream: TextIO) 
         writer.writerow([format_timestamp(rec.timestamp), rec.qubit_id, repr(rec.t1_us)])
 
 
-class ResultRows(NamedTuple):
-    """A results file as columns, one entry per row in file order; every row
-    shares one ``n`` and one ``lag`` (None for a file without rows)."""
-
-    job_id: list[str]
-    qubit_id: list[int]
-    n: int | None
-    lag: int | None
-    statistic: np.ndarray
-    bias: np.ndarray
-    normalized: np.ndarray
-    p_value: np.ndarray
-
-
 def _format_float(value: float) -> str:
     return "" if math.isnan(value) else repr(value)
 
@@ -303,14 +325,17 @@ def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
     )
 
 
-def read_results(stream: TextIO | Iterable[str]) -> ResultRows:
-    """Parse a results CSV, accepting only rows a ``test`` run can write:
-    a non-empty job_id without a carriage return, 1 <= lag < n, statistic in
-    [0, n - lag], bias in [0, 1], one n and one lag per file, and each
-    (job, qubit) cell once. A row is degenerate exactly when its
-    normalized and p_value fields are empty; otherwise normalized is finite
-    and p_value lies in (0, 1]. Every fail p_value lies below every pass
-    p_value, as both sides of the alpha they were read at."""
+def read_results(stream: TextIO | Iterable[str], alpha: float = 0.01) -> PValueMatrix:
+    """Read a results CSV as the matrix it describes, pass/fail read at
+    ``alpha``: jobs in order of first appearance, qubits ascending, and each
+    (job, qubit) cell once.
+
+    Only rows a ``test`` run can write are accepted: a non-empty job_id
+    without a carriage return, 1 <= lag < n, statistic in [0, n - lag],
+    bias in [0, 1], and one n and one lag per file. A row is degenerate
+    exactly when its normalized and p_value fields are empty; otherwise
+    normalized is finite and p_value lies in (0, 1]. Every fail p_value lies
+    below every pass p_value, as both sides of the alpha they were read at."""
     n_lag: tuple[int, int] | None = None
     max_fail, min_pass = -math.inf, math.inf
     seen: set[tuple[str, int]] = set()
@@ -364,6 +389,11 @@ def read_results(stream: TextIO | Iterable[str]) -> ResultRows:
         seen.add((job_id, qubit))
         for column, value in zip(columns, (job_id, qubit, statistic, bias, normalized, p)):
             column.append(value)
-    job_ids, qubits, *values = columns
-    n, lag = n_lag or (None, None)
-    return ResultRows(job_ids, qubits, n, lag, *(np.array(v) for v in values))
+    if n_lag is None:
+        raise ValueError("no result rows to aggregate")
+    jobs, qubits, *values = columns
+    job_ids = tuple(dict.fromkeys(jobs))
+    qubit_ids, order = grid_order(jobs, qubits, job_ids)
+    shape = (len(job_ids), len(qubit_ids))
+    return PValueMatrix(job_ids, qubit_ids, *n_lag, alpha,
+                        *(np.array(v)[order].reshape(shape) for v in values))

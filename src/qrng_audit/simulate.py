@@ -23,21 +23,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .autocorr import BitSequence
 from .ingest import CalibrationRecord, JobRows
 
-# Experiment-shaped defaults: 20 qubits, 579 jobs of 8192 bits spread over
-# roughly three and a half days.
+# Experiment-shaped defaults: 20 qubits, 579 jobs of 8192 bits, which at
+# JOB_INTERVAL_S apart from RUN_START span roughly three and a half days.
 DEFAULT_QUBIT_COUNT = 20
 DEFAULT_JOBS = 579
 DEFAULT_BITS_PER_JOB = 8192
 DEFAULT_MASTER_SEED = 20190509
-DEFAULT_RUN_START = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
-DEFAULT_JOB_INTERVAL_S = 523.0
+RUN_START = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
+JOB_INTERVAL_S = 523.0
+
+# The calibration series: a T1 per qubit drawn uniformly from T1_RANGE_US,
+# then a multiplicative random walk with log-steps of sd T1_RELATIVE_STEP,
+# clamped to a factor of 3 around its start and sampled every
+# CALIBRATION_INTERVAL_S.
+CALIBRATION_INTERVAL_S = 4 * 3600.0
+T1_RANGE_US = (40.0, 110.0)
+T1_RELATIVE_STEP = 0.05
 
 
 class InvalidParameterError(ValueError):
@@ -203,8 +211,6 @@ class DeviceRunConfig:
     bits_per_job: int = DEFAULT_BITS_PER_JOB
     models: SourceModel | tuple[SourceModel, ...] = IdealSource(0.5)
     master_seed: int = DEFAULT_MASTER_SEED
-    start_time: datetime = DEFAULT_RUN_START
-    job_interval_s: float = DEFAULT_JOB_INTERVAL_S
 
     def __post_init__(self) -> None:
         if min(self.qubit_count, self.jobs, self.bits_per_job) < 1:
@@ -215,14 +221,17 @@ class DeviceRunConfig:
             raise ValueError(
                 f"got {len(self.models)} per-qubit models for {self.qubit_count} qubits"
             )
+        models = self.models if isinstance(self.models, tuple) else (self.models,)
+        for model in models:
+            if isinstance(model, DriftingSource) and model.total_jobs != self.jobs:
+                raise InvalidScheduleError(
+                    f"schedule covers {model.total_jobs} jobs but the run has {self.jobs}"
+                )
 
     def model_for(self, qubit_id: int) -> SourceModel:
         if isinstance(self.models, tuple):
             return self.models[qubit_id]
         return self.models
-
-    def job_timestamp(self, job_index: int) -> datetime:
-        return self.start_time + timedelta(seconds=job_index * self.job_interval_s)
 
 
 def generate_device_run(config: DeviceRunConfig) -> JobRows:
@@ -230,19 +239,13 @@ def generate_device_run(config: DeviceRunConfig) -> JobRows:
     row of the bit matrix. Each stream is independently derivable from its
     seed, so any subset regenerates bit-for-bit. The calibration series is
     ``generate_calibration_series(config)``."""
-    for q in range(config.qubit_count):
-        model = config.model_for(q)
-        if isinstance(model, DriftingSource) and model.total_jobs != config.jobs:
-            raise InvalidScheduleError(
-                f"qubit {q}: schedule covers {model.total_jobs} jobs, run has {config.jobs}"
-            )
     cells = [(j, q) for j in range(config.jobs) for q in range(config.qubit_count)]
     bits = np.empty((len(cells), config.bits_per_job), dtype=np.uint8)
     n, seed = config.bits_per_job, config.master_seed
     for row, (j, q) in enumerate(cells):
         bits[row] = _chain_bits(*config.model_for(q).chain(j), n, stream_seed(seed, j, q))
     job_ids = [f"j{j + 1:04d}" for j in range(config.jobs)]
-    timestamps = [config.job_timestamp(j) for j in range(config.jobs)]
+    timestamps = [RUN_START + timedelta(seconds=j * JOB_INTERVAL_S) for j in range(config.jobs)]
     return JobRows(
         job_id=[job_ids[j] for j, _ in cells],
         timestamp=[timestamps[j] for j, _ in cells],
@@ -251,34 +254,24 @@ def generate_device_run(config: DeviceRunConfig) -> JobRows:
     )
 
 
-def generate_calibration_series(
-    config: DeviceRunConfig,
-    interval_s: float = 4 * 3600.0,
-    base_t1_us: Sequence[float] | None = None,
-    relative_step: float = 0.05,
-    t1_range_us: tuple[float, float] = (40.0, 110.0),
-) -> list[CalibrationRecord]:
+def generate_calibration_series(config: DeviceRunConfig) -> list[CalibrationRecord]:
     """Per-qubit relaxation-time series drifting as a bounded multiplicative
-    random walk, sampled every ``interval_s`` over the run's span."""
-    span_s = config.jobs * config.job_interval_s
-    ticks = int(span_s // interval_s) + 1
+    random walk, sampled every ``CALIBRATION_INTERVAL_S`` over the run's span."""
+    ticks = int(config.jobs * JOB_INTERVAL_S // CALIBRATION_INTERVAL_S) + 1
     records = []
     for q in range(config.qubit_count):
         rng = _rng(_calibration_seed(config.master_seed, q))
-        if base_t1_us is not None:
-            base = float(base_t1_us[q])
-        else:
-            base = float(rng.uniform(*t1_range_us))
+        base = float(rng.uniform(*T1_RANGE_US))
         t1 = base
         for tick in range(ticks):
             records.append(
                 CalibrationRecord(
-                    timestamp=config.start_time + timedelta(seconds=tick * interval_s),
+                    timestamp=RUN_START + timedelta(seconds=tick * CALIBRATION_INTERVAL_S),
                     qubit_id=q,
                     t1_us=t1,
                 )
             )
-            t1 = float(np.clip(t1 * math.exp(rng.normal(0.0, relative_step)),
+            t1 = float(np.clip(t1 * math.exp(rng.normal(0.0, T1_RELATIVE_STEP)),
                                base / 3.0, base * 3.0))
     records.sort(key=lambda r: (r.timestamp, r.qubit_id))
     return records

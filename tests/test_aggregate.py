@@ -16,7 +16,6 @@ from qrng_audit.aggregate import (
     build_report,
     degenerate_count_per_qubit,
     failure_ratio_per_qubit,
-    matrix_from_results,
     mean_t1_per_qubit,
     pass_proportion_overall,
     simultaneous_pass_proportion,
@@ -81,6 +80,18 @@ def test_build_matrix_rejects_ragged_qubits():
         ("j2", 1, [(0, "0110"), (1, "0110")]),
     ]
     with pytest.raises(ShapeError, match="job 'j1' has no row for qubit 1"):
+        build_matrix(make_rows(jobs), TestParams(lag=1))
+
+
+def test_build_matrix_rejects_job_with_two_timestamps():
+    # j1's qubit 1 was taken 30 minutes after its qubit 0: no job file
+    # holds such a job, and no single time orders it among the others.
+    jobs = [
+        ("j1", 0, [(0, "0110")]),
+        ("j2", 10, [(0, "1001"), (1, "1001")]),
+        ("j1", 30, [(1, "0110")]),
+    ]
+    with pytest.raises(ShapeError, match="job 'j1' has conflicting timestamps"):
         build_matrix(make_rows(jobs), TestParams(lag=1))
 
 
@@ -266,9 +277,9 @@ def test_mean_t1_missing_qubit_flagged_nan():
 def test_mean_t1_of_simulated_drifting_series():
     from qrng_audit.simulate import generate_calibration_series
 
-    config = DeviceRunConfig(qubit_count=3, jobs=24, bits_per_job=8,
-                             job_interval_s=3600.0, master_seed=6)
-    records = generate_calibration_series(config, interval_s=3600.0)
+    config = DeviceRunConfig(qubit_count=3, jobs=661, bits_per_job=8, master_seed=6)
+    records = generate_calibration_series(config)
+    assert len(records) == 3 * 25
     means = mean_t1_per_qubit(records)
     for q in range(3):
         series = [r.t1_us for r in records if r.qubit_id == q]
@@ -350,7 +361,7 @@ def results_text(matrix):
 
 def test_matrix_from_results_round_trip():
     matrix = build_verdict_matrix(["FPD", "PPP"])
-    rebuilt = matrix_from_results(read_results(io.StringIO(results_text(matrix))))
+    rebuilt = read_results(io.StringIO(results_text(matrix)))
     assert (rebuilt.job_ids, rebuilt.qubit_ids) == (matrix.job_ids, matrix.qubit_ids)
     assert (rebuilt.n, rebuilt.lag, rebuilt.alpha) == (matrix.n, matrix.lag, matrix.alpha)
     for field in ("statistic", "bias", "normalized", "p_value"):
@@ -362,7 +373,7 @@ def test_matrix_from_results_places_shuffled_rows():
     matrix = build_verdict_matrix(["FPD", "PPF"])
     header, *rows = results_text(matrix).splitlines()
     shuffled = [header, rows[4], rows[1], rows[0], rows[5], rows[3], rows[2]]
-    rebuilt = matrix_from_results(read_results(io.StringIO("\n".join(shuffled))))
+    rebuilt = read_results(io.StringIO("\n".join(shuffled)))
     assert rebuilt.job_ids == ("j2", "j0", "j1")  # order of first appearance
     assert np.array_equal(rebuilt.statistic, matrix.statistic[[2, 0, 1]])
     assert failure_ratio_per_qubit(rebuilt) == failure_ratio_per_qubit(matrix)
@@ -372,8 +383,8 @@ def test_matrix_from_results_rejects_ragged():
     matrix = build_verdict_matrix(["FP", "PP"])
     lines = results_text(matrix).splitlines()
     with pytest.raises(ShapeError):
-        matrix_from_results(read_results(io.StringIO("\n".join(lines[:-1]))))
+        read_results(io.StringIO("\n".join(lines[:-1])))
     with pytest.raises(ShapeError):
-        matrix_from_results(read_results(io.StringIO("\n".join(lines + lines[-1:]))))
-    with pytest.raises(ValueError):
-        matrix_from_results(read_results(io.StringIO(lines[0])))
+        read_results(io.StringIO("\n".join(lines + lines[-1:])))
+    with pytest.raises(ValueError, match="no result rows to aggregate"):
+        read_results(io.StringIO(lines[0]))

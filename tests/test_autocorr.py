@@ -198,8 +198,9 @@ def test_p_value_spot_values():
 
 
 def test_p_value_rejects_non_finite():
-    with pytest.raises(ValueError):
-        p_value(math.nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            p_value(bad)
 
 
 @given(st.floats(0.0, 50.0), st.floats(0.0, 50.0))

@@ -66,6 +66,28 @@ def test_simulate_drifting_needs_schedule(tmp_path):
                 "--out", tmp_path / "x.csv"]) == 0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "drifting", "--schedule", "0.4:2,0.6:1"],
+     "schedule covers 3 jobs but the run has 4"),
+    (["--model", "drifting", "--schedule", "0.4:2,0.6:3"],
+     "schedule covers 5 jobs but the run has 4"),
+    (["--model", "drifting", "--schedule", "0.4:4,0.6:0"],
+     "phase job count must be >= 1, got 0"),
+    (["--model", "drifting", "--schedule", "1.4:4"], "bias must be in [0, 1], got 1.4"),
+    (["--model", "markov", "--rho", 1.5], "rho must be < 1, got 1.5"),
+    (["--p", 1.5], "bias must be in [0, 1], got 1.5"),
+    (["--bias", "fixed:7"], "fixed bias must be in [0, 1], got 7.0"),
+    (["--bias", "fixed:nan"], "fixed bias must be in [0, 1], got nan"),
+    (["--bias", "fixed:-0.1"], "fixed bias must be in [0, 1], got -0.1"),
+], ids=["short-schedule", "long-schedule", "zero-job-phase", "phase-bias", "rho",
+        "p", "fixed-7", "fixed-nan", "fixed-negative"])
+def test_pipeline_model_and_bias_errors_exit_2(tmp_path, capsys, flags, message):
+    code = run(["pipeline", "--jobs", 4, "--qubits", 1, "--bits", 16, *flags,
+                "--workdir", tmp_path / "run"])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_unknown_flag_exits_2(tmp_path):
     assert run(["simulate", "--frobnicate", "--out", tmp_path / "x.csv"]) == 2
 
@@ -224,6 +246,19 @@ def test_aggregate_rejects_bad_results_row(tmp_path, capsys, bad_row):
     assert code == 1
     assert "line 3" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("", "no result rows to aggregate"),
+    (GOOD_ROW, "line 3: duplicate cell for job 'j1' qubit 0"),
+    (GOOD_ROW.replace("j1,0", "j2,1"), "job 'j1' has no row for qubit 1"),
+], ids=["empty", "repeated-cell", "missing-cell"])
+def test_aggregate_grid_errors_exit_1(tmp_path, capsys, rows, message):
+    results = tmp_path / "results.csv"
+    results.write_text(RESULTS_HEADER + (GOOD_ROW if rows else "") + rows)
+    code = run(["aggregate", "--in", results, "--report", tmp_path / "report.csv"])
+    assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
     assert not (tmp_path / "report.csv").exists()
 
 

@@ -76,6 +76,21 @@ GOLDEN = {
     }),
 }
 
+# The standalone ``aggregate`` over the markov case's results.csv and
+# calibration.csv, recorded before the results file was read straight into
+# the p-value matrix: at --alpha 0.05, and with the results rows shuffled
+# (jobs then appear out of time order), which leaves the pipeline's report.
+AGGREGATE_GOLDEN = {
+    "alpha-0.05": (["--alpha", "0.05"], False, {
+        "report.csv": "812681cb2068c691bdad5c04d7d03e51d589f86b8937dd8ae215ad7b1331b552",
+        "scatter.csv": "3926ae3187a33ae9ccead5516fc5aa7871377ba05917d7d5250bdae2a6c0c832",
+    }),
+    "shuffled-rows": ([], True, {
+        "report.csv": "9b222ecb948ef957b5693236cbb282adb553c9fa950caa16afd05338da9b2932",
+        "scatter.csv": "ffe03f4292de09536a278e429c353b1f3be4ee7022c7d75b96e35af1db9c10f4",
+    }),
+}
+
 # (n, lag, p, k range or None) -> digest of the statistic and exact_p columns
 ORACLE_GOLDEN = {
     (8192, 1, 0.5, None): "487bf753562b34b61a5bee7ef3f32e980ef0b39626b0ecd0288fbd2273cb4392",
@@ -105,6 +120,24 @@ def test_pipeline_outputs_match_golden_digests(case, tmp_path):
     got = {name: _sha256((tmp_path / name).read_bytes()) for name in expected}
     got["results.csv"] = _sha256(_without_p_value((tmp_path / "results.csv").read_text()))
     assert got == expected
+
+
+@pytest.mark.parametrize("case", sorted(AGGREGATE_GOLDEN))
+def test_standalone_aggregate_matches_golden_digests(case, tmp_path):
+    flags, shuffle, expected = AGGREGATE_GOLDEN[case]
+    assert cli.main(["pipeline", *SHAPE, *GOLDEN["markov"][0], "--workdir", str(tmp_path)]) == 0
+    results = tmp_path / "results.csv"
+    if shuffle:
+        header, *rows = results.read_text().splitlines(True)
+        random.Random(3).shuffle(rows)
+        results.write_text(header + "".join(rows))
+    out = tmp_path / "aggregate"
+    out.mkdir()
+    assert cli.main(["aggregate", "--in", str(results),
+                     "--calibration", str(tmp_path / "calibration.csv"),
+                     "--report", str(out / "report.csv"),
+                     "--scatter", str(out / "scatter.csv"), *flags]) == 0
+    assert {name: _sha256((out / name).read_bytes()) for name in expected} == expected
 
 
 def test_row_shuffled_job_file_gives_the_same_matrix(tmp_path):

@@ -205,10 +205,15 @@ def bit_matrices(draw):
 @given(bit_matrices(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_serialize_jobs_matches_whole_row_csv_writer(bits, data):
+    # Rows a job file can hold: each (job, qubit) stream once, one time per job.
     cells = data.draw(st.lists(st.tuples(
-        st.text(alphabet='ab7,"\n é', min_size=1, max_size=6), timestamps, st.integers(0, 10**6)),
-        min_size=len(bits), max_size=len(bits)))
-    rows = JobRows([c[0] for c in cells], [c[1] for c in cells], [c[2] for c in cells], bits)
+        st.text(alphabet='ab7,"\n é', min_size=1, max_size=6), st.integers(0, 10**6)),
+        min_size=len(bits), max_size=len(bits), unique=True))
+    jobs = list(dict.fromkeys(job_id for job_id, _ in cells))
+    stamps = dict(zip(jobs, data.draw(st.lists(timestamps, min_size=len(jobs),
+                                                max_size=len(jobs)))))
+    rows = JobRows([c[0] for c in cells], [stamps[c[0]] for c in cells],
+                   [c[1] for c in cells], bits)
     assert serialize_jobs_str(rows) == whole_row_serialize_jobs(rows)
 
 
@@ -220,7 +225,7 @@ def test_serialize_jobs_matches_whole_row_csv_writer(bits, data):
 ], ids=["empty-1d", "empty-2d", "zero-bits", "n1-three-blocks"])
 def test_serialize_jobs_matches_whole_row_csv_writer_at_edge_shapes(bits):
     count = len(bits)
-    rows = JobRows([f"j,{i % 7}" for i in range(count)], [TS] * count,
+    rows = JobRows([f"j,{i // 20}" for i in range(count)], [TS] * count,
                    [i % 20 for i in range(count)], bits)
     assert serialize_jobs_str(rows) == whole_row_serialize_jobs(rows)
 
@@ -237,6 +242,18 @@ def test_serialize_jobs_rejects_job_id_no_parser_reads(job_id):
     rows = job_rows(("j1", TS, 0, "0110"), (job_id, TS, 0, "1001"))
     buf = io.StringIO()
     with pytest.raises(ValueError, match="empty job_id|carriage return"):
+        serialize_jobs(rows, buf)
+    assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("second, message", [
+    (("j1", TS.replace(hour=12), 1, "1001"), "job 'j1' has conflicting timestamps"),
+    (("j1", TS, 0, "1001"), "duplicate stream for job 'j1' qubit 0"),
+], ids=["second-timestamp", "repeated-stream"])
+def test_serialize_jobs_refuses_rows_no_job_file_holds(second, message):
+    rows = job_rows(("j1", TS, 0, "0110"), second)
+    buf = io.StringIO()
+    with pytest.raises(ParseError, match=message):
         serialize_jobs(rows, buf)
     assert buf.getvalue() == ""
 
@@ -302,11 +319,11 @@ def test_results_round_trip():
         "j1,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass",
         "j1,1,8,1,1.0,0,,,degenerate",
     ]
-    parsed = read_results(io.StringIO(buf.getvalue()))
-    assert (parsed.job_id, parsed.qubit_id, parsed.n, parsed.lag) == (
-        ["j1", "j1"], [0, 1], 8, 1)
+    parsed = read_results(io.StringIO(buf.getvalue()), alpha=0.25)
+    assert (parsed.job_ids, parsed.qubit_ids, parsed.n, parsed.lag, parsed.alpha) == (
+        ("j1",), (0, 1), 8, 1, 0.25)
     for field in ("statistic", "bias", "normalized", "p_value"):
-        assert np.array_equal(getattr(parsed, field), getattr(matrix, field).ravel(),
+        assert np.array_equal(getattr(parsed, field), getattr(matrix, field),
                               equal_nan=True), field
 
 

@@ -214,10 +214,10 @@ def test_device_run_deterministic():
 
 
 def test_device_run_timestamps_advance():
-    config = DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8, job_interval_s=60.0)
+    config = DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8)
     stamps = generate_device_run(config).timestamp
     deltas = [(b - a).total_seconds() for a, b in zip(stamps, stamps[1:])]
-    assert deltas == [60.0, 60.0]
+    assert deltas == [523.0, 523.0]
 
 
 def test_device_run_per_qubit_models():
@@ -232,9 +232,8 @@ def test_device_run_per_qubit_models():
 
 def test_device_run_drifting_schedule_must_cover_jobs():
     models = DriftingSource(phases=((0.4, 1), (0.6, 1)))
-    config = DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8, models=models)
-    with pytest.raises(InvalidScheduleError):
-        generate_device_run(config)
+    with pytest.raises(InvalidScheduleError, match="schedule covers 2 jobs but the run has 3"):
+        DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8, models=models)
 
 
 def test_device_run_config_validation():
@@ -249,18 +248,13 @@ def test_device_run_config_validation():
 
 
 def test_calibration_series():
-    config = DeviceRunConfig(qubit_count=2, jobs=10, bits_per_job=8,
-                             job_interval_s=3600.0, master_seed=3)
-    records = generate_calibration_series(config, interval_s=3600.0)
-    assert records == generate_calibration_series(config, interval_s=3600.0)
+    # 276 jobs 523 s apart span 40 h: ticks at 0, 4, ..., 40 h.
+    config = DeviceRunConfig(qubit_count=2, jobs=276, bits_per_job=8, master_seed=3)
+    records = generate_calibration_series(config)
+    assert records == generate_calibration_series(config)
     per_qubit = {q: [r for r in records if r.qubit_id == q] for q in (0, 1)}
     assert len(per_qubit[0]) == len(per_qubit[1]) == 11
     assert all(r.t1_us > 0 for r in records)
-    # fixed bases land within the drift clamp
-    fixed = generate_calibration_series(config, interval_s=3600.0, base_t1_us=[70.0, 30.0])
-    values = [r.t1_us for r in fixed if r.qubit_id == 0]
-    assert values[0] == 70.0
-    assert all(70.0 / 3 <= v <= 70.0 * 3 for v in values)
 
 
 def test_calibration_series_covers_every_qubit():
