@@ -20,6 +20,8 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import aggregate as agg
 from . import simulate as sim
 from .autocorr import InvalidLagError, PValueMatrix, TestParams
@@ -204,17 +206,27 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # Every input of the table is a flag.
         raise UsageError(str(exc)) from None
-    columns = (table.statistic, table.exact_p, table.approx_p, table.difference)
+    floats = (table.exact_p, table.approx_p, table.difference)
     with open(args.out, "w", newline="") as fh:
         fh.write("statistic,exact_p,approx_p,difference\n")
         # A block of rows at a time: Python scalars for every row of a long
-        # table would cost 32 bytes per cell of peak memory.
+        # table would cost 32 bytes per cell of peak memory. Within a block
+        # the float text is formatted once per run of rows whose three bit
+        # patterns repeat (the underflowed tails are most of a long table);
+        # bit patterns keep -0.0 apart from 0.0.
         for lo in range(0, table.statistic.size, _ORACLE_CSV_BLOCK):
-            block = (c[lo:lo + _ORACLE_CSV_BLOCK].tolist() for c in columns)
-            fh.writelines(
-                f"{k},{exact!r},{approx!r},{difference!r}\n"
-                for k, exact, approx, difference in zip(*block)
-            )
+            block = [c[lo:lo + _ORACLE_CSV_BLOCK] for c in floats]
+            bits = np.stack(block, axis=1).view(np.uint64)
+            new_run = np.ones(len(bits), dtype=bool)
+            new_run[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+            starts = np.flatnonzero(new_run)
+            texts = [
+                f",{exact!r},{approx!r},{difference!r}\n"
+                for exact, approx, difference in zip(*(c[starts].tolist() for c in block))
+            ]
+            run_of_row = (np.cumsum(new_run) - 1).tolist()
+            statistic = table.statistic[lo:lo + _ORACLE_CSV_BLOCK].tolist()
+            fh.writelines(f"{k}{texts[r]}" for k, r in zip(statistic, run_of_row))
     _status(f"max |exact - approx|: {table.max_abs_difference:.6g}")
     return 0
 

@@ -9,15 +9,18 @@ Ground truth for the normal approximation used by the main test. Two routes:
 
 Enumeration counts (statistic, ones) pairs with exact integers and applies
 float weights only to the <= (n+1)^2 aggregated cells, so at p = 1/2 the pmf
-is exact to the last bit. The binomial route starts at the mode k = m // 2
-with the exact big integer C(m, k) and walks down with the exact step
-C(m, k-1) = C(m, k) k / (m-k+1); each correctly rounded C(m, k) / 2^m is
-stored at k and at its mirror m - k (C(m, k) = C(m, m-k)). C(m, k) falls
-monotonically away from the mode, so the walk stops at the first value that
-rounds to 0.0 and every entry beyond it stays 0.0. The result is the same
-pmf, bit for bit, as the full recurrence from k = 0, and it stays accurate
-past n = 10^5; its cost is proportional to the non-zero support (about
-13900 of the 131073 entries at m = 131072), not to m.
+is exact to the last bit. The binomial route walks out from the mode
+k = m // 2 in fixed point: C(m, k) / 2^m is held as an integer scaled by
+2^1200 and rounded down, and the count of floors taken bounds how far below
+the exact value it lies. When both ends of that bracket round to the same
+double, that double is the correctly rounded value; otherwise the entry
+falls back to the exact big-integer quotient. Each value is stored at k and
+at its mirror m - k. C(m, k) falls monotonically away from the mode, so the
+walk stops at the first value that rounds to 0.0 and every entry beyond it
+stays 0.0. The pmf is bit for bit the full exact recurrence from k = 0. Each
+support entry costs a few operations on 1200-bit integers whatever m is,
+and only the non-zero support is visited (about 13900 of the 131073 entries
+at m = 131072).
 
 ``approximation_error`` tabulates exact against normal-approximation
 p-values as columns: one array pass each for the tail sums, the
@@ -35,6 +38,11 @@ from .autocorr import normalize_statistic, p_values, pair_mismatch_rate
 
 ENUMERATION_MAX_N = 24
 _CHUNK = 1 << 20
+# Fraction bits of the binomial walk: above the 1075 bits that reach the
+# smallest subnormal, with ample room for the floors' slack.
+_FIXED_POINT_BITS = 1200
+# Mode factors multiplied together per floor division.
+_MODE_CHUNK = 64
 
 
 class EnumerationLimitError(ValueError):
@@ -54,10 +62,12 @@ class ExactDistribution:
         m = self.n - self.lag
         if self.pmf.shape != (m + 1,):
             raise ValueError(f"pmf must cover 0..{m}, got shape {self.pmf.shape}")
+        if not np.all(np.isfinite(self.pmf)):
+            raise ValueError("pmf has non-finite mass")
         if np.any(self.pmf < 0.0):
             raise ValueError("pmf has negative mass")
         total = math.fsum(self.pmf.tolist())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"pmf mass {total!r} deviates from 1 by more than 1e-12")
         self.pmf.setflags(write=False)
 
@@ -115,17 +125,32 @@ def exact_distribution_binomial(n: int, lag: int) -> ExactDistribution:
     if not 1 <= lag < n:
         raise ValueError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
     m = n - lag
-    denominator = 1 << m
     pmf = np.zeros(m + 1)
-    k = m // 2
-    coeff = math.comb(m, k)
-    while k >= 0:
-        value = coeff / denominator  # correctly rounded big-int division
+    # f is C(m, k) / 2^m scaled by 2^_FIXED_POINT_BITS and rounded down, and
+    # slack counts the floors taken. Every factor is at most 1, so each floor
+    # lowers f by less than one unit: the exact value lies in
+    # [f, f + slack] / scale.
+    scale = 1 << _FIXED_POINT_BITS
+    f, slack = scale, 0
+    h = m // 2
+    # Mode: C(2h, h) / 4^h = prod (2i - 1) / (2i), times m / (m + 1) if m is odd.
+    for lo in range(1, h + 1, _MODE_CHUNK):
+        hi = min(lo + _MODE_CHUNK, h + 1)
+        odd = math.prod(range(2 * lo - 1, 2 * hi - 1, 2))
+        f, slack = f * odd // math.prod(range(2 * lo, 2 * hi, 2)), slack + 1
+    if m % 2:
+        f, slack = f * m // (m + 1), slack + 1
+    for k in range(h, -1, -1):
+        # Int/int true division rounds correctly and monotonically, so when
+        # both ends of the bracket round alike that double is exact.
+        value = f / scale
+        if value != (f + slack) / scale:
+            value = math.comb(m, k) / (1 << m)
         if value == 0.0:
             break
         pmf[k] = pmf[m - k] = value
-        coeff = coeff * k // (m - k + 1)
-        k -= 1
+        # C(m, k-1) = C(m, k) k / (m-k+1)
+        f, slack = f * k // (m - k + 1), slack + 1
     return ExactDistribution(n=n, lag=lag, bias=0.5, pmf=pmf)
 
 

@@ -8,11 +8,13 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrng_audit import cli
 from qrng_audit.cli import main
+from qrng_audit.oracle import ApproximationTable, approximation_error
 
 
 def run(args):
@@ -423,6 +425,63 @@ def test_oracle_big_n_fair_bias_allowed(tmp_path):
     assert run(["oracle", "--n", 1024, "--lag", 1, "--p", 0.5,
                 "--k-min", 400, "--k-max", 620, "--out", out]) == 0
     assert len(out.read_text().splitlines()) == 222
+
+
+def per_row_oracle_csv(table):
+    """The oracle table's lines, one f-string per row: the reference for the
+    CLI writer, which formats each run of repeated float rows once."""
+    columns = (table.statistic, table.exact_p, table.approx_p, table.difference)
+    return ["statistic,exact_p,approx_p,difference\n"] + [
+        f"{k},{exact!r},{approx!r},{difference!r}\n"
+        for k, exact, approx, difference in zip(*(c.tolist() for c in columns))
+    ]
+
+
+def oracle_csv(tmp_path, n, lag, p, k_range=None):
+    """Lines of the ``oracle`` CSV (a list, so a mismatch reports its index)."""
+    out = tmp_path / "t.csv"
+    flags = [] if k_range is None else ["--k-min", k_range[0], "--k-max", k_range[1]]
+    assert run(["oracle", "--n", n, "--lag", lag, "--p", repr(p), *flags, "--out", out]) == 0
+    return out.read_text().splitlines(True)
+
+
+@pytest.mark.parametrize("n, lag, p, k_range", [
+    (20000, 1, 0.5, (100, 200)),          # inside the low underflowed run
+    (20000, 1, 0.5, (100, 19999 - 100)),  # low run to high run
+    (8192, 1, 0.5, (4095, 4095)),         # one row
+    (2, 1, 0.5, (0, 0)),
+    (24, 3, 0.1, None),                   # enumeration tables
+    (24, 1, 0.3, None),
+    (24, 23, 0.5, None),
+    (40000, 1, 0.5, None),                # three blocks
+])
+def test_oracle_csv_equals_per_row_writer(tmp_path, n, lag, p, k_range):
+    table = approximation_error(n, lag, p, k_range)
+    expected = per_row_oracle_csv(table)
+    if k_range is not None and k_range[1] - k_range[0] >= 1:
+        # Both ends of the slice sit inside a run of identical float text.
+        for a, b in ((expected[1], expected[2]), (expected[-2], expected[-1])):
+            assert a.split(",", 1)[1] == b.split(",", 1)[1]
+    assert oracle_csv(tmp_path, n, lag, p, k_range) == expected
+
+
+def test_oracle_csv_runs_cross_block_edges(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_ORACLE_CSV_BLOCK", 1000)
+    expected = per_row_oracle_csv(approximation_error(20000, 7, 0.5))
+    assert oracle_csv(tmp_path, 20000, 7, 0.5) == expected
+
+
+def test_oracle_csv_keeps_signed_zero_and_nan_text_apart(tmp_path, monkeypatch):
+    """Runs are keyed on bit patterns: -0.0 == 0.0 and nan != nan as floats,
+    but the text of each row must still be its own repr."""
+    exact = np.array([0.0, -0.0, -0.0, 0.0, np.nan, np.nan, 1.0, -np.nan])
+    approx = np.array([0.0, 0.0, 0.0, -0.0, 0.5, 0.5, 1.0, 0.5])
+    table = ApproximationTable(
+        n=10, lag=1, bias=0.5, statistic=np.arange(exact.size),
+        exact_p=exact, approx_p=approx, difference=exact - approx,
+    )
+    monkeypatch.setattr(cli, "approximation_error", lambda *args: table)
+    assert oracle_csv(tmp_path, 10, 1, 0.5) == per_row_oracle_csv(table)
 
 
 def test_pipeline_matches_manual_stages(tmp_path):

@@ -4,8 +4,9 @@ The pipeline digests were recorded before the bit side of the pipeline moved
 to one (rows x bits) matrix (the markov-negative and multi-block cases before
 the job-CSV writer moved to row blocks and the Markov source to arrays), and
 the oracle digests before the binomial pmf moved to a walk out from the mode
-and the table to columns; they pin that every output file stays
-byte-identical. ``results.csv`` is pinned without its
+and the table to columns (the n = 131072 digest before the walk moved to
+fixed point and the CSV writer to runs of repeated rows); they pin that
+every output file stays byte-identical. ``results.csv`` is pinned without its
 ``p_value`` column and the oracle tables without ``approx_p`` and
 ``difference``, the fields that rest on the platform's ``erfc``; those two
 are checked instead against the scalar ``p_value`` route, byte for byte.
@@ -94,6 +95,7 @@ AGGREGATE_GOLDEN = {
 # (n, lag, p, k range or None) -> digest of the statistic and exact_p columns
 ORACLE_GOLDEN = {
     (8192, 1, 0.5, None): "487bf753562b34b61a5bee7ef3f32e980ef0b39626b0ecd0288fbd2273cb4392",
+    (131072, 1, 0.5, None): "33be5c12ffe16106eac88a2c5219f0765f72d583620171b9d6e0b89cc6c6664a",
     (24, 3, 0.1, None): "7f47e286db20dacd089ac5d9c9a4582ebc3b46bf2f3bf617898794204677405a",
     (24, 1, 0.3, None): "d8e3e4816701eadc0b4d8a25cf1a32ced4a614ebd61a40d7478792e1b44db617",
     (20000, 7, 0.5, None): "ed92971592a10aecae7dcbd0bddbe9a0ac8ad8a3120db9b5c13357709b8b1327",

@@ -1,17 +1,20 @@
 """Exact-distribution oracles and the normal-approximation error table."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qrng_audit import oracle
 from qrng_audit.autocorr import normalize_statistic, p_value
 from qrng_audit.oracle import (
     ENUMERATION_MAX_N,
     ApproximationRow,
     EnumerationLimitError,
+    ExactDistribution,
     approximation_error,
     exact_distribution_binomial,
     exact_distribution_enumerate,
@@ -83,6 +86,60 @@ def test_binomial_pmf_underflow_edge_is_correctly_rounded():
         assert pmf[m - k] == pmf[k]
     assert pmf[last] > 0.0 and pmf[last - 1] == 0.0
     assert not pmf[:last].any() and not pmf[m - last + 1:].any()
+
+
+def counting(comb, calls):
+    """``comb`` that records each call's arguments in ``calls``."""
+    def counted(*args):
+        calls.append(args)
+        return comb(*args)
+    return counted
+
+
+@given(st.integers(2101, 4999).flatmap(lambda m: st.tuples(
+    st.just(m), st.integers(1, 5000 - m))), st.integers(1, 1000))
+@settings(max_examples=25, deadline=None)
+def test_binomial_fixed_point_fallback_is_exact(m_lag, bits):
+    """With too few fraction bits the walk's bracket straddles a rounding
+    edge (at the latest once the scaled value floors to 0 while the exact
+    one is still a subnormal), and each such entry comes from the exact
+    C(m, k) / 2^m; the pmf stays bit-identical to the full recurrence."""
+    m, lag = m_lag
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_FIXED_POINT_BITS", bits)
+        patch.setattr(oracle.math, "comb", counting(math.comb, calls))
+        pmf = exact_distribution_binomial(m + lag, lag).pmf
+    assert calls
+    assert np.array_equal(pmf, full_recurrence_pmf(m))
+
+
+def test_binomial_pmf_at_benchmark_shape(monkeypatch):
+    """n = 131072, lag 1: no entry needs the exact fallback, and the mode, a
+    normal tail entry, the last non-zero (subnormal) entry and the first zero
+    each equal the exact rational rounded once."""
+    m = 131072 - 1
+    calls = []
+    monkeypatch.setattr(oracle.math, "comb", counting(math.comb, calls))
+    pmf = exact_distribution_binomial(131072, 1).pmf
+    monkeypatch.undo()
+    assert calls == []
+    last = int(np.flatnonzero(pmf)[0])
+    assert 0.0 < pmf[last] < sys.float_info.min and pmf[last - 1] == 0.0
+    for k in (m // 2, m // 2 - 1500, last, last - 1):
+        assert pmf[k] == pmf[m - k] == float(Fraction(math.comb(m, k), 2**m))
+    assert pmf[m // 2 - 1500] > sys.float_info.min
+
+
+@pytest.mark.parametrize("pmf", [
+    [0.25, np.nan, 0.75],
+    [np.nan, np.nan, np.nan],
+    [0.0, np.inf, 0.0],
+    [0.5, 1.5, -np.inf],
+])
+def test_exact_distribution_rejects_non_finite_pmf(pmf):
+    with pytest.raises(ValueError, match="non-finite"):
+        ExactDistribution(3, 1, 0.5, np.array(pmf))
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 14, 17])
