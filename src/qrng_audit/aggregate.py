@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .autocorr import PValueMatrix, TestParams, autocorr_counts
-from .ingest import BLOCK_BYTES, CalibrationRecord, JobRows, ShapeError, grid_order
+from .ingest import BLOCK_BYTES, CalibrationRecord, JobRows
 
 
 class InsufficientDataError(ValueError):
@@ -27,33 +26,21 @@ class InsufficientDataError(ValueError):
 
 
 def build_matrix(rows: JobRows, params: TestParams) -> PValueMatrix:
-    """Run the autocorrelation test on every row of a job file.
-
-    Jobs are ordered by timestamp (job_id breaking ties) and qubits ascend;
-    every job must carry every qubit once, at one timestamp. The kernel
-    reads the bit matrix in blocks of rows, in file order, for each row's
-    XOR count and ones count; only those counts are moved onto the grid.
-    """
-    if not rows.job_id:
+    """Run the autocorrelation test on every stream of the grid. The kernel
+    reads the bit matrix in blocks of rows for each row's XOR count and ones
+    count, which row for row are already the grid's cells."""
+    if not rows.job_ids:
         raise ValueError("no streams to analyze")
-    timestamps: dict[str, datetime] = {}
-    for job, ts in zip(rows.job_id, rows.timestamp):
-        if timestamps.setdefault(job, ts) != ts:
-            raise ShapeError(f"job {job!r} has conflicting timestamps")
-    job_ids = tuple(sorted(timestamps, key=lambda job: (timestamps[job], job)))
-    qubit_ids, order = grid_order(rows.job_id, rows.qubit_id, job_ids)
     n = rows.bits.shape[1]
     step = max(1, BLOCK_BYTES // n)
-    statistic = np.empty(len(rows.job_id), dtype=np.int64)
+    statistic = np.empty(len(rows.bits), dtype=np.int64)
     ones = np.empty_like(statistic)
     for start in range(0, statistic.size, step):
         block = slice(start, start + step)
         statistic[block], ones[block] = autocorr_counts(rows.bits[block], params.lag)
-    shape = (len(job_ids), len(qubit_ids))
-    return PValueMatrix.from_counts(
-        job_ids, qubit_ids, n, statistic[order].reshape(shape),
-        ones[order].reshape(shape), params,
-    )
+    shape = (len(rows.job_ids), len(rows.qubit_ids))
+    return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, n, statistic.reshape(shape),
+                                    ones.reshape(shape), params)
 
 
 def failure_ratio_per_qubit(matrix: PValueMatrix) -> dict[int, float]:

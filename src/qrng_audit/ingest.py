@@ -15,10 +15,10 @@ turning csv module errors (bad quoting, a field over its 131072-character
 limit) into ParseError. A results row must be one a ``test`` run can write,
 and ``read_results`` returns the file as the p-value matrix it describes.
 
-Serializers emit a canonical form (job and result rows in the order held,
-which for a generated run is job order then qubit id; timestamps
-second-precision UTC with a trailing Z; floats in shortest round-trip
-notation), so serialize(parse(f)) is byte-identical for canonical inputs.
+Serializers emit a canonical form (job rows in the grid order of
+``JobRows``, result rows in the order held; timestamps second-precision UTC
+with a trailing Z; floats in shortest round-trip notation), so
+serialize(parse(f)) is byte-identical for canonical inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -61,28 +61,25 @@ class ShapeError(ValueError):
     and every job at one time."""
 
 
-class DuplicateCellError(ParseError, ShapeError):
-    """A results row repeats an earlier row's (job, qubit) cell."""
+class GridError(ParseError, ShapeError):
+    """A file's rows leave a (job, qubit) cell empty or fill one twice."""
 
 
-def grid_order(
-    job_id: list[str], qubit_id: list[int], job_ids: tuple[str, ...]
+def _grid_order(
+    cells: dict[tuple[str, int], None], job_ids: tuple[str, ...]
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """Place rows on the (job_ids x ascending qubits) grid: returns the qubit
-    ids and the row order that fills the grid row by row. Every cell must be
-    covered exactly once."""
-    qubit_ids = tuple(sorted(set(qubit_id)))
+    """Place rows, given as their distinct (job, qubit) cells in row order,
+    on the (job_ids x ascending qubits) grid: returns the qubit ids and the
+    row order that fills the grid row by row. Every cell must be covered."""
+    qubit_ids = tuple(sorted({qubit for _, qubit in cells}))
     row_start = {job: i * len(qubit_ids) for i, job in enumerate(job_ids)}
     column = {qubit: i for i, qubit in enumerate(qubit_ids)}
-    cell = np.array([row_start[job] + column[q] for job, q in zip(job_id, qubit_id)])
-    count = np.bincount(cell, minlength=len(job_ids) * len(qubit_ids))
-    repeated = count[cell] > 1
-    if repeated.any():
-        i = int(np.argmax(repeated))
-        raise ShapeError(f"duplicate cell for job {job_id[i]!r} qubit {qubit_id[i]}")
-    if not count.all():
-        job, column = divmod(int(np.argmin(count)), len(qubit_ids))
-        raise ShapeError(f"job {job_ids[job]!r} has no row for qubit {qubit_ids[column]}")
+    cell = np.array([row_start[job] + column[q] for job, q in cells])
+    if cell.size != len(job_ids) * len(qubit_ids):
+        filled = np.zeros(len(job_ids) * len(qubit_ids), dtype=bool)
+        filled[cell] = True
+        job, column = divmod(int(np.argmin(filled)), len(qubit_ids))
+        raise GridError(f"job {job_ids[job]!r} has no row for qubit {qubit_ids[column]}")
     return qubit_ids, np.argsort(cell)
 
 
@@ -97,14 +94,37 @@ class CalibrationRecord:
             raise ValueError(f"t1_us must be positive, got {self.t1_us}")
 
 
-class JobRows(NamedTuple):
-    """A job file as columns, one entry per row in file order, and one
-    (rows, n) uint8 matrix holding every row's bits."""
+@dataclass(frozen=True, eq=False)
+class JobRows:
+    """A job file as its (jobs x qubits) grid: ``job_ids`` in (timestamp,
+    job_id) order, one timestamp each, ``qubit_ids`` ascending, and ``bits``
+    a (jobs * qubits, n) uint8 matrix whose row j * len(qubit_ids) + k holds
+    job j's stream on qubit k. Only a grid some job file holds is accepted."""
 
-    job_id: list[str]
-    timestamp: list[datetime]
-    qubit_id: list[int]
+    job_ids: tuple[str, ...]
+    timestamps: tuple[datetime, ...]
+    qubit_ids: tuple[int, ...]
     bits: np.ndarray
+
+    def __post_init__(self) -> None:
+        for job_id in self.job_ids:
+            _check_job_id(job_id)
+        if not len(self.timestamps) == len(set(self.job_ids)) == len(self.job_ids):
+            raise ShapeError("each job must appear once, with one timestamp")
+        jobs = list(zip(self.timestamps, self.job_ids))
+        if any(a > b for a, b in zip(jobs, jobs[1:])):
+            raise ShapeError("jobs must be in (timestamp, job_id) order")
+        if any(a >= b for a, b in zip((-1, *self.qubit_ids), self.qubit_ids)):
+            raise ShapeError(f"qubit ids must ascend strictly from 0 up, got {self.qubit_ids}")
+        if bool(self.job_ids) != bool(self.qubit_ids):
+            raise ShapeError("a grid has both jobs and qubits, or neither")
+        rows, bits = len(self.job_ids) * len(self.qubit_ids), self.bits
+        if bits.dtype != np.uint8 or bits.ndim != 2:
+            raise ShapeError(f"bits must be a uint8 matrix, got {bits.dtype} {bits.shape}")
+        if len(bits) != rows or rows and not bits.shape[1]:
+            raise ShapeError(f"bits must have shape ({rows}, n >= 1), got {bits.shape}")
+        if bits.size and bits.max() > 1:
+            raise ValueError("bits must be 0 or 1")
 
 
 def _parse_timestamp(text: str, line: int) -> datetime:
@@ -173,38 +193,39 @@ def _rows(stream: TextIO | Iterable[str], header: list[str]) -> Iterator[tuple[i
         raise ParseError(f"unreadable CSV: {exc}", reader.line_num) from None
 
 
-def _job_row_rules() -> Callable[[str, datetime, int, int | None], None]:
-    """The rules a job file's rows keep among themselves: a job_id a file
-    can hold, each (job, qubit) stream once, and one timestamp per job. The
-    returned check takes one row at a time, at its line when parsing and
-    with no line when checking rows before they are written."""
-    streams: set[tuple[str, int]] = set()
-    stamps: dict[str, datetime] = {}
-
-    def check(job_id: str, timestamp: datetime, qubit: int, line: int | None = None) -> None:
-        _check_job_id(job_id, line)
-        if (job_id, qubit) in streams:
-            raise ParseError(f"duplicate stream for job {job_id!r} qubit {qubit}", line)
-        streams.add((job_id, qubit))
-        if stamps.setdefault(job_id, timestamp) != timestamp:
-            raise ParseError(f"job {job_id!r} has conflicting timestamps", line)
-
-    return check
+def _place_rows(bits: np.ndarray, order: list[int]) -> None:
+    """Move row ``order[i]`` of ``bits`` to row i in place, one permutation
+    cycle at a time: one row is set aside per cycle, none for a row in place."""
+    placed = [slot == row for slot, row in enumerate(order)]
+    scratch = np.empty(bits.shape[1], dtype=bits.dtype)
+    for start in range(len(order)):
+        if placed[start]:
+            continue
+        scratch[:] = bits[start]
+        slot = start
+        while not placed[slot]:
+            placed[slot] = True
+            bits[slot] = scratch if order[slot] == start else bits[order[slot]]
+            slot = order[slot]
 
 
 def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
-    """Parse a job CSV into columns in file order; the first data row
-    declares the per-stream bit count."""
+    """Parse a job CSV into its grid; the first data row declares the
+    per-stream bit count. Rows may come in any order: once the file is read,
+    each is moved to its grid row in place."""
     declared: int | None = None
-    job_ids: list[str] = []
-    stamps: list[datetime] = []
-    qubits: list[int] = []
+    stamps: dict[str, datetime] = {}
+    streams: dict[tuple[str, int], None] = {}
     buffer = bytearray()
-    check = _job_row_rules()
     for line, (job_id, ts_text, qubit_text, bits_text) in _rows(stream, JOB_HEADER):
         timestamp = _parse_timestamp(ts_text, line)
         qubit = _parse_qubit_id(qubit_text, line)
-        check(job_id, timestamp, qubit, line)
+        _check_job_id(job_id, line)
+        if (job_id, qubit) in streams:
+            raise ParseError(f"duplicate stream for job {job_id!r} qubit {qubit}", line)
+        streams[job_id, qubit] = None
+        if stamps.setdefault(job_id, timestamp) != timestamp:
+            raise ParseError(f"job {job_id!r} has conflicting timestamps", line)
         if not bits_text:
             raise ParseError("empty bit string", line)
         raw = bits_text.encode()
@@ -218,49 +239,45 @@ def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
                 f"bit string length {len(bits_text)} does not match declared {declared}",
                 line,
             )
-        job_ids.append(job_id)
-        stamps.append(timestamp)
-        qubits.append(qubit)
         buffer += raw
 
-    bits = np.frombuffer(buffer, dtype=np.uint8).reshape(len(job_ids), declared or 0)
+    job_ids = tuple(sorted(stamps, key=lambda job: (stamps[job], job)))
+    qubit_ids, order = _grid_order(streams, job_ids)
+    bits = np.frombuffer(buffer, dtype=np.uint8).reshape(len(streams), declared or 0)
     bits -= ord("0")
-    return JobRows(job_ids, stamps, qubits, bits)
+    _place_rows(bits, order.tolist())
+    return JobRows(job_ids, tuple(stamps[job] for job in job_ids), qubit_ids, bits)
 
 
 def _job_prefixes(rows: JobRows) -> Iterator[str]:
-    """Each row's ``job_id,timestamp,qubit_id,`` as csv.writer quotes it."""
+    """Each row's ``job_id,timestamp,qubit_id,`` as csv.writer quotes it, in
+    grid order; a job's ``job_id,timestamp,`` is quoted once."""
     line = io.StringIO()
     writer = csv.writer(line, lineterminator="\n")
-    stamps = {ts: format_timestamp(ts) for ts in set(rows.timestamp)}
-    for job_id, ts, qubit in zip(rows.job_id, rows.timestamp, rows.qubit_id):
+    qubits = [f"{qubit}," for qubit in rows.qubit_ids]
+    for job_id, ts in zip(rows.job_ids, rows.timestamps):
         line.seek(0)
         line.truncate()
         # An empty last field leaves the row's text as its prefix plus "\n".
-        writer.writerow((job_id, stamps[ts], qubit, ""))
-        yield line.getvalue()[:-1]
+        writer.writerow((job_id, format_timestamp(ts), ""))
+        prefix = line.getvalue()[:-1]
+        yield from (prefix + qubit for qubit in qubits)
 
 
 def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
-    """Write job rows as job CSV, in the order held (job order, then
-    ascending qubit, for a generated run). Rows that break a rule of
-    ``_job_row_rules`` are refused before anything is written.
+    """Write the grid as job CSV, its rows in grid order.
 
     Bit text never needs quoting, so only the three short fields go through
     csv.writer. The bits are turned into text a block of rows at a time, in
     one reused buffer holding each row's bits plus '0' and then a '\n'."""
-    check = _job_row_rules()
-    for row in zip(rows.job_id, rows.timestamp, rows.qubit_id):
-        check(*row)
     csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
     prefixes = _job_prefixes(rows)
-    # An empty JobRows may carry 1-D bits; its bit count is then 0.
-    n = rows.bits.shape[-1]
+    count_rows, n = rows.bits.shape
     step = max(1, BLOCK_BYTES // (n + 1))
     text = np.empty((step, n + 1), dtype=np.uint8)
     text[:, n] = ord("\n")
-    for start in range(0, len(rows.job_id), step):
-        count = min(step, len(rows.job_id) - start)
+    for start in range(0, count_rows, step):
+        count = min(step, count_rows - start)
         np.add(rows.bits[start:start + count], ord("0"), out=text[:count, :n])
         block = text[:count].tobytes().decode("ascii")
         for lo in range(0, len(block), n + 1):
@@ -338,9 +355,9 @@ def read_results(stream: TextIO | Iterable[str], alpha: float = 0.01) -> PValueM
     below every pass p_value, as both sides of the alpha they were read at."""
     n_lag: tuple[int, int] | None = None
     max_fail, min_pass = -math.inf, math.inf
-    seen: set[tuple[str, int]] = set()
-    # job_id, qubit_id, statistic, bias, normalized, p_value
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    cells: dict[tuple[str, int], None] = {}
+    # statistic, bias, normalized, p_value
+    columns: tuple[list, ...] = ([], [], [], [])
     for line, row in _rows(stream, RESULT_HEADER):
         job_id, qubit_text, n_text, lag_text, bias_text = row[:5]
         stat_text, z_text, p_text, v_text = row[5:]
@@ -384,16 +401,15 @@ def read_results(stream: TextIO | Iterable[str], alpha: float = 0.01) -> PValueM
                                  f"{max_fail!r} of an earlier row", line)
             min_pass = min(min_pass, p)
         qubit = _parse_qubit_id(qubit_text, line)
-        if (job_id, qubit) in seen:
-            raise DuplicateCellError(f"duplicate cell for job {job_id!r} qubit {qubit}", line)
-        seen.add((job_id, qubit))
-        for column, value in zip(columns, (job_id, qubit, statistic, bias, normalized, p)):
+        if (job_id, qubit) in cells:
+            raise GridError(f"duplicate cell for job {job_id!r} qubit {qubit}", line)
+        cells[job_id, qubit] = None
+        for column, value in zip(columns, (statistic, bias, normalized, p)):
             column.append(value)
     if n_lag is None:
         raise ValueError("no result rows to aggregate")
-    jobs, qubits, *values = columns
-    job_ids = tuple(dict.fromkeys(jobs))
-    qubit_ids, order = grid_order(jobs, qubits, job_ids)
+    job_ids = tuple(dict.fromkeys(job for job, _ in cells))
+    qubit_ids, order = _grid_order(cells, job_ids)
     shape = (len(job_ids), len(qubit_ids))
     return PValueMatrix(job_ids, qubit_ids, *n_lag, alpha,
-                        *(np.array(v)[order].reshape(shape) for v in values))
+                        *(np.array(v)[order].reshape(shape) for v in columns))

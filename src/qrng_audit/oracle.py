@@ -66,7 +66,8 @@ class ExactDistribution:
             raise ValueError("pmf has non-finite mass")
         if np.any(self.pmf < 0.0):
             raise ValueError("pmf has negative mass")
-        total = math.fsum(self.pmf.tolist())
+        # Zeros, most of a long pmf, add nothing to the correctly rounded sum.
+        total = math.fsum(self.pmf[self.pmf != 0.0].tolist())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"pmf mass {total!r} deviates from 1 by more than 1e-12")
         self.pmf.setflags(write=False)

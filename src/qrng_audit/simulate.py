@@ -244,14 +244,9 @@ def generate_device_run(config: DeviceRunConfig) -> JobRows:
     n, seed = config.bits_per_job, config.master_seed
     for row, (j, q) in enumerate(cells):
         bits[row] = _chain_bits(*config.model_for(q).chain(j), n, stream_seed(seed, j, q))
-    job_ids = [f"j{j + 1:04d}" for j in range(config.jobs)]
-    timestamps = [RUN_START + timedelta(seconds=j * JOB_INTERVAL_S) for j in range(config.jobs)]
-    return JobRows(
-        job_id=[job_ids[j] for j, _ in cells],
-        timestamp=[timestamps[j] for j, _ in cells],
-        qubit_id=[q for _, q in cells],
-        bits=bits,
-    )
+    job_ids = tuple(f"j{j + 1:04d}" for j in range(config.jobs))
+    stamps = tuple(RUN_START + timedelta(seconds=j * JOB_INTERVAL_S) for j in range(config.jobs))
+    return JobRows(job_ids, stamps, tuple(range(config.qubit_count)), bits)
 
 
 def generate_calibration_series(config: DeviceRunConfig) -> list[CalibrationRecord]:

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from qrng_audit.aggregate import (
     BLOCK_BYTES,
     InsufficientDataError,
-    ShapeError,
     build_matrix,
     build_report,
     degenerate_count_per_qubit,
@@ -24,22 +23,27 @@ from qrng_audit.aggregate import (
     write_scatter_csv,
 )
 from qrng_audit.autocorr import BitSequence, TestParams, Verdict, run_test
-from qrng_audit.ingest import CalibrationRecord, JobRows, read_results, write_results
+from qrng_audit.ingest import (
+    CalibrationRecord,
+    JobRows,
+    ParseError,
+    ShapeError,
+    format_timestamp,
+    parse_jobs,
+    read_results,
+    write_results,
+)
 from qrng_audit.simulate import DeviceRunConfig, IdealSource, generate_device_run
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 
 
 def make_rows(jobs):
-    """JobRows from (job_id, minute, [(qubit, bits), ...]) job specs: one row
-    per (job, qubit), in spec order."""
-    cells = [(job_id, TS + timedelta(minutes=minute), q, bits)
+    """The grid parsed from a job file of (job_id, minute, [(qubit, bits),
+    ...]) job specs: one row per (job, qubit), in spec order."""
+    lines = [f"{job_id},{format_timestamp(TS + timedelta(minutes=minute))},{q},{bits}\n"
              for job_id, minute, streams in jobs for q, bits in streams]
-    return JobRows(
-        job_id=[c[0] for c in cells], timestamp=[c[1] for c in cells],
-        qubit_id=[c[2] for c in cells],
-        bits=np.array([[int(b) for b in c[3]] for c in cells], dtype=np.uint8),
-    )
+    return parse_jobs(io.StringIO("job_id,timestamp,qubit_id,bits\n" + "".join(lines)))
 
 
 def alternating(n):
@@ -79,25 +83,22 @@ def test_build_matrix_rejects_ragged_qubits():
         ("j1", 0, [(0, "0110")]),
         ("j2", 1, [(0, "0110"), (1, "0110")]),
     ]
-    with pytest.raises(ShapeError, match="job 'j1' has no row for qubit 1"):
-        build_matrix(make_rows(jobs), TestParams(lag=1))
+    with pytest.raises(ShapeError, match="job 'j1' has no row for qubit 1") as err:
+        make_rows(jobs)
+    assert isinstance(err.value, ParseError)
 
 
 def test_build_matrix_rejects_job_with_two_timestamps():
-    # j1's qubit 1 was taken 30 minutes after its qubit 0: no job file
-    # holds such a job, and no single time orders it among the others.
-    jobs = [
-        ("j1", 0, [(0, "0110")]),
-        ("j2", 10, [(0, "1001"), (1, "1001")]),
-        ("j1", 30, [(1, "0110")]),
-    ]
-    with pytest.raises(ShapeError, match="job 'j1' has conflicting timestamps"):
-        build_matrix(make_rows(jobs), TestParams(lag=1))
+    # j1 at two times: no job file holds such a job, and no single time
+    # orders it among the others, so no grid holds it to be tested.
+    with pytest.raises(ShapeError, match="each job must appear once, with one timestamp"):
+        JobRows(("j1", "j2", "j1"), (TS, TS + timedelta(minutes=10), TS + timedelta(minutes=30)),
+                (0, 1), np.zeros((6, 4), np.uint8))
 
 
 def test_build_matrix_rejects_empty():
     with pytest.raises(ValueError):
-        build_matrix(JobRows([], [], [], np.empty((0, 0), np.uint8)), TestParams(lag=1))
+        build_matrix(JobRows((), (), (), np.empty((0, 0), np.uint8)), TestParams(lag=1))
 
 
 def test_build_matrix_ideal_fleet_false_positive_band():
@@ -176,9 +177,8 @@ def test_build_matrix_blocks_and_placement_match_run_test():
 
 
 def test_build_matrix_rejects_duplicate_cells():
-    jobs = [("j1", 0, [(0, "0110"), (0, "0110")])]
-    with pytest.raises(ShapeError, match="duplicate cell for job 'j1' qubit 0"):
-        build_matrix(make_rows(jobs), TestParams(lag=1))
+    with pytest.raises(ShapeError, match=r"ascend strictly from 0 up, got \(0, 0\)"):
+        JobRows(("j1",), (TS,), (0, 0), np.zeros((2, 4), np.uint8))
 
 
 # ---------------------------------------------------------- ratios, passes

@@ -153,6 +153,18 @@ def test_row_shuffled_job_file_gives_the_same_matrix(tmp_path):
     assert (shuffled.job_ids, shuffled.qubit_ids) == (canonical.job_ids, canonical.qubit_ids)
     for field in ("statistic", "bias", "normalized", "p_value"):
         np.testing.assert_array_equal(getattr(shuffled, field), getattr(canonical, field))
+    # ``test`` writes the pipeline's results.csv from a row-shuffled file and
+    # from one ordered qubit by qubit.
+    qubits = len(canonical.qubit_ids)
+    canonical_rows = text.splitlines(True)[1:]
+    qubit_major = sorted(range(len(canonical_rows)), key=lambda i: (i % qubits, i // qubits))
+    copies = {"shuffled": rows, "qubit-major": [canonical_rows[i] for i in qubit_major]}
+    for name, copy in copies.items():
+        (tmp_path / f"{name}.csv").write_text(header + "".join(copy))
+        assert cli.main(["test", "--in", str(tmp_path / f"{name}.csv"),
+                         "--out", str(tmp_path / f"{name}-results.csv")]) == 0
+        assert ((tmp_path / f"{name}-results.csv").read_bytes()
+                == (tmp_path / "results.csv").read_bytes()), name
 
 
 @pytest.mark.parametrize("case", list(ORACLE_GOLDEN), ids=str)

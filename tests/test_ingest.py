@@ -32,10 +32,12 @@ def job_file(*rows, header="job_id,timestamp,qubit_id,bits"):
 
 
 def job_rows(*cells):
-    """JobRows from (job_id, timestamp, qubit_id, bit string) cells, in order."""
+    """JobRows from (job_id, timestamp, qubit_id, bit string) cells in grid
+    order: jobs in time order, each with its qubits ascending."""
+    jobs = dict.fromkeys((c[0], c[1]) for c in cells)
     return JobRows(
-        job_id=[c[0] for c in cells], timestamp=[c[1] for c in cells],
-        qubit_id=[c[2] for c in cells],
+        job_ids=tuple(job_id for job_id, _ in jobs), timestamps=tuple(ts for _, ts in jobs),
+        qubit_ids=tuple(dict.fromkeys(c[2] for c in cells)),
         bits=np.array([[int(b) for b in c[3]] for c in cells], dtype=np.uint8),
     )
 
@@ -44,7 +46,7 @@ def job_rows(*cells):
 
 def test_parse_single_row():
     rows = parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,0110"))
-    assert (rows.job_id, rows.timestamp, rows.qubit_id) == (["j1"], [TS], [0])
+    assert (rows.job_ids, rows.timestamps, rows.qubit_ids) == (("j1",), (TS,), (0,))
     assert rows.bits.dtype == np.uint8
     assert rows.bits.tolist() == [[0, 1, 1, 0]]
 
@@ -56,9 +58,9 @@ def test_parse_groups_rows_into_jobs():
         "j2,2019-05-09T11:33:10Z,0,10",
         "j2,2019-05-09T11:33:10Z,1,00",
     ))
-    assert rows.job_id == ["j1", "j1", "j2", "j2"]  # file order is kept
-    assert rows.qubit_id == [1, 0, 0, 1]
-    assert rows.bits.tolist() == [[0, 1], [1, 1], [1, 0], [0, 0]]
+    assert (rows.job_ids, rows.qubit_ids) == (("j1", "j2"), (0, 1))
+    # row j * 2 + k holds job j's stream on qubit k, whatever the file order
+    assert rows.bits.tolist() == [[1, 1], [0, 1], [1, 0], [0, 0]]
     matrix = build_matrix(rows, TestParams(lag=1))
     assert (matrix.job_ids, matrix.qubit_ids) == (("j1", "j2"), (0, 1))
     assert matrix.statistic.tolist() == [[0, 1], [1, 0]]
@@ -66,7 +68,7 @@ def test_parse_groups_rows_into_jobs():
 
 def test_parse_empty_file_has_no_rows():
     rows = parse_jobs(job_file())
-    assert rows.job_id == [] and rows.bits.shape == (0, 0)
+    assert rows.job_ids == () and rows.bits.shape == (0, 0)
 
 
 def test_parse_bad_bit_names_line():
@@ -155,14 +157,17 @@ timestamps = st.integers(0, 2**31 - 1).map(
 
 @st.composite
 def job_corpora(draw):
-    """Canonical job rows: distinct jobs, each with qubits 0..k-1 in order."""
+    """Grids a job file holds: distinct jobs in (timestamp, job_id) order,
+    each with a stream on every one of qubits 0..k-1."""
     bits_len = draw(st.integers(1, 16))
-    streams = st.lists(st.text(alphabet="01", min_size=bits_len, max_size=bits_len),
-                       min_size=1, max_size=4)
-    jobs = draw(st.lists(st.tuples(job_ids, timestamps, streams), max_size=5,
-                         unique_by=lambda job: job[0]))
-    return job_rows(*((job_id, ts, q, bits) for job_id, ts, qubit_bits in jobs
-                      for q, bits in enumerate(qubit_bits)))
+    jobs = sorted(draw(st.lists(st.tuples(timestamps, job_ids), max_size=5,
+                                unique_by=lambda job: job[1])))
+    qubits = draw(st.integers(1, 4)) if jobs else 0
+    seed = draw(st.integers(0, 2**32 - 1))
+    bits = np.random.default_rng(seed).integers(
+        0, 2, (len(jobs) * qubits, bits_len), dtype=np.uint8)
+    return JobRows(tuple(job_id for _, job_id in jobs), tuple(ts for ts, _ in jobs),
+                   tuple(range(qubits)), bits)
 
 
 @given(job_corpora())
@@ -171,10 +176,23 @@ def test_job_round_trip_identity(rows):
     """serialize(parse(F)) is byte-identical to canonical F."""
     text = serialize_jobs_str(rows)
     parsed = parse_jobs(io.StringIO(text))
-    assert (parsed.job_id, parsed.timestamp, parsed.qubit_id) == (
-        rows.job_id, rows.timestamp, rows.qubit_id)
+    assert (parsed.job_ids, parsed.timestamps, parsed.qubit_ids) == (
+        rows.job_ids, rows.timestamps, rows.qubit_ids)
     assert parsed.bits.tolist() == rows.bits.tolist()
     assert serialize_jobs_str(parsed) == text
+
+
+@given(job_corpora(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_parse_places_rows_of_any_order(rows, data):
+    """Any row order of a job file parses to the grid of the canonical file."""
+    text = serialize_jobs_str(rows)
+    header, *lines = text.splitlines(True)
+    shuffled = parse_jobs(io.StringIO(header + "".join(data.draw(st.permutations(lines)))))
+    canonical = parse_jobs(io.StringIO(text))
+    assert (shuffled.job_ids, shuffled.timestamps, shuffled.qubit_ids) == (
+        canonical.job_ids, canonical.timestamps, canonical.qubit_ids)
+    assert np.array_equal(shuffled.bits, canonical.bits)
 
 
 def whole_row_serialize_jobs(rows):
@@ -183,10 +201,11 @@ def whole_row_serialize_jobs(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["job_id", "timestamp", "qubit_id", "bits"])
-    stamps = {ts: format_timestamp(ts) for ts in set(rows.timestamp)}
+    cells = [(job_id, format_timestamp(ts), qubit)
+             for job_id, ts in zip(rows.job_ids, rows.timestamps) for qubit in rows.qubit_ids]
     writer.writerows(
-        [job_id, stamps[ts], qubit, (bits + ord("0")).tobytes().decode("ascii")]
-        for job_id, ts, qubit, bits in zip(rows.job_id, rows.timestamp, rows.qubit_id, rows.bits)
+        [*cell, (bits + ord("0")).tobytes().decode("ascii")]
+        for cell, bits in zip(cells, rows.bits)
     )
     return buf.getvalue()
 
@@ -205,28 +224,31 @@ def bit_matrices(draw):
 @given(bit_matrices(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_serialize_jobs_matches_whole_row_csv_writer(bits, data):
-    # Rows a job file can hold: each (job, qubit) stream once, one time per job.
-    cells = data.draw(st.lists(st.tuples(
-        st.text(alphabet='ab7,"\n é', min_size=1, max_size=6), st.integers(0, 10**6)),
-        min_size=len(bits), max_size=len(bits), unique=True))
-    jobs = list(dict.fromkeys(job_id for job_id, _ in cells))
-    stamps = dict(zip(jobs, data.draw(st.lists(timestamps, min_size=len(jobs),
-                                                max_size=len(jobs)))))
-    rows = JobRows([c[0] for c in cells], [stamps[c[0]] for c in cells],
-                   [c[1] for c in cells], bits)
+    # The rows as a (jobs x qubits) grid of any shape with that many cells.
+    count = len(bits)
+    qubits = data.draw(st.sampled_from([q for q in range(1, count + 1) if count % q == 0]
+                                       or [0]))
+    jobs = count // qubits if qubits else 0
+    names = data.draw(st.lists(st.text(alphabet='ab7,"\n é', min_size=1, max_size=6),
+                               min_size=jobs, max_size=jobs, unique=True))
+    stamps = data.draw(st.lists(timestamps, min_size=jobs, max_size=jobs))
+    order = sorted(zip(stamps, names))
+    qubit_ids = data.draw(st.lists(st.integers(0, 10**6), min_size=qubits, max_size=qubits,
+                                   unique=True))
+    rows = JobRows(tuple(name for _, name in order), tuple(ts for ts, _ in order),
+                   tuple(sorted(qubit_ids)), bits)
     assert serialize_jobs_str(rows) == whole_row_serialize_jobs(rows)
 
 
 @pytest.mark.parametrize("bits", [
-    np.array([], dtype=np.uint8),  # no rows, 1-D bits
     np.zeros((0, 5), dtype=np.uint8),
-    np.zeros((3, 0), dtype=np.uint8),  # rows without bits
-    np.random.default_rng(1).integers(0, 2, (2 * 32768 + 3, 1), dtype=np.uint8),
-], ids=["empty-1d", "empty-2d", "zero-bits", "n1-three-blocks"])
+    np.random.default_rng(1).integers(0, 2, (2 * 32768 + 4, 1), dtype=np.uint8),
+], ids=["empty-2d", "n1-three-blocks"])
 def test_serialize_jobs_matches_whole_row_csv_writer_at_edge_shapes(bits):
-    count = len(bits)
-    rows = JobRows([f"j,{i // 20}" for i in range(count)], [TS] * count,
-                   [i % 20 for i in range(count)], bits)
+    qubits = min(len(bits), 20)
+    jobs = len(bits) // 20
+    rows = JobRows(tuple(f"j,{j:05d}" for j in range(jobs)), (TS,) * jobs,
+                   tuple(range(qubits)), bits)
     assert serialize_jobs_str(rows) == whole_row_serialize_jobs(rows)
 
 
@@ -237,24 +259,46 @@ def test_parse_rejects_carriage_return_in_job_id():
     assert "carriage return" in str(err.value)
 
 
+# JobRows refuses, when it is built, any grid no job file holds, so
+# serialize_jobs never writes a file that parse_jobs rejects.
+
 @pytest.mark.parametrize("job_id", ["", "cr\rid"])
 def test_serialize_jobs_rejects_job_id_no_parser_reads(job_id):
-    rows = job_rows(("j1", TS, 0, "0110"), (job_id, TS, 0, "1001"))
     buf = io.StringIO()
-    with pytest.raises(ValueError, match="empty job_id|carriage return"):
-        serialize_jobs(rows, buf)
+    with pytest.raises(ParseError, match="empty job_id|carriage return"):
+        serialize_jobs(job_rows(("j1", TS, 0, "0110"), (job_id, TS, 0, "1001")), buf)
     assert buf.getvalue() == ""
 
 
-@pytest.mark.parametrize("second, message", [
-    (("j1", TS.replace(hour=12), 1, "1001"), "job 'j1' has conflicting timestamps"),
-    (("j1", TS, 0, "1001"), "duplicate stream for job 'j1' qubit 0"),
-], ids=["second-timestamp", "repeated-stream"])
-def test_serialize_jobs_refuses_rows_no_job_file_holds(second, message):
-    rows = job_rows(("j1", TS, 0, "0110"), second)
+def u8(*rows):
+    return np.array(rows, dtype=np.uint8)
+
+
+LATER = TS.replace(hour=12)
+
+
+@pytest.mark.parametrize("job_ids, stamps, qubit_ids, bits, message", [
+    (("j1",), (TS, LATER), (0, 1), u8([0, 1], [1, 0]), "each job must appear once, with one"),
+    (("j1",), (TS,), (0, 0), u8([0, 1], [1, 0]), r"ascend strictly from 0 up, got \(0, 0\)"),
+    (("j1",), (TS,), (0, 1, 2), np.zeros((3, 0), np.uint8),
+     r"bits must have shape \(3, n >= 1\), got \(3, 0\)"),
+    # a 2 would count as a bit: a statistic of 5 for n - lag = 3
+    (("j1",), (TS,), (0,), u8([0, 2, 1, 1]), "bits must be 0 or 1"),
+    (("j1", "j1"), (TS, LATER), (0,), u8([0, 1], [1, 0]), "each job must appear once"),
+    (("j2", "j1"), (TS, TS), (0,), u8([0, 1], [1, 0]), r"must be in \(timestamp, job_id\) order"),
+    (("j1",), (TS,), (-1,), u8([0, 1]), r"ascend strictly from 0 up, got \(-1,\)"),
+    (("j1",), (TS,), (), np.zeros((0, 2), np.uint8), "both jobs and qubits, or neither"),
+    (("j1",), (TS,), (0,), u8([0, 1], [1, 0]), r"must have shape \(1, n >= 1\), got \(2, 2\)"),
+    (("j1",), (TS,), (0,), np.zeros((1, 2), np.int64), r"uint8 matrix, got int64 \(1, 2\)"),
+    ((), (), (), np.array([], np.uint8), r"uint8 matrix, got uint8 \(0,\)"),
+], ids=["second-timestamp", "repeated-stream", "zero-bits", "bit-value-2", "repeated-job",
+        "jobs-out-of-order", "negative-qubit", "job-without-qubits", "extra-row", "not-uint8",
+        "one-d-bits"])
+def test_serialize_jobs_refuses_rows_no_job_file_holds(job_ids, stamps, qubit_ids, bits,
+                                                       message):
     buf = io.StringIO()
-    with pytest.raises(ParseError, match=message):
-        serialize_jobs(rows, buf)
+    with pytest.raises(ValueError, match=message):
+        serialize_jobs(JobRows(job_ids, stamps, qubit_ids, bits), buf)
     assert buf.getvalue() == ""
 
 

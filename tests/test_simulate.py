@@ -184,8 +184,7 @@ def test_device_run_shape_and_subset_regeneration():
         qubit_count=3, jobs=2, bits_per_job=16, models=IdealSource(0.5), master_seed=7
     )
     rows = generate_device_run(config)
-    assert rows.job_id == ["j0001"] * 3 + ["j0002"] * 3
-    assert rows.qubit_id == [0, 1, 2] * 2
+    assert (rows.job_ids, rows.qubit_ids) == (("j0001", "j0002"), (0, 1, 2))
     assert rows.bits.shape == (6, 16) and rows.bits.dtype == np.uint8
     cells = [(j, q) for j in range(2) for q in range(3)]
     # any (job, qubit) stream regenerates independently, bit for bit
@@ -209,13 +208,13 @@ def test_device_run_deterministic():
     config = DeviceRunConfig(qubit_count=2, jobs=3, bits_per_job=32, master_seed=5)
     a = generate_device_run(config)
     b = generate_device_run(config)
-    assert (a.job_id, a.timestamp, a.qubit_id) == (b.job_id, b.timestamp, b.qubit_id)
+    assert (a.job_ids, a.timestamps, a.qubit_ids) == (b.job_ids, b.timestamps, b.qubit_ids)
     assert np.array_equal(a.bits, b.bits)
 
 
 def test_device_run_timestamps_advance():
     config = DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8)
-    stamps = generate_device_run(config).timestamp
+    stamps = generate_device_run(config).timestamps
     deltas = [(b - a).total_seconds() for a, b in zip(stamps, stamps[1:])]
     assert deltas == [523.0, 523.0]
 
