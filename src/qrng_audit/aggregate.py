@@ -71,20 +71,16 @@ def pass_proportion_overall(matrix: PValueMatrix) -> float:
 
 
 def mean_t1_per_qubit(
-    records: Iterable[CalibrationRecord],
-    qubit_ids: Sequence[int] | None = None,
+    records: Iterable[CalibrationRecord], qubit_ids: Sequence[int]
 ) -> dict[int, float]:
-    """Arithmetic mean relaxation time per qubit; NaN flags a requested qubit
-    with no records."""
+    """Arithmetic mean relaxation time of each of ``qubit_ids``; NaN flags a
+    qubit with no records."""
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for rec in records:
         sums[rec.qubit_id] = sums.get(rec.qubit_id, 0.0) + rec.t1_us
         counts[rec.qubit_id] = counts.get(rec.qubit_id, 0) + 1
-    means = {q: sums[q] / counts[q] for q in sorted(sums)}
-    if qubit_ids is None:
-        return means
-    return {q: means.get(q, math.nan) for q in qubit_ids}
+    return {q: sums[q] / counts[q] if q in counts else math.nan for q in qubit_ids}
 
 
 def _rank_with_ties(values: np.ndarray) -> np.ndarray:

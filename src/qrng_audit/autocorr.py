@@ -87,9 +87,6 @@ class BitSequence:
             return NotImplemented
         return self.bits.shape == other.bits.shape and bool(np.all(self.bits == other.bits))
 
-    def __hash__(self) -> int:
-        return hash(self.bits.tobytes())
-
     def __repr__(self) -> str:
         if len(self) <= 32:
             return f"BitSequence({self.to_string()!r})"
@@ -139,20 +136,22 @@ class AutocorrResult:
     low_sample: bool = False
 
 
-def autocorr_statistic(seq: BitSequence, lag: int) -> int:
-    """XOR count of the ``len(seq) - lag`` bit pairs ``lag`` apart."""
-    n = len(seq)
+def check_lag(n: int, lag: int) -> None:
+    """Refuse a lag that leaves no bit pair in a stream of n bits."""
     if not 1 <= lag < n:
         raise InvalidLagError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
+
+
+def autocorr_statistic(seq: BitSequence, lag: int) -> int:
+    """XOR count of the ``len(seq) - lag`` bit pairs ``lag`` apart."""
+    check_lag(len(seq), lag)
     return int((seq.bits[:-lag] ^ seq.bits[lag:]).sum(dtype=np.int64))
 
 
 def autocorr_counts(bits: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row XOR count (as ``autocorr_statistic``) and ones count of a
     (rows, n) block of bits, both int64."""
-    n = bits.shape[1]
-    if not 1 <= lag < n:
-        raise InvalidLagError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
+    check_lag(bits.shape[1], lag)
     statistic = (bits[:, :-lag] ^ bits[:, lag:]).sum(axis=1, dtype=np.int64)
     return statistic, bits.sum(axis=1, dtype=np.int64)
 
@@ -176,9 +175,8 @@ def normalize_statistic(
     with the same operations."""
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must be in [0, 1], got {bias}")
+    check_lag(n, lag)
     m = n - lag
-    if m < 1:
-        raise InvalidLagError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
     q = pair_mismatch_rate(bias)
     variance = m * q * (1.0 - q)
     if variance <= 0.0:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import simulate as sim
-from .autocorr import InvalidLagError, PValueMatrix, TestParams
+from .autocorr import InvalidLagError, PValueMatrix, TestParams, check_lag
 from .ingest import (
     CalibrationRecord,
     JobRows,
@@ -238,6 +238,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     results and calibration files round-trip every float through ``repr``
     in the order they are held."""
     config, params = _run_config(args), _test_params(args)
+    check_lag(config.bits_per_job, params.lag)
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     jobs, calibration = _simulate(config, args.model, str(workdir / "jobs.csv"),

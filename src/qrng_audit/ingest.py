@@ -285,12 +285,6 @@ def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
             stream.write(block[lo:lo + n + 1])
 
 
-def serialize_jobs_str(rows: JobRows) -> str:
-    buf = io.StringIO()
-    serialize_jobs(rows, buf)
-    return buf.getvalue()
-
-
 def parse_calibration(stream: TextIO | Iterable[str]) -> tuple[list[CalibrationRecord], int]:
     """Parse a calibration CSV; returns (records, duplicate_count).
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autocorr import normalize_statistic, p_values, pair_mismatch_rate
+from .autocorr import check_lag, normalize_statistic, p_values
 
 ENUMERATION_MAX_N = 24
 _CHUNK = 1 << 20
@@ -79,18 +79,10 @@ class ExactDistribution:
     def mean(self) -> float:
         return float(np.dot(self.support, self.pmf))
 
-    def variance(self) -> float:
-        d = self.support - self.mean()
-        return float(np.dot(d * d, self.pmf))
-
-    def as_dict(self) -> dict[int, float]:
-        return {int(k): float(p) for k, p in zip(self.support, self.pmf)}
-
 
 def exact_distribution_enumerate(n: int, lag: int, bias: float) -> ExactDistribution:
     """Exact pmf by visiting all 2^n sequences (n <= 24), any bias."""
-    if not 1 <= lag < n:
-        raise ValueError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
+    check_lag(n, lag)
     if n > ENUMERATION_MAX_N:
         raise EnumerationLimitError(
             f"enumeration is limited to n <= {ENUMERATION_MAX_N}, got {n}"
@@ -123,8 +115,7 @@ def exact_distribution_enumerate(n: int, lag: int, bias: float) -> ExactDistribu
 
 def exact_distribution_binomial(n: int, lag: int) -> ExactDistribution:
     """Binomial(n-lag, 1/2) pmf; the exact law of the statistic at bias 1/2."""
-    if not 1 <= lag < n:
-        raise ValueError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
+    check_lag(n, lag)
     m = n - lag
     pmf = np.zeros(m + 1)
     # f is C(m, k) / 2^m scaled by 2^_FIXED_POINT_BITS and rounded down, and
@@ -153,33 +144,6 @@ def exact_distribution_binomial(n: int, lag: int) -> ExactDistribution:
         # C(m, k-1) = C(m, k) k / (m-k+1)
         f, slack = f * k // (m - k + 1), slack + 1
     return ExactDistribution(n=n, lag=lag, bias=0.5, pmf=pmf)
-
-
-def exact_two_sided_p(dist: ExactDistribution, observed: int) -> float:
-    """Total pmf mass at least as far from the exact mean as ``observed``."""
-    m = dist.n - dist.lag
-    if not 0 <= observed <= m:
-        raise ValueError(f"observed must be in [0, {m}], got {observed}")
-    distances = np.abs(dist.support - dist.mean())
-    # Tiny slack so the mirror point k = 2*mean - observed is kept when the
-    # mean itself carries float rounding (bias != 1/2).
-    mask = distances >= distances[observed] - 1e-9
-    return float(np.sum(dist.pmf[mask]))
-
-
-def xor_count_mean(n: int, lag: int, bias: float) -> float:
-    """Exact mean q(n-lag) of the statistic, q = 2p(1-p); holds for every lag."""
-    return pair_mismatch_rate(bias) * (n - lag)
-
-
-def xor_count_variance_lag1(n: int, bias: float) -> float:
-    """Exact lag-1 variance (n-1)q(1-q) + 2(n-2)(p(1-p) - q^2).
-
-    The covariance term comes from adjacent XOR pairs sharing a bit; it
-    vanishes at p = 1/2, where the plug-in variance (n-1)q(1-q) is exact.
-    """
-    q = pair_mismatch_rate(bias)
-    return (n - 1) * q * (1.0 - q) + 2.0 * (n - 2) * (bias * (1.0 - bias) - q * q)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from typing import Union
 
 import numpy as np
 
-from .autocorr import BitSequence
 from .ingest import CalibrationRecord, JobRows
 
 # Experiment-shaped defaults: 20 qubits, 579 jobs of 8192 bits, which at
@@ -90,19 +89,6 @@ def _check_bias(bias: float) -> None:
         raise InvalidParameterError(f"bias must be in [0, 1], got {bias}")
 
 
-def _check_markov(bias: float, rho: float) -> None:
-    _check_bias(bias)
-    if not rho < 1.0:
-        raise InvalidParameterError(f"rho must be < 1, got {rho}")
-    stay = bias + rho * (1.0 - bias)   # P(1 | previous 1)
-    move = bias * (1.0 - rho)          # P(1 | previous 0)
-    if not (0.0 <= stay <= 1.0 and 0.0 <= move <= 1.0):
-        raise InvalidParameterError(
-            f"rho={rho} with bias={bias} gives transition probabilities "
-            f"outside [0, 1] (need rho > -min(p/(1-p), (1-p)/p))"
-        )
-
-
 @dataclass(frozen=True)
 class IdealSource:
     bias: float = 0.5
@@ -120,7 +106,17 @@ class MarkovSource:
     rho: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_markov(self.bias, self.rho)
+        bias, rho = self.bias, self.rho
+        _check_bias(bias)
+        if not rho < 1.0:
+            raise InvalidParameterError(f"rho must be < 1, got {rho}")
+        stay = bias + rho * (1.0 - bias)   # P(1 | previous 1)
+        move = bias * (1.0 - rho)          # P(1 | previous 0)
+        if not (0.0 <= stay <= 1.0 and 0.0 <= move <= 1.0):
+            raise InvalidParameterError(
+                f"rho={rho} with bias={bias} gives transition probabilities "
+                f"outside [0, 1] (need rho > -min(p/(1-p), (1-p)/p))"
+            )
 
     def chain(self, job_index: int) -> tuple[float, float]:
         return self.bias, self.rho
@@ -187,19 +183,6 @@ def _chain_bits(bias: float, rho: float, n: int, seed: int) -> np.ndarray:
         free = np.cumsum(~forced)
         bits ^= ((free - free[last_forced]) & 1).astype(bool)
     return bits
-
-
-def markov_source(bias: float, rho: float, n: int, seed: int) -> BitSequence:
-    """One stream of the two-state chain (see ``_chain_bits``)."""
-    _check_markov(bias, rho)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return BitSequence(_chain_bits(bias, rho, n, seed))
-
-
-def ideal_source(bias: float, n: int, seed: int) -> BitSequence:
-    """n i.i.d. Bernoulli(bias) bits from a deterministic seeded generator."""
-    return markov_source(bias, 0.0, n, seed)
 
 
 @dataclass(frozen=True)

@@ -263,9 +263,9 @@ def test_permuting_jobs_leaves_report_fields_unchanged():
 # ---------------------------------------------------------------------- t1
 
 def test_mean_t1_examples():
-    assert mean_t1_per_qubit([CalibrationRecord(TS, 0, 70.0)]) == {0: 70.0}
+    assert mean_t1_per_qubit([CalibrationRecord(TS, 0, 70.0)], [0]) == {0: 70.0}
     records = [CalibrationRecord(TS, 0, 60.0), CalibrationRecord(TS, 0, 80.0)]
-    assert mean_t1_per_qubit(records) == {0: 70.0}
+    assert mean_t1_per_qubit(records, [0]) == {0: 70.0}
 
 
 def test_mean_t1_missing_qubit_flagged_nan():
@@ -280,7 +280,7 @@ def test_mean_t1_of_simulated_drifting_series():
     config = DeviceRunConfig(qubit_count=3, jobs=661, bits_per_job=8, master_seed=6)
     records = generate_calibration_series(config)
     assert len(records) == 3 * 25
-    means = mean_t1_per_qubit(records)
+    means = mean_t1_per_qubit(records, range(3))
     for q in range(3):
         series = [r.t1_us for r in records if r.qubit_id == q]
         assert means[q] == pytest.approx(sum(series) / len(series), abs=1e-9)

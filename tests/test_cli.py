@@ -81,8 +81,9 @@ def test_simulate_drifting_needs_schedule(tmp_path):
     (["--bias", "fixed:7"], "fixed bias must be in [0, 1], got 7.0"),
     (["--bias", "fixed:nan"], "fixed bias must be in [0, 1], got nan"),
     (["--bias", "fixed:-0.1"], "fixed bias must be in [0, 1], got -0.1"),
+    (["--lag", 16], "lag must satisfy 1 <= lag < n=16, got 16"),
 ], ids=["short-schedule", "long-schedule", "zero-job-phase", "phase-bias", "rho",
-        "p", "fixed-7", "fixed-nan", "fixed-negative"])
+        "p", "fixed-7", "fixed-nan", "fixed-negative", "lag"])
 def test_pipeline_model_and_bias_errors_exit_2(tmp_path, capsys, flags, message):
     code = run(["pipeline", "--jobs", 4, "--qubits", 1, "--bits", 16, *flags,
                 "--workdir", tmp_path / "run"])

@@ -20,9 +20,9 @@ from qrng_audit.ingest import (
     read_results,
     serialize_calibration,
     serialize_jobs,
-    serialize_jobs_str,
     write_results,
 )
+from reference import serialize_jobs_str
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 

@@ -19,10 +19,9 @@ from qrng_audit.simulate import (
     derive_substream_seed,
     generate_calibration_series,
     generate_device_run,
-    ideal_source,
-    markov_source,
     stream_seed,
 )
+from reference import ideal_source, markov_source
 
 
 # ------------------------------------------------------------------- ideal
