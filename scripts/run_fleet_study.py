@@ -27,8 +27,6 @@ from qrng_audit.aggregate import (
 from qrng_audit.autocorr import TestParams
 from qrng_audit.simulate import (
     DeviceRunConfig,
-    IdealSource,
-    MarkovSource,
     generate_calibration_series,
     generate_device_run,
 )
@@ -63,7 +61,7 @@ def main(argv=None) -> None:
     print("=== null fleet: ideal fair generators ===")
     config = DeviceRunConfig(
         qubit_count=args.qubits, jobs=args.jobs, bits_per_job=args.bits,
-        models=IdealSource(0.5), master_seed=args.seed,
+        bias=0.5, master_seed=args.seed,
     )
     matrix = build_matrix(generate_device_run(config), params)
     report = build_report(matrix, generate_calibration_series(config))
@@ -76,21 +74,17 @@ def main(argv=None) -> None:
 
     print()
     print("=== correlated fleet: lag-1 autocorrelation ramped over qubits ===")
-    rhos = {q: args.max_rho * (q + 1) / args.qubits for q in range(args.qubits)}
+    rhos = [args.max_rho * (q + 1) / args.qubits for q in range(args.qubits)]
     ramp_config = DeviceRunConfig(
         qubit_count=args.qubits, jobs=args.jobs, bits_per_job=args.bits,
-        models=tuple(MarkovSource(0.5, rhos[q]) for q in range(args.qubits)),
-        master_seed=args.seed,
+        bias=0.5, rho=rhos, master_seed=args.seed,
     )
     ramp_matrix = build_matrix(generate_device_run(ramp_config), params)
     ramp_report = build_report(ramp_matrix)
     print(fleet_table(ramp_report, rho_by_qubit=rhos))
     ratios = failure_ratio_per_qubit(ramp_matrix)
     try:
-        rho_s = spearman(
-            [rhos[q] for q in range(args.qubits)],
-            [ratios[q] for q in range(args.qubits)],
-        )
+        rho_s = spearman(rhos, [ratios[q] for q in range(args.qubits)])
     except InsufficientDataError:
         rho_s = None
     print(f"simultaneous-pass proportion: {ramp_report.simultaneous_pass_proportion:.4f}")

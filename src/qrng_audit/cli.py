@@ -50,19 +50,6 @@ def _status(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _parse_schedule(text: str) -> sim.DriftingSource:
-    phases = []
-    for chunk in text.split(","):
-        try:
-            bias_text, count_text = chunk.split(":")
-            phases.append((float(bias_text), int(count_text)))
-        except ValueError:
-            raise UsageError(
-                f"bad schedule phase {chunk!r}, expected <bias>:<jobs>"
-            ) from None
-    return sim.DriftingSource(phases=tuple(phases))
-
-
 def _parse_bias_flag(text: str) -> float | None:
     if text == "estimated":
         return None
@@ -74,14 +61,20 @@ def _parse_bias_flag(text: str) -> float | None:
     raise UsageError(f"--bias must be 'estimated' or 'fixed:<p>', got {text!r}")
 
 
-def _build_model(args: argparse.Namespace) -> sim.SourceModel:
-    if args.model == "ideal":
-        return sim.IdealSource(bias=args.p)
-    if args.model == "markov":
-        return sim.MarkovSource(bias=args.p, rho=args.rho)
+def _chain_parameters(args: argparse.Namespace) -> dict:
+    """The model flags as the run's ``bias`` and ``rho``."""
+    if args.model != "drifting":
+        return {"bias": args.p, "rho": args.rho if args.model == "markov" else 0.0}
     if args.schedule is None:
         raise UsageError("--model drifting requires --schedule")
-    return _parse_schedule(args.schedule)
+    phases = []
+    for chunk in args.schedule.split(","):
+        try:
+            bias_text, count_text = chunk.split(":")
+            phases.append((float(bias_text), int(count_text)))
+        except ValueError:
+            raise UsageError(f"bad schedule phase {chunk!r}, expected <bias>:<jobs>") from None
+    return {"bias": sim.drifting_bias(phases)}
 
 
 def _run_config(args: argparse.Namespace) -> sim.DeviceRunConfig:
@@ -91,8 +84,8 @@ def _run_config(args: argparse.Namespace) -> sim.DeviceRunConfig:
             qubit_count=args.qubits,
             jobs=args.jobs,
             bits_per_job=args.bits,
-            models=_build_model(args),
             master_seed=args.seed,
+            **_chain_parameters(args),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, TextIO
@@ -90,8 +91,11 @@ class CalibrationRecord:
     t1_us: float
 
     def __post_init__(self) -> None:
-        if not self.t1_us > 0:
-            raise ValueError(f"t1_us must be positive, got {self.t1_us}")
+        if self.timestamp.utcoffset() is None:
+            raise ValueError(f"timestamp {self.timestamp} must carry a UTC offset")
+        _check_qubit_id(self.qubit_id)
+        if not 0.0 < self.t1_us < math.inf:
+            raise ValueError(f"t1_us must be a positive finite value, got {self.t1_us}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +115,8 @@ class JobRows:
             _check_job_id(job_id)
         if not len(self.timestamps) == len(set(self.job_ids)) == len(self.job_ids):
             raise ShapeError("each job must appear once, with one timestamp")
+        if any(ts.utcoffset() is None for ts in self.timestamps):
+            raise ShapeError("job timestamps must carry a UTC offset")
         jobs = list(zip(self.timestamps, self.job_ids))
         if any(a > b for a, b in zip(jobs, jobs[1:])):
             raise ShapeError("jobs must be in (timestamp, job_id) order")
@@ -157,13 +163,17 @@ def _check_job_id(job_id: str, line: int | None = None) -> None:
         raise ParseError(f"job_id {job_id!r} contains a carriage return", line)
 
 
+def _check_qubit_id(qubit: int, line: int | None = None) -> None:
+    if qubit < 0:
+        raise ParseError(f"qubit_id must be non-negative, got {qubit}", line)
+
+
 def _parse_qubit_id(text: str, line: int) -> int:
     try:
         qubit = int(text)
     except ValueError:
         raise ParseError(f"qubit_id {text!r} is not an integer", line) from None
-    if qubit < 0:
-        raise ParseError(f"qubit_id must be non-negative, got {qubit}", line)
+    _check_qubit_id(qubit, line)
     return qubit
 
 
@@ -269,10 +279,13 @@ def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
 
     Bit text never needs quoting, so only the three short fields go through
     csv.writer. The bits are turned into text a block of rows at a time, in
-    one reused buffer holding each row's bits plus '0' and then a '\n'."""
+    one reused buffer holding each row's bits plus '0' and then a '\n'.
+    Streams no parser could read back are refused before anything is written."""
+    count_rows, n = rows.bits.shape
+    if n > (limit := csv.field_size_limit()):
+        raise ShapeError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
     csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
     prefixes = _job_prefixes(rows)
-    count_rows, n = rows.bits.shape
     step = max(1, BLOCK_BYTES // (n + 1))
     text = np.empty((step, n + 1), dtype=np.uint8)
     text[:, n] = ord("\n")
@@ -319,9 +332,16 @@ def _format_float(value: float) -> str:
 
 
 def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
-    """Write every cell of the matrix as one results-CSV row, in row order."""
+    """Write every cell of the matrix as one results-CSV row, in row order.
+    Ids ``read_results`` would refuse are refused before anything is written."""
     for job_id in matrix.job_ids:
         _check_job_id(job_id)
+    for qubit in matrix.qubit_ids:
+        _check_qubit_id(qubit)
+    for name, ids in (("job", matrix.job_ids), ("qubit", matrix.qubit_ids)):
+        repeated = [i for i, count in Counter(ids).items() if count > 1]
+        if repeated:
+            raise GridError(f"{name} id {repeated[0]!r} repeats: its cells would be duplicates")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(RESULT_HEADER)
     keys = ((job_id, qubit) for job_id in matrix.job_ids for qubit in matrix.qubit_ids)

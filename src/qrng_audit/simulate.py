@@ -1,17 +1,10 @@
 """Synthetic per-qubit bitstream generation.
 
-Three source families stand in for device data:
-
-* ``IdealSource``: i.i.d. Bernoulli(p) bits, the behaviour a perfect
-  single-qubit generator should exhibit.
-* ``MarkovSource``: a two-state chain with stationary ones-probability p
-  and lag-1 autocorrelation rho, a phenomenological model of residual state
-  leaking through an imperfect wait-based reset.
-* ``DriftingSource``: independent bits whose bias follows a piecewise-
-  constant trajectory over the job index, modelling slow device drift.
-
-All three are one two-state chain: ``model.chain(job_index)`` gives the
-(bias, rho) of a job's streams, and ideal and drifting streams have rho = 0.
+Every (job, qubit) stream is a two-state chain with stationary
+ones-probability ``bias`` and lag-1 autocorrelation ``rho``, and a run holds
+the two as a (jobs x qubits) grid. rho = 0 gives the i.i.d. bits of an ideal
+generator; rho != 0 models residual state leaking through an imperfect
+wait-based reset; a per-job bias column, ``drifting_bias``, models slow drift.
 
 Every (job, qubit) stream draws from its own generator seeded by a SplitMix64
 mix of (master_seed, job, qubit), so any subset of a run can be regenerated
@@ -23,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Union
+from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .ingest import CalibrationRecord, JobRows
 
@@ -48,7 +42,7 @@ T1_RELATIVE_STEP = 0.05
 
 
 class InvalidParameterError(ValueError):
-    """Source parameters outside their valid region."""
+    """Chain parameters outside their valid region."""
 
 
 class InvalidScheduleError(ValueError):
@@ -84,74 +78,34 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _check_bias(bias: float) -> None:
-    if not 0.0 <= bias <= 1.0:
-        raise InvalidParameterError(f"bias must be in [0, 1], got {bias}")
+def _check_chain(bias: ArrayLike, rho: ArrayLike) -> None:
+    """Refuse the first cell, in row order, of the broadcast (bias, rho)
+    grid whose chain does not exist."""
+    bias, rho = np.broadcast_arrays(np.asarray(bias, dtype=float), np.asarray(rho, dtype=float))
+    with np.errstate(all="ignore"):
+        stay, move = bias + rho * (1.0 - bias), bias * (1.0 - rho)  # P(1 | previous 1 or 0)
+        bad_bias, bad_rho = ~((0.0 <= bias) & (bias <= 1.0)), ~(rho < 1.0)
+        steps = (np.minimum(stay, move) >= 0.0) & (np.maximum(stay, move) <= 1.0)
+        bad = bad_bias | bad_rho | ~steps
+    if bad.any():
+        cell = np.unravel_index(np.argmax(bad), bad.shape)
+        b, r = float(bias[cell]), float(rho[cell])
+        if bad_bias[cell]:
+            raise InvalidParameterError(f"bias must be in [0, 1], got {b}")
+        if bad_rho[cell]:
+            raise InvalidParameterError(f"rho must be < 1, got {r}")
+        raise InvalidParameterError(f"rho={r} with bias={b} gives transition probabilities "
+                                    f"outside [0, 1] (need rho > -min(p/(1-p), (1-p)/p))")
 
 
-@dataclass(frozen=True)
-class IdealSource:
-    bias: float = 0.5
-
-    def __post_init__(self) -> None:
-        _check_bias(self.bias)
-
-    def chain(self, job_index: int) -> tuple[float, float]:
-        return self.bias, 0.0
-
-
-@dataclass(frozen=True)
-class MarkovSource:
-    bias: float = 0.5
-    rho: float = 0.0
-
-    def __post_init__(self) -> None:
-        bias, rho = self.bias, self.rho
-        _check_bias(bias)
-        if not rho < 1.0:
-            raise InvalidParameterError(f"rho must be < 1, got {rho}")
-        stay = bias + rho * (1.0 - bias)   # P(1 | previous 1)
-        move = bias * (1.0 - rho)          # P(1 | previous 0)
-        if not (0.0 <= stay <= 1.0 and 0.0 <= move <= 1.0):
-            raise InvalidParameterError(
-                f"rho={rho} with bias={bias} gives transition probabilities "
-                f"outside [0, 1] (need rho > -min(p/(1-p), (1-p)/p))"
-            )
-
-    def chain(self, job_index: int) -> tuple[float, float]:
-        return self.bias, self.rho
-
-
-@dataclass(frozen=True)
-class DriftingSource:
-    """Bias trajectory over the job index: phases of (bias, job_count)."""
-
-    phases: tuple[tuple[float, int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.phases:
-            raise InvalidScheduleError("drifting source needs at least one phase")
-        for bias, count in self.phases:
-            _check_bias(bias)
-            if count < 1:
-                raise InvalidScheduleError(f"phase job count must be >= 1, got {count}")
-
-    @property
-    def total_jobs(self) -> int:
-        return sum(count for _, count in self.phases)
-
-    def chain(self, job_index: int) -> tuple[float, float]:
-        offset = job_index
-        for bias, count in self.phases:
-            if offset < count:
-                return bias, 0.0
-            offset -= count
-        raise InvalidScheduleError(
-            f"job index {job_index} beyond schedule covering {self.total_jobs} jobs"
-        )
-
-
-SourceModel = Union[IdealSource, MarkovSource, DriftingSource]
+def drifting_bias(phases: Sequence[tuple[float, int]]) -> np.ndarray:
+    """The (jobs, 1) bias column of a drift over the job index: phases of
+    (bias, job_count) in job order, checked phase by phase."""
+    for bias, count in phases:
+        _check_chain(bias, 0.0)
+        if count < 1:
+            raise InvalidScheduleError(f"phase job count must be >= 1, got {count}")
+    return np.repeat([float(b) for b, _ in phases], [c for _, c in phases])[:, None]
 
 
 def _chain_bits(bias: float, rho: float, n: int, seed: int) -> np.ndarray:
@@ -185,48 +139,50 @@ def _chain_bits(bias: float, rho: float, n: int, seed: int) -> np.ndarray:
     return bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviceRunConfig:
-    """Shape and models for one synthetic device run."""
+    """Shape and chain parameters of one synthetic device run. ``bias`` and
+    ``rho`` are each a float or an array that broadcasts to the (jobs,
+    qubits) grid: (qubits,) per qubit, (jobs, 1) per job, or the full grid."""
 
     qubit_count: int = DEFAULT_QUBIT_COUNT
     jobs: int = DEFAULT_JOBS
     bits_per_job: int = DEFAULT_BITS_PER_JOB
-    models: SourceModel | tuple[SourceModel, ...] = IdealSource(0.5)
+    bias: ArrayLike = 0.5
+    rho: ArrayLike = 0.0
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self) -> None:
+        _check_chain(self.bias, self.rho)
         if min(self.qubit_count, self.jobs, self.bits_per_job) < 1:
             raise ValueError("qubit_count, jobs, and bits_per_job must all be >= 1")
         if not 0 <= self.master_seed < 1 << 64:
             raise ValueError(f"master seed must be in [0, 2**64), got {self.master_seed}")
-        if isinstance(self.models, tuple) and len(self.models) != self.qubit_count:
-            raise ValueError(
-                f"got {len(self.models)} per-qubit models for {self.qubit_count} qubits"
-            )
-        models = self.models if isinstance(self.models, tuple) else (self.models,)
-        for model in models:
-            if isinstance(model, DriftingSource) and model.total_jobs != self.jobs:
-                raise InvalidScheduleError(
-                    f"schedule covers {model.total_jobs} jobs but the run has {self.jobs}"
-                )
+        self.chain_grid()
 
-    def model_for(self, qubit_id: int) -> SourceModel:
-        if isinstance(self.models, tuple):
-            return self.models[qubit_id]
-        return self.models
+    def chain_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bias, rho), each broadcast to the (jobs, qubits) grid."""
+        grid = (self.jobs, self.qubit_count)
+        bias, rho = (np.asarray(v, dtype=float) for v in (self.bias, self.rho))
+        for values in (bias, rho):
+            if values.ndim == 2 and len(values) not in (1, self.jobs):
+                raise InvalidScheduleError(
+                    f"schedule covers {len(values)} jobs but the run has {self.jobs}")
+            if values.ndim > 2 or values.ndim and values.shape[-1] not in (1, self.qubit_count):
+                raise ValueError(f"chain parameters of shape {values.shape} do not fit {grid}")
+        return np.broadcast_to(bias, grid), np.broadcast_to(rho, grid)
 
 
 def generate_device_run(config: DeviceRunConfig) -> JobRows:
     """Generate the run's jobs x qubits streams, each drawn straight into its
-    row of the bit matrix. Each stream is independently derivable from its
-    seed, so any subset regenerates bit-for-bit. The calibration series is
-    ``generate_calibration_series(config)``."""
-    cells = [(j, q) for j in range(config.jobs) for q in range(config.qubit_count)]
-    bits = np.empty((len(cells), config.bits_per_job), dtype=np.uint8)
+    row of the bit matrix from its cell of the (bias, rho) grid. Each stream
+    is independently derivable from its seed, so any subset regenerates
+    bit-for-bit. The calibration series is ``generate_calibration_series(config)``."""
+    bias, rho = (grid.ravel().tolist() for grid in config.chain_grid())
+    bits = np.empty((config.jobs * config.qubit_count, config.bits_per_job), dtype=np.uint8)
     n, seed = config.bits_per_job, config.master_seed
-    for row, (j, q) in enumerate(cells):
-        bits[row] = _chain_bits(*config.model_for(q).chain(j), n, stream_seed(seed, j, q))
+    for row, (j, q) in enumerate(np.ndindex(config.jobs, config.qubit_count)):
+        bits[row] = _chain_bits(bias[row], rho[row], n, stream_seed(seed, j, q))
     job_ids = tuple(f"j{j + 1:04d}" for j in range(config.jobs))
     stamps = tuple(RUN_START + timedelta(seconds=j * JOB_INTERVAL_S) for j in range(config.jobs))
     return JobRows(job_ids, stamps, tuple(range(config.qubit_count)), bits)

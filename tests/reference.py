@@ -11,7 +11,7 @@ import numpy as np
 
 from qrng_audit.autocorr import BitSequence, pair_mismatch_rate
 from qrng_audit.ingest import serialize_jobs
-from qrng_audit.simulate import MarkovSource, _chain_bits
+from qrng_audit.simulate import DeviceRunConfig, _chain_bits
 
 
 # ------------------------------------------------------------ exact oracle
@@ -61,7 +61,7 @@ def xor_count_variance_lag1(n, bias):
 def markov_source(bias, rho, n, seed):
     """One stream of the two-state chain, as the simulator draws each of a
     run's streams (see ``simulate._chain_bits``)."""
-    MarkovSource(bias, rho)  # refuses what the simulator refuses
+    DeviceRunConfig(bias=bias, rho=rho)  # refuses what the simulator refuses
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return BitSequence(_chain_bits(bias, rho, n, seed))

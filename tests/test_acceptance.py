@@ -34,10 +34,8 @@ from qrng_audit.oracle import (
 )
 from qrng_audit.simulate import (
     DeviceRunConfig,
-    DriftingSource,
-    IdealSource,
-    MarkovSource,
     derive_substream_seed,
+    drifting_bias,
     generate_calibration_series,
     generate_device_run,
 )
@@ -207,7 +205,7 @@ def test_criterion_10_t1_relationship():
     # null side: ideal sources, drifting calibration, no T1-failure relation
     config = DeviceRunConfig(
         qubit_count=20, jobs=120, bits_per_job=8192,
-        models=IdealSource(0.5), master_seed=MASTER,
+        bias=0.5, master_seed=MASTER,
     )
     matrix = build_matrix(generate_device_run(config), PARAMS)
     ratios = failure_ratio_per_qubit(matrix)
@@ -222,7 +220,7 @@ def test_criterion_10_t1_relationship():
     rhos = [0.05 * (q + 1) / 20 for q in range(20)]
     ramp_config = DeviceRunConfig(
         qubit_count=20, jobs=120, bits_per_job=8192,
-        models=tuple(MarkovSource(0.5, r) for r in rhos), master_seed=MASTER,
+        bias=0.5, rho=rhos, master_seed=MASTER,
     )
     ramp_matrix = build_matrix(generate_device_run(ramp_config), PARAMS)
     ramp_ratios = failure_ratio_per_qubit(ramp_matrix)
@@ -238,11 +236,11 @@ def test_criterion_11_round_trip_and_fuzz():
     # round trip on generated corpora covering all three source families
     corpora = [
         DeviceRunConfig(qubit_count=3, jobs=4, bits_per_job=32,
-                        models=IdealSource(0.42), master_seed=2),
+                        bias=0.42, master_seed=2),
         DeviceRunConfig(qubit_count=2, jobs=6, bits_per_job=16,
-                        models=MarkovSource(0.5, 0.2), master_seed=3),
+                        bias=0.5, rho=0.2, master_seed=3),
         DeviceRunConfig(qubit_count=2, jobs=4, bits_per_job=16,
-                        models=DriftingSource(phases=((0.3, 2), (0.7, 2))),
+                        bias=drifting_bias(((0.3, 2), (0.7, 2))),
                         master_seed=4),
     ]
     for config in corpora:

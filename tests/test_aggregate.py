@@ -33,7 +33,7 @@ from qrng_audit.ingest import (
     read_results,
     write_results,
 )
-from qrng_audit.simulate import DeviceRunConfig, IdealSource, generate_device_run
+from qrng_audit.simulate import DeviceRunConfig, generate_device_run
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 
@@ -104,7 +104,7 @@ def test_build_matrix_rejects_empty():
 def test_build_matrix_ideal_fleet_false_positive_band():
     """Seeded fair fleet: fail-cell fraction stays in the alpha=0.01 band."""
     config = DeviceRunConfig(qubit_count=20, jobs=100, bits_per_job=8192,
-                             models=IdealSource(0.5), master_seed=12)
+                             bias=0.5, master_seed=12)
     matrix = build_matrix(generate_device_run(config), TestParams(lag=1))
     fails = int((matrix.verdicts() == Verdict.FAIL).sum())
     assert 0.002 <= fails / 2000 <= 0.025

@@ -68,6 +68,10 @@ def test_simulate_drifting_needs_schedule(tmp_path):
                 "--out", tmp_path / "x.csv"]) == 0
 
 
+NEGATIVE_RHO = ("rho=-0.9 with bias=0.2 gives transition probabilities outside [0, 1] "
+                "(need rho > -min(p/(1-p), (1-p)/p))")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--model", "drifting", "--schedule", "0.4:2,0.6:1"],
      "schedule covers 3 jobs but the run has 4"),
@@ -82,8 +86,14 @@ def test_simulate_drifting_needs_schedule(tmp_path):
     (["--bias", "fixed:nan"], "fixed bias must be in [0, 1], got nan"),
     (["--bias", "fixed:-0.1"], "fixed bias must be in [0, 1], got -0.1"),
     (["--lag", 16], "lag must satisfy 1 <= lag < n=16, got 16"),
+    # chain parameters are checked before the run's shape and seed, and a
+    # phase's bias before its job count
+    (["--jobs", 0, "--model", "markov", "--p", 0.2, "--rho", -0.9], NEGATIVE_RHO),
+    (["--seed", -1, "--model", "markov", "--p", 0.2, "--rho", -0.9], NEGATIVE_RHO),
+    (["--model", "drifting", "--schedule", "1.5:0"], "bias must be in [0, 1], got 1.5"),
 ], ids=["short-schedule", "long-schedule", "zero-job-phase", "phase-bias", "rho",
-        "p", "fixed-7", "fixed-nan", "fixed-negative", "lag"])
+        "p", "fixed-7", "fixed-nan", "fixed-negative", "lag", "chain-before-jobs",
+        "chain-before-seed", "phase-bias-before-count"])
 def test_pipeline_model_and_bias_errors_exit_2(tmp_path, capsys, flags, message):
     code = run(["pipeline", "--jobs", 4, "--qubits", 1, "--bits", 16, *flags,
                 "--workdir", tmp_path / "run"])

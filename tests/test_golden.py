@@ -25,7 +25,8 @@ import pytest
 from qrng_audit import cli
 from qrng_audit.aggregate import build_matrix
 from qrng_audit.autocorr import TestParams, normalize_statistic, p_value
-from qrng_audit.ingest import parse_jobs
+from qrng_audit.ingest import parse_jobs, serialize_jobs
+from qrng_audit.simulate import DeviceRunConfig, drifting_bias, generate_device_run
 
 SHAPE = ["--jobs", "6", "--qubits", "4", "--bits", "256", "--seed", "7"]
 
@@ -92,6 +93,22 @@ AGGREGATE_GOLDEN = {
     }),
 }
 
+# Job files of runs whose chain parameters vary by qubit and job, which no
+# set of flags expresses, recorded while each qubit's stream still came from
+# its own source object: a rho ramp over qubits, and qubits mixing ideal,
+# Markov of either sign, and a drifting bias column.
+DRIFT = drifting_bias([(0.3, 2), (0.7, 3)])
+RUN_GOLDEN = {
+    "rho-ramp": (dict(qubit_count=6, jobs=4, bits_per_job=2048, master_seed=11,
+                      rho=[0.05 * (q + 1) / 6 for q in range(6)]),
+                 "a15a715a85fe7f1817ab506a45bde185bdfe7c855e5f0eb270236352e9d3bf70"),
+    "mixed": (dict(qubit_count=4, jobs=5, bits_per_job=1000, master_seed=11,
+                   bias=np.hstack([np.full((5, 1), 0.5), np.full((5, 1), 0.3), DRIFT,
+                                   np.full((5, 1), 0.42)]),
+                   rho=[0.0, -0.2, 0.0, 0.3]),
+              "e2782f28e8573ffa07a281598c5499652b1e323e877a9e8c57b1cdf69a7a73a1"),
+}
+
 # (n, lag, p, k range or None) -> digest of the statistic and exact_p columns
 ORACLE_GOLDEN = {
     (8192, 1, 0.5, None): "487bf753562b34b61a5bee7ef3f32e980ef0b39626b0ecd0288fbd2273cb4392",
@@ -122,6 +139,14 @@ def test_pipeline_outputs_match_golden_digests(case, tmp_path):
     got = {name: _sha256((tmp_path / name).read_bytes()) for name in expected}
     got["results.csv"] = _sha256(_without_p_value((tmp_path / "results.csv").read_text()))
     assert got == expected
+
+
+@pytest.mark.parametrize("case", sorted(RUN_GOLDEN))
+def test_per_qubit_and_per_job_runs_match_golden_digests(case):
+    fields, expected = RUN_GOLDEN[case]
+    buf = io.StringIO()
+    serialize_jobs(generate_device_run(DeviceRunConfig(**fields)), buf)
+    assert _sha256(buf.getvalue().encode()) == expected
 
 
 @pytest.mark.parametrize("case", sorted(AGGREGATE_GOLDEN))

@@ -275,6 +275,7 @@ def u8(*rows):
 
 
 LATER = TS.replace(hour=12)
+NAIVE = LATER.replace(tzinfo=None)
 
 
 @pytest.mark.parametrize("job_ids, stamps, qubit_ids, bits, message", [
@@ -291,15 +292,31 @@ LATER = TS.replace(hour=12)
     (("j1",), (TS,), (0,), u8([0, 1], [1, 0]), r"must have shape \(1, n >= 1\), got \(2, 2\)"),
     (("j1",), (TS,), (0,), np.zeros((1, 2), np.int64), r"uint8 matrix, got int64 \(1, 2\)"),
     ((), (), (), np.array([], np.uint8), r"uint8 matrix, got uint8 \(0,\)"),
+    # a naive stamp would be written in the machine's local time, and next
+    # to an aware one it cannot even be ordered
+    (("j1",), (NAIVE,), (0,), u8([0, 1]), "job timestamps must carry a UTC offset"),
+    (("j1", "j2"), (TS, NAIVE), (0,), u8([0, 1], [1, 0]), "job timestamps must carry a UTC"),
 ], ids=["second-timestamp", "repeated-stream", "zero-bits", "bit-value-2", "repeated-job",
         "jobs-out-of-order", "negative-qubit", "job-without-qubits", "extra-row", "not-uint8",
-        "one-d-bits"])
+        "one-d-bits", "naive-timestamp", "naive-and-aware-timestamps"])
 def test_serialize_jobs_refuses_rows_no_job_file_holds(job_ids, stamps, qubit_ids, bits,
                                                        message):
     buf = io.StringIO()
     with pytest.raises(ValueError, match=message):
         serialize_jobs(JobRows(job_ids, stamps, qubit_ids, bits), buf)
     assert buf.getvalue() == ""
+
+
+def test_serialize_jobs_refuses_streams_over_the_csv_field_limit():
+    limit = csv.field_size_limit()
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=f"{limit + 1}-bit streams exceed the job CSV field "
+                                         f"limit of {limit} characters"):
+        serialize_jobs(JobRows(("j1",), (TS,), (0,), np.zeros((1, limit + 1), np.uint8)), buf)
+    assert buf.getvalue() == ""
+    # a stream at the limit reads back
+    rows = JobRows(("j1",), (TS,), (0,), np.ones((1, limit), np.uint8))
+    assert np.array_equal(parse_jobs(io.StringIO(serialize_jobs_str(rows))).bits, rows.bits)
 
 
 # ------------------------------------------------------------- calibration
@@ -323,6 +340,19 @@ def test_parse_calibration_rejects_nonpositive_t1():
             parse_calibration(io.StringIO(
                 f"timestamp,qubit_id,t1_us\n2019-05-09T12:00:00Z,0,{bad}\n"
             ))
+
+
+@pytest.mark.parametrize("timestamp, qubit_id, t1_us, message", [
+    (NAIVE, 0, 50.0, "must carry a UTC offset"),
+    (TS, -1, 50.0, "qubit_id must be non-negative, got -1"),
+    (TS, 0, float("inf"), "t1_us must be a positive finite value, got inf"),
+    (TS, 0, 0.0, "t1_us must be a positive finite value, got 0.0"),
+    (TS, 0, float("nan"), "t1_us must be a positive finite value, got nan"),
+], ids=["naive-timestamp", "negative-qubit", "infinite-t1", "zero-t1", "nan-t1"])
+def test_calibration_record_refuses_values_no_calibration_file_holds(timestamp, qubit_id,
+                                                                     t1_us, message):
+    with pytest.raises(ValueError, match=message):
+        CalibrationRecord(timestamp=timestamp, qubit_id=qubit_id, t1_us=t1_us)
 
 
 def test_parse_calibration_duplicate_last_wins():
@@ -381,6 +411,25 @@ def test_write_results_rejects_job_id_no_parser_reads(job_id):
     )
     buf = io.StringIO()
     with pytest.raises(ValueError, match="empty job_id|carriage return"):
+        write_results(matrix, buf)
+    assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("job_ids, qubit_ids, message", [
+    (("a", "a"), (0,), "job id 'a' repeats"),
+    (("a",), (0, 0), "qubit id 0 repeats"),
+    (("a",), (-1,), "qubit_id must be non-negative, got -1"),
+], ids=["repeated-job", "repeated-qubit", "negative-qubit"])
+def test_write_results_refuses_ids_read_results_rejects(job_ids, qubit_ids, message):
+    shape = (len(job_ids), len(qubit_ids))
+    matrix = PValueMatrix(
+        job_ids=job_ids, qubit_ids=qubit_ids, n=8, lag=1, alpha=0.01,
+        statistic=np.full(shape, 3), bias=np.full(shape, 0.5),
+        normalized=np.full(shape, -0.3779644730092272),
+        p_value=np.full(shape, 0.705456536697442),
+    )
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=message):
         write_results(matrix, buf)
     assert buf.getvalue() == ""
 

@@ -11,12 +11,10 @@ from scipy import stats as sp_stats
 from qrng_audit.autocorr import BitSequence, autocorr_statistic
 from qrng_audit.simulate import (
     DeviceRunConfig,
-    DriftingSource,
-    IdealSource,
     InvalidParameterError,
     InvalidScheduleError,
-    MarkovSource,
     derive_substream_seed,
+    drifting_bias,
     generate_calibration_series,
     generate_device_run,
     stream_seed,
@@ -92,7 +90,7 @@ def markov_parameters(draw):
     share = draw(st.sampled_from([0.0]) | st.floats(0.0, 1.0, exclude_max=True))
     rho = draw(st.sampled_from([limit, 0.0]) | st.just(limit + share * (1.0 - limit)))
     try:
-        MarkovSource(bias, rho)
+        DeviceRunConfig(bias=bias, rho=rho)
     except InvalidParameterError:
         assume(False)
     return bias, rho
@@ -180,7 +178,7 @@ def test_substream_seeds_are_deterministic_and_distinct():
 
 def test_device_run_shape_and_subset_regeneration():
     config = DeviceRunConfig(
-        qubit_count=3, jobs=2, bits_per_job=16, models=IdealSource(0.5), master_seed=7
+        qubit_count=3, jobs=2, bits_per_job=16, bias=0.5, master_seed=7
     )
     rows = generate_device_run(config)
     assert (rows.job_ids, rows.qubit_ids) == (("j0001", "j0002"), (0, 1, 2))
@@ -192,12 +190,12 @@ def test_device_run_shape_and_subset_regeneration():
     # and so does every other model's: markov at either sign of rho, and
     # drifting at the bias of the job's phase
     for rho in (0.3, -0.3):
-        markov = generate_device_run(replace(config, models=MarkovSource(0.5, rho)))
+        markov = generate_device_run(replace(config, bias=0.5, rho=rho))
         for row, (j, q) in enumerate(cells):
             seed = stream_seed(7, j, q)
             assert BitSequence(markov.bits[row]) == markov_source(0.5, rho, 16, seed)
-    phases = DriftingSource(phases=((0.2, 1), (0.9, 1)))
-    drifting = generate_device_run(replace(config, models=phases))
+    phases = drifting_bias(((0.2, 1), (0.9, 1)))
+    drifting = generate_device_run(replace(config, bias=phases))
     for row, (j, q) in enumerate(cells):
         seed = stream_seed(7, j, q)
         assert BitSequence(drifting.bits[row]) == ideal_source((0.2, 0.9)[j], 16, seed)
@@ -219,8 +217,7 @@ def test_device_run_timestamps_advance():
 
 
 def test_device_run_per_qubit_models():
-    models = (IdealSource(0.5), MarkovSource(0.5, 0.3))
-    config = DeviceRunConfig(qubit_count=2, jobs=1, bits_per_job=4096, models=models,
+    config = DeviceRunConfig(qubit_count=2, jobs=1, bits_per_job=4096, bias=0.5, rho=[0.0, 0.3],
                              master_seed=9)
     ideal, markov = generate_device_run(config).bits
     ideal_stat = autocorr_statistic(BitSequence(ideal), 1)
@@ -229,16 +226,90 @@ def test_device_run_per_qubit_models():
 
 
 def test_device_run_drifting_schedule_must_cover_jobs():
-    models = DriftingSource(phases=((0.4, 1), (0.6, 1)))
+    bias = drifting_bias(((0.4, 1), (0.6, 1)))
     with pytest.raises(InvalidScheduleError, match="schedule covers 2 jobs but the run has 3"):
-        DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8, models=models)
+        DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8, bias=bias)
+
+
+@st.composite
+def chain_grid_forms(draw):
+    """A run shape and its (bias, rho), each a float, a (qubits,) array, a
+    (jobs, 1) column or a (jobs, qubits) grid. Every cell is a valid chain:
+    rho >= -0.3 is inside the region (rho > -1/3) for any bias in [1/4, 3/4]."""
+    jobs, qubits = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shapes = {"scalar": None, "qubit": (qubits,), "job": (jobs, 1), "grid": (jobs, qubits)}
+
+    def values(elements):
+        shape = shapes[draw(st.sampled_from(sorted(shapes)))]
+        if shape is None:
+            return draw(elements)
+        return np.array(draw(st.lists(elements, min_size=math.prod(shape),
+                                      max_size=math.prod(shape)))).reshape(shape)
+
+    bias = values(st.sampled_from([0.5]) | st.floats(0.25, 0.75))
+    rho = values(st.sampled_from([0.0]) | st.floats(-0.3, 0.99))
+    return jobs, qubits, bias, rho
+
+
+@given(chain_grid_forms(), st.integers(1, 64), st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_device_run_draws_each_cell_from_its_chain(form, n, seed):
+    jobs, qubits, bias, rho = form
+    config = DeviceRunConfig(qubit_count=qubits, jobs=jobs, bits_per_job=n, bias=bias, rho=rho,
+                             master_seed=seed)
+    rows = generate_device_run(config)
+    cell_bias = np.broadcast_to(bias, (jobs, qubits))
+    cell_rho = np.broadcast_to(rho, (jobs, qubits))
+    for row, (j, q) in enumerate(np.ndindex(jobs, qubits)):
+        expected = markov_source(float(cell_bias[j, q]), float(cell_rho[j, q]), n,
+                                 stream_seed(seed, j, q))
+        assert BitSequence(rows.bits[row]) == expected
+
+
+@pytest.mark.parametrize("bias, rho, message", [
+    (np.array([[0.5, 0.5], [0.5, 1.5]]), 0.0, r"bias must be in \[0, 1\], got 1.5"),
+    (0.5, [0.1, 1.0], "rho must be < 1, got 1.0"),
+    ([0.2, 0.5], np.array([[0.0], [-0.9]]), r"rho=-0.9 with bias=0.2 gives transition"),
+    (np.array([[0.5], [np.nan]]), 0.0, r"bias must be in \[0, 1\], got nan"),
+    # the first invalid cell in row order is named: (0, 1) before (1, 0)
+    (np.array([[0.5], [2.0]]), [0.0, 1.2], "rho must be < 1, got 1.2"),
+    ([0.5, -0.1], np.array([[0.0], [-0.9]]), r"bias must be in \[0, 1\], got -0.1"),
+], ids=["grid-bias", "qubit-rho", "job-rho-with-qubit-bias", "nan-bias", "first-cell",
+        "bias-before-rho"])
+def test_device_run_config_names_an_invalid_cell_anywhere_in_the_grid(bias, rho, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        DeviceRunConfig(qubit_count=2, jobs=2, bits_per_job=8, bias=bias, rho=rho)
+
+
+def test_device_run_config_checks_chain_values_before_shape_and_seed():
+    for shape in (dict(jobs=0), dict(master_seed=-1), dict(qubit_count=3)):
+        with pytest.raises(InvalidParameterError, match="rho=-0.9 with bias=0.2"):
+            DeviceRunConfig(bias=[0.5, 0.2], rho=-0.9, **shape)
+
+
+def test_device_run_config_refuses_arrays_that_do_not_fit_the_grid():
+    with pytest.raises(InvalidScheduleError, match="schedule covers 3 jobs but the run has 2"):
+        DeviceRunConfig(qubit_count=2, jobs=2, rho=np.zeros((3, 2)))
+    for bias in ([0.5] * 3, np.full((2, 3), 0.5), np.full((2, 2, 1), 0.5)):
+        with pytest.raises(ValueError, match="do not fit"):
+            DeviceRunConfig(qubit_count=2, jobs=2, bias=bias)
+
+
+def test_drifting_bias_is_a_job_column_checked_phase_by_phase():
+    np.testing.assert_array_equal(drifting_bias([(0.3, 2), (0.7, 1)]), [[0.3], [0.3], [0.7]])
+    with pytest.raises(InvalidParameterError, match="got 1.5"):
+        drifting_bias([(1.5, 0)])
+    with pytest.raises(InvalidScheduleError, match="phase job count must be >= 1, got 0"):
+        drifting_bias([(0.5, 0), (1.5, 1)])
+    with pytest.raises(InvalidScheduleError, match="schedule covers 0 jobs but the run has 2"):
+        DeviceRunConfig(jobs=2, bias=drifting_bias([]))
 
 
 def test_device_run_config_validation():
     with pytest.raises(ValueError):
         DeviceRunConfig(qubit_count=0)
     with pytest.raises(ValueError):
-        DeviceRunConfig(qubit_count=2, models=(IdealSource(0.5),))
+        DeviceRunConfig(qubit_count=2, bias=(0.5, 0.5, 0.5))
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
             DeviceRunConfig(master_seed=seed)
@@ -266,12 +337,11 @@ def test_ten_t1_reset_fleet_indistinguishable_from_ideal():
     from qrng_audit.aggregate import build_matrix
     from qrng_audit.autocorr import TestParams, Verdict
 
-    reset_models = MarkovSource(0.5, math.exp(-10.0))
     shape = dict(qubit_count=5, jobs=40, bits_per_job=8192, master_seed=15)
 
-    def fail_fraction(models):
-        config = DeviceRunConfig(models=models, **shape)
+    def fail_fraction(rho):
+        config = DeviceRunConfig(bias=0.5, rho=rho, **shape)
         matrix = build_matrix(generate_device_run(config), TestParams(lag=1))
         return int((matrix.verdicts() == Verdict.FAIL).sum()) / 200
 
-    assert abs(fail_fraction(reset_models) - fail_fraction(IdealSource(0.5))) <= 0.02
+    assert abs(fail_fraction(math.exp(-10.0)) - fail_fraction(0.0)) <= 0.02
