@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .autocorr import PValueMatrix, TestParams, autocorr_counts
+from .autocorr import PValueMatrix, TestParams, packed_counts
 from .ingest import BLOCK_BYTES, CalibrationRecord, JobRows
 
 
@@ -26,21 +26,21 @@ class InsufficientDataError(ValueError):
 
 
 def build_matrix(rows: JobRows, params: TestParams) -> PValueMatrix:
-    """Run the autocorrelation test on every stream of the grid. The kernel
-    reads the bit matrix in blocks of rows for each row's XOR count and ones
-    count, which row for row are already the grid's cells."""
+    """Run the autocorrelation test on every stream of the grid. The packed
+    kernel reads the packed bit matrix in blocks of rows (about
+    ``BLOCK_BYTES`` each) for each row's XOR count and ones count, which row
+    for row are already the grid's cells."""
     if not rows.job_ids:
         raise ValueError("no streams to analyze")
-    n = rows.bits.shape[1]
-    step = max(1, BLOCK_BYTES // n)
+    step = max(1, BLOCK_BYTES // rows.bits.shape[1])
     statistic = np.empty(len(rows.bits), dtype=np.int64)
     ones = np.empty_like(statistic)
     for start in range(0, statistic.size, step):
         block = slice(start, start + step)
-        statistic[block], ones[block] = autocorr_counts(rows.bits[block], params.lag)
+        statistic[block], ones[block] = packed_counts(rows.bits[block], rows.n, params.lag)
     shape = (len(rows.job_ids), len(rows.qubit_ids))
-    return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, n, statistic.reshape(shape),
-                                    ones.reshape(shape), params)
+    return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, rows.n,
+                                    statistic.reshape(shape), ones.reshape(shape), params)
 
 
 def failure_ratio_per_qubit(matrix: PValueMatrix) -> dict[int, float]:

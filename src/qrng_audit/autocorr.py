@@ -8,10 +8,13 @@ standardized with variance ``(n-l) q (1-q)``; the two-sided p-value is
 (p-value == alpha passes). All-zero / all-one sequences have zero variance and
 get the separate Degenerate verdict instead of a p-value.
 
-``run_test`` is the readable one-sequence reference. ``autocorr_counts`` takes
-the XOR counts and ones counts of a whole block of streams at once, and
-``PValueMatrix.from_counts`` runs ``run_test``'s arithmetic, in the same
-operation order, on a (jobs x qubits) grid of those counts.
+``run_test`` is the readable one-sequence reference. ``packed_counts`` takes
+the XOR counts and ones counts of a whole block of streams at once, each
+stream packed eight bits to a byte in ``np.packbits`` order: ones counts
+with ``np.bitwise_count`` on the bytes, XOR counts on the bytes XORed with
+the same row shifted ``lag`` bits (``lag // 8`` bytes and then ``lag % 8``
+bits). ``PValueMatrix.from_counts`` runs ``run_test``'s arithmetic, in the
+same operation order, on a (jobs x qubits) grid of those counts.
 """
 
 from __future__ import annotations
@@ -148,12 +151,30 @@ def autocorr_statistic(seq: BitSequence, lag: int) -> int:
     return int((seq.bits[:-lag] ^ seq.bits[lag:]).sum(dtype=np.int64))
 
 
-def autocorr_counts(bits: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row XOR count (as ``autocorr_statistic``) and ones count of a
-    (rows, n) block of bits, both int64."""
-    check_lag(bits.shape[1], lag)
-    statistic = (bits[:, :-lag] ^ bits[:, lag:]).sum(axis=1, dtype=np.int64)
-    return statistic, bits.sum(axis=1, dtype=np.int64)
+def packed_counts(bits: np.ndarray, n: int, lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row XOR count (as ``autocorr_statistic``) and ones count, both
+    int64, of a (rows, ceil(n / 8)) block of n-bit streams packed in
+    ``np.packbits`` order, whose pad bits are zero.
+
+    Byte k of the shifted row holds bits 8k + lag .. 8k + lag + 7: byte
+    k + lag // 8 moved up ``lag % 8`` bits, with the top of the next byte
+    below it. XORed with the row's first ceil((n - lag) / 8) bytes, its set
+    bits are the mismatched pairs, once the bits of the last byte past the
+    n - lag pairs are masked."""
+    check_lag(n, lag)
+    pairs = n - lag
+    width = -(-pairs // 8)
+    skip, shift = divmod(lag, 8)
+    xor = bits[:, :width] ^ (bits[:, skip:skip + width] << shift)
+    if shift:
+        # The byte after the last one may lie past the row: its bits would
+        # only reach masked pairs.
+        carry = bits[:, skip + 1:skip + 1 + width] >> (8 - shift)
+        xor[:, :carry.shape[1]] ^= carry
+    if pairs % 8:
+        xor[:, -1] &= (0xFF00 >> pairs % 8) & 0xFF
+    statistic = np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
+    return statistic, np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
 
 
 def estimate_bias(seq: BitSequence) -> float:

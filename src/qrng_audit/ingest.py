@@ -16,9 +16,10 @@ limit) into ParseError. A results row must be one a ``test`` run can write,
 and ``read_results`` returns the file as the p-value matrix it describes.
 
 Serializers emit a canonical form (job rows in the grid order of
-``JobRows``, result rows in the order held; timestamps second-precision UTC
-with a trailing Z; floats in shortest round-trip notation), so
-serialize(parse(f)) is byte-identical for canonical inputs.
+``JobRows``, result rows in the order held; timestamps UTC with a trailing Z,
+to the second, or to the microsecond when they carry a fraction; floats in
+shortest round-trip notation), so serialize(parse(f)) is byte-identical for
+canonical inputs.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ RESULT_HEADER = [
     "statistic", "normalized", "p_value", "verdict",
 ]
 
-# Bytes of a bit matrix handled at once, by the job-CSV writer and by the
-# test kernel: small enough that their temporaries stay in cache and add
-# nothing to peak memory.
+# Bytes of a bit matrix handled at once, as text by the job-CSV writer and
+# packed by the test kernel: small enough that their temporaries stay in
+# cache and add nothing to peak memory.
 BLOCK_BYTES = 1 << 16
 
 
@@ -101,14 +102,18 @@ class CalibrationRecord:
 @dataclass(frozen=True, eq=False)
 class JobRows:
     """A job file as its (jobs x qubits) grid: ``job_ids`` in (timestamp,
-    job_id) order, one timestamp each, ``qubit_ids`` ascending, and ``bits``
-    a (jobs * qubits, n) uint8 matrix whose row j * len(qubit_ids) + k holds
-    job j's stream on qubit k. Only a grid some job file holds is accepted."""
+    job_id) order, one timestamp each, ``qubit_ids`` ascending, and the
+    streams of ``n`` bits each. Row j * len(qubit_ids) + k of ``bits``
+    holds job j's stream on qubit k, packed eight bits to a byte as
+    ``np.packbits`` packs it: ``bits`` is a (jobs * qubits, ceil(n / 8))
+    uint8 matrix whose pad bits, past bit n of each row, are zero. Only a
+    grid some job file holds is accepted."""
 
     job_ids: tuple[str, ...]
     timestamps: tuple[datetime, ...]
     qubit_ids: tuple[int, ...]
     bits: np.ndarray
+    n: int
 
     def __post_init__(self) -> None:
         for job_id in self.job_ids:
@@ -124,13 +129,18 @@ class JobRows:
             raise ShapeError(f"qubit ids must ascend strictly from 0 up, got {self.qubit_ids}")
         if bool(self.job_ids) != bool(self.qubit_ids):
             raise ShapeError("a grid has both jobs and qubits, or neither")
-        rows, bits = len(self.job_ids) * len(self.qubit_ids), self.bits
+        rows, bits, n = len(self.job_ids) * len(self.qubit_ids), self.bits, self.n
         if bits.dtype != np.uint8 or bits.ndim != 2:
             raise ShapeError(f"bits must be a uint8 matrix, got {bits.dtype} {bits.shape}")
-        if len(bits) != rows or rows and not bits.shape[1]:
-            raise ShapeError(f"bits must have shape ({rows}, n >= 1), got {bits.shape}")
-        if bits.size and bits.max() > 1:
-            raise ValueError("bits must be 0 or 1")
+        # The streams' shape (rows, n); only an empty grid may have n = 0.
+        if len(bits) != rows or n < min(rows, 1):
+            raise ShapeError(f"bits must have shape ({rows}, n >= {min(rows, 1)}), "
+                             f"got ({len(bits)}, {n})")
+        if bits.shape[1] != -(-n // 8):
+            raise ShapeError(f"bits must be {-(-n // 8)} bytes wide for {n}-bit streams, "
+                             f"got {bits.shape[1]}")
+        if n % 8 and rows and np.any(bits[:, -1] & (0xFF >> n % 8)):
+            raise ShapeError(f"the pad bits past bit {n} of each row must be 0")
 
 
 def _parse_timestamp(text: str, line: int) -> datetime:
@@ -149,7 +159,10 @@ def _parse_timestamp(text: str, line: int) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """UTC with a trailing Z; microseconds only when there are any, so a
+    whole-second stamp keeps its second-precision form."""
+    return ts.astimezone(timezone.utc).strftime(
+        "%Y-%m-%dT%H:%M:%S.%fZ" if ts.microsecond else "%Y-%m-%dT%H:%M:%SZ")
 
 
 def _check_job_id(job_id: str, line: int | None = None) -> None:
@@ -221,8 +234,8 @@ def _place_rows(bits: np.ndarray, order: list[int]) -> None:
 
 def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
     """Parse a job CSV into its grid; the first data row declares the
-    per-stream bit count. Rows may come in any order: once the file is read,
-    each is moved to its grid row in place."""
+    per-stream bit count. Each row is packed as it is read. Rows may come in
+    any order: once the file is read, each is moved to its grid row in place."""
     declared: int | None = None
     stamps: dict[str, datetime] = {}
     streams: dict[tuple[str, int], None] = {}
@@ -238,8 +251,9 @@ def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
             raise ParseError(f"job {job_id!r} has conflicting timestamps", line)
         if not bits_text:
             raise ParseError("empty bit string", line)
-        raw = bits_text.encode()
-        if raw.translate(None, b"01"):
+        # '0' and '1' become 0 and 1, and any other character a byte above 1.
+        row = np.frombuffer(bits_text.encode(), dtype=np.uint8) ^ ord("0")
+        if row.max() > 1:
             bad = min(set(bits_text) - {"0", "1"})
             raise ParseError(f"bit string contains non-bit character {bad!r}", line)
         if declared is None:
@@ -249,14 +263,14 @@ def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
                 f"bit string length {len(bits_text)} does not match declared {declared}",
                 line,
             )
-        buffer += raw
+        buffer += np.packbits(row).tobytes()
 
+    n = declared or 0
     job_ids = tuple(sorted(stamps, key=lambda job: (stamps[job], job)))
     qubit_ids, order = _grid_order(streams, job_ids)
-    bits = np.frombuffer(buffer, dtype=np.uint8).reshape(len(streams), declared or 0)
-    bits -= ord("0")
+    bits = np.frombuffer(buffer, dtype=np.uint8).reshape(len(streams), -(-n // 8))
     _place_rows(bits, order.tolist())
-    return JobRows(job_ids, tuple(stamps[job] for job in job_ids), qubit_ids, bits)
+    return JobRows(job_ids, tuple(stamps[job] for job in job_ids), qubit_ids, bits, n)
 
 
 def _job_prefixes(rows: JobRows) -> Iterator[str]:
@@ -278,10 +292,11 @@ def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
     """Write the grid as job CSV, its rows in grid order.
 
     Bit text never needs quoting, so only the three short fields go through
-    csv.writer. The bits are turned into text a block of rows at a time, in
-    one reused buffer holding each row's bits plus '0' and then a '\n'.
-    Streams no parser could read back are refused before anything is written."""
-    count_rows, n = rows.bits.shape
+    csv.writer. The bits are unpacked and turned into text a block of rows
+    at a time, in one reused buffer holding each row's bits plus '0' and
+    then a '\n'. Streams no parser could read back are refused before
+    anything is written."""
+    count_rows, n = len(rows.bits), rows.n
     if n > (limit := csv.field_size_limit()):
         raise ShapeError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
     csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
@@ -291,7 +306,8 @@ def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
     text[:, n] = ord("\n")
     for start in range(0, count_rows, step):
         count = min(step, count_rows - start)
-        np.add(rows.bits[start:start + count], ord("0"), out=text[:count, :n])
+        bits = np.unpackbits(rows.bits[start:start + count], axis=1, count=n)
+        np.add(bits, ord("0"), out=text[:count, :n])
         block = text[:count].tobytes().decode("ascii")
         for lo in range(0, len(block), n + 1):
             stream.write(next(prefixes))

@@ -174,18 +174,19 @@ class DeviceRunConfig:
 
 
 def generate_device_run(config: DeviceRunConfig) -> JobRows:
-    """Generate the run's jobs x qubits streams, each drawn straight into its
-    row of the bit matrix from its cell of the (bias, rho) grid. Each stream
-    is independently derivable from its seed, so any subset regenerates
-    bit-for-bit. The calibration series is ``generate_calibration_series(config)``."""
+    """Generate the run's jobs x qubits streams, each drawn from its cell of
+    the (bias, rho) grid and packed straight into its row of the bit matrix.
+    Each stream is independently derivable from its seed, so any subset
+    regenerates bit-for-bit. The calibration series is
+    ``generate_calibration_series(config)``."""
     bias, rho = (grid.ravel().tolist() for grid in config.chain_grid())
-    bits = np.empty((config.jobs * config.qubit_count, config.bits_per_job), dtype=np.uint8)
     n, seed = config.bits_per_job, config.master_seed
+    bits = np.empty((config.jobs * config.qubit_count, -(-n // 8)), dtype=np.uint8)
     for row, (j, q) in enumerate(np.ndindex(config.jobs, config.qubit_count)):
-        bits[row] = _chain_bits(bias[row], rho[row], n, stream_seed(seed, j, q))
+        bits[row] = np.packbits(_chain_bits(bias[row], rho[row], n, stream_seed(seed, j, q)))
     job_ids = tuple(f"j{j + 1:04d}" for j in range(config.jobs))
     stamps = tuple(RUN_START + timedelta(seconds=j * JOB_INTERVAL_S) for j in range(config.jobs))
-    return JobRows(job_ids, stamps, tuple(range(config.qubit_count)), bits)
+    return JobRows(job_ids, stamps, tuple(range(config.qubit_count)), bits, n)
 
 
 def generate_calibration_series(config: DeviceRunConfig) -> list[CalibrationRecord]:

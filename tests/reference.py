@@ -9,8 +9,8 @@ import io
 
 import numpy as np
 
-from qrng_audit.autocorr import BitSequence, pair_mismatch_rate
-from qrng_audit.ingest import serialize_jobs
+from qrng_audit.autocorr import BitSequence, check_lag, pair_mismatch_rate
+from qrng_audit.ingest import JobRows, serialize_jobs
 from qrng_audit.simulate import DeviceRunConfig, _chain_bits
 
 
@@ -56,6 +56,16 @@ def xor_count_variance_lag1(n, bias):
     return (n - 1) * q * (1.0 - q) + 2.0 * (n - 2) * (bias * (1.0 - bias) - q * q)
 
 
+# ------------------------------------------------------------ test kernel
+
+def autocorr_counts(bits: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row XOR count (as ``autocorr_statistic``) and ones count of a
+    (rows, n) block of bits, both int64."""
+    check_lag(bits.shape[1], lag)
+    statistic = (bits[:, :-lag] ^ bits[:, lag:]).sum(axis=1, dtype=np.int64)
+    return statistic, bits.sum(axis=1, dtype=np.int64)
+
+
 # ---------------------------------------------------------- single streams
 
 def markov_source(bias, rho, n, seed):
@@ -79,3 +89,17 @@ def serialize_jobs_str(rows):
     buf = io.StringIO()
     serialize_jobs(rows, buf)
     return buf.getvalue()
+
+
+def rows_from_bits(job_ids, timestamps, qubit_ids, bits):
+    """``JobRows`` from its streams as a (rows, n) matrix of 0/1 bits, packed
+    as ``JobRows`` holds them. An array of any dtype but uint8 is passed on
+    as given, for the constructor to refuse."""
+    bits = np.asarray(bits)
+    packed = np.packbits(bits, axis=-1) if bits.dtype == np.uint8 else bits
+    return JobRows(job_ids, timestamps, qubit_ids, packed, bits.shape[-1])
+
+
+def bits_of(rows):
+    """The streams of a ``JobRows`` as a (rows, n) matrix of 0/1 bits."""
+    return np.unpackbits(rows.bits, axis=1, count=rows.n)

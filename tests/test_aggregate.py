@@ -25,7 +25,6 @@ from qrng_audit.aggregate import (
 from qrng_audit.autocorr import BitSequence, TestParams, Verdict, run_test
 from qrng_audit.ingest import (
     CalibrationRecord,
-    JobRows,
     ParseError,
     ShapeError,
     format_timestamp,
@@ -34,6 +33,7 @@ from qrng_audit.ingest import (
     write_results,
 )
 from qrng_audit.simulate import DeviceRunConfig, generate_device_run
+from reference import rows_from_bits
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 
@@ -92,13 +92,14 @@ def test_build_matrix_rejects_job_with_two_timestamps():
     # j1 at two times: no job file holds such a job, and no single time
     # orders it among the others, so no grid holds it to be tested.
     with pytest.raises(ShapeError, match="each job must appear once, with one timestamp"):
-        JobRows(("j1", "j2", "j1"), (TS, TS + timedelta(minutes=10), TS + timedelta(minutes=30)),
-                (0, 1), np.zeros((6, 4), np.uint8))
+        rows_from_bits(("j1", "j2", "j1"),
+                       (TS, TS + timedelta(minutes=10), TS + timedelta(minutes=30)),
+                       (0, 1), np.zeros((6, 4), np.uint8))
 
 
 def test_build_matrix_rejects_empty():
     with pytest.raises(ValueError):
-        build_matrix(JobRows((), (), (), np.empty((0, 0), np.uint8)), TestParams(lag=1))
+        build_matrix(rows_from_bits((), (), (), np.empty((0, 0), np.uint8)), TestParams(lag=1))
 
 
 def test_build_matrix_ideal_fleet_false_positive_band():
@@ -178,7 +179,7 @@ def test_build_matrix_blocks_and_placement_match_run_test():
 
 def test_build_matrix_rejects_duplicate_cells():
     with pytest.raises(ShapeError, match=r"ascend strictly from 0 up, got \(0, 0\)"):
-        JobRows(("j1",), (TS,), (0, 0), np.zeros((2, 4), np.uint8))
+        rows_from_bits(("j1",), (TS,), (0, 0), np.zeros((2, 4), np.uint8))
 
 
 # ---------------------------------------------------------- ratios, passes

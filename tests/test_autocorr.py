@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrng_audit.autocorr import (
     BitSequence,
@@ -13,14 +13,15 @@ from qrng_audit.autocorr import (
     InvalidLagError,
     TestParams,
     Verdict,
-    autocorr_counts,
     autocorr_statistic,
     estimate_bias,
     normalize_statistic,
     p_value,
     p_values,
+    packed_counts,
     run_test,
 )
+from reference import autocorr_counts
 
 # mpmath oracle values, frozen up front
 P_VALUE_AT_2 = 0.0455002638963584144  # erfc(2/sqrt(2))
@@ -106,7 +107,61 @@ def test_counts_kernel_matches_scalar_reference(case):
 @pytest.mark.parametrize("lag", [0, -1, 10, 11])
 def test_counts_kernel_invalid_lag(lag):
     with pytest.raises(InvalidLagError):
-        autocorr_counts(np.zeros((3, 10), dtype=np.uint8), lag)
+        packed_counts(np.zeros((3, 2), dtype=np.uint8), 10, lag)
+
+
+@st.composite
+def bit_blocks(draw):
+    """(rows, n) bits and a lag drawn from 1 <= lag < n (lag = 1 at n = 1,
+    where no lag is valid); each row has its own bias, 0 and 1 included."""
+    n = draw(st.integers(1, 300) | st.sampled_from([8191, 8193]))
+    biases = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                           min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    draws = np.random.default_rng(seed).random((len(biases), n))
+    lag = draw(st.integers(1, max(n - 1, 1)))
+    return (draws < np.array(biases)[:, None]).astype(np.uint8), lag
+
+
+@given(bit_blocks())
+@settings(max_examples=300, deadline=None)
+@example((np.ones((2, 9), np.uint8), 8))
+@example((np.eye(2, 8193, 8192, dtype=np.uint8), 8192))
+def test_packed_counts_equals_reference_and_run_test(case):
+    """The packed kernel equals the uint8 reference kernel, and run_test cell
+    by cell; it refuses exactly the lags the reference refuses."""
+    bits, lag = case
+    n = bits.shape[1]
+    packed = np.packbits(bits, axis=1)
+    try:
+        expected = autocorr_counts(bits, lag)
+    except InvalidLagError:
+        with pytest.raises(InvalidLagError):
+            packed_counts(packed, n, lag)
+        return
+    statistic, ones = packed_counts(packed, n, lag)
+    assert statistic.dtype == ones.dtype == np.int64
+    assert statistic.tolist() == expected[0].tolist()
+    assert ones.tolist() == expected[1].tolist()
+    for row, count, ones_count in zip(bits, statistic.tolist(), ones.tolist()):
+        result = run_test(BitSequence(row), TestParams(lag=lag))
+        assert (count, ones_count / n) == (result.statistic, result.bias)
+
+
+def test_packed_counts_equals_reference_at_every_lag():
+    """Every lag of every n up to 70, and the lags at both ends of n around
+    8192, on rows of every bias: all zero, all one, sparse, dense, fair."""
+    rng = np.random.default_rng(20190509)
+    for n in [*range(2, 71), 8191, 8192, 8193]:
+        bits = (rng.random((5, n)) < np.array([[0.0], [1.0], [0.1], [0.9], [0.5]]))
+        bits = bits.astype(np.uint8)
+        packed = np.packbits(bits, axis=1)
+        lags = range(1, n) if n <= 70 else [*range(1, 18), *range(n - 17, n)]
+        for lag in lags:
+            statistic, ones = packed_counts(packed, n, lag)
+            expected = autocorr_counts(bits, lag)
+            assert statistic.tolist() == expected[0].tolist(), (n, lag)
+            assert ones.tolist() == expected[1].tolist(), (n, lag)
 
 
 def test_bitsequence_validation():

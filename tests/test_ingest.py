@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrng_audit import cli
 from qrng_audit.aggregate import build_matrix
 from qrng_audit.autocorr import PValueMatrix, TestParams
 from qrng_audit.ingest import (
     CalibrationRecord,
     JobRows,
     ParseError,
+    ShapeError,
     format_timestamp,
     parse_calibration,
     parse_jobs,
@@ -22,7 +24,7 @@ from qrng_audit.ingest import (
     serialize_jobs,
     write_results,
 )
-from reference import serialize_jobs_str
+from reference import bits_of, rows_from_bits, serialize_jobs_str
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 
@@ -35,7 +37,7 @@ def job_rows(*cells):
     """JobRows from (job_id, timestamp, qubit_id, bit string) cells in grid
     order: jobs in time order, each with its qubits ascending."""
     jobs = dict.fromkeys((c[0], c[1]) for c in cells)
-    return JobRows(
+    return rows_from_bits(
         job_ids=tuple(job_id for job_id, _ in jobs), timestamps=tuple(ts for _, ts in jobs),
         qubit_ids=tuple(dict.fromkeys(c[2] for c in cells)),
         bits=np.array([[int(b) for b in c[3]] for c in cells], dtype=np.uint8),
@@ -48,7 +50,7 @@ def test_parse_single_row():
     rows = parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,0110"))
     assert (rows.job_ids, rows.timestamps, rows.qubit_ids) == (("j1",), (TS,), (0,))
     assert rows.bits.dtype == np.uint8
-    assert rows.bits.tolist() == [[0, 1, 1, 0]]
+    assert bits_of(rows).tolist() == [[0, 1, 1, 0]]
 
 
 def test_parse_groups_rows_into_jobs():
@@ -60,7 +62,7 @@ def test_parse_groups_rows_into_jobs():
     ))
     assert (rows.job_ids, rows.qubit_ids) == (("j1", "j2"), (0, 1))
     # row j * 2 + k holds job j's stream on qubit k, whatever the file order
-    assert rows.bits.tolist() == [[1, 1], [0, 1], [1, 0], [0, 0]]
+    assert bits_of(rows).tolist() == [[1, 1], [0, 1], [1, 0], [0, 0]]
     matrix = build_matrix(rows, TestParams(lag=1))
     assert (matrix.job_ids, matrix.qubit_ids) == (("j1", "j2"), (0, 1))
     assert matrix.statistic.tolist() == [[0, 1], [1, 0]]
@@ -166,8 +168,8 @@ def job_corpora(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     bits = np.random.default_rng(seed).integers(
         0, 2, (len(jobs) * qubits, bits_len), dtype=np.uint8)
-    return JobRows(tuple(job_id for _, job_id in jobs), tuple(ts for ts, _ in jobs),
-                   tuple(range(qubits)), bits)
+    return rows_from_bits(tuple(job_id for _, job_id in jobs), tuple(ts for ts, _ in jobs),
+                          tuple(range(qubits)), bits)
 
 
 @given(job_corpora())
@@ -178,7 +180,7 @@ def test_job_round_trip_identity(rows):
     parsed = parse_jobs(io.StringIO(text))
     assert (parsed.job_ids, parsed.timestamps, parsed.qubit_ids) == (
         rows.job_ids, rows.timestamps, rows.qubit_ids)
-    assert parsed.bits.tolist() == rows.bits.tolist()
+    assert bits_of(parsed).tolist() == bits_of(rows).tolist()
     assert serialize_jobs_str(parsed) == text
 
 
@@ -205,7 +207,7 @@ def whole_row_serialize_jobs(rows):
              for job_id, ts in zip(rows.job_ids, rows.timestamps) for qubit in rows.qubit_ids]
     writer.writerows(
         [*cell, (bits + ord("0")).tobytes().decode("ascii")]
-        for cell, bits in zip(cells, rows.bits)
+        for cell, bits in zip(cells, bits_of(rows))
     )
     return buf.getvalue()
 
@@ -235,8 +237,8 @@ def test_serialize_jobs_matches_whole_row_csv_writer(bits, data):
     order = sorted(zip(stamps, names))
     qubit_ids = data.draw(st.lists(st.integers(0, 10**6), min_size=qubits, max_size=qubits,
                                    unique=True))
-    rows = JobRows(tuple(name for _, name in order), tuple(ts for ts, _ in order),
-                   tuple(sorted(qubit_ids)), bits)
+    rows = rows_from_bits(tuple(name for _, name in order), tuple(ts for ts, _ in order),
+                          tuple(sorted(qubit_ids)), bits)
     assert serialize_jobs_str(rows) == whole_row_serialize_jobs(rows)
 
 
@@ -247,8 +249,8 @@ def test_serialize_jobs_matches_whole_row_csv_writer(bits, data):
 def test_serialize_jobs_matches_whole_row_csv_writer_at_edge_shapes(bits):
     qubits = min(len(bits), 20)
     jobs = len(bits) // 20
-    rows = JobRows(tuple(f"j,{j:05d}" for j in range(jobs)), (TS,) * jobs,
-                   tuple(range(qubits)), bits)
+    rows = rows_from_bits(tuple(f"j,{j:05d}" for j in range(jobs)), (TS,) * jobs,
+                          tuple(range(qubits)), bits)
     assert serialize_jobs_str(rows) == whole_row_serialize_jobs(rows)
 
 
@@ -283,8 +285,6 @@ NAIVE = LATER.replace(tzinfo=None)
     (("j1",), (TS,), (0, 0), u8([0, 1], [1, 0]), r"ascend strictly from 0 up, got \(0, 0\)"),
     (("j1",), (TS,), (0, 1, 2), np.zeros((3, 0), np.uint8),
      r"bits must have shape \(3, n >= 1\), got \(3, 0\)"),
-    # a 2 would count as a bit: a statistic of 5 for n - lag = 3
-    (("j1",), (TS,), (0,), u8([0, 2, 1, 1]), "bits must be 0 or 1"),
     (("j1", "j1"), (TS, LATER), (0,), u8([0, 1], [1, 0]), "each job must appear once"),
     (("j2", "j1"), (TS, TS), (0,), u8([0, 1], [1, 0]), r"must be in \(timestamp, job_id\) order"),
     (("j1",), (TS,), (-1,), u8([0, 1]), r"ascend strictly from 0 up, got \(-1,\)"),
@@ -296,15 +296,80 @@ NAIVE = LATER.replace(tzinfo=None)
     # to an aware one it cannot even be ordered
     (("j1",), (NAIVE,), (0,), u8([0, 1]), "job timestamps must carry a UTC offset"),
     (("j1", "j2"), (TS, NAIVE), (0,), u8([0, 1], [1, 0]), "job timestamps must carry a UTC"),
-], ids=["second-timestamp", "repeated-stream", "zero-bits", "bit-value-2", "repeated-job",
+], ids=["second-timestamp", "repeated-stream", "zero-bits", "repeated-job",
         "jobs-out-of-order", "negative-qubit", "job-without-qubits", "extra-row", "not-uint8",
         "one-d-bits", "naive-timestamp", "naive-and-aware-timestamps"])
 def test_serialize_jobs_refuses_rows_no_job_file_holds(job_ids, stamps, qubit_ids, bits,
                                                        message):
     buf = io.StringIO()
     with pytest.raises(ValueError, match=message):
-        serialize_jobs(JobRows(job_ids, stamps, qubit_ids, bits), buf)
+        serialize_jobs(rows_from_bits(job_ids, stamps, qubit_ids, bits), buf)
     assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("qubit_ids, bits, n, message", [
+    ((0,), u8([0b0110_0000, 0]), 4, r"bits must be 1 bytes wide for 4-bit streams, got 2"),
+    ((0,), u8([0b0110_0000]), 9, r"bits must be 2 bytes wide for 9-bit streams, got 1"),
+    ((0,), u8([0b0110_0000]), 0, r"bits must have shape \(1, n >= 1\), got \(1, 0\)"),
+    ((0,), np.zeros((1, 0), np.uint8), -8, r"shape \(1, n >= 1\), got \(1, -8\)"),
+    ((0,), u8([0b0110_0001]), 4, "the pad bits past bit 4 of each row must be 0"),
+    ((0,), u8([0xFF, 0b1000_0001]), 15, "the pad bits past bit 15 of each row must be 0"),
+    ((0,), np.zeros((1, 1), np.int8), 4, r"uint8 matrix, got int8 \(1, 1\)"),
+    ((0,), np.zeros((1, 1, 1), np.uint8), 4, r"uint8 matrix, got uint8 \(1, 1, 1\)"),
+    ((0, 1), u8([0b0110_0000]), 4, r"bits must have shape \(2, n >= 1\), got \(1, 4\)"),
+], ids=["width-over-n", "width-under-n", "n-zero", "n-negative", "nonzero-pad-bit",
+        "nonzero-last-pad-bit", "not-uint8", "three-d-bits", "missing-row"])
+def test_job_rows_refuses_packed_bits_no_file_holds(qubit_ids, bits, n, message, monkeypatch,
+                                                    tmp_path, capsys):
+    """Packed bits that hold no job file's streams are refused when the grid
+    is built, and a refusal reaching the CLI ends in exit 1, not a traceback."""
+    def build(config=None):
+        return JobRows(("j1",), (TS,), qubit_ids, bits, n)
+
+    with pytest.raises(ShapeError, match=message):
+        build()
+    monkeypatch.setattr(cli.sim, "generate_device_run", build)
+    out = tmp_path / "jobs.csv"
+    assert cli.main(["simulate", "--jobs", "1", "--qubits", "1", "--bits", "4",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_job_rows_accepts_any_n_on_an_empty_grid_but_a_negative_one():
+    assert JobRows((), (), (), np.zeros((0, 0), np.uint8), 0).n == 0
+    assert JobRows((), (), (), np.zeros((0, 2), np.uint8), 9).n == 9
+    with pytest.raises(ShapeError, match=r"shape \(0, n >= 0\), got \(0, -1\)"):
+        JobRows((), (), (), np.zeros((0, 0), np.uint8), -1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 16, 8193])
+def test_parse_jobs_holds_each_row_in_ceil_n_over_8_bytes(n):
+    stream = ("10" * n)[:n]
+    parsed = parse_jobs(job_file(*(f"j{j},2019-05-09T11:2{j}:27Z,{q},{stream}"
+                                   for j in range(3) for q in (0, 1))))
+    assert parsed.n == n
+    assert parsed.bits.nbytes == 6 * -(-n // 8)
+    assert bits_of(parsed).tolist() == [[int(b) for b in stream]] * 6
+
+
+def test_sub_second_timestamps_round_trip():
+    """Stamps with microseconds are written with them: at second precision
+    these two jobs would share a stamp and read back reordered."""
+    noon = datetime(2020, 1, 1, 12, tzinfo=timezone.utc)
+    half = noon.replace(microsecond=500000)
+    rows = job_rows(("b", noon, 0, "0110"), ("a", half, 0, "1001"))
+    text = serialize_jobs_str(rows)
+    assert text.splitlines()[1:] == ["b,2020-01-01T12:00:00Z,0,0110",
+                                     "a,2020-01-01T12:00:00.500000Z,0,1001"]
+    parsed = parse_jobs(io.StringIO(text))
+    assert (parsed.job_ids, parsed.timestamps) == (("b", "a"), (noon, half))
+    assert serialize_jobs_str(parsed) == text
+    records = [CalibrationRecord(half, 0, 50.0), CalibrationRecord(noon, 0, 60.0)]
+    buf = io.StringIO()
+    serialize_calibration(records, buf)
+    assert parse_calibration(io.StringIO(buf.getvalue())) == (records[::-1], 0)
 
 
 def test_serialize_jobs_refuses_streams_over_the_csv_field_limit():
@@ -312,10 +377,11 @@ def test_serialize_jobs_refuses_streams_over_the_csv_field_limit():
     buf = io.StringIO()
     with pytest.raises(ValueError, match=f"{limit + 1}-bit streams exceed the job CSV field "
                                          f"limit of {limit} characters"):
-        serialize_jobs(JobRows(("j1",), (TS,), (0,), np.zeros((1, limit + 1), np.uint8)), buf)
+        serialize_jobs(rows_from_bits(("j1",), (TS,), (0,), np.zeros((1, limit + 1), np.uint8)),
+                       buf)
     assert buf.getvalue() == ""
     # a stream at the limit reads back
-    rows = JobRows(("j1",), (TS,), (0,), np.ones((1, limit), np.uint8))
+    rows = rows_from_bits(("j1",), (TS,), (0,), np.ones((1, limit), np.uint8))
     assert np.array_equal(parse_jobs(io.StringIO(serialize_jobs_str(rows))).bits, rows.bits)
 
 

@@ -19,7 +19,7 @@ from qrng_audit.simulate import (
     generate_device_run,
     stream_seed,
 )
-from reference import ideal_source, markov_source
+from reference import bits_of, ideal_source, markov_source
 
 
 # ------------------------------------------------------------------- ideal
@@ -182,23 +182,30 @@ def test_device_run_shape_and_subset_regeneration():
     )
     rows = generate_device_run(config)
     assert (rows.job_ids, rows.qubit_ids) == (("j0001", "j0002"), (0, 1, 2))
-    assert rows.bits.shape == (6, 16) and rows.bits.dtype == np.uint8
+    assert bits_of(rows).shape == (6, 16) and rows.bits.dtype == np.uint8
     cells = [(j, q) for j in range(2) for q in range(3)]
     # any (job, qubit) stream regenerates independently, bit for bit
     for row, (j, q) in enumerate(cells):
-        assert BitSequence(rows.bits[row]) == ideal_source(0.5, 16, stream_seed(7, j, q))
+        assert BitSequence(bits_of(rows)[row]) == ideal_source(0.5, 16, stream_seed(7, j, q))
     # and so does every other model's: markov at either sign of rho, and
     # drifting at the bias of the job's phase
     for rho in (0.3, -0.3):
         markov = generate_device_run(replace(config, bias=0.5, rho=rho))
         for row, (j, q) in enumerate(cells):
             seed = stream_seed(7, j, q)
-            assert BitSequence(markov.bits[row]) == markov_source(0.5, rho, 16, seed)
+            assert BitSequence(bits_of(markov)[row]) == markov_source(0.5, rho, 16, seed)
     phases = drifting_bias(((0.2, 1), (0.9, 1)))
     drifting = generate_device_run(replace(config, bias=phases))
     for row, (j, q) in enumerate(cells):
         seed = stream_seed(7, j, q)
-        assert BitSequence(drifting.bits[row]) == ideal_source((0.2, 0.9)[j], 16, seed)
+        assert BitSequence(bits_of(drifting)[row]) == ideal_source((0.2, 0.9)[j], 16, seed)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 8193])
+def test_device_run_holds_each_row_in_ceil_n_over_8_bytes(n):
+    rows = generate_device_run(DeviceRunConfig(qubit_count=3, jobs=2, bits_per_job=n))
+    assert rows.n == n
+    assert rows.bits.nbytes == 6 * -(-n // 8)
 
 
 def test_device_run_deterministic():
@@ -219,7 +226,7 @@ def test_device_run_timestamps_advance():
 def test_device_run_per_qubit_models():
     config = DeviceRunConfig(qubit_count=2, jobs=1, bits_per_job=4096, bias=0.5, rho=[0.0, 0.3],
                              master_seed=9)
-    ideal, markov = generate_device_run(config).bits
+    ideal, markov = bits_of(generate_device_run(config))
     ideal_stat = autocorr_statistic(BitSequence(ideal), 1)
     markov_stat = autocorr_statistic(BitSequence(markov), 1)
     assert markov_stat < ideal_stat  # rho=0.3 suppresses adjacent flips hard
@@ -263,7 +270,7 @@ def test_device_run_draws_each_cell_from_its_chain(form, n, seed):
     for row, (j, q) in enumerate(np.ndindex(jobs, qubits)):
         expected = markov_source(float(cell_bias[j, q]), float(cell_rho[j, q]), n,
                                  stream_seed(seed, j, q))
-        assert BitSequence(rows.bits[row]) == expected
+        assert BitSequence(bits_of(rows)[row]) == expected
 
 
 @pytest.mark.parametrize("bias, rho, message", [
