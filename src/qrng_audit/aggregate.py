@@ -17,8 +17,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .autocorr import PValueMatrix, TestParams, packed_counts
-from .ingest import BLOCK_BYTES, CalibrationRecord, JobRows
+from .autocorr import BLOCK_BYTES, PValueMatrix, TestParams, packed_counts
+from .ingest import CalibrationRecord, JobRows
 
 
 class InsufficientDataError(ValueError):
@@ -84,17 +84,12 @@ def mean_t1_per_qubit(
 
 
 def _rank_with_ties(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing their average rank."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, ties sharing their average rank: a run of equal values
+    at sorted positions first..last gets (first + last) / 2 + 1."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    return (0.5 * (first + last) + 1.0)[inverse]
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import aggregate as agg
 from . import simulate as sim
-from .autocorr import InvalidLagError, PValueMatrix, TestParams, check_lag
+from .autocorr import BLOCK_BYTES, InvalidLagError, PValueMatrix, TestParams, check_lag
 from .ingest import (
     CalibrationRecord,
     JobRows,
@@ -36,10 +36,6 @@ from .ingest import (
     write_results,
 )
 from .oracle import approximation_error
-
-
-# Rows of the oracle table formatted per block of the CSV write.
-_ORACLE_CSV_BLOCK = 1 << 14
 
 
 class UsageError(ValueError):
@@ -104,12 +100,12 @@ def _simulate(config: sim.DeviceRunConfig, model: str, out: str,
     """Generate the run, write its job file (and calibration file, if asked
     for), and return the job rows and calibration records."""
     jobs = sim.generate_device_run(config)
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         serialize_jobs(jobs, fh)
     calibration = None
     if calibration_out is not None:
         calibration = sim.generate_calibration_series(config)
-        with open(calibration_out, "w", newline="") as fh:
+        with open(calibration_out, "w", newline="", encoding="utf-8") as fh:
             serialize_calibration(calibration, fh)
     _status(
         f"simulated {config.jobs} jobs x {config.qubit_count} qubits x "
@@ -137,7 +133,7 @@ def _test(jobs: JobRows, params: TestParams, out: str) -> PValueMatrix:
     """Test every stream of the job rows, write the results file, and return
     the matrix it holds."""
     matrix = agg.build_matrix(jobs, params)
-    with open(out, "w", newline="") as fh:
+    with open(out, "w", newline="", encoding="utf-8") as fh:
         write_results(matrix, fh)
     _status(
         f"tested {len(matrix.job_ids)} jobs x {len(matrix.qubit_ids)} qubits "
@@ -148,7 +144,7 @@ def _test(jobs: JobRows, params: TestParams, out: str) -> PValueMatrix:
 
 def cmd_test(args: argparse.Namespace) -> int:
     params = _test_params(args)
-    with open(args.infile, newline="") as fh:
+    with open(args.infile, newline="", encoding="utf-8") as fh:
         jobs = parse_jobs(fh)
     _test(jobs, params, args.out)
     return 0
@@ -159,10 +155,10 @@ def _aggregate(matrix: PValueMatrix, calibration: list[CalibrationRecord] | None
     """Write the fleet report (and the scatter, given calibration and a
     path) and print its headline numbers."""
     report = agg.build_report(matrix, calibration)
-    with open(report_path, "w", newline="") as fh:
+    with open(report_path, "w", newline="", encoding="utf-8") as fh:
         agg.write_report_csv(report, fh)
     if calibration is not None and scatter_path is not None:
-        with open(scatter_path, "w", newline="") as fh:
+        with open(scatter_path, "w", newline="", encoding="utf-8") as fh:
             agg.write_scatter_csv(report, fh)
     _status(f"simultaneous-pass proportion: {report.simultaneous_pass_proportion:.4f}")
     if report.spearman_t1_failure is not None:
@@ -176,11 +172,11 @@ def _aggregate(matrix: PValueMatrix, calibration: list[CalibrationRecord] | None
 def cmd_aggregate(args: argparse.Namespace) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"alpha must be in (0, 1), got {args.alpha}")
-    with open(args.infile, newline="") as fh:
+    with open(args.infile, newline="", encoding="utf-8") as fh:
         matrix = read_results(fh, alpha=args.alpha)
     calibration = None
     if args.calibration is not None:
-        with open(args.calibration, newline="") as fh:
+        with open(args.calibration, newline="", encoding="utf-8") as fh:
             calibration, duplicates = parse_calibration(fh)
         if duplicates:
             _status(f"notice: {duplicates} duplicate calibration rows (last kept)")
@@ -200,15 +196,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         # Every input of the table is a flag.
         raise UsageError(str(exc)) from None
     floats = (table.exact_p, table.approx_p, table.difference)
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("statistic,exact_p,approx_p,difference\n")
         # A block of rows at a time: Python scalars for every row of a long
         # table would cost 32 bytes per cell of peak memory. Within a block
         # the float text is formatted once per run of rows whose three bit
         # patterns repeat (the underflowed tails are most of a long table);
         # bit patterns keep -0.0 apart from 0.0.
-        for lo in range(0, table.statistic.size, _ORACLE_CSV_BLOCK):
-            block = [c[lo:lo + _ORACLE_CSV_BLOCK] for c in floats]
+        step = BLOCK_BYTES // 24  # three float64 columns per row
+        for lo in range(0, table.statistic.size, step):
+            block = [c[lo:lo + step] for c in floats]
             bits = np.stack(block, axis=1).view(np.uint64)
             new_run = np.ones(len(bits), dtype=bool)
             new_run[1:] = np.any(bits[1:] != bits[:-1], axis=1)
@@ -218,7 +215,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 for exact, approx, difference in zip(*(c[starts].tolist() for c in block))
             ]
             run_of_row = (np.cumsum(new_run) - 1).tolist()
-            statistic = table.statistic[lo:lo + _ORACLE_CSV_BLOCK].tolist()
+            statistic = table.statistic[lo:lo + step].tolist()
             fh.writelines(f"{k}{texts[r]}" for k, r in zip(statistic, run_of_row))
     _status(f"max |exact - approx|: {table.max_abs_difference:.6g}")
     return 0

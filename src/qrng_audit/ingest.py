@@ -12,14 +12,16 @@ Parsers are strict: every rejection raises ParseError carrying the offending
 line number. All three read rows through one reader, ``_rows``, which owns
 the header check, strict quoting, the field count, blank-row skipping, and
 turning csv module errors (bad quoting, a field over its 131072-character
-limit) into ParseError. A results row must be one a ``test`` run can write,
+limit) into ParseError. Job and result rows may come in any order: each
+parser places them on their grid with one gather, which a job file already
+in grid order skips. A results row must be one a ``test`` run can write,
 and ``read_results`` returns the file as the p-value matrix it describes.
 
 Serializers emit a canonical form (job rows in the grid order of
-``JobRows``, result rows in the order held; timestamps UTC with a trailing Z,
-to the second, or to the microsecond when they carry a fraction; floats in
-shortest round-trip notation), so serialize(parse(f)) is byte-identical for
-canonical inputs.
+``JobRows``, result rows in the order held; timestamps UTC with a trailing Z
+and a four-digit year, to the second, or to the microsecond when they carry
+a fraction; floats in shortest round-trip notation), so serialize(parse(f))
+is byte-identical for canonical inputs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .autocorr import PValueMatrix, Verdict
+from .autocorr import BLOCK_BYTES, PValueMatrix, Verdict
 
 JOB_HEADER = ["job_id", "timestamp", "qubit_id", "bits"]
 CALIBRATION_HEADER = ["timestamp", "qubit_id", "t1_us"]
@@ -42,11 +44,6 @@ RESULT_HEADER = [
     "job_id", "qubit_id", "n", "lag", "bias",
     "statistic", "normalized", "p_value", "verdict",
 ]
-
-# Bytes of a bit matrix handled at once, as text by the job-CSV writer and
-# packed by the test kernel: small enough that their temporaries stay in
-# cache and add nothing to peak memory.
-BLOCK_BYTES = 1 << 16
 
 
 class ParseError(ValueError):
@@ -159,10 +156,9 @@ def _parse_timestamp(text: str, line: int) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
-    """UTC with a trailing Z; microseconds only when there are any, so a
-    whole-second stamp keeps its second-precision form."""
-    return ts.astimezone(timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%S.%fZ" if ts.microsecond else "%Y-%m-%dT%H:%M:%SZ")
+    """UTC with a trailing Z and a four-digit year; microseconds only when
+    there are any, so a whole-second stamp keeps its second-precision form."""
+    return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
 def _check_job_id(job_id: str, line: int | None = None) -> None:
@@ -216,26 +212,11 @@ def _rows(stream: TextIO | Iterable[str], header: list[str]) -> Iterator[tuple[i
         raise ParseError(f"unreadable CSV: {exc}", reader.line_num) from None
 
 
-def _place_rows(bits: np.ndarray, order: list[int]) -> None:
-    """Move row ``order[i]`` of ``bits`` to row i in place, one permutation
-    cycle at a time: one row is set aside per cycle, none for a row in place."""
-    placed = [slot == row for slot, row in enumerate(order)]
-    scratch = np.empty(bits.shape[1], dtype=bits.dtype)
-    for start in range(len(order)):
-        if placed[start]:
-            continue
-        scratch[:] = bits[start]
-        slot = start
-        while not placed[slot]:
-            placed[slot] = True
-            bits[slot] = scratch if order[slot] == start else bits[order[slot]]
-            slot = order[slot]
-
-
 def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
     """Parse a job CSV into its grid; the first data row declares the
     per-stream bit count. Each row is packed as it is read. Rows may come in
-    any order: once the file is read, each is moved to its grid row in place."""
+    any order: once the file is read, one gather puts each on its grid row,
+    and a file already in grid order is not copied."""
     declared: int | None = None
     stamps: dict[str, datetime] = {}
     streams: dict[tuple[str, int], None] = {}
@@ -269,7 +250,8 @@ def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
     job_ids = tuple(sorted(stamps, key=lambda job: (stamps[job], job)))
     qubit_ids, order = _grid_order(streams, job_ids)
     bits = np.frombuffer(buffer, dtype=np.uint8).reshape(len(streams), -(-n // 8))
-    _place_rows(bits, order.tolist())
+    if not np.array_equal(order, np.arange(order.size)):
+        bits = bits[order]
     return JobRows(job_ids, tuple(stamps[job] for job in job_ids), qubit_ids, bits, n)
 
 

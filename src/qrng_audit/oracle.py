@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autocorr import check_lag, normalize_statistic, p_values
+from .autocorr import BLOCK_BYTES, check_lag, normalize_statistic, p_values
 
 ENUMERATION_MAX_N = 24
-_CHUNK = 1 << 20
 # Fraction bits of the binomial walk: above the 1075 bits that reach the
 # smallest subnormal, with ample room for the floors' slack.
 _FIXED_POINT_BITS = 1200
@@ -94,8 +93,9 @@ def exact_distribution_enumerate(n: int, lag: int, bias: float) -> ExactDistribu
     pair_mask = np.uint32((1 << m) - 1)
     # Integer joint counts over (statistic value, ones count): exact.
     joint = np.zeros((m + 1) * (n + 1), dtype=np.int64)
-    for lo in range(0, 1 << n, _CHUNK):
-        block = np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.uint32)
+    step = BLOCK_BYTES // 4  # one uint32 per sequence
+    for lo in range(0, 1 << n, step):
+        block = np.arange(lo, min(lo + step, 1 << n), dtype=np.uint32)
         ones = np.bitwise_count(block)
         stat = np.bitwise_count((block ^ (block >> np.uint32(lag))) & pair_mask)
         joint += np.bincount(

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qrng_audit.aggregate import (
     BLOCK_BYTES,
     InsufficientDataError,
+    _rank_with_ties,
     build_matrix,
     build_report,
     degenerate_count_per_qubit,
@@ -314,6 +315,17 @@ def test_spearman_handles_ties_with_average_ranks():
     ys = [3.0, 1.0, 4.0, 4.0, 2.0, 6.0, 5.0]
     expected = sp_stats.spearmanr(xs, ys).statistic
     assert spearman(xs, ys) == pytest.approx(expected, abs=1e-12)
+
+
+@given(st.lists(st.floats(allow_nan=False) | st.sampled_from([-0.0, 0.0, 1.0]), min_size=1,
+                max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_ranks_are_average_ranks(values):
+    """Ties (-0.0 and 0.0 among them) share their average rank, to the bit."""
+    from scipy import stats as sp_stats
+
+    x = np.array(values)
+    assert _rank_with_ties(x).tolist() == sp_stats.rankdata(x, method="average").tolist()
 
 
 def test_spearman_scale_invariant():

@@ -4,7 +4,10 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,11 @@ from hypothesis import given, settings, strategies as st
 from qrng_audit import cli
 from qrng_audit.cli import main
 from qrng_audit.oracle import ApproximationTable, approximation_error
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# A locale whose default encoding is ASCII: no coercion to C.UTF-8, no UTF-8 mode.
+ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 
 
 def run(args):
@@ -477,7 +485,7 @@ def test_oracle_csv_equals_per_row_writer(tmp_path, n, lag, p, k_range):
 
 
 def test_oracle_csv_runs_cross_block_edges(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_ORACLE_CSV_BLOCK", 1000)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 24000)
     expected = per_row_oracle_csv(approximation_error(20000, 7, 0.5))
     assert oracle_csv(tmp_path, 20000, 7, 0.5) == expected
 
@@ -594,3 +602,24 @@ def test_pipeline_repeated_runs_identical(tmp_path):
              "--seed", 4, "--workdir", workdir])
     for name in ("jobs.csv", "calibration.csv", "results.csv", "report.csv", "scatter.csv"):
         assert sha256(first / name) == sha256(second / name)
+
+
+def test_files_are_utf8_in_any_locale(tmp_path):
+    """Job and results files are UTF-8 whatever the locale's encoding: a
+    child in an ASCII locale reads a non-ASCII job_id and writes the same
+    results bytes as one in the default locale."""
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_bytes("job_id,timestamp,qubit_id,bits\n"
+                     "jé,2019-05-09T11:24:27Z,0,0110100110\n".encode())
+    written = []
+    for i, locale_env in enumerate(({}, ASCII_LOCALE)):
+        out = tmp_path / f"results{i}.csv"
+        child = subprocess.run(
+            [sys.executable, "-m", "qrng_audit", "test", "--in", jobs, "--out", out],
+            env={**os.environ, "PYTHONPATH": str(SRC), **locale_env},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].splitlines()[1].startswith("jé,0,10,1,".encode())

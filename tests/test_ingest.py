@@ -372,6 +372,22 @@ def test_sub_second_timestamps_round_trip():
     assert parse_calibration(io.StringIO(buf.getvalue())) == (records[::-1], 0)
 
 
+@pytest.mark.parametrize("fraction", ["", ".250000"], ids=["whole-second", "fraction"])
+@pytest.mark.parametrize("year", [1, 50, 999])
+def test_early_year_timestamps_round_trip(year, fraction):
+    """Years below 1000 are written with four digits, the form the parsers read."""
+    stamp = f"{year:04d}-01-01T00:00:00{fraction}Z"
+    jobs = f"job_id,timestamp,qubit_id,bits\nj1,{stamp},0,0101\n"
+    written = serialize_jobs_str(parse_jobs(io.StringIO(jobs)))
+    assert written == jobs
+    assert serialize_jobs_str(parse_jobs(io.StringIO(written))) == written
+    calibration = f"timestamp,qubit_id,t1_us\n{stamp},0,50.0\n"
+    for _ in range(2):
+        buf = io.StringIO()
+        serialize_calibration(parse_calibration(io.StringIO(calibration))[0], buf)
+        assert buf.getvalue() == calibration
+
+
 def test_serialize_jobs_refuses_streams_over_the_csv_field_limit():
     limit = csv.field_size_limit()
     buf = io.StringIO()

@@ -1,9 +1,15 @@
-"""Peak memory of the CLI: the bit matrix is held packed, eight bits a byte.
+"""Peak memory of the CLI, each bound above the peak of ``--help``
+(interpreter, numpy and the package imported).
 
-The pipeline at 145 jobs x 20 qubits x 8192 bits (the benchmark's paper
-shape) holds 2.9 MB of packed bits. One byte per bit would be 23.8 MB, and
-the pipeline's peak would then exceed that of ``--help`` (interpreter,
-numpy and the package imported) by about 30 MiB instead of about 10 MiB.
+* The pipeline at 145 jobs x 20 qubits x 8192 bits (the benchmark's paper
+  shape) holds 2.9 MB of packed bits. One byte per bit would be 23.8 MB, and
+  its peak would exceed ``--help``'s by about 30 MiB instead of about 10 MiB.
+* ``test`` on a 579 x 20 x 8192 job file in grid order copies none of its
+  11.9 MB of packed bits: about 16 MiB above ``--help``, against about
+  25 MiB with one gather of the whole matrix.
+* The exact oracle at n = 24 enumerates 2^24 sequences a block at a time:
+  about 1 MiB above ``--help``, against about 22 MiB at 2^20 sequences a
+  block.
 """
 
 import os
@@ -15,8 +21,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# Pipeline peak above the --help peak, in MiB.
+# Peaks above the --help peak, in MiB.
 PEAK_ABOVE_STARTUP_MIB = 16
+TEST_PEAK_ABOVE_STARTUP_MIB = 20.5
+ORACLE_PEAK_ABOVE_STARTUP_MIB = 8
 CHILD_TIMEOUT_S = 120.0
 
 
@@ -44,3 +52,20 @@ def test_pipeline_peak_rss_stays_near_startup(tmp_path):
     pipeline = peak_rss_mib(["pipeline", "--jobs", "145", "--qubits", "20", "--bits", "8192",
                              "--workdir", "run"], tmp_path)
     assert pipeline - startup < PEAK_ABOVE_STARTUP_MIB, (pipeline, startup)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_test_of_a_file_in_grid_order_copies_no_bits(tmp_path):
+    startup = peak_rss_mib(["--help"], tmp_path)
+    peak_rss_mib(["simulate", "--jobs", "579", "--qubits", "20", "--bits", "8192",
+                  "--out", "jobs.csv"], tmp_path)
+    test = peak_rss_mib(["test", "--in", "jobs.csv", "--out", "results.csv"], tmp_path)
+    assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_exact_oracle_peak_rss_stays_near_startup(tmp_path):
+    startup = peak_rss_mib(["--help"], tmp_path)
+    oracle = peak_rss_mib(["oracle", "--n", "24", "--lag", "1", "--p", "0.3",
+                           "--out", "gap.csv"], tmp_path)
+    assert oracle - startup < ORACLE_PEAK_ABOVE_STARTUP_MIB, (oracle, startup)
