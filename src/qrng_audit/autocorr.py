@@ -65,14 +65,16 @@ class BitSequence:
     __slots__ = ("bits",)
 
     def __init__(self, bits: Iterable[int] | np.ndarray):
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 1:
             raise ValueError(f"bits must be one-dimensional, got shape {arr.shape}")
         if arr.size < 1:
             raise ValueError("a bit sequence must contain at least one bit")
-        if not np.all(arr <= 1):
-            bad = int(np.argmax(arr > 1))
-            raise ValueError(f"bit at position {bad} is not 0 or 1")
+        # Checked before the cast, which would truncate floats and wrap integers.
+        bad = (arr != 0) & (arr != 1)
+        if bad.any():
+            raise ValueError(f"bit at position {int(np.argmax(bad))} is not 0 or 1")
+        arr = arr.astype(np.uint8, copy=False)
         arr.setflags(write=False)
         self.bits = arr
 
@@ -227,8 +229,8 @@ def p_values(normalized: np.ndarray) -> np.ndarray:
     if not finite.all():
         bad = float(z[~finite][0])
         raise ValueError(f"normalized statistic must be finite, got {bad!r}")
-    x = (np.abs(z) / math.sqrt(2.0)).ravel().tolist()
-    p = np.fromiter(map(math.erfc, x), dtype=float, count=len(x))
+    x = (np.abs(z) / math.sqrt(2.0)).ravel()
+    p = np.fromiter(map(math.erfc, x), dtype=float, count=x.size)
     return np.maximum(p, _TINY).reshape(z.shape)
 
 

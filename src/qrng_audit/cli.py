@@ -8,9 +8,9 @@ Subcommands:
 * ``oracle``    exact-vs-normal-approximation error table
 * ``pipeline``  the three stages end to end in one working directory
 
-Exit codes: 0 success, 1 data/IO error, 2 usage error. Data goes to files and
-status lines to stderr. Every subcommand is deterministic given its flags;
-repeated runs produce byte-identical files.
+Exit codes: 0 success, 1 data/IO error or failed allocation, 2 usage error.
+Data goes to files and status lines to stderr. Every subcommand is
+deterministic given its flags; repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -323,6 +323,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         # Data-level rejections (parse errors carry line numbers) and IO.
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .autocorr import BLOCK_BYTES, PValueMatrix, Verdict
+from .autocorr import BLOCK_BYTES, PValueMatrix, Verdict, pair_mismatch_rate
 
 JOB_HEADER = ["job_id", "timestamp", "qubit_id", "bits"]
 CALIBRATION_HEADER = ["timestamp", "qubit_id", "t1_us"]
@@ -362,7 +362,9 @@ def read_results(stream: TextIO | Iterable[str], alpha: float = 0.01) -> PValueM
     Only rows a ``test`` run can write are accepted: a non-empty job_id
     without a carriage return, 1 <= lag < n, statistic in [0, n - lag],
     bias in [0, 1], and one n and one lag per file. A row is degenerate
-    exactly when its normalized and p_value fields are empty; otherwise
+    exactly when its normalized and p_value fields are empty, and exactly
+    when its bias gives the test zero variance (``q * (1 - q) <= 0`` with
+    ``q = pair_mismatch_rate(bias)``, the test's own rule); otherwise
     normalized is finite and p_value lies in (0, 1]. Every fail p_value lies
     below every pass p_value, as both sides of the alpha they were read at."""
     n_lag: tuple[int, int] | None = None
@@ -397,6 +399,10 @@ def read_results(stream: TextIO | Iterable[str], alpha: float = 0.01) -> PValueM
         degenerate = verdict is Verdict.DEGENERATE
         if degenerate != (not z_text) or degenerate != (not p_text):
             raise ParseError("normalized and p_value must be empty exactly on degenerate rows", line)
+        q = pair_mismatch_rate(bias)
+        if degenerate != (q * (1.0 - q) <= 0.0):
+            raise ParseError(f"verdict {v_text!r} at bias {bias_text}: a row is degenerate "
+                             "exactly when its bias gives zero variance", line)
         if not degenerate and not (math.isfinite(normalized) and 0.0 < p <= 1.0):
             raise ParseError(
                 f"need a finite normalized and a p_value in (0, 1], got {z_text!r}, {p_text!r}",

@@ -22,9 +22,9 @@ support entry costs a few operations on 1200-bit integers whatever m is,
 and only the non-zero support is visited (about 13900 of the 131073 entries
 at m = 131072).
 
-``approximation_error`` tabulates exact against normal-approximation
-p-values as columns: one array pass each for the tail sums, the
-standardization and the p-values.
+``ExactDistribution.two_sided_p`` sums every exact two-sided tail in one
+array pass, whichever route built the pmf; ``approximation_error`` sets
+those against the normal-approximation p-values as columns.
 """
 
 from __future__ import annotations
@@ -77,6 +77,21 @@ class ExactDistribution:
 
     def mean(self) -> float:
         return float(np.dot(self.support, self.pmf))
+
+    def two_sided_p(self) -> np.ndarray:
+        """Exact two-sided p-value of every statistic value, from one cumsum in
+        order of falling distance from the mean (small tails summed first)."""
+        distances = np.abs(self.support - self.mean())
+        order = np.argsort(-distances, kind="stable")
+        tail = np.cumsum(self.pmf[order])
+        # k and its mirror about the mean share the pair's tail. Distances on
+        # one side of the mean are 1 apart, so a tie is at most a pair.
+        sorted_d = distances[order]
+        tied = sorted_d[1:] >= sorted_d[:-1] - 1e-9
+        tail[:-1][tied] = tail[1:][tied]
+        p = np.empty(tail.size)
+        p[order] = tail
+        return p
 
 
 def exact_distribution_enumerate(n: int, lag: int, bias: float) -> ExactDistribution:
@@ -202,24 +217,8 @@ def approximation_error(
     k_lo, k_hi = k_range if k_range is not None else (0, m)
     if not 0 <= k_lo <= k_hi <= m:
         raise ValueError(f"k_range must lie within [0, {m}], got {k_range}")
-
-    # One pass over distances gives every tail sum; ascending-pmf order keeps
-    # the small tails accurate.
-    distances = np.abs(dist.support - dist.mean())
-    order = np.argsort(-distances, kind="stable")
-    tail = np.cumsum(dist.pmf[order])
-    # Ties at the same distance (k and its mirror about the mean) must share
-    # the full tail mass. Distances on one side of the mean are 1 apart, so a
-    # tie run holds at most two values and comparing neighbours finds it.
-    sorted_d = distances[order]
-    run_start = np.ones(m + 1, dtype=bool)
-    run_start[1:] = sorted_d[1:] < sorted_d[:-1] - 1e-9
-    run_end = np.flatnonzero(np.append(run_start[1:], True))
-    exact_by_k = np.empty(m + 1)
-    exact_by_k[order] = tail[run_end][np.cumsum(run_start) - 1]
-
     statistic = np.arange(k_lo, k_hi + 1)
-    exact = np.minimum(exact_by_k[k_lo:k_hi + 1], 1.0)
+    exact = np.minimum(dist.two_sided_p()[k_lo:k_hi + 1], 1.0)
     approx = p_values(normalize_statistic(statistic, n, lag, bias))
     return ApproximationTable(
         n=n, lag=lag, bias=bias, statistic=statistic, exact_p=exact,

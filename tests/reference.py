@@ -30,7 +30,7 @@ def variance(dist):
 def exact_two_sided_p(dist, observed):
     """Total pmf mass at least as far from the exact mean as ``observed``:
     one point at a time, the check on the vectorized tail sums of
-    ``approximation_error``."""
+    ``ExactDistribution.two_sided_p``."""
     m = dist.n - dist.lag
     if not 0 <= observed <= m:
         raise ValueError(f"observed must be in [0, {m}], got {observed}")

@@ -167,8 +167,10 @@ def test_packed_counts_equals_reference_at_every_lag():
 def test_bitsequence_validation():
     with pytest.raises(ValueError):
         BitSequence([])
-    with pytest.raises(ValueError):
-        BitSequence([0, 2, 1])
+    # Fractions and integers a uint8 cast would wrap are refused, not cast.
+    for bits in ([0, 2, 1], [0.9, 0.2, 1.7], np.array([256, 257, 256]), [-255, 1, 0]):
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            BitSequence(bits)
     for text in ("01a0", "", "01,0", "01\u00e90"):
         with pytest.raises(ValueError):
             BitSequence.from_string(text)
@@ -182,6 +184,7 @@ def test_bitsequence_round_trip_and_equality():
     assert len(seq) == 6
     assert seq.ones_count() == 3
     assert seq == BitSequence([1, 0, 0, 1, 1, 0])
+    assert seq == BitSequence([True, False, False, True, True, False])
     assert seq != BitSequence([1, 0, 0, 1, 1, 1])
 
 

@@ -252,12 +252,14 @@ GOOD_ROW = "j1,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
         "j1,1,8,1,nan,3,-0.3779644730092272,0.705456536697442,pass\n",
         "j1,1,8,1,1.5,3,-0.3779644730092272,0.705456536697442,pass\n",
         "j1,1,8,1,-0.5,3,-0.3779644730092272,0.705456536697442,pass\n",
+        "j1,1,8,1,0.0,0,0.5,0.6,pass\n",  # zero variance needs the degenerate verdict
+        "j1,1,8,1,0.5,7,,,degenerate\n",  # bias 0.5 gives variance
     ],
     ids=["empty-p", "nan-p", "p-above-one", "mixed-lag", "mixed-n",
          "pass-without-p", "degenerate-with-p", "empty-job-id", "lag-above-n",
          "negative-statistic",
          "statistic-above-n-minus-lag", "nan-bias", "bias-above-one",
-         "negative-bias"],
+         "negative-bias", "pass-at-zero-variance", "degenerate-at-half-bias"],
 )
 def test_aggregate_rejects_bad_results_row(tmp_path, capsys, bad_row):
     results = tmp_path / "results.csv"
@@ -565,6 +567,23 @@ def test_bits_above_csv_field_limit_exit_2_before_generating(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert "field limit of 131072" in err
     assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_failed_allocation_exits_1_without_traceback(tmp_path, capsys, monkeypatch, command):
+    # The allocation fails by a stub: a real one too large for memory can
+    # succeed under overcommit and then exhaust it.
+    def fail(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 4.21 TiB for an array")
+
+    monkeypatch.setattr(cli.sim, "generate_device_run", fail)
+    monkeypatch.setattr(cli, "approximation_error", fail)
+    argv = (["simulate", "--jobs", 579, "--qubits", 1000000000, "--bits", 8]
+            if command == "simulate" else ["oracle", "--n", 10**12])
+    assert run([*argv, "--out", tmp_path / "out.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 4.21 TiB for an array\n"
     assert not list(tmp_path.iterdir())
 
 
