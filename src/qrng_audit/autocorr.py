@@ -35,10 +35,10 @@ LOW_SAMPLE_VARIANCE = 25.0
 _TINY = 5e-324
 
 # Bytes handled at once by every blocked loop: packed bit rows in
-# ``aggregate.build_matrix``, their '0'/'1' text in ``ingest.serialize_jobs``,
-# uint32 sequences in ``oracle.exact_distribution_enumerate`` and rows of
-# three float64 columns in the ``oracle`` command's CSV writer. Small enough
-# that each block's temporaries stay in cache and add nothing to peak memory.
+# ``aggregate.build_matrix``, their '0'/'1' text in ``ingest.serialize_jobs``
+# and rows of three float64 columns in the ``oracle`` command's CSV writer.
+# Small enough that each block's temporaries stay in cache and add nothing
+# to peak memory.
 BLOCK_BYTES = 1 << 16
 
 
@@ -74,7 +74,8 @@ class BitSequence:
         bad = (arr != 0) & (arr != 1)
         if bad.any():
             raise ValueError(f"bit at position {int(np.argmax(bad))} is not 0 or 1")
-        arr = arr.astype(np.uint8, copy=False)
+        # A view, so the caller's own uint8 array stays writable.
+        arr = arr.astype(np.uint8, copy=False).view()
         arr.setflags(write=False)
         self.bits = arr
 

@@ -2,18 +2,25 @@
 
 Ground truth for the normal approximation used by the main test. Two routes:
 
-* full enumeration of every length-n sequence (n <= 24), weighting each by
-  ``p^ones * (1-p)^(n-ones)``, valid for any bias;
+* the exact count of length-n sequences in each (statistic, ones) cell
+  (n <= 53), each cell weighted by ``p^ones * (1-p)^(n-ones)``, valid for
+  any bias;
 * the closed-form Binomial(n-lag, 1/2) that the statistic follows exactly at
   p = 1/2 (the lag-differenced fair i.i.d. sequence is itself i.i.d. fair).
 
-Enumeration counts (statistic, ones) pairs with exact integers and applies
-float weights only to the <= (n+1)^2 aggregated cells, so at p = 1/2 the pmf
-is exact to the last bit. The binomial route walks out from the mode
-k = m // 2 in fixed point: C(m, k) / 2^m is held as an integer scaled by
-2^1200 and rounded down, and the count of floors taken bounds how far below
-the exact value it lies. When both ends of that bracket round to the same
-double, that double is the correctly rounded value; otherwise the entry
+The counts come from one walk over the bits, each residue class i mod lag
+in turn, since the classes are independent lag-1 chains (at lag 1 these
+are the runs counts of Wald & Wolfowitz, 1940). The walk keeps the counts
+of the prefixes so far by (mismatched pairs, ones, last bit): n steps of
+O(n^2) integer additions instead of 2^n sequences. Float weights are applied
+only to the <= (n+1)^2 exact integer cells, and every count is below 2^53,
+so at p = 1/2 the pmf is exact to the last bit.
+
+The binomial route walks out from the mode k = m // 2 in fixed point:
+C(m, k) / 2^m is held as an integer scaled by 2^1200 and rounded down, and
+the count of floors taken bounds how far below the exact value it lies. When
+both ends of that bracket round to the same double, that double is the
+correctly rounded value; otherwise the entry
 falls back to the exact big-integer quotient. Each value is stored at k and
 at its mirror m - k. C(m, k) falls monotonically away from the mode, so the
 walk stops at the first value that rounds to 0.0 and every entry beyond it
@@ -30,13 +37,17 @@ those against the normal-approximation p-values as columns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autocorr import BLOCK_BYTES, check_lag, normalize_statistic, p_values
+from .autocorr import check_lag, normalize_statistic, p_values
 
-ENUMERATION_MAX_N = 24
+# Each (statistic, ones) count is below 2^n. Up to n = 53, the doubles'
+# significand width, every count converts to a double exactly, so at p = 1/2
+# each int(count) * 2^-n is exact and fsum rounds each pmf entry once.
+ENUMERATION_MAX_N = sys.float_info.mant_dig
 # Fraction bits of the binomial walk: above the 1075 bits that reach the
 # smallest subnormal, with ample room for the floors' slack.
 _FIXED_POINT_BITS = 1200
@@ -69,7 +80,10 @@ class ExactDistribution:
         total = math.fsum(self.pmf[self.pmf != 0.0].tolist())
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"pmf mass {total!r} deviates from 1 by more than 1e-12")
-        self.pmf.setflags(write=False)
+        # Read-only through this distribution; the caller's array stays writable.
+        pmf = self.pmf.view()
+        pmf.setflags(write=False)
+        object.__setattr__(self, "pmf", pmf)
 
     @property
     def support(self) -> np.ndarray:
@@ -94,8 +108,30 @@ class ExactDistribution:
         return p
 
 
+def _joint_counts(n: int, lag: int) -> np.ndarray:
+    """Exact int64 counts of the length-n sequences by (statistic, ones).
+
+    The bits are walked class by class (positions c, c + lag, c + 2 lag, ...),
+    so each bit pairs with the one before it in the walk unless it opens its
+    class. ``zero[s, k]`` and ``one[s, k]`` count the prefixes so far with s
+    mismatched pairs and k ones, split by their last bit. No prefix reaches
+    s = n - lag or k = n before the last bit, so what ``np.roll`` wraps
+    round is always zero.
+    """
+    zero = np.zeros((n - lag + 1, n + 1), dtype=np.int64)
+    one = np.zeros_like(zero)
+    zero[0, 0] = 1
+    for c in range(lag):
+        zero, one = zero + one, np.roll(zero + one, 1, axis=1)
+        for _ in range(c + lag, n, lag):
+            zero, one = (zero + np.roll(one, 1, axis=0),
+                         np.roll(one + np.roll(zero, 1, axis=0), 1, axis=1))
+    return zero + one
+
+
 def exact_distribution_enumerate(n: int, lag: int, bias: float) -> ExactDistribution:
-    """Exact pmf by visiting all 2^n sequences (n <= 24), any bias."""
+    """Exact pmf from the (statistic, ones) counts of all 2^n sequences
+    (n <= ENUMERATION_MAX_N), any bias."""
     check_lag(n, lag)
     if n > ENUMERATION_MAX_N:
         raise EnumerationLimitError(
@@ -105,18 +141,7 @@ def exact_distribution_enumerate(n: int, lag: int, bias: float) -> ExactDistribu
         raise ValueError(f"bias must be in [0, 1], got {bias}")
 
     m = n - lag
-    pair_mask = np.uint32((1 << m) - 1)
-    # Integer joint counts over (statistic value, ones count): exact.
-    joint = np.zeros((m + 1) * (n + 1), dtype=np.int64)
-    step = BLOCK_BYTES // 4  # one uint32 per sequence
-    for lo in range(0, 1 << n, step):
-        block = np.arange(lo, min(lo + step, 1 << n), dtype=np.uint32)
-        ones = np.bitwise_count(block)
-        stat = np.bitwise_count((block ^ (block >> np.uint32(lag))) & pair_mask)
-        joint += np.bincount(
-            stat.astype(np.int64) * (n + 1) + ones, minlength=joint.size
-        )
-    counts = joint.reshape(m + 1, n + 1)
+    counts = _joint_counts(n, lag)
 
     weight_by_ones = [bias**c * (1.0 - bias) ** (n - c) for c in range(n + 1)]
     pmf = np.array(

@@ -41,6 +41,25 @@ def exact_two_sided_p(dist, observed):
     return float(np.sum(dist.pmf[mask]))
 
 
+def enumerate_joint_counts(n, lag):
+    """Exact int64 counts of the length-n sequences by (statistic, ones),
+    from every one of the 2^n sequences as a uint32, 16384 at a time: the
+    brute-force check on ``oracle._joint_counts``."""
+    check_lag(n, lag)
+    m = n - lag
+    pair_mask = np.uint32((1 << m) - 1)
+    joint = np.zeros((m + 1) * (n + 1), dtype=np.int64)
+    step = 1 << 14
+    for lo in range(0, 1 << n, step):
+        block = np.arange(lo, min(lo + step, 1 << n), dtype=np.uint32)
+        ones = np.bitwise_count(block)
+        stat = np.bitwise_count((block ^ (block >> np.uint32(lag))) & pair_mask)
+        joint += np.bincount(
+            stat.astype(np.int64) * (n + 1) + ones, minlength=joint.size
+        )
+    return joint.reshape(m + 1, n + 1)
+
+
 def xor_count_mean(n, lag, bias):
     """Exact mean q(n-lag) of the statistic, q = 2p(1-p); holds for every lag."""
     return pair_mismatch_rate(bias) * (n - lag)

@@ -194,6 +194,14 @@ def test_bitsequence_immutable():
         seq.bits[0] = 0
 
 
+def test_bitsequence_leaves_the_callers_array_writable():
+    bits = np.array([1, 0, 1], dtype=np.uint8)
+    seq = BitSequence(bits)
+    bits[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        seq.bits[0] = 1
+
+
 # --------------------------------------------------------------------- bias
 
 @pytest.mark.parametrize(

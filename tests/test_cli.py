@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrng_audit import cli
 from qrng_audit.cli import main
-from qrng_audit.oracle import ApproximationTable, approximation_error
+from qrng_audit.oracle import ENUMERATION_MAX_N, ApproximationTable, approximation_error
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -139,6 +139,12 @@ def test_test_all_ones_fixture_degenerate(tmp_path):
     assert out.read_text().splitlines()[1].endswith(",degenerate")
 
 
+# The first data row is at the csv module's field size limit, the second past it.
+OVER_LIMIT_JOBS = ("job_id,timestamp,qubit_id,bits\n"
+                   f"j1,2019-05-09T11:00:00Z,0,{'01' * 65536}\n"
+                   f"j1,2019-05-09T11:00:00Z,1,{'01' * 65536}0\n")
+
+
 def test_test_parse_error_exits_1_with_line(tmp_path, capsys):
     jobs = tmp_path / "jobs.csv"
     jobs.write_text(
@@ -146,6 +152,16 @@ def test_test_parse_error_exits_1_with_line(tmp_path, capsys):
     )
     assert run(["test", "--in", jobs, "--out", tmp_path / "r.csv"]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_test_refuses_an_over_limit_stream_on_a_later_row(tmp_path, capsys):
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text(OVER_LIMIT_JOBS)
+    assert run(["test", "--in", jobs, "--out", tmp_path / "r.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "line 3: unreadable CSV" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_test_missing_input_exits_1(tmp_path):
@@ -415,7 +431,14 @@ def test_oracle_small_table(tmp_path, capsys):
 
 
 def test_oracle_size_limit_exits_2(tmp_path):
-    assert run(["oracle", "--n", 30, "--p", 0.3, "--out", tmp_path / "t.csv"]) == 2
+    assert run(["oracle", "--n", ENUMERATION_MAX_N + 1, "--p", 0.3,
+                "--out", tmp_path / "t.csv"]) == 2
+
+
+def test_oracle_reaches_n_53_at_any_bias(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run(["oracle", "--n", 53, "--p", 0.3, "--out", out]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 53
 
 
 @pytest.mark.parametrize(

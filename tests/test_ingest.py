@@ -89,6 +89,16 @@ def test_parse_length_mismatch():
     assert err.value.line == 3
 
 
+def test_parse_refuses_an_over_limit_stream_on_a_later_row():
+    limit = csv.field_size_limit()
+    with pytest.raises(ParseError, match="unreadable CSV") as err:
+        parse_jobs(job_file(
+            f"j1,2019-05-09T11:24:27Z,0,{'1' * limit}",
+            f"j1,2019-05-09T11:24:27Z,1,{'1' * (limit + 1)}",
+        ))
+    assert err.value.line == 3
+
+
 def test_parse_duplicate_stream():
     with pytest.raises(ParseError) as err:
         parse_jobs(job_file(

@@ -21,6 +21,7 @@ from qrng_audit.oracle import (
 )
 from reference import (
     as_dict,
+    enumerate_joint_counts,
     exact_two_sided_p,
     variance,
     xor_count_mean,
@@ -38,6 +39,38 @@ def test_enumerate_examples():
 def test_enumerate_size_limit():
     with pytest.raises(EnumerationLimitError):
         exact_distribution_enumerate(ENUMERATION_MAX_N + 1, 1, 0.5)
+
+
+@given(st.integers(2, 20))
+@example(20)
+@settings(max_examples=20, deadline=None)
+def test_joint_counts_equal_enumeration(n):
+    for lag in range(1, n):
+        assert np.array_equal(oracle._joint_counts(n, lag), enumerate_joint_counts(n, lag)), lag
+
+
+@pytest.mark.parametrize("lag", [1, 3, 12, 23])
+def test_joint_counts_equal_enumeration_at_24(lag):
+    assert np.array_equal(oracle._joint_counts(24, lag), enumerate_joint_counts(24, lag))
+
+
+def test_enumerate_past_the_old_limit_weights_exact_counts():
+    """n = 25 was beyond brute force; the pmf is the enumerated counts
+    weighted by ones, as exact_distribution_enumerate weights them."""
+    n, bias = 25, 0.3
+    counts = enumerate_joint_counts(n, 1)
+    weights = [bias**c * (1.0 - bias) ** (n - c) for c in range(n + 1)]
+    expected = [math.fsum(int(count) * w for count, w in zip(row, weights)) for row in counts]
+    assert np.array_equal(exact_distribution_enumerate(n, 1, bias).pmf, expected)
+
+
+@pytest.mark.parametrize("n", range(25, ENUMERATION_MAX_N + 1))
+def test_counts_route_equals_binomial_at_half_to_the_limit(n):
+    """Every count is below 2^53, so at p = 1/2 each weighted count is exact
+    and the pmf is the binomial's bit for bit."""
+    for lag in range(1, n):
+        assert np.array_equal(exact_distribution_enumerate(n, lag, 0.5).pmf,
+                              exact_distribution_binomial(n, lag).pmf), lag
 
 
 def test_binomial_examples():
@@ -144,6 +177,14 @@ def test_binomial_pmf_at_benchmark_shape(monkeypatch):
 def test_exact_distribution_rejects_non_finite_pmf(pmf):
     with pytest.raises(ValueError, match="non-finite"):
         ExactDistribution(3, 1, 0.5, np.array(pmf))
+
+
+def test_exact_distribution_leaves_the_callers_pmf_writable():
+    pmf = np.array([0.25, 0.5, 0.25])
+    dist = ExactDistribution(3, 1, 0.5, pmf)
+    pmf[0] = 0.3
+    with pytest.raises(ValueError, match="read-only"):
+        dist.pmf[0] = 0.3
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 14, 17])
@@ -286,7 +327,7 @@ def test_approximation_error_biased_small_n_nonzero():
 
 def test_approximation_error_needs_an_oracle():
     with pytest.raises(EnumerationLimitError):
-        approximation_error(30, 1, 0.3)
+        approximation_error(ENUMERATION_MAX_N + 1, 1, 0.3)
 
 
 def test_approximation_error_k_range():
