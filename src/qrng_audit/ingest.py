@@ -9,13 +9,31 @@ Three file kinds, all UTF-8 CSV with a fixed header:
 * results         ``job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict``
 
 Parsers are strict: every rejection raises ParseError carrying the offending
-line number. All three read rows through one reader, ``_rows``, which owns
-the header check, strict quoting, the field count, blank-row skipping, and
-turning csv module errors (bad quoting, a field over its 131072-character
-limit) into ParseError. Job and result rows may come in any order: each
-parser places them on their grid with one gather, which a job file already
-in grid order skips. A results row must be one a ``test`` run can write,
-and ``read_results`` returns the file as the p-value matrix it describes.
+line number. All three take the file as bytes, a line at a time (a file
+opened ``"rb"``), and read rows through one reader, ``_rows``. It decodes
+each line as UTF-8, refusing a byte that is not UTF-8 at its line, and
+splits it at CR, LF and CRLF as a text file opened with newline="" would;
+csv.reader then parses every row, and ``_rows`` owns the header check,
+strict quoting, the field count, blank-row skipping, and turning csv module
+errors (bad quoting, a field over its 131072-character limit) into
+ParseError.
+
+A job row's bit text is most of the file, so csv.reader sees only the rest
+of it. A line that opens a record is cut at its last comma when the text
+before that comma holds no quote and no CR, and the text after it (line end
+aside) is 1 to 131072 characters of 0 and 1, which one numpy test on the
+line's bytes checks. csv.reader parses the text up to the comma, and the
+0/1 array is the row's bits. Every other line goes to csv.reader whole, so
+a quoted field, a stray quote, a lone CR, a bad or over-limit bit field
+meets the same check, message and line as when every row was parsed whole.
+``parse_jobs`` checks each row's fields (each distinct timestamp text is
+parsed once), the bit text of a row csv.reader parsed whole, and the one bit
+count; ``JobRows`` checks the grid.
+
+Job and result rows may come in any order: each parser places them on their
+grid with one gather, which a job file already in grid order skips. A
+results row must be one a ``test`` run can write, and ``read_results``
+returns the file as the p-value matrix it describes.
 
 Serializers emit a canonical form (job rows in the grid order of
 ``JobRows``, result rows in the order held; timestamps UTC with a trailing Z
@@ -29,6 +47,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -186,12 +205,76 @@ def _parse_qubit_id(text: str, line: int) -> int:
     return qubit
 
 
-def _rows(stream: TextIO | Iterable[str], header: list[str]) -> Iterator[tuple[int, list[str]]]:
+# A line of a text file opened with newline="": up to a CR, LF or CRLF.
+_TEXT_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _decode(raw: bytes, line: int) -> str:
+    """``raw``, whose first text line is file line ``line``, as UTF-8 text;
+    a byte that is not UTF-8 is refused at its own line."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        before = raw[:exc.start]
+        breaks = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})",
+                         line + breaks) from None
+
+
+def _bit_tail(raw: bytes, limit: int) -> tuple[bytes, np.ndarray] | None:
+    """A line cut after its last comma, as (the bytes up to the cut, the
+    bits after it as a uint8 array of 0s and 1s): only when the bytes before
+    the comma hold no quote and no CR, and those after it, line end aside,
+    are 1 to ``limit`` bytes of '0' and '1'."""
+    comma = raw.rfind(b",")
+    end = len(raw) - raw.endswith(b"\n") - raw.endswith(b"\r\n")
+    prefix = raw[:comma + 1]
+    if comma < 0 or not 0 < end - comma - 1 <= limit or b'"' in prefix or b"\r" in prefix:
+        return None
+    # '0' and '1' become 0 and 1, and any other byte a value above 1.
+    bits = np.frombuffer(raw, np.uint8, end - comma - 1, comma + 1) ^ ord("0")
+    return (prefix, bits) if bits.max() <= 1 else None
+
+
+def _rows(stream: Iterable[bytes], header: list[str],
+          bits_last: bool = False) -> Iterator[tuple[int, list]]:
     """Yield (line, fields) for each non-blank data row of a CSV whose first
-    row is ``header`` and whose rows all carry as many fields. Quoting is
+    row is ``header`` and whose rows all carry as many fields.
+
+    ``stream`` gives the file's bytes a line at a time, as a file opened
+    ``"rb"`` does. Each line is decoded as UTF-8 (a byte that is not UTF-8
+    is refused at its line) and split at CR, LF and CRLF, as a text file
+    opened with newline="" splits it, before csv.reader sees it. Quoting is
     strict; any csv.Error (bad quoting, a field over the csv module's size
-    limit) becomes a ParseError at the line the reader stopped on."""
-    reader = csv.reader(stream, strict=True)
+    limit) becomes a ParseError at the line the reader stopped on.
+
+    With ``bits_last``, a line that opens a record (a row has just been
+    read) is cut where ``_bit_tail`` allows, with the csv module's field
+    limit as its limit: csv.reader parses only the text before the cut, and
+    the row's last field is its bits as a uint8 array of 0s and 1s. On
+    every other row the last field is text."""
+    limit = csv.field_size_limit()
+    opens_record = False
+    cut: np.ndarray | None = None
+
+    def lines() -> Iterator[str]:
+        nonlocal opens_record, cut
+        for raw in stream:
+            line = reader.line_num + 1
+            tail = _bit_tail(raw, limit) if opens_record else None
+            if tail is not None:
+                prefix, cut = tail
+                pieces: Iterable[str] = (_decode(prefix, line) + "\n",)
+            else:
+                text = _decode(raw, line)
+                pieces = _TEXT_LINE.findall(text) if "\r" in text else (text,)
+            for piece in pieces:
+                # Only the piece read right after a row opens a record: a row
+                # that ends at a CR inside this line leaves the next line unmarked.
+                opens_record = False
+                yield piece
+
+    reader = csv.reader(lines(), strict=True)
     try:
         first = next(reader, None)
         if first != header:
@@ -200,7 +283,11 @@ def _rows(stream: TextIO | Iterable[str], header: list[str]) -> Iterator[tuple[i
                 f"{','.join(first) if first else '<empty file>'!r}",
                 line=1,
             )
+        opens_record = bits_last
         for fields in reader:
+            opens_record = bits_last
+            if cut is not None:
+                fields[-1], cut = cut, None
             if not fields:
                 continue
             if len(fields) != len(header):
@@ -212,17 +299,21 @@ def _rows(stream: TextIO | Iterable[str], header: list[str]) -> Iterator[tuple[i
         raise ParseError(f"unreadable CSV: {exc}", reader.line_num) from None
 
 
-def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
-    """Parse a job CSV into its grid; the first data row declares the
-    per-stream bit count. Each row is packed as it is read. Rows may come in
-    any order: once the file is read, one gather puts each on its grid row,
-    and a file already in grid order is not copied."""
+def parse_jobs(stream: Iterable[bytes]) -> JobRows:
+    """Parse a job CSV, given as ``_rows`` takes it, into its grid; the
+    first data row declares the per-stream bit count. Each row is packed as
+    it is read. Rows may come in any order: once the file is read, one
+    gather puts each on its grid row, and a file already in grid order is
+    not copied."""
     declared: int | None = None
+    times: dict[str, datetime] = {}
     stamps: dict[str, datetime] = {}
     streams: dict[tuple[str, int], None] = {}
     buffer = bytearray()
-    for line, (job_id, ts_text, qubit_text, bits_text) in _rows(stream, JOB_HEADER):
-        timestamp = _parse_timestamp(ts_text, line)
+    for line, (job_id, ts_text, qubit_text, bits) in _rows(stream, JOB_HEADER, bits_last=True):
+        timestamp = times.get(ts_text)
+        if timestamp is None:
+            timestamp = times[ts_text] = _parse_timestamp(ts_text, line)
         qubit = _parse_qubit_id(qubit_text, line)
         _check_job_id(job_id, line)
         if (job_id, qubit) in streams:
@@ -230,21 +321,21 @@ def parse_jobs(stream: TextIO | Iterable[str]) -> JobRows:
         streams[job_id, qubit] = None
         if stamps.setdefault(job_id, timestamp) != timestamp:
             raise ParseError(f"job {job_id!r} has conflicting timestamps", line)
-        if not bits_text:
-            raise ParseError("empty bit string", line)
-        # '0' and '1' become 0 and 1, and any other character a byte above 1.
-        row = np.frombuffer(bits_text.encode(), dtype=np.uint8) ^ ord("0")
-        if row.max() > 1:
-            bad = min(set(bits_text) - {"0", "1"})
-            raise ParseError(f"bit string contains non-bit character {bad!r}", line)
+        if isinstance(bits, str):  # a row csv.reader parsed whole
+            text = bits
+            if not text:
+                raise ParseError("empty bit string", line)
+            bits = np.frombuffer(text.encode(), dtype=np.uint8) ^ ord("0")
+            if bits.max() > 1:
+                bad = min(set(text) - {"0", "1"})
+                raise ParseError(f"bit string contains non-bit character {bad!r}", line)
         if declared is None:
-            declared = len(bits_text)
-        elif len(bits_text) != declared:
+            declared = len(bits)
+        elif len(bits) != declared:
             raise ParseError(
-                f"bit string length {len(bits_text)} does not match declared {declared}",
-                line,
+                f"bit string length {len(bits)} does not match declared {declared}", line
             )
-        buffer += np.packbits(row).tobytes()
+        buffer += np.packbits(bits).tobytes()
 
     n = declared or 0
     job_ids = tuple(sorted(stamps, key=lambda job: (stamps[job], job)))
@@ -296,7 +387,7 @@ def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
             stream.write(block[lo:lo + n + 1])
 
 
-def parse_calibration(stream: TextIO | Iterable[str]) -> tuple[list[CalibrationRecord], int]:
+def parse_calibration(stream: Iterable[bytes]) -> tuple[list[CalibrationRecord], int]:
     """Parse a calibration CSV; returns (records, duplicate_count).
 
     Repeated (timestamp, qubit_id) keys keep the last value seen.
@@ -354,7 +445,7 @@ def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
     )
 
 
-def read_results(stream: TextIO | Iterable[str], alpha: float = 0.01) -> PValueMatrix:
+def read_results(stream: Iterable[bytes], alpha: float = 0.01) -> PValueMatrix:
     """Read a results CSV as the matrix it describes, pass/fail read at
     ``alpha``: jobs in order of first appearance, qubits ascending, and each
     (job, qubit) cell once.

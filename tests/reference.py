@@ -5,12 +5,22 @@ part of the program; ``tests/test_surface.py`` keeps such code out of
 ``src/``.
 """
 
+import csv
 import io
 
 import numpy as np
 
 from qrng_audit.autocorr import BitSequence, check_lag, pair_mismatch_rate
-from qrng_audit.ingest import JobRows, serialize_jobs
+from qrng_audit.ingest import (
+    JOB_HEADER,
+    JobRows,
+    ParseError,
+    _check_job_id,
+    _grid_order,
+    _parse_qubit_id,
+    _parse_timestamp,
+    serialize_jobs,
+)
 from qrng_audit.simulate import DeviceRunConfig, _chain_bits
 
 
@@ -122,3 +132,67 @@ def rows_from_bits(job_ids, timestamps, qubit_ids, bits):
 def bits_of(rows):
     """The streams of a ``JobRows`` as a (rows, n) matrix of 0/1 bits."""
     return np.unpackbits(rows.bits, axis=1, count=rows.n)
+
+
+def whole_row_parse_jobs(stream):
+    """A job CSV parsed with csv.reader reading every row of a text stream
+    whole, bit field included: the reference ``parse_jobs`` must match,
+    grid for grid and error for error, when this is given the same file
+    opened with newline=""."""
+    declared = None
+    stamps = {}
+    streams = {}
+    buffer = bytearray()
+    for line, (job_id, ts_text, qubit_text, bits_text) in _whole_rows(stream, JOB_HEADER):
+        timestamp = _parse_timestamp(ts_text, line)
+        qubit = _parse_qubit_id(qubit_text, line)
+        _check_job_id(job_id, line)
+        if (job_id, qubit) in streams:
+            raise ParseError(f"duplicate stream for job {job_id!r} qubit {qubit}", line)
+        streams[job_id, qubit] = None
+        if stamps.setdefault(job_id, timestamp) != timestamp:
+            raise ParseError(f"job {job_id!r} has conflicting timestamps", line)
+        if not bits_text:
+            raise ParseError("empty bit string", line)
+        row = np.frombuffer(bits_text.encode(), dtype=np.uint8) ^ ord("0")
+        if row.max() > 1:
+            bad = min(set(bits_text) - {"0", "1"})
+            raise ParseError(f"bit string contains non-bit character {bad!r}", line)
+        if declared is None:
+            declared = len(bits_text)
+        elif len(bits_text) != declared:
+            raise ParseError(
+                f"bit string length {len(bits_text)} does not match declared {declared}",
+                line,
+            )
+        buffer += np.packbits(row).tobytes()
+
+    n = declared or 0
+    job_ids = tuple(sorted(stamps, key=lambda job: (stamps[job], job)))
+    qubit_ids, order = _grid_order(streams, job_ids)
+    bits = np.frombuffer(buffer, dtype=np.uint8).reshape(len(streams), -(-n // 8))
+    return JobRows(job_ids, tuple(stamps[job] for job in job_ids), qubit_ids, bits[order], n)
+
+
+def _whole_rows(stream, header):
+    """(line, fields) of each non-blank data row of a text stream, with the
+    header, field count and csv.Error handling of ``ingest._rows``."""
+    reader = csv.reader(stream, strict=True)
+    try:
+        first = next(reader, None)
+        if first != header:
+            raise ParseError(
+                f"expected header {','.join(header)!r}, got "
+                f"{','.join(first) if first else '<empty file>'!r}",
+                line=1,
+            )
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(fields)}", reader.line_num
+                )
+            yield reader.line_num, fields
+    except csv.Error as exc:
+        raise ParseError(f"unreadable CSV: {exc}", reader.line_num) from None

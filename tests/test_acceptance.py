@@ -246,7 +246,7 @@ def test_criterion_11_round_trip_and_fuzz():
     for config in corpora:
         jobs = generate_device_run(config)
         text = serialize_jobs_str(jobs)
-        assert serialize_jobs_str(parse_jobs(iter(text.splitlines(True)))) == text
+        assert serialize_jobs_str(parse_jobs(iter(text.encode().splitlines(True)))) == text
 
     # 10^4 mutated files: structured errors only, zero crashes
     base = serialize_jobs_str(generate_device_run(corpora[0]))
@@ -266,7 +266,7 @@ def test_criterion_11_round_trip_and_fuzz():
             else:
                 del text[pos]
         try:
-            parse_jobs(iter("".join(text).splitlines(True)))
+            parse_jobs(iter("".join(text).encode().splitlines(True)))
             parsed_ok += 1
         except ParseError:
             rejected += 1

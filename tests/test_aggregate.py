@@ -44,7 +44,7 @@ def make_rows(jobs):
     ...]) job specs: one row per (job, qubit), in spec order."""
     lines = [f"{job_id},{format_timestamp(TS + timedelta(minutes=minute))},{q},{bits}\n"
              for job_id, minute, streams in jobs for q, bits in streams]
-    return parse_jobs(io.StringIO("job_id,timestamp,qubit_id,bits\n" + "".join(lines)))
+    return parse_jobs(io.BytesIO(("job_id,timestamp,qubit_id,bits\n" + "".join(lines)).encode()))
 
 
 def alternating(n):
@@ -374,7 +374,7 @@ def results_text(matrix):
 
 def test_matrix_from_results_round_trip():
     matrix = build_verdict_matrix(["FPD", "PPP"])
-    rebuilt = read_results(io.StringIO(results_text(matrix)))
+    rebuilt = read_results(io.BytesIO(results_text(matrix).encode()))
     assert (rebuilt.job_ids, rebuilt.qubit_ids) == (matrix.job_ids, matrix.qubit_ids)
     assert (rebuilt.n, rebuilt.lag, rebuilt.alpha) == (matrix.n, matrix.lag, matrix.alpha)
     for field in ("statistic", "bias", "normalized", "p_value"):
@@ -386,7 +386,7 @@ def test_matrix_from_results_places_shuffled_rows():
     matrix = build_verdict_matrix(["FPD", "PPF"])
     header, *rows = results_text(matrix).splitlines()
     shuffled = [header, rows[4], rows[1], rows[0], rows[5], rows[3], rows[2]]
-    rebuilt = read_results(io.StringIO("\n".join(shuffled)))
+    rebuilt = read_results(io.BytesIO("\n".join(shuffled).encode()))
     assert rebuilt.job_ids == ("j2", "j0", "j1")  # order of first appearance
     assert np.array_equal(rebuilt.statistic, matrix.statistic[[2, 0, 1]])
     assert failure_ratio_per_qubit(rebuilt) == failure_ratio_per_qubit(matrix)
@@ -396,8 +396,8 @@ def test_matrix_from_results_rejects_ragged():
     matrix = build_verdict_matrix(["FP", "PP"])
     lines = results_text(matrix).splitlines()
     with pytest.raises(ShapeError):
-        read_results(io.StringIO("\n".join(lines[:-1])))
+        read_results(io.BytesIO("\n".join(lines[:-1]).encode()))
     with pytest.raises(ShapeError):
-        read_results(io.StringIO("\n".join(lines + lines[-1:])))
+        read_results(io.BytesIO("\n".join(lines + lines[-1:]).encode()))
     with pytest.raises(ValueError, match="no result rows to aggregate"):
-        read_results(io.StringIO(lines[0]))
+        read_results(io.BytesIO(lines[0].encode()))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -162,6 +163,31 @@ def test_test_refuses_an_over_limit_stream_on_a_later_row(tmp_path, capsys):
     assert "line 3: unreadable CSV" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def job_file_forms(text):
+    """Four forms of one job file, each of which reads as the same grid."""
+    header, *rows = text.splitlines(True)
+    shuffled = rows[:]
+    random.Random(7).shuffle(shuffled)
+    return {
+        "lf": text,
+        "crlf": text.replace("\n", "\r\n"),
+        "shuffled": header + "".join(shuffled),
+        "quoted": header + "".join(re.sub(r"^([^,]*),", r'"\1",', row) for row in rows),
+    }
+
+
+@pytest.mark.parametrize("form", ["lf", "crlf", "shuffled", "quoted"])
+def test_test_writes_the_pipeline_results_from_every_form_of_its_job_file(tmp_path, form):
+    """80 rows of 8192 bits: more than one 64 KiB block of packed rows."""
+    workdir = tmp_path / "run"
+    assert run(["pipeline", "--qubits", 20, "--jobs", 4, "--bits", 8192, "--seed", 5,
+                "--model", "markov", "--rho", 0.1, "--workdir", workdir]) == 0
+    jobs = tmp_path / f"{form}.csv"
+    jobs.write_bytes(job_file_forms((workdir / "jobs.csv").read_bytes().decode())[form].encode())
+    assert run(["test", "--in", jobs, "--out", tmp_path / "results.csv"]) == 0
+    assert sha256(tmp_path / "results.csv") == sha256(workdir / "results.csv")
 
 
 def test_test_missing_input_exits_1(tmp_path):
@@ -334,6 +360,33 @@ def test_aggregate_rejects_unreadable_csv(tmp_path, capsys, results_text, calibr
     assert "Traceback" not in err
     assert not (tmp_path / "report.csv").exists()
     assert not (tmp_path / "scatter.csv").exists()
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("jobs", "job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:00:00Z,0,0110\n"
+             "j\xff,2019-05-09T11:00:00Z,1,0110\n"),
+    ("jobs", "job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:00:00Z,0,0110\n"
+             "j1,2019-05-09T11:00:00Z,1,01\xff0\n"),
+    ("results", RESULTS_HEADER + GOOD_ROW + "j1,1,8,1,0.5,3,\xff,0.705456536697442,pass\n"),
+    ("calibration", CALIBRATION_HEADER + CALIBRATION_ROW + "2019-05-09T12:00:00Z,\xff,71.5\n"),
+], ids=["jobs-job-id", "jobs-bits", "results", "calibration"])
+def test_bytes_that_are_not_utf8_exit_1_at_their_line(tmp_path, capsys, kind, text):
+    path = tmp_path / f"{kind}.csv"
+    # latin-1 writes each character below 256 as that one byte: \xff stays 0xff.
+    path.write_bytes(text.encode("latin-1"))
+    results, calibration = tmp_path / "good.csv", tmp_path / "cal.csv"
+    results.write_text(RESULTS_HEADER + GOOD_ROW)
+    calibration.write_text(CALIBRATION_HEADER + CALIBRATION_ROW)
+    out = tmp_path / "out.csv"
+    argv = {
+        "jobs": ["test", "--in", path, "--out", out],
+        "results": ["aggregate", "--in", path, "--report", out],
+        "calibration": ["aggregate", "--in", results, "--calibration", path, "--report", out],
+    }[kind]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+    assert not out.exists()
 
 
 def mutate(data, text, alphabet):

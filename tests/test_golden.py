@@ -173,8 +173,8 @@ def test_row_shuffled_job_file_gives_the_same_matrix(tmp_path):
     header, *rows = text.splitlines(True)
     random.Random(3).shuffle(rows)
     params = TestParams(lag=1)
-    canonical = build_matrix(parse_jobs(io.StringIO(text)), params)
-    shuffled = build_matrix(parse_jobs(io.StringIO(header + "".join(rows))), params)
+    canonical = build_matrix(parse_jobs(io.BytesIO(text.encode())), params)
+    shuffled = build_matrix(parse_jobs(io.BytesIO((header + "".join(rows)).encode())), params)
     assert (shuffled.job_ids, shuffled.qubit_ids) == (canonical.job_ids, canonical.qubit_ids)
     for field in ("statistic", "bias", "normalized", "p_value"):
         np.testing.assert_array_equal(getattr(shuffled, field), getattr(canonical, field))

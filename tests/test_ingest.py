@@ -6,12 +6,13 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrng_audit import cli
 from qrng_audit.aggregate import build_matrix
 from qrng_audit.autocorr import PValueMatrix, TestParams
 from qrng_audit.ingest import (
+    JOB_HEADER,
     CalibrationRecord,
     JobRows,
     ParseError,
@@ -24,13 +25,13 @@ from qrng_audit.ingest import (
     serialize_jobs,
     write_results,
 )
-from reference import bits_of, rows_from_bits, serialize_jobs_str
+from reference import bits_of, rows_from_bits, serialize_jobs_str, whole_row_parse_jobs
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 
 
 def job_file(*rows, header="job_id,timestamp,qubit_id,bits"):
-    return io.StringIO("\n".join([header, *rows]) + "\n")
+    return io.BytesIO(("\n".join([header, *rows]) + "\n").encode())
 
 
 def job_rows(*cells):
@@ -118,7 +119,7 @@ def test_parse_conflicting_job_timestamps():
 
 def test_parse_rejects_wrong_header():
     with pytest.raises(ParseError) as err:
-        parse_jobs(io.StringIO("a,b,c\nj1,2019-05-09T11:24:27Z,0,01\n"))
+        parse_jobs(io.BytesIO("a,b,c\nj1,2019-05-09T11:24:27Z,0,01\n".encode()))
     assert err.value.line == 1
 
 
@@ -187,7 +188,7 @@ def job_corpora(draw):
 def test_job_round_trip_identity(rows):
     """serialize(parse(F)) is byte-identical to canonical F."""
     text = serialize_jobs_str(rows)
-    parsed = parse_jobs(io.StringIO(text))
+    parsed = parse_jobs(io.BytesIO(text.encode()))
     assert (parsed.job_ids, parsed.timestamps, parsed.qubit_ids) == (
         rows.job_ids, rows.timestamps, rows.qubit_ids)
     assert bits_of(parsed).tolist() == bits_of(rows).tolist()
@@ -200,8 +201,9 @@ def test_parse_places_rows_of_any_order(rows, data):
     """Any row order of a job file parses to the grid of the canonical file."""
     text = serialize_jobs_str(rows)
     header, *lines = text.splitlines(True)
-    shuffled = parse_jobs(io.StringIO(header + "".join(data.draw(st.permutations(lines)))))
-    canonical = parse_jobs(io.StringIO(text))
+    shuffled = parse_jobs(
+        io.BytesIO((header + "".join(data.draw(st.permutations(lines)))).encode()))
+    canonical = parse_jobs(io.BytesIO(text.encode()))
     assert (shuffled.job_ids, shuffled.timestamps, shuffled.qubit_ids) == (
         canonical.job_ids, canonical.timestamps, canonical.qubit_ids)
     assert np.array_equal(shuffled.bits, canonical.bits)
@@ -267,7 +269,8 @@ def test_serialize_jobs_matches_whole_row_csv_writer_at_edge_shapes(bits):
 def test_parse_rejects_carriage_return_in_job_id():
     with pytest.raises(ParseError) as err:
         parse_jobs(job_file('"cr\rid",2020-01-01T00:00:00Z,0,0110'))
-    assert err.value.line == 2
+    # The CR ends line 2, as in a file opened with newline="": the row ends on line 3.
+    assert err.value.line == 3
     assert "carriage return" in str(err.value)
 
 
@@ -373,13 +376,13 @@ def test_sub_second_timestamps_round_trip():
     text = serialize_jobs_str(rows)
     assert text.splitlines()[1:] == ["b,2020-01-01T12:00:00Z,0,0110",
                                      "a,2020-01-01T12:00:00.500000Z,0,1001"]
-    parsed = parse_jobs(io.StringIO(text))
+    parsed = parse_jobs(io.BytesIO(text.encode()))
     assert (parsed.job_ids, parsed.timestamps) == (("b", "a"), (noon, half))
     assert serialize_jobs_str(parsed) == text
     records = [CalibrationRecord(half, 0, 50.0), CalibrationRecord(noon, 0, 60.0)]
     buf = io.StringIO()
     serialize_calibration(records, buf)
-    assert parse_calibration(io.StringIO(buf.getvalue())) == (records[::-1], 0)
+    assert parse_calibration(io.BytesIO(buf.getvalue().encode())) == (records[::-1], 0)
 
 
 @pytest.mark.parametrize("fraction", ["", ".250000"], ids=["whole-second", "fraction"])
@@ -388,13 +391,13 @@ def test_early_year_timestamps_round_trip(year, fraction):
     """Years below 1000 are written with four digits, the form the parsers read."""
     stamp = f"{year:04d}-01-01T00:00:00{fraction}Z"
     jobs = f"job_id,timestamp,qubit_id,bits\nj1,{stamp},0,0101\n"
-    written = serialize_jobs_str(parse_jobs(io.StringIO(jobs)))
+    written = serialize_jobs_str(parse_jobs(io.BytesIO(jobs.encode())))
     assert written == jobs
-    assert serialize_jobs_str(parse_jobs(io.StringIO(written))) == written
+    assert serialize_jobs_str(parse_jobs(io.BytesIO(written.encode()))) == written
     calibration = f"timestamp,qubit_id,t1_us\n{stamp},0,50.0\n"
     for _ in range(2):
         buf = io.StringIO()
-        serialize_calibration(parse_calibration(io.StringIO(calibration))[0], buf)
+        serialize_calibration(parse_calibration(io.BytesIO(calibration.encode()))[0], buf)
         assert buf.getvalue() == calibration
 
 
@@ -408,15 +411,16 @@ def test_serialize_jobs_refuses_streams_over_the_csv_field_limit():
     assert buf.getvalue() == ""
     # a stream at the limit reads back
     rows = rows_from_bits(("j1",), (TS,), (0,), np.ones((1, limit), np.uint8))
-    assert np.array_equal(parse_jobs(io.StringIO(serialize_jobs_str(rows))).bits, rows.bits)
+    parsed = parse_jobs(io.BytesIO(serialize_jobs_str(rows).encode()))
+    assert np.array_equal(parsed.bits, rows.bits)
 
 
 # ------------------------------------------------------------- calibration
 
 def test_parse_calibration_row():
-    records, dups = parse_calibration(io.StringIO(
+    records, dups = parse_calibration(io.BytesIO((
         "timestamp,qubit_id,t1_us\n2019-05-09T12:00:00Z,0,71.5\n"
-    ))
+    ).encode()))
     assert dups == 0
     assert records == [
         CalibrationRecord(
@@ -429,9 +433,9 @@ def test_parse_calibration_row():
 def test_parse_calibration_rejects_nonpositive_t1():
     for bad in ("-3", "0", "nan", "inf"):
         with pytest.raises(ParseError):
-            parse_calibration(io.StringIO(
+            parse_calibration(io.BytesIO((
                 f"timestamp,qubit_id,t1_us\n2019-05-09T12:00:00Z,0,{bad}\n"
-            ))
+            ).encode()))
 
 
 @pytest.mark.parametrize("timestamp, qubit_id, t1_us, message", [
@@ -448,12 +452,12 @@ def test_calibration_record_refuses_values_no_calibration_file_holds(timestamp, 
 
 
 def test_parse_calibration_duplicate_last_wins():
-    records, dups = parse_calibration(io.StringIO(
+    records, dups = parse_calibration(io.BytesIO((
         "timestamp,qubit_id,t1_us\n"
         "2019-05-09T12:00:00Z,0,71.5\n"
         "2019-05-09T12:00:00Z,1,60.0\n"
         "2019-05-09T12:00:00Z,0,72.5\n"
-    ))
+    ).encode()))
     assert dups == 1
     assert [r.t1_us for r in records if r.qubit_id == 0] == [72.5]
 
@@ -464,7 +468,7 @@ def test_calibration_round_trip():
     ]
     buf = io.StringIO()
     serialize_calibration(records, buf)
-    parsed, dups = parse_calibration(io.StringIO(buf.getvalue()))
+    parsed, dups = parse_calibration(io.BytesIO(buf.getvalue().encode()))
     assert dups == 0
     assert parsed == records
 
@@ -485,7 +489,7 @@ def test_results_round_trip():
         "j1,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass",
         "j1,1,8,1,1.0,0,,,degenerate",
     ]
-    parsed = read_results(io.StringIO(buf.getvalue()), alpha=0.25)
+    parsed = read_results(io.BytesIO(buf.getvalue().encode()), alpha=0.25)
     assert (parsed.job_ids, parsed.qubit_ids, parsed.n, parsed.lag, parsed.alpha) == (
         ("j1",), (0, 1), 8, 1, 0.25)
     for field in ("statistic", "bias", "normalized", "p_value"):
@@ -539,46 +543,48 @@ RESULTS_HEADER = "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdic
 ])
 def test_read_results_rejects_verdicts_out_of_p_value_order(rows):
     with pytest.raises(ParseError) as err:
-        read_results(io.StringIO(RESULTS_HEADER + "j0,0,8,1,1.0,0,,,degenerate\n" + rows))
+        read_results(io.BytesIO(
+            (RESULTS_HEADER + "j0,0,8,1,1.0,0,,,degenerate\n" + rows).encode()))
     assert err.value.line == 4
     assert "of an earlier row" in str(err.value)
 
 
 def test_read_results_rejects_bad_verdict():
     with pytest.raises(ParseError):
-        read_results(io.StringIO(
+        read_results(io.BytesIO((
             "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
             "j1,0,8,1,0.5,3,0.1,0.9,maybe\n"
-        ))
+        ).encode()))
 
 
 @pytest.mark.parametrize("lag", [0, 8, 9])
 def test_read_results_rejects_lag_outside_range_on_first_row(lag):
     with pytest.raises(ParseError) as err:
-        read_results(io.StringIO(
+        read_results(io.BytesIO((
             "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
             f"j1,0,8,{lag},0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
-        ))
+        ).encode()))
     assert err.value.line == 2
     assert "lag" in str(err.value)
 
 
 def test_read_results_rejects_carriage_return_in_job_id():
     with pytest.raises(ParseError) as err:
-        read_results(io.StringIO(
+        read_results(io.BytesIO((
             "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
             '"cr\rid",0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n'
-        ))
-    assert err.value.line == 2
+        ).encode()))
+    # The CR ends line 2, as in a file opened with newline="": the row ends on line 3.
+    assert err.value.line == 3
     assert "carriage return" in str(err.value)
 
 
 def test_read_results_rejects_duplicate_cell_at_its_second_row():
     row = "j0001,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
     with pytest.raises(ParseError) as err:
-        read_results(io.StringIO(
+        read_results(io.BytesIO((
             "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n" + row + row
-        ))
+        ).encode()))
     assert err.value.line == 3
     assert "duplicate cell for job 'j0001' qubit 0" in str(err.value)
 
@@ -605,6 +611,104 @@ def test_fuzzed_job_files_never_crash(data):
         elif text:
             del text[pos]
     try:
-        parse_jobs(io.StringIO("".join(text)))
+        parse_jobs(io.BytesIO("".join(text).encode()))
     except ParseError:
         pass
+
+
+# ------------------------------------------------- the whole-row reference
+
+LIMIT = csv.field_size_limit()
+STAMPS = ("2019-05-09T11:24:27Z", "2019-05-09T12:00:00+00:00")
+# Each bad value stands in for one field of a row.
+BAD_FIELDS = {
+    "job_id": ['"j,1"', '"j\n1"', '"j\r\n1"', '"j\n0,1\n1"', '"j""1"', 'j"1', '"j1"x', '"j1',
+               "", "jé"],
+    "timestamp": ["not-a-time", '"2019-05-09T11:24:27Z"', "2019-05-09T11:24:27"],
+    "qubit_id": ["x", "-1", '"0"', "7"],
+    "bits": ["", "01a0", "0é10", "0 1", '"0110"', '"01"10', "1" * LIMIT, "1" * (LIMIT + 1),
+             "0" * (LIMIT + 2), "011", "01101"],
+}
+
+
+@st.composite
+def job_file_bytes(draw):
+    """A job file as bytes: a (jobs x qubits) grid of 4-bit rows, quoted or
+    not, in any order, with CR, LF or CRLF line ends, blank lines, perhaps
+    no final newline, perhaps a bad header, and a few fields swapped for bad
+    ones, a field dropped or one added."""
+    jobs = draw(st.integers(1, 3))
+    qubits = draw(st.integers(1, 3))
+    rows = [[f"j{j}", STAMPS[j % 2], str(q), "".join(draw(st.sampled_from("01"))
+                                                     for _ in range(4))]
+            for j in range(jobs) for q in range(qubits)]
+    rows = draw(st.permutations(rows))
+    for row in rows:
+        if draw(st.booleans()):
+            row[0] = f'"{row[0]}"'
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        column = min(draw(st.sampled_from([0, 1, 2, 3, 3, 3])), len(row) - 1)
+        change = draw(st.sampled_from(["bad", "bad", "bad", "drop", "add"]))
+        if change == "bad":
+            row[column] = draw(st.sampled_from(BAD_FIELDS[JOB_HEADER[min(column, 3)]]))
+        elif change == "drop":
+            del row[column]
+        else:
+            row.insert(column, "0")
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    header = draw(st.sampled_from([JOB_HEADER] * 3 + [[*JOB_HEADER[:3], "0110"]]))
+    lines = [",".join(header) + draw(ends)]
+    for row in rows:
+        lines += [draw(ends)] * draw(st.sampled_from([0, 0, 0, 1]))
+        lines.append(",".join(row) + draw(ends))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines).encode()
+
+
+def parse_outcome(parse, stream):
+    """The grid a parser returns, or the type and message of its refusal."""
+    try:
+        rows = parse(stream)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return rows.job_ids, rows.timestamps, rows.qubit_ids, rows.n, rows.bits.tolist()
+
+
+@given(job_file_bytes())
+@example(b"job_id,timestamp,qubit_id,bits\nj\"1,2019-05-09T11:24:27Z,0,0110\n")
+@example(b'job_id,timestamp,qubit_id,bits\n"j1,2019-05-09T11:24:27Z,0,0110\n'
+         b'j1",2019-05-09T11:24:27Z,0,0110\n')
+@example(b'job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:24:27Z,0,0110\r"j\n'
+         b'0,1\n2",2019-05-09T11:24:27Z,0,0110\n')
+@example(b"job_id,timestamp,qubit_id,bits\rj1,2019-05-09T11:24:27Z,0,0110\r"
+         b"j1,2019-05-09T11:24:27Z,1,0110")
+@example(f"job_id,timestamp,qubit_id,bits\nj1,{STAMPS[0]},0,{'1' * LIMIT}\n"
+         f"j1,{STAMPS[0]},1,{'1' * (LIMIT + 1)}\n".encode())
+@settings(max_examples=300, deadline=None)
+def test_parse_jobs_matches_the_whole_row_parse(data):
+    """The byte-line parser gives the grid the whole-row parse of the same
+    file opened with newline="" gives, or refuses it alike."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    assert parse_outcome(parse_jobs, io.BytesIO(data)) == parse_outcome(
+        whole_row_parse_jobs, text)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_csv_reader_sees_only_the_text_before_a_plain_bit_field(monkeypatch, end):
+    rows = job_rows(*((f"j{j}", TS.replace(minute=j), q, "0110" * 3)
+                      for j in range(2) for q in range(3)))
+    text = serialize_jobs_str(rows).replace("\n", end)
+    seen = []
+    real_reader = csv.reader
+
+    def reader(lines, **kwargs):
+        seen.clear()
+        return real_reader((seen.append(line) or line for line in lines), **kwargs)
+
+    monkeypatch.setattr(csv, "reader", reader)
+    parsed = parse_jobs(io.BytesIO(text.encode()))
+    assert seen == [text.splitlines(True)[0]] + [
+        line[:line.rindex(",") + 1] + "\n" for line in text.splitlines(True)[1:]]
+    assert bits_of(parsed).tolist() == bits_of(rows).tolist()
