@@ -197,17 +197,16 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # Every input of the table is a flag.
         raise UsageError(str(exc)) from None
-    floats = (table.exact_p, table.approx_p, table.difference)
+    worst = np.float64(0.0)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("statistic,exact_p,approx_p,difference\n")
         # A block of rows at a time: Python scalars for every row of a long
         # table would cost 32 bytes per cell of peak memory. Within a block
         # the float text is formatted once per run of rows whose three bit
-        # patterns repeat (the underflowed tails are most of a long table);
-        # bit patterns keep -0.0 apart from 0.0.
-        step = BLOCK_BYTES // 24  # three float64 columns per row
-        for lo in range(0, table.statistic.size, step):
-            block = [c[lo:lo + step] for c in floats]
+        # patterns repeat (the underflowed tails are most of a long table)
+        # and the run's rows are joined in one call; bit patterns keep -0.0
+        # apart from 0.0.
+        for statistic, *block in table.blocks():
             bits = np.stack(block, axis=1).view(np.uint64)
             new_run = np.ones(len(bits), dtype=bool)
             new_run[1:] = np.any(bits[1:] != bits[:-1], axis=1)
@@ -216,10 +215,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                 f",{exact!r},{approx!r},{difference!r}\n"
                 for exact, approx, difference in zip(*(c[starts].tolist() for c in block))
             ]
-            run_of_row = (np.cumsum(new_run) - 1).tolist()
-            statistic = table.statistic[lo:lo + step].tolist()
-            fh.writelines(f"{k}{texts[r]}" for k, r in zip(statistic, run_of_row))
-    _status(f"max |exact - approx|: {table.max_abs_difference:.6g}")
+            bounds = [*starts.tolist(), len(bits)]
+            fh.writelines(text.join(map(str, statistic[start:end])) + text
+                          for start, end, text in zip(bounds, bounds[1:], texts))
+            # np.maximum, as np.max over the whole column, carries a NaN.
+            worst = np.maximum(worst, np.max(np.abs(block[2]), initial=0.0))
+    _status(f"max |exact - approx|: {float(worst):.6g}")
     return 0
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrng_audit import cli
+from qrng_audit import cli, oracle
 from qrng_audit.cli import main
 from qrng_audit.oracle import ENUMERATION_MAX_N, ApproximationTable, approximation_error
 
@@ -568,17 +568,55 @@ def test_oracle_csv_runs_cross_block_edges(tmp_path, monkeypatch):
     assert oracle_csv(tmp_path, 20000, 7, 0.5) == expected
 
 
+@pytest.mark.parametrize("rows", [1, 3, 1000])
+def test_oracle_csv_at_any_table_block_size(tmp_path, capsys, monkeypatch, rows):
+    """Runs of identical float text are cut at every block edge of the table,
+    and the max line folds every block, whatever the block size."""
+    table = approximation_error(2000, 7, 0.5)
+    expected = per_row_oracle_csv(table)
+    capsys.readouterr()
+    monkeypatch.setattr(oracle, "_TABLE_ROWS", rows)
+    assert oracle_csv(tmp_path, 2000, 7, 0.5) == expected
+    assert capsys.readouterr().err.endswith(
+        f"max |exact - approx|: {table.max_abs_difference:.6g}\n")
+
+
 def test_oracle_csv_keeps_signed_zero_and_nan_text_apart(tmp_path, monkeypatch):
     """Runs are keyed on bit patterns: -0.0 == 0.0 and nan != nan as floats,
     but the text of each row must still be its own repr."""
     exact = np.array([0.0, -0.0, -0.0, 0.0, np.nan, np.nan, 1.0, -np.nan])
     approx = np.array([0.0, 0.0, 0.0, -0.0, 0.5, 0.5, 1.0, 0.5])
     table = ApproximationTable(
-        n=10, lag=1, bias=0.5, statistic=np.arange(exact.size),
-        exact_p=exact, approx_p=approx, difference=exact - approx,
+        n=10, lag=1, bias=0.5, k_range=(0, exact.size - 1),
+        columns=lambda lo, hi: (exact[lo:hi], approx[lo:hi]),
     )
     monkeypatch.setattr(cli, "approximation_error", lambda *args: table)
     assert oracle_csv(tmp_path, 10, 1, 0.5) == per_row_oracle_csv(table)
+
+
+def test_oracle_writes_its_table_without_full_columns(tmp_path, monkeypatch):
+    def refuse(_table):
+        raise AssertionError("the oracle built a full-length column")
+
+    for column in ("statistic", "exact_p", "approx_p", "difference", "rows",
+                   "max_abs_difference"):
+        monkeypatch.setattr(ApproximationTable, column, property(refuse))
+    assert run(["oracle", "--n", 40000, "--out", tmp_path / "t.csv"]) == 0
+
+
+@pytest.mark.parametrize("k_min, k_max", [(5, 3), (0, 2000000), (-1, 4)])
+def test_oracle_k_range_exits_2_before_building_the_distribution(tmp_path, capsys, monkeypatch,
+                                                                 k_min, k_max):
+    def refuse(*_args):
+        raise AssertionError("built a distribution for a table that cannot be written")
+
+    monkeypatch.setattr(oracle, "_pick_distribution", refuse)
+    out = tmp_path / "t.csv"
+    assert run(["oracle", "--n", 2000000, "--k-min", k_min, "--k-max", k_max,
+                "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: k_range must lie within [0, 1999999], got ({k_min}, {k_max})\n")
+    assert not out.exists()
 
 
 def test_pipeline_matches_manual_stages(tmp_path):

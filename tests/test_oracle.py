@@ -248,6 +248,30 @@ def test_two_sided_p_rejects_out_of_range():
             exact_two_sided_p(dist, observed)
 
 
+@pytest.mark.parametrize("bias", [1e-300, 1.0])
+@pytest.mark.parametrize("n, lag", [(2, 1), (12, 1), (12, 5), (31, 30), (53, 1), (53, 2)])
+def test_two_sided_p_of_an_off_centre_window(n, lag, bias):
+    """At these biases the non-zero pmf sits at the low end of the support
+    (statistic 0 alone at bias 1, 0..2 at bias 1e-300): every statistic is
+    still checked point by point, the zero tails beyond the window included."""
+    dist = exact_distribution_enumerate(n, lag, bias)
+    assert np.flatnonzero(dist.pmf).max() <= 2
+    assert dist.two_sided_p().tolist() == [exact_two_sided_p(dist, k)
+                                           for k in range(n - lag + 1)]
+
+
+@pytest.mark.parametrize("dist", [
+    *(exact_distribution_enumerate(n, lag, bias)
+      for bias in (1e-300, 1.0, 0.1, 0.73) for n, lag in ((2, 1), (12, 1), (12, 5), (31, 30))),
+    *(exact_distribution_binomial(n, lag) for n, lag in ((131072, 1), (20000, 7), (8193, 24))),
+], ids=lambda d: f"n{d.n}-lag{d.lag}-bias{d.bias!r}")
+def test_mean_equals_the_full_support_sum(dist):
+    """``mean`` sums only the non-zero window; the correctly rounded sum of
+    k * pmf[k] over the whole support is within one ulp of it."""
+    expected = math.fsum(k * p for k, p in enumerate(dist.pmf.tolist()))
+    assert abs(dist.mean() - expected) <= math.ulp(expected)
+
+
 def loop_approximation_error(n, lag, bias):
     """The table row by row: tie runs found by a loop and one scalar
     standardization and p-value per statistic value."""
@@ -277,7 +301,7 @@ ENUMERATED = [(n, lag, bias) for n in (2, 7, 12, 15)
               for lag in sorted({1, 2, n - 1}) if lag < n
               for bias in (0.1, 0.3, 0.5, 0.73, 0.9)]
 BINOMIAL = [(n, lag, 0.5) for n in (25, 101, 1000, 8193, 20000)
-            for lag in (1, 2, 7, 24)]
+            for lag in (1, 2, 7, 24)] + [(131072, 1, 0.5)]
 
 
 @pytest.mark.parametrize("n, lag, bias", ENUMERATED + BINOMIAL)
