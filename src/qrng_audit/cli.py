@@ -85,6 +85,11 @@ def _run_config(args: argparse.Namespace) -> sim.DeviceRunConfig:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # The API broadcasts a one-job schedule to every job; --schedule must
+    # name each job.
+    schedule = np.asarray(config.bias)
+    if schedule.ndim == 2 and len(schedule) != config.jobs:
+        raise UsageError(f"schedule covers {len(schedule)} jobs but the run has {config.jobs}")
     # A job file must stay readable by ``test``.
     limit = csv.field_size_limit()
     if config.bits_per_job > limit:

@@ -242,9 +242,10 @@ def _rows(stream: Iterable[bytes], header: list[str],
     row is ``header`` and whose rows all carry as many fields.
 
     ``stream`` gives the file's bytes a line at a time, as a file opened
-    ``"rb"`` does. Each line is decoded as UTF-8 (a byte that is not UTF-8
-    is refused at its line) and split at CR, LF and CRLF, as a text file
-    opened with newline="" splits it, before csv.reader sees it. Quoting is
+    ``"rb"`` does (a text line raises TypeError). Each line is decoded as
+    UTF-8 (a byte that is not UTF-8 is refused at its line) and split at
+    CR, LF and CRLF, as a text file opened with newline="" splits it,
+    before csv.reader sees it. Quoting is
     strict; any csv.Error (bad quoting, a field over the csv module's size
     limit) becomes a ParseError at the line the reader stopped on.
 
@@ -260,6 +261,8 @@ def _rows(stream: Iterable[bytes], header: list[str],
     def lines() -> Iterator[str]:
         nonlocal opens_record, cut
         for raw in stream:
+            if isinstance(raw, str):
+                raise TypeError('CSV lines must be bytes: open the file "rb", not as text')
             line = reader.line_num + 1
             tail = _bit_tail(raw, limit) if opens_record else None
             if tail is not None:

@@ -6,6 +6,10 @@ the two as a (jobs x qubits) grid. rho = 0 gives the i.i.d. bits of an ideal
 generator; rho != 0 models residual state leaking through an imperfect
 wait-based reset; a per-job bias column, ``drifting_bias``, models slow drift.
 
+A chain stream costs its uniform draws plus work on its free draws only,
+the share |rho| whose bit depends on the previous one: each run of them is
+filled from the forced bit before it, with no full-length index arrays.
+
 Every (job, qubit) stream draws from its own generator seeded by a SplitMix64
 mix of (master_seed, job, qubit), so any subset of a run can be regenerated
 independently and results never depend on generation order.
@@ -117,8 +121,11 @@ def _chain_bits(bias: float, rho: float, n: int, seed: int) -> np.ndarray:
     a draw below both thresholds forces a 1 and one at or above both forces
     a 0, whatever came before. Any other draw is free: it copies the
     previous bit when stay >= move (rho >= 0) and flips it otherwise. Bit 0
-    is forced to ``u[0] < bias``. So each bit is its last forced bit,
-    flipped once per free draw since then when rho < 0.
+    is forced to ``u[0] < bias``, so every run of consecutive free draws
+    follows a forced bit: the j-th draw of the run is that bit, flipped j
+    times when rho < 0. Past the two threshold comparisons and one scan for
+    the free draws, the work is on those draws alone: since stay - move =
+    rho, a share |rho| of the n.
 
     When stay == move (rho = 0, or a rho too small to move either threshold
     in floats) both equal ``bias`` and every draw is forced."""
@@ -127,15 +134,24 @@ def _chain_bits(bias: float, rho: float, n: int, seed: int) -> np.ndarray:
     move = bias * (1.0 - rho)          # P(1 | previous 0)
     if stay == move:
         return u < bias
-    value = u < min(stay, move)
-    forced = value | (u >= max(stay, move))
-    value[0] = u[0] < bias
-    forced[0] = True
-    last_forced = np.maximum.accumulate(np.where(forced, np.arange(n), 0))
-    bits = value[last_forced]
-    if stay < move:
-        free = np.cumsum(~forced)
-        bits ^= ((free - free[last_forced]) & 1).astype(bool)
+    bits = u < min(stay, move)
+    free = u < max(stay, move)
+    free ^= bits                     # the draws between the thresholds
+    bits[0] = u[0] < bias
+    free[0] = False
+    free = np.flatnonzero(free)
+    runs = np.ones(free.size + 1, dtype=bool)
+    np.not_equal(free[1:], free[:-1] + 1, out=runs[1:-1])
+    runs = np.flatnonzero(runs)      # where each run of free draws opens, then free.size
+    before = free[runs[:-1]] - 1     # the forced bit each run follows
+    held = bits[before]
+    flips = stay < move
+    if flips:  # draw i of a run is held flipped i - before times: before's parity here, i's below
+        held ^= (before & 1).astype(bool)
+    fill = np.repeat(held, runs[1:] - runs[:-1])
+    if flips:
+        fill ^= (free & 1).astype(bool)
+    bits[free] = fill
     return bits
 
 

@@ -86,6 +86,8 @@ NEGATIVE_RHO = ("rho=-0.9 with bias=0.2 gives transition probabilities outside [
      "schedule covers 3 jobs but the run has 4"),
     (["--model", "drifting", "--schedule", "0.4:2,0.6:3"],
      "schedule covers 5 jobs but the run has 4"),
+    (["--model", "drifting", "--schedule", "0.5:1"],
+     "schedule covers 1 jobs but the run has 4"),
     (["--model", "drifting", "--schedule", "0.4:4,0.6:0"],
      "phase job count must be >= 1, got 0"),
     (["--model", "drifting", "--schedule", "1.4:4"], "bias must be in [0, 1], got 1.4"),
@@ -100,9 +102,9 @@ NEGATIVE_RHO = ("rho=-0.9 with bias=0.2 gives transition probabilities outside [
     (["--jobs", 0, "--model", "markov", "--p", 0.2, "--rho", -0.9], NEGATIVE_RHO),
     (["--seed", -1, "--model", "markov", "--p", 0.2, "--rho", -0.9], NEGATIVE_RHO),
     (["--model", "drifting", "--schedule", "1.5:0"], "bias must be in [0, 1], got 1.5"),
-], ids=["short-schedule", "long-schedule", "zero-job-phase", "phase-bias", "rho",
-        "p", "fixed-7", "fixed-nan", "fixed-negative", "lag", "chain-before-jobs",
-        "chain-before-seed", "phase-bias-before-count"])
+], ids=["short-schedule", "long-schedule", "one-job-schedule", "zero-job-phase",
+        "phase-bias", "rho", "p", "fixed-7", "fixed-nan", "fixed-negative", "lag",
+        "chain-before-jobs", "chain-before-seed", "phase-bias-before-count"])
 def test_pipeline_model_and_bias_errors_exit_2(tmp_path, capsys, flags, message):
     code = run(["pipeline", "--jobs", 4, "--qubits", 1, "--bits", 16, *flags,
                 "--workdir", tmp_path / "run"])

@@ -74,6 +74,13 @@ def test_parse_empty_file_has_no_rows():
     assert rows.job_ids == () and rows.bits.shape == (0, 0)
 
 
+@pytest.mark.parametrize("parse", [parse_jobs, parse_calibration, read_results])
+def test_parsers_refuse_a_file_opened_as_text(parse):
+    text = io.StringIO("job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:24:27Z,0,0110\n")
+    with pytest.raises(TypeError, match='open the file "rb"'):
+        parse(text)
+
+
 def test_parse_bad_bit_names_line():
     with pytest.raises(ParseError) as err:
         parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,01a0"))

@@ -1,9 +1,19 @@
-"""Smoke tests for the study scripts under ``scripts/``."""
+"""Smoke tests for the study scripts under ``scripts/`` and the README's
+Python examples."""
 
 import importlib.util
+import re
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import pytest
+
+from qrng_audit.ingest import serialize_jobs
+from qrng_audit.simulate import DeviceRunConfig, generate_device_run
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+README_PYTHON = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.MULTILINE | re.DOTALL)
 
 
 def load_script(name):
@@ -33,3 +43,18 @@ def test_approximation_gap_study_runs_at_a_small_big_n(capsys):
     assert sum("critical-region max|gap|" in line for line in lines) == 11
     assert lines[-9] == "  statistic     exact_p    approx_p  difference"
     assert lines[-8].split()[0] in {"480", "543"}
+
+
+def test_readme_has_python_examples():
+    assert len(README_PYTHON) >= 3
+
+
+@pytest.mark.parametrize("code", README_PYTHON,
+                         ids=[f"block-{i}" for i in range(len(README_PYTHON))])
+def test_readme_python_example_runs(code, tmp_path, monkeypatch, capsys):
+    """Each example runs as written, beside a small simulated jobs.csv."""
+    rows = generate_device_run(DeviceRunConfig(qubit_count=3, jobs=4, bits_per_job=256))
+    with open(tmp_path / "jobs.csv", "w", newline="", encoding="utf-8") as fh:
+        serialize_jobs(rows, fh)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {"__name__": "__readme__"})

@@ -1,6 +1,7 @@
 """Bit-stream sources: determinism, parameter laws, and the device-run shape."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from qrng_audit.simulate import (
     DeviceRunConfig,
     InvalidParameterError,
     InvalidScheduleError,
+    _chain_bits,
     derive_substream_seed,
     drifting_bias,
     generate_calibration_series,
@@ -100,11 +102,37 @@ def markov_parameters(draw):
        st.integers(0, 2**64 - 1))
 # rho below float resolution: stay == move == 0.5, so every draw is forced
 @example((0.5, 1e-17), 4096, 21)
+# draws 0 and 1 both fall between the thresholds: bit 0 is still forced to
+# u[0] < bias, and the first free run follows it
+@example((0.5, 0.05), 16, 227)
+# the last three draws are free: a run that reaches the last bit
+@example((0.3, -0.3), 64, 22)
+# bias 0.5 at rho's negative limit: stay = 0, move = 1, every draw after
+# bit 0 free, so the stream alternates from bit 0
+@example((0.5, -1.0), 2000, 5)
+# one stream of the reset-markov benchmark's length and rho
+@example((0.5, 0.005), 131072, 7)
 @settings(max_examples=300, deadline=None)
 def test_markov_matches_one_draw_at_a_time_loop(params, n, seed):
     bias, rho = params
     np.testing.assert_array_equal(markov_source(bias, rho, n, seed).bits,
                                   loop_markov_bits(bias, rho, n, seed))
+
+
+def test_markov_stream_holds_little_beside_its_draws():
+    """Past its uniform draws a stream's fill works on the free draws alone,
+    about 0.5% of them at rho = 0.005, and builds no full-length index
+    array: the traced peak of one 131072-bit stream stays below twice the
+    1 MiB (8 bytes a bit) of the draws."""
+    n = 131072
+    _chain_bits(0.5, 0.005, n, seed=3)  # any lazy set-up happens untraced
+    tracemalloc.start()
+    try:
+        _chain_bits(0.5, 0.005, n, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n
 
 
 def test_markov_near_one_holds_first_bit():
