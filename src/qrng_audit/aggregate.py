@@ -26,21 +26,17 @@ class InsufficientDataError(ValueError):
 
 
 def build_matrix(rows: JobRows, params: TestParams) -> PValueMatrix:
-    """Run the autocorrelation test on every stream of the grid. The packed
-    kernel reads the packed bit matrix in blocks of rows (about
-    ``BLOCK_BYTES`` each) for each row's XOR count and ones count, which row
-    for row are already the grid's cells."""
+    """Run the autocorrelation test on every stream of the grid: the XOR and
+    ones counts of each block of about ``BLOCK_BYTES`` of packed rows, which
+    row for row are already the grid's cells."""
     if not rows.job_ids:
         raise ValueError("no streams to analyze")
     step = max(1, BLOCK_BYTES // rows.bits.shape[1])
-    statistic = np.empty(len(rows.bits), dtype=np.int64)
-    ones = np.empty_like(statistic)
-    for start in range(0, statistic.size, step):
-        block = slice(start, start + step)
-        statistic[block], ones[block] = packed_counts(rows.bits[block], rows.n, params.lag)
-    shape = (len(rows.job_ids), len(rows.qubit_ids))
-    return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, rows.n,
-                                    statistic.reshape(shape), ones.reshape(shape), params)
+    counts = [packed_counts(rows.bits[start:start + step], rows.n, params.lag)
+              for start in range(0, len(rows.bits), step)]
+    statistic, ones = (np.concatenate(column).reshape(-1, len(rows.qubit_ids))
+                       for column in zip(*counts))
+    return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, rows.n, statistic, ones, params)
 
 
 def failure_ratio_per_qubit(matrix: PValueMatrix) -> dict[int, float]:

@@ -34,9 +34,9 @@ LOW_SAMPLE_VARIANCE = 25.0
 # even when erfc underflows for astronomically extreme statistics.
 _TINY = 5e-324
 
-# Bytes handled at once by every blocked loop: packed bit rows in
-# ``aggregate.build_matrix``, their '0'/'1' text in ``ingest.serialize_jobs``
-# and rows of three float64 columns in the ``oracle`` command's CSV writer.
+# Bytes handled at once by every blocked loop: packed bit rows counted by
+# ``packed_counts``, their '0'/'1' text in ``ingest.serialize_jobs`` and rows
+# of three float64 columns in the ``oracle`` command's CSV writer.
 # Small enough that each block's temporaries stay in cache and add nothing
 # to peak memory.
 BLOCK_BYTES = 1 << 16

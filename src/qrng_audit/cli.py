@@ -134,17 +134,13 @@ def _test_params(args: argparse.Namespace) -> TestParams:
         raise UsageError(str(exc)) from None
 
 
-def _test(jobs: JobRows, params: TestParams, out: str) -> PValueMatrix:
-    """Test every stream of the job rows, write the results file, and return
-    the matrix it holds."""
-    matrix = agg.build_matrix(jobs, params)
+def _write_results(matrix: PValueMatrix, out: str) -> None:
     with open(out, "w", newline="", encoding="utf-8") as fh:
         write_results(matrix, fh)
     _status(
         f"tested {len(matrix.job_ids)} jobs x {len(matrix.qubit_ids)} qubits "
-        f"(lag {params.lag}, alpha {params.alpha}) -> {out}"
+        f"(lag {matrix.lag}, alpha {matrix.alpha}) -> {out}"
     )
-    return matrix
 
 
 def cmd_test(args: argparse.Namespace) -> int:
@@ -152,8 +148,8 @@ def cmd_test(args: argparse.Namespace) -> int:
     # A job file's lines run to kilobytes: a buffer of many lines reads them
     # in a quarter of the time the default 8 KiB buffer takes.
     with open(args.infile, "rb", buffering=BLOCK_BYTES) as fh:
-        jobs = parse_jobs(fh)
-    _test(jobs, params, args.out)
+        matrix = parse_jobs(fh, params)
+    _write_results(matrix, args.out)
     return 0
 
 
@@ -231,17 +227,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     """Simulate, test and aggregate into one directory. Each stage takes
-    what the one before it returned instead of parsing the file just
-    written: ``parse_jobs(serialize_jobs(rows))`` equals ``rows``, and the
-    results and calibration files round-trip every float through ``repr``
-    in the order they are held."""
+    what the one before returned, not the file just written: ``test`` of
+    ``jobs.csv`` gives the same ``results.csv``, and the results and
+    calibration files round-trip floats through ``repr`` in the order held."""
     config, params = _run_config(args), _test_params(args)
     check_lag(config.bits_per_job, params.lag)
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     jobs, calibration = _simulate(config, args.model, str(workdir / "jobs.csv"),
                                   str(workdir / "calibration.csv"))
-    matrix = _test(jobs, params, str(workdir / "results.csv"))
+    matrix = agg.build_matrix(jobs, params)
+    _write_results(matrix, str(workdir / "results.csv"))
     _aggregate(matrix, calibration, str(workdir / "report.csv"), str(workdir / "scatter.csv"))
     return 0
 

@@ -27,19 +27,18 @@ line's bytes checks. csv.reader parses the text up to the comma, and the
 a quoted field, a stray quote, a lone CR, a bad or over-limit bit field
 meets the same check, message and line as when every row was parsed whole.
 ``parse_jobs`` checks each row's fields (each distinct timestamp text is
-parsed once), the bit text of a row csv.reader parsed whole, and the one bit
-count; ``JobRows`` checks the grid.
+parsed once), the bit text of a row csv.reader parsed whole, the one bit
+count and the grid, and returns the file's p-value matrix, keeping no bits.
 
 Job and result rows may come in any order: each parser places them on their
-grid with one gather, which a job file already in grid order skips. A
-results row must be one a ``test`` run can write, and ``read_results``
-returns the file as the p-value matrix it describes.
+grid with one gather. A results row must be one a ``test`` run can write,
+and ``read_results`` returns the file as the p-value matrix it describes.
 
 Serializers emit a canonical form (job rows in the grid order of
 ``JobRows``, result rows in the order held; timestamps UTC with a trailing Z
 and a four-digit year, to the second, or to the microsecond when they carry
-a fraction; floats in shortest round-trip notation), so serialize(parse(f))
-is byte-identical for canonical inputs.
+a fraction; floats in shortest round-trip notation), which each parser reads
+as the matrix of the grid or of the results written.
 """
 
 from __future__ import annotations
@@ -55,7 +54,8 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .autocorr import BLOCK_BYTES, PValueMatrix, Verdict, pair_mismatch_rate
+from .autocorr import (BLOCK_BYTES, PValueMatrix, TestParams, Verdict, packed_counts,
+                       pair_mismatch_rate)
 
 JOB_HEADER = ["job_id", "timestamp", "qubit_id", "bits"]
 CALIBRATION_HEADER = ["timestamp", "qubit_id", "t1_us"]
@@ -302,17 +302,18 @@ def _rows(stream: Iterable[bytes], header: list[str],
         raise ParseError(f"unreadable CSV: {exc}", reader.line_num) from None
 
 
-def parse_jobs(stream: Iterable[bytes]) -> JobRows:
-    """Parse a job CSV, given as ``_rows`` takes it, into its grid; the
-    first data row declares the per-stream bit count. Each row is packed as
-    it is read. Rows may come in any order: once the file is read, one
-    gather puts each on its grid row, and a file already in grid order is
-    not copied."""
+def parse_jobs(stream: Iterable[bytes], params: TestParams) -> PValueMatrix:
+    """The matrix ``build_matrix`` gives for the grid of a job CSV, given as
+    ``_rows`` takes it; the first data row declares the bit count. Each row
+    is packed as read, and each block of about ``BLOCK_BYTES`` of packed
+    rows is counted and dropped; once the file is read, one gather puts the
+    counts, rows in any order, on the grid. Parse and grid errors come
+    first, then an empty grid, then a lag the streams are too short for."""
     declared: int | None = None
     times: dict[str, datetime] = {}
     stamps: dict[str, datetime] = {}
     streams: dict[tuple[str, int], None] = {}
-    buffer = bytearray()
+    counts: list[tuple[np.ndarray, np.ndarray]] = []
     for line, (job_id, ts_text, qubit_text, bits) in _rows(stream, JOB_HEADER, bits_last=True):
         timestamp = times.get(ts_text)
         if timestamp is None:
@@ -334,19 +335,26 @@ def parse_jobs(stream: Iterable[bytes]) -> JobRows:
                 raise ParseError(f"bit string contains non-bit character {bad!r}", line)
         if declared is None:
             declared = len(bits)
+            width = -(-declared // 8)
+            block, filled = np.empty((max(1, BLOCK_BYTES // width), width), np.uint8), 0
         elif len(bits) != declared:
             raise ParseError(
                 f"bit string length {len(bits)} does not match declared {declared}", line
             )
-        buffer += np.packbits(bits).tobytes()
+        block[filled] = np.packbits(bits)
+        filled = (filled + 1) % len(block)
+        # A lag the streams are too short for is refused once the file has parsed.
+        if not filled and params.lag < declared:
+            counts.append(packed_counts(block, declared, params.lag))
 
-    n = declared or 0
     job_ids = tuple(sorted(stamps, key=lambda job: (stamps[job], job)))
     qubit_ids, order = _grid_order(streams, job_ids)
-    bits = np.frombuffer(buffer, dtype=np.uint8).reshape(len(streams), -(-n // 8))
-    if not np.array_equal(order, np.arange(order.size)):
-        bits = bits[order]
-    return JobRows(job_ids, tuple(stamps[job] for job in job_ids), qubit_ids, bits, n)
+    if not streams:
+        raise ValueError("no streams to analyze")
+    counts.append(packed_counts(block[:filled], declared, params.lag))  # the last, partial block
+    statistic, ones = (np.concatenate(column)[order].reshape(-1, len(qubit_ids))
+                       for column in zip(*counts))
+    return PValueMatrix.from_counts(job_ids, qubit_ids, declared, statistic, ones, params)
 
 
 def _job_prefixes(rows: JobRows) -> Iterator[str]:

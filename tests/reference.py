@@ -135,15 +135,17 @@ def bits_of(rows):
 
 
 def whole_row_parse_jobs(stream):
-    """A job CSV parsed with csv.reader reading every row of a text stream
-    whole, bit field included: the reference ``parse_jobs`` must match,
-    grid for grid and error for error, when this is given the same file
-    opened with newline=""."""
+    """A job CSV, given as ``parse_jobs`` takes it (bytes, a line at a
+    time), as its ``JobRows`` grid: csv.reader reads every row of the text
+    whole, bit field included, as from the file opened with newline="".
+    ``parse_jobs(stream, params)`` must equal ``build_matrix`` of this grid,
+    field for field and error for error."""
     declared = None
     stamps = {}
     streams = {}
     buffer = bytearray()
-    for line, (job_id, ts_text, qubit_text, bits_text) in _whole_rows(stream, JOB_HEADER):
+    text = io.StringIO(b"".join(stream).decode(), newline="")
+    for line, (job_id, ts_text, qubit_text, bits_text) in _whole_rows(text, JOB_HEADER):
         timestamp = _parse_timestamp(ts_text, line)
         qubit = _parse_qubit_id(qubit_text, line)
         _check_job_id(job_id, line)

@@ -44,6 +44,7 @@ from reference import (
     markov_source,
     serialize_jobs_str,
     variance,
+    whole_row_parse_jobs,
     xor_count_mean,
     xor_count_variance_lag1,
 )
@@ -246,7 +247,14 @@ def test_criterion_11_round_trip_and_fuzz():
     for config in corpora:
         jobs = generate_device_run(config)
         text = serialize_jobs_str(jobs)
-        assert serialize_jobs_str(parse_jobs(iter(text.encode().splitlines(True)))) == text
+        lines = text.encode().splitlines(True)
+        assert serialize_jobs_str(whole_row_parse_jobs(iter(lines))) == text
+        # ``test`` of the written file gives the matrix of the generated grid
+        tested, expected = parse_jobs(iter(lines), PARAMS), build_matrix(jobs, PARAMS)
+        assert (tested.job_ids, tested.qubit_ids, tested.n) == (
+            expected.job_ids, expected.qubit_ids, expected.n)
+        for field in ("statistic", "bias", "normalized", "p_value"):
+            np.testing.assert_array_equal(getattr(tested, field), getattr(expected, field))
 
     # 10^4 mutated files: structured errors only, zero crashes
     base = serialize_jobs_str(generate_device_run(corpora[0]))
@@ -266,7 +274,7 @@ def test_criterion_11_round_trip_and_fuzz():
             else:
                 del text[pos]
         try:
-            parse_jobs(iter("".join(text).encode().splitlines(True)))
+            parse_jobs(iter("".join(text).encode().splitlines(True)), PARAMS)
             parsed_ok += 1
         except ParseError:
             rejected += 1

@@ -29,12 +29,11 @@ from qrng_audit.ingest import (
     ParseError,
     ShapeError,
     format_timestamp,
-    parse_jobs,
     read_results,
     write_results,
 )
 from qrng_audit.simulate import DeviceRunConfig, generate_device_run
-from reference import rows_from_bits
+from reference import rows_from_bits, whole_row_parse_jobs
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 
@@ -44,7 +43,8 @@ def make_rows(jobs):
     ...]) job specs: one row per (job, qubit), in spec order."""
     lines = [f"{job_id},{format_timestamp(TS + timedelta(minutes=minute))},{q},{bits}\n"
              for job_id, minute, streams in jobs for q, bits in streams]
-    return parse_jobs(io.BytesIO(("job_id,timestamp,qubit_id,bits\n" + "".join(lines)).encode()))
+    return whole_row_parse_jobs(
+        io.BytesIO(("job_id,timestamp,qubit_id,bits\n" + "".join(lines)).encode()))
 
 
 def alternating(n):

@@ -205,6 +205,50 @@ def test_test_bad_lag_exits_2(tmp_path):
     assert run(["test", "--in", jobs, "--out", tmp_path / "r.csv", "--lag", 99]) == 2
 
 
+def multi_block_job_rows():
+    """The data rows of a 5 x 20 job file of 8192-bit streams in grid order:
+    100 rows, more than one 64 KiB block of packed rows."""
+    rng = np.random.default_rng(21)
+    return [f"j{j},2019-05-09T1{j}:00:00Z,{q},"
+            f"{''.join('01'[b] for b in rng.integers(0, 2, 8192).tolist())}\n"
+            for j in range(5) for q in range(20)]
+
+
+def with_row(rows, index, row):
+    return rows[:index] + [row] + rows[index + 1:]
+
+
+BAD_ROW_90 = "j4,2019-05-09T14:00:00Z,9," + "01a0" * 2048 + "\n"
+
+
+@pytest.mark.parametrize("edit, flags, code, message", [
+    # a parse error at any row wins over a lag the streams are too short for
+    (lambda rows: with_row(rows, 89, BAD_ROW_90), ["--lag", 8192], 1,
+     "line 91: bit string contains non-bit character 'a'"),
+    (lambda rows: with_row(rows, 89, BAD_ROW_90), ["--lag", 9000], 1,
+     "line 91: bit string contains non-bit character 'a'"),
+    (lambda rows: [], [], 1, "no streams to analyze"),
+    (lambda rows: [], ["--lag", 8192], 1, "no streams to analyze"),
+    (lambda rows: rows, ["--lag", 8192], 2, "lag must satisfy 1 <= lag < n=8192, got 8192"),
+    (lambda rows: rows[:-1], [], 1, "job 'j4' has no row for qubit 19"),
+    (lambda rows: rows[:-1], ["--lag", 8192], 1, "job 'j4' has no row for qubit 19"),
+    (lambda rows: rows + rows[70:71], [], 1, "line 102: duplicate stream for job 'j3' qubit 10"),
+    (lambda rows: rows + rows[70:71], ["--lag", 8192], 1,
+     "line 102: duplicate stream for job 'j3' qubit 10"),
+], ids=["bad-row-lag-n", "bad-row-lag-above-n", "header-only", "header-only-lag-n",
+        "lag-n", "missing-cell", "missing-cell-lag-n", "duplicate-cell",
+        "duplicate-cell-lag-n"])
+def test_test_error_precedence(tmp_path, capsys, edit, flags, code, message):
+    """A file's parse and grid errors come before the emptiness check, and
+    that before the lag check, whatever block of rows holds the fault."""
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text("job_id,timestamp,qubit_id,bits\n" + "".join(edit(multi_block_job_rows())))
+    out = tmp_path / "r.csv"
+    assert (run(["test", "--in", jobs, "--out", out, *flags]), capsys.readouterr().err) == (
+        code, f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_test_fixed_bias_flag(tmp_path):
     jobs = tmp_path / "jobs.csv"
     jobs.write_text(

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from qrng_audit import cli
-from qrng_audit.aggregate import build_matrix
 from qrng_audit.autocorr import TestParams, normalize_statistic, p_value
 from qrng_audit.ingest import parse_jobs, serialize_jobs
 from qrng_audit.simulate import DeviceRunConfig, drifting_bias, generate_device_run
@@ -173,8 +172,8 @@ def test_row_shuffled_job_file_gives_the_same_matrix(tmp_path):
     header, *rows = text.splitlines(True)
     random.Random(3).shuffle(rows)
     params = TestParams(lag=1)
-    canonical = build_matrix(parse_jobs(io.BytesIO(text.encode())), params)
-    shuffled = build_matrix(parse_jobs(io.BytesIO((header + "".join(rows)).encode())), params)
+    canonical = parse_jobs(io.BytesIO(text.encode()), params)
+    shuffled = parse_jobs(io.BytesIO((header + "".join(rows)).encode()), params)
     assert (shuffled.job_ids, shuffled.qubit_ids) == (canonical.job_ids, canonical.qubit_ids)
     for field in ("statistic", "bias", "normalized", "p_value"):
         np.testing.assert_array_equal(getattr(shuffled, field), getattr(canonical, field))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qrng_audit import cli
+from qrng_audit import cli, ingest
 from qrng_audit.aggregate import build_matrix
 from qrng_audit.autocorr import PValueMatrix, TestParams
 from qrng_audit.ingest import (
@@ -28,6 +28,7 @@ from qrng_audit.ingest import (
 from reference import bits_of, rows_from_bits, serialize_jobs_str, whole_row_parse_jobs
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
+PARAMS = TestParams()
 
 
 def job_file(*rows, header="job_id,timestamp,qubit_id,bits"):
@@ -48,33 +49,40 @@ def job_rows(*cells):
 # -------------------------------------------------------------------- jobs
 
 def test_parse_single_row():
-    rows = parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,0110"))
+    rows = whole_row_parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,0110"))
     assert (rows.job_ids, rows.timestamps, rows.qubit_ids) == (("j1",), (TS,), (0,))
     assert rows.bits.dtype == np.uint8
     assert bits_of(rows).tolist() == [[0, 1, 1, 0]]
 
 
 def test_parse_groups_rows_into_jobs():
-    rows = parse_jobs(job_file(
-        "j1,2019-05-09T11:24:27Z,1,01",
-        "j1,2019-05-09T11:24:27Z,0,11",
-        "j2,2019-05-09T11:33:10Z,0,10",
-        "j2,2019-05-09T11:33:10Z,1,00",
-    ))
+    def grouped():
+        return job_file(
+            "j1,2019-05-09T11:24:27Z,1,01",
+            "j1,2019-05-09T11:24:27Z,0,11",
+            "j2,2019-05-09T11:33:10Z,0,10",
+            "j2,2019-05-09T11:33:10Z,1,00",
+        )
+
+    rows = whole_row_parse_jobs(grouped())
     assert (rows.job_ids, rows.qubit_ids) == (("j1", "j2"), (0, 1))
     # row j * 2 + k holds job j's stream on qubit k, whatever the file order
     assert bits_of(rows).tolist() == [[1, 1], [0, 1], [1, 0], [0, 0]]
-    matrix = build_matrix(rows, TestParams(lag=1))
+    matrix = parse_jobs(grouped(), TestParams(lag=1))
     assert (matrix.job_ids, matrix.qubit_ids) == (("j1", "j2"), (0, 1))
     assert matrix.statistic.tolist() == [[0, 1], [1, 0]]
 
 
 def test_parse_empty_file_has_no_rows():
-    rows = parse_jobs(job_file())
+    rows = whole_row_parse_jobs(job_file())
     assert rows.job_ids == () and rows.bits.shape == (0, 0)
+    with pytest.raises(ValueError, match="^no streams to analyze$"):
+        parse_jobs(job_file(), PARAMS)
 
 
-@pytest.mark.parametrize("parse", [parse_jobs, parse_calibration, read_results])
+@pytest.mark.parametrize("parse", [lambda stream: parse_jobs(stream, PARAMS), parse_calibration,
+                                   read_results],
+                         ids=["parse_jobs", "parse_calibration", "read_results"])
 def test_parsers_refuse_a_file_opened_as_text(parse):
     text = io.StringIO("job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:24:27Z,0,0110\n")
     with pytest.raises(TypeError, match='open the file "rb"'):
@@ -83,7 +91,7 @@ def test_parsers_refuse_a_file_opened_as_text(parse):
 
 def test_parse_bad_bit_names_line():
     with pytest.raises(ParseError) as err:
-        parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,01a0"))
+        parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,01a0"), PARAMS)
     assert err.value.line == 2
     assert "non-bit" in str(err.value)
 
@@ -93,7 +101,7 @@ def test_parse_length_mismatch():
         parse_jobs(job_file(
             "j1,2019-05-09T11:24:27Z,0,0110",
             "j1,2019-05-09T11:24:27Z,1,011",
-        ))
+        ), PARAMS)
     assert err.value.line == 3
 
 
@@ -103,7 +111,7 @@ def test_parse_refuses_an_over_limit_stream_on_a_later_row():
         parse_jobs(job_file(
             f"j1,2019-05-09T11:24:27Z,0,{'1' * limit}",
             f"j1,2019-05-09T11:24:27Z,1,{'1' * (limit + 1)}",
-        ))
+        ), PARAMS)
     assert err.value.line == 3
 
 
@@ -112,7 +120,7 @@ def test_parse_duplicate_stream():
         parse_jobs(job_file(
             "j1,2019-05-09T11:24:27Z,0,01",
             "j1,2019-05-09T11:24:27Z,0,10",
-        ))
+        ), PARAMS)
     assert "duplicate" in str(err.value)
 
 
@@ -121,12 +129,12 @@ def test_parse_conflicting_job_timestamps():
         parse_jobs(job_file(
             "j1,2019-05-09T11:24:27Z,0,01",
             "j1,2019-05-09T12:00:00Z,1,10",
-        ))
+        ), PARAMS)
 
 
 def test_parse_rejects_wrong_header():
     with pytest.raises(ParseError) as err:
-        parse_jobs(io.BytesIO("a,b,c\nj1,2019-05-09T11:24:27Z,0,01\n".encode()))
+        parse_jobs(io.BytesIO("a,b,c\nj1,2019-05-09T11:24:27Z,0,01\n".encode()), PARAMS)
     assert err.value.line == 1
 
 
@@ -146,7 +154,7 @@ def test_parse_rejects_wrong_header():
 )
 def test_parse_structured_rejections(row):
     with pytest.raises(ParseError) as err:
-        parse_jobs(job_file(row))
+        parse_jobs(job_file(row), PARAMS)
     assert err.value.line == 2
 
 
@@ -161,7 +169,8 @@ def test_serialize_canonical_order():
 
 
 def test_serialize_empty_is_header_only():
-    assert serialize_jobs_str(parse_jobs(job_file())) == "job_id,timestamp,qubit_id,bits\n"
+    assert serialize_jobs_str(whole_row_parse_jobs(job_file())) == (
+        "job_id,timestamp,qubit_id,bits\n")
 
 
 def test_serialize_twenty_qubits_twenty_rows():
@@ -195,7 +204,7 @@ def job_corpora(draw):
 def test_job_round_trip_identity(rows):
     """serialize(parse(F)) is byte-identical to canonical F."""
     text = serialize_jobs_str(rows)
-    parsed = parse_jobs(io.BytesIO(text.encode()))
+    parsed = whole_row_parse_jobs(io.BytesIO(text.encode()))
     assert (parsed.job_ids, parsed.timestamps, parsed.qubit_ids) == (
         rows.job_ids, rows.timestamps, rows.qubit_ids)
     assert bits_of(parsed).tolist() == bits_of(rows).tolist()
@@ -205,15 +214,34 @@ def test_job_round_trip_identity(rows):
 @given(job_corpora(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_parse_places_rows_of_any_order(rows, data):
-    """Any row order of a job file parses to the grid of the canonical file."""
+    """Any row order of a job file tests to the matrix of the canonical file,
+    or is refused alike."""
     text = serialize_jobs_str(rows)
     header, *lines = text.splitlines(True)
-    shuffled = parse_jobs(
-        io.BytesIO((header + "".join(data.draw(st.permutations(lines)))).encode()))
-    canonical = parse_jobs(io.BytesIO(text.encode()))
-    assert (shuffled.job_ids, shuffled.timestamps, shuffled.qubit_ids) == (
-        canonical.job_ids, canonical.timestamps, canonical.qubit_ids)
-    assert np.array_equal(shuffled.bits, canonical.bits)
+    shuffled = io.BytesIO((header + "".join(data.draw(st.permutations(lines)))).encode())
+    params = TestParams(lag=data.draw(st.integers(1, 17)))
+    assert matrix_outcome(parse_jobs, shuffled, params) == matrix_outcome(
+        parse_jobs, io.BytesIO(text.encode()), params)
+
+
+def matrix_fields(matrix):
+    """Every field of a p-value matrix, the arrays as dtype, shape and bytes."""
+    arrays = (matrix.statistic, matrix.bias, matrix.normalized, matrix.p_value)
+    return (matrix.job_ids, matrix.qubit_ids, matrix.n, matrix.lag, matrix.alpha,
+            *((a.dtype, a.shape, a.tobytes()) for a in arrays))
+
+
+def matrix_outcome(test, stream, params):
+    """``matrix_fields`` of what ``test(stream, params)`` returns, or the
+    type and message of its refusal."""
+    try:
+        return matrix_fields(test(stream, params))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def reference_test(stream, params):
+    return build_matrix(whole_row_parse_jobs(stream), params)
 
 
 def whole_row_serialize_jobs(rows):
@@ -275,7 +303,7 @@ def test_serialize_jobs_matches_whole_row_csv_writer_at_edge_shapes(bits):
 
 def test_parse_rejects_carriage_return_in_job_id():
     with pytest.raises(ParseError) as err:
-        parse_jobs(job_file('"cr\rid",2020-01-01T00:00:00Z,0,0110'))
+        parse_jobs(job_file('"cr\rid",2020-01-01T00:00:00Z,0,0110'), PARAMS)
     # The CR ends line 2, as in a file opened with newline="": the row ends on line 3.
     assert err.value.line == 3
     assert "carriage return" in str(err.value)
@@ -367,11 +395,15 @@ def test_job_rows_accepts_any_n_on_an_empty_grid_but_a_negative_one():
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 16, 8193])
 def test_parse_jobs_holds_each_row_in_ceil_n_over_8_bytes(n):
     stream = ("10" * n)[:n]
-    parsed = parse_jobs(job_file(*(f"j{j},2019-05-09T11:2{j}:27Z,{q},{stream}"
-                                   for j in range(3) for q in (0, 1))))
+    text = "".join(f"j{j},2019-05-09T11:2{j}:27Z,{q},{stream}\n"
+                   for j in range(3) for q in (0, 1))
+    parsed = whole_row_parse_jobs(job_file(text.rstrip("\n")))
     assert parsed.n == n
     assert parsed.bits.nbytes == 6 * -(-n // 8)
     assert bits_of(parsed).tolist() == [[int(b) for b in stream]] * 6
+    if n > 1:  # every pair of neighbours differs
+        assert parse_jobs(job_file(text.rstrip("\n")), PARAMS).statistic.tolist() == (
+            [[n - 1] * 2] * 3)
 
 
 def test_sub_second_timestamps_round_trip():
@@ -383,7 +415,7 @@ def test_sub_second_timestamps_round_trip():
     text = serialize_jobs_str(rows)
     assert text.splitlines()[1:] == ["b,2020-01-01T12:00:00Z,0,0110",
                                      "a,2020-01-01T12:00:00.500000Z,0,1001"]
-    parsed = parse_jobs(io.BytesIO(text.encode()))
+    parsed = whole_row_parse_jobs(io.BytesIO(text.encode()))
     assert (parsed.job_ids, parsed.timestamps) == (("b", "a"), (noon, half))
     assert serialize_jobs_str(parsed) == text
     records = [CalibrationRecord(half, 0, 50.0), CalibrationRecord(noon, 0, 60.0)]
@@ -398,9 +430,9 @@ def test_early_year_timestamps_round_trip(year, fraction):
     """Years below 1000 are written with four digits, the form the parsers read."""
     stamp = f"{year:04d}-01-01T00:00:00{fraction}Z"
     jobs = f"job_id,timestamp,qubit_id,bits\nj1,{stamp},0,0101\n"
-    written = serialize_jobs_str(parse_jobs(io.BytesIO(jobs.encode())))
+    written = serialize_jobs_str(whole_row_parse_jobs(io.BytesIO(jobs.encode())))
     assert written == jobs
-    assert serialize_jobs_str(parse_jobs(io.BytesIO(written.encode()))) == written
+    assert serialize_jobs_str(whole_row_parse_jobs(io.BytesIO(written.encode()))) == written
     calibration = f"timestamp,qubit_id,t1_us\n{stamp},0,50.0\n"
     for _ in range(2):
         buf = io.StringIO()
@@ -418,8 +450,10 @@ def test_serialize_jobs_refuses_streams_over_the_csv_field_limit():
     assert buf.getvalue() == ""
     # a stream at the limit reads back
     rows = rows_from_bits(("j1",), (TS,), (0,), np.ones((1, limit), np.uint8))
-    parsed = parse_jobs(io.BytesIO(serialize_jobs_str(rows).encode()))
+    parsed = whole_row_parse_jobs(io.BytesIO(serialize_jobs_str(rows).encode()))
     assert np.array_equal(parsed.bits, rows.bits)
+    tested = parse_jobs(io.BytesIO(serialize_jobs_str(rows).encode()), PARAMS)
+    assert (tested.n, tested.statistic.tolist(), tested.bias.tolist()) == (limit, [[0]], [[1.0]])
 
 
 # ------------------------------------------------------------- calibration
@@ -618,7 +652,7 @@ def test_fuzzed_job_files_never_crash(data):
         elif text:
             del text[pos]
     try:
-        parse_jobs(io.BytesIO("".join(text).encode()))
+        parse_jobs(io.BytesIO("".join(text).encode()), PARAMS)
     except ParseError:
         pass
 
@@ -674,32 +708,31 @@ def job_file_bytes(draw):
     return "".join(lines).encode()
 
 
-def parse_outcome(parse, stream):
-    """The grid a parser returns, or the type and message of its refusal."""
-    try:
-        rows = parse(stream)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return rows.job_ids, rows.timestamps, rows.qubit_ids, rows.n, rows.bits.tolist()
+def file_example(data):
+    return example(data, 1, None, ingest.BLOCK_BYTES)
 
 
-@given(job_file_bytes())
-@example(b"job_id,timestamp,qubit_id,bits\nj\"1,2019-05-09T11:24:27Z,0,0110\n")
-@example(b'job_id,timestamp,qubit_id,bits\n"j1,2019-05-09T11:24:27Z,0,0110\n'
-         b'j1",2019-05-09T11:24:27Z,0,0110\n')
-@example(b'job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:24:27Z,0,0110\r"j\n'
-         b'0,1\n2",2019-05-09T11:24:27Z,0,0110\n')
-@example(b"job_id,timestamp,qubit_id,bits\rj1,2019-05-09T11:24:27Z,0,0110\r"
-         b"j1,2019-05-09T11:24:27Z,1,0110")
-@example(f"job_id,timestamp,qubit_id,bits\nj1,{STAMPS[0]},0,{'1' * LIMIT}\n"
-         f"j1,{STAMPS[0]},1,{'1' * (LIMIT + 1)}\n".encode())
+@given(job_file_bytes(), st.sampled_from([1, 1, 2, 3, 9, 20, 21]),
+       st.sampled_from([None, None, 0.5, 0.3, 0.0]), st.integers(1, 12))
+@file_example(b"job_id,timestamp,qubit_id,bits\nj\"1,2019-05-09T11:24:27Z,0,0110\n")
+@file_example(b'job_id,timestamp,qubit_id,bits\n"j1,2019-05-09T11:24:27Z,0,0110\n'
+              b'j1",2019-05-09T11:24:27Z,0,0110\n')
+@file_example(b'job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:24:27Z,0,0110\r"j\n'
+              b'0,1\n2",2019-05-09T11:24:27Z,0,0110\n')
+@file_example(b"job_id,timestamp,qubit_id,bits\rj1,2019-05-09T11:24:27Z,0,0110\r"
+              b"j1,2019-05-09T11:24:27Z,1,0110")
+@file_example(f"job_id,timestamp,qubit_id,bits\nj1,{STAMPS[0]},0,{'1' * LIMIT}\n"
+              f"j1,{STAMPS[0]},1,{'1' * (LIMIT + 1)}\n".encode())
 @settings(max_examples=300, deadline=None)
-def test_parse_jobs_matches_the_whole_row_parse(data):
-    """The byte-line parser gives the grid the whole-row parse of the same
-    file opened with newline="" gives, or refuses it alike."""
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    assert parse_outcome(parse_jobs, io.BytesIO(data)) == parse_outcome(
-        whole_row_parse_jobs, text)
+def test_parse_jobs_matches_the_whole_row_parse(data, lag, fixed_bias, block_bytes):
+    """The byte-line parser, counting blocks of ``block_bytes`` of packed
+    rows, gives the matrix ``build_matrix`` gives for the grid of the
+    whole-row parse, field for field, or refuses the file alike."""
+    params = TestParams(lag=lag, fixed_bias=fixed_bias)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "BLOCK_BYTES", block_bytes)
+        tested = matrix_outcome(parse_jobs, io.BytesIO(data), params)
+    assert tested == matrix_outcome(reference_test, io.BytesIO(data), params)
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
@@ -715,7 +748,7 @@ def test_csv_reader_sees_only_the_text_before_a_plain_bit_field(monkeypatch, end
         return real_reader((seen.append(line) or line for line in lines), **kwargs)
 
     monkeypatch.setattr(csv, "reader", reader)
-    parsed = parse_jobs(io.BytesIO(text.encode()))
+    matrix = parse_jobs(io.BytesIO(text.encode()), PARAMS)
     assert seen == [text.splitlines(True)[0]] + [
         line[:line.rindex(",") + 1] + "\n" for line in text.splitlines(True)[1:]]
-    assert bits_of(parsed).tolist() == bits_of(rows).tolist()
+    assert matrix_fields(matrix) == matrix_fields(build_matrix(rows, PARAMS))

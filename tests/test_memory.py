@@ -4,9 +4,10 @@
 * The pipeline at 145 jobs x 20 qubits x 8192 bits (the benchmark's paper
   shape) holds 2.9 MB of packed bits. One byte per bit would be 23.8 MB, and
   its peak would exceed ``--help``'s by about 30 MiB instead of about 10 MiB.
-* ``test`` on a 579 x 20 x 8192 job file in grid order copies none of its
-  11.9 MB of packed bits: about 16 MiB above ``--help``, against about
-  25 MiB with one gather of the whole matrix.
+* ``test`` on a 579 x 20 x 8192 job file holds none of its 11.9 MB of
+  packed bits, only each stream's two counts, in grid order or shuffled:
+  about 4 MiB above ``--help``, against about 16 MiB holding the packed
+  matrix and about 26 MiB with one gather of it for a shuffled file.
 * The exact oracle at n = 24 enumerates 2^24 sequences a block at a time:
   about 1 MiB above ``--help``, against about 22 MiB at 2^20 sequences a
   block.
@@ -17,6 +18,7 @@
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +28,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Peaks above the --help peak, in MiB.
 PEAK_ABOVE_STARTUP_MIB = 16
-TEST_PEAK_ABOVE_STARTUP_MIB = 20.5
+TEST_PEAK_ABOVE_STARTUP_MIB = 8
 CHILD_TIMEOUT_S = 120.0
 
 
@@ -68,12 +70,39 @@ def test_pipeline_peak_rss_stays_near_startup(tmp_path):
     assert pipeline - startup < PEAK_ABOVE_STARTUP_MIB, (pipeline, startup)
 
 
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-def test_test_of_a_file_in_grid_order_copies_no_bits(tmp_path):
-    startup = peak_rss_mib(["--help"], tmp_path)
+@pytest.fixture(scope="module")
+def paper_shape_jobs(tmp_path_factory):
+    """A 579 x 20 x 8192 job file in grid order, ``jobs.csv``, and its rows
+    shuffled, ``shuffled.csv``, written a row at a time."""
+    workdir = tmp_path_factory.mktemp("paper-shape")
     peak_rss_mib(["simulate", "--jobs", "579", "--qubits", "20", "--bits", "8192",
-                  "--out", "jobs.csv"], tmp_path)
-    test = peak_rss_mib(["test", "--in", "jobs.csv", "--out", "results.csv"], tmp_path)
+                  "--out", "jobs.csv"], workdir)
+    with open(workdir / "jobs.csv", "rb") as source:
+        header = source.readline()
+        starts = []
+        while line := source.readline():
+            starts.append(source.tell() - len(line))
+        random.Random(5).shuffle(starts)
+        with open(workdir / "shuffled.csv", "wb") as shuffled:
+            shuffled.write(header)
+            for start in starts:
+                source.seek(start)
+                shuffled.write(source.readline())
+    return workdir
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_test_of_a_file_in_grid_order_copies_no_bits(paper_shape_jobs):
+    startup = peak_rss_mib(["--help"], paper_shape_jobs)
+    test = peak_rss_mib(["test", "--in", "jobs.csv", "--out", "results.csv"], paper_shape_jobs)
+    assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_test_of_a_shuffled_file_holds_no_bits(paper_shape_jobs):
+    startup = peak_rss_mib(["--help"], paper_shape_jobs)
+    test = peak_rss_mib(["test", "--in", "shuffled.csv", "--out", "results.csv"],
+                        paper_shape_jobs)
     assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
 
 
