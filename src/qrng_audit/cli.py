@@ -58,9 +58,16 @@ def _parse_bias_flag(text: str) -> float | None:
 
 
 def _chain_parameters(args: argparse.Namespace) -> dict:
-    """The model flags as the run's ``bias`` and ``rho``."""
+    """The model flags as the run's ``bias`` and ``rho``. A flag the model
+    would ignore is refused first."""
+    for flag, value, models in (("--rho", args.rho, ("markov",)),
+                                ("--schedule", args.schedule, ("drifting",)),
+                                ("--p", args.p, ("ideal", "markov"))):
+        if value is not None and args.model not in models:
+            raise UsageError(f"{flag} does not apply to --model {args.model}")
     if args.model != "drifting":
-        return {"bias": args.p, "rho": args.rho if args.model == "markov" else 0.0}
+        return {"bias": 0.5 if args.p is None else args.p,
+                "rho": 0.0 if args.rho is None else args.rho}
     if args.schedule is None:
         raise UsageError("--model drifting requires --schedule")
     phases = []
@@ -256,9 +263,8 @@ def _add_simulate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bits", type=int, default=sim.DEFAULT_BITS_PER_JOB)
     parser.add_argument("--model", choices=["ideal", "markov", "drifting"],
                         default="ideal")
-    parser.add_argument("--p", type=float, default=0.5, help="ones-probability")
-    parser.add_argument("--rho", type=float, default=0.0,
-                        help="lag-1 autocorrelation (markov model)")
+    parser.add_argument("--p", type=float, help="ones-probability (default 0.5)")
+    parser.add_argument("--rho", type=float, help="lag-1 autocorrelation (markov; default 0)")
     parser.add_argument("--schedule",
                         help="drifting bias phases '<bias>:<jobs>,...' covering the run")
     parser.add_argument("--seed", type=int, default=sim.DEFAULT_MASTER_SEED,

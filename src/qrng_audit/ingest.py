@@ -10,13 +10,13 @@ Three file kinds, all UTF-8 CSV with a fixed header:
 
 Parsers are strict: every rejection raises ParseError carrying the offending
 line number. All three take the file as bytes, a line at a time (a file
-opened ``"rb"``), and read rows through one reader, ``_rows``. It decodes
-each line as UTF-8, refusing a byte that is not UTF-8 at its line, and
-splits it at CR, LF and CRLF as a text file opened with newline="" would;
-csv.reader then parses every row, and ``_rows`` owns the header check,
-strict quoting, the field count, blank-row skipping, and turning csv module
-errors (bad quoting, a field over its 131072-character limit) into
-ParseError.
+opened ``"rb"``), and read rows through one reader, ``_rows``. It splits
+each line at CR, LF and CRLF, as newline="" would, and decodes each piece
+as UTF-8 when csv.reader reads it: a byte that is not UTF-8 is refused at
+its own line, after the faults of the lines before it. csv.reader parses
+every row, and ``_rows`` owns the header check, strict quoting, the field
+count, blank-row skipping, and turning csv module errors (bad quoting, a
+field over its 131072-character limit) into ParseError.
 
 A job row's bit text is most of the file, so csv.reader sees only the rest
 of it. A line that opens a record is cut at its last comma when the text
@@ -46,7 +46,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -205,20 +204,13 @@ def _parse_qubit_id(text: str, line: int) -> int:
     return qubit
 
 
-# A line of a text file opened with newline="": up to a CR, LF or CRLF.
-_TEXT_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-
-
 def _decode(raw: bytes, line: int) -> str:
-    """``raw``, whose first text line is file line ``line``, as UTF-8 text;
-    a byte that is not UTF-8 is refused at its own line."""
+    """``raw``, file line ``line``, as UTF-8 text."""
     try:
         return raw.decode()
     except UnicodeDecodeError as exc:
-        before = raw[:exc.start]
-        breaks = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
         raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})",
-                         line + breaks) from None
+                         line) from None
 
 
 def _bit_tail(raw: bytes, limit: int) -> tuple[bytes, np.ndarray] | None:
@@ -242,12 +234,12 @@ def _rows(stream: Iterable[bytes], header: list[str],
     row is ``header`` and whose rows all carry as many fields.
 
     ``stream`` gives the file's bytes a line at a time, as a file opened
-    ``"rb"`` does (a text line raises TypeError). Each line is decoded as
-    UTF-8 (a byte that is not UTF-8 is refused at its line) and split at
-    CR, LF and CRLF, as a text file opened with newline="" splits it,
-    before csv.reader sees it. Quoting is
-    strict; any csv.Error (bad quoting, a field over the csv module's size
-    limit) becomes a ParseError at the line the reader stopped on.
+    ``"rb"`` does (a text line raises TypeError), and ``bytes.splitlines``
+    splits each at CR, LF and CRLF, as newline="" does. Each piece is
+    decoded as UTF-8 when csv.reader reads it, a byte that is not UTF-8
+    refused at the piece's own line. Quoting is strict; any csv.Error (bad
+    quoting, a field over the csv module's size limit) becomes a ParseError
+    at the line the reader stopped on.
 
     With ``bits_last``, a line that opens a record (a row has just been
     read) is cut where ``_bit_tail`` allows, with the csv module's field
@@ -263,19 +255,15 @@ def _rows(stream: Iterable[bytes], header: list[str],
         for raw in stream:
             if isinstance(raw, str):
                 raise TypeError('CSV lines must be bytes: open the file "rb", not as text')
-            line = reader.line_num + 1
             tail = _bit_tail(raw, limit) if opens_record else None
             if tail is not None:
                 prefix, cut = tail
-                pieces: Iterable[str] = (_decode(prefix, line) + "\n",)
-            else:
-                text = _decode(raw, line)
-                pieces = _TEXT_LINE.findall(text) if "\r" in text else (text,)
-            for piece in pieces:
+                raw = prefix + b"\n"
+            for piece in raw.splitlines(keepends=True):
                 # Only the piece read right after a row opens a record: a row
                 # that ends at a CR inside this line leaves the next line unmarked.
                 opens_record = False
-                yield piece
+                yield _decode(piece, reader.line_num + 1)
 
     reader = csv.reader(lines(), strict=True)
     try:

@@ -45,7 +45,6 @@ import math
 import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -227,11 +226,11 @@ class ApproximationTable:
     statistic value in ``k_range`` (both ends included).
 
     ``columns(lo, hi)`` gives the ``exact_p`` and ``approx_p`` (float64) of
-    the statistic values lo..hi-1. ``blocks`` yields the table a block of
-    rows at a time as (statistic values, exact_p, approx_p, difference), with
-    ``difference`` = exact_p - approx_p; the full columns ``statistic``
-    (int64), ``exact_p``, ``approx_p`` and ``difference`` join those same
-    blocks."""
+    the statistic values lo..hi-1. The table has two views: ``blocks``
+    yields it a block of rows at a time as (statistic values, exact_p,
+    approx_p, difference), with ``difference`` = exact_p - approx_p, and
+    ``rows`` holds those same blocks as one ``ApproximationRow`` of Python
+    scalars per row."""
 
     n: int
     lag: int
@@ -246,35 +245,10 @@ class ApproximationTable:
             exact, approx = self.columns(lo, hi)
             yield range(lo, hi), exact, approx, exact - approx
 
-    @cached_property
-    def _joined(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _, *columns = zip(*self.blocks())
-        return tuple(np.concatenate(c) for c in columns)
-
-    @property
-    def statistic(self) -> np.ndarray:
-        return np.arange(self.k_range[0], self.k_range[1] + 1)
-
-    @property
-    def exact_p(self) -> np.ndarray:
-        return self._joined[0]
-
-    @property
-    def approx_p(self) -> np.ndarray:
-        return self._joined[1]
-
-    @property
-    def difference(self) -> np.ndarray:
-        return self._joined[2]
-
     @property
     def rows(self) -> tuple[ApproximationRow, ...]:
-        full = (self.statistic, self.exact_p, self.approx_p, self.difference)
-        return tuple(ApproximationRow(*row) for row in zip(*(c.tolist() for c in full)))
-
-    @property
-    def max_abs_difference(self) -> float:
-        return float(np.max(np.abs(self.difference), initial=0.0))
+        return tuple(ApproximationRow(*row) for statistic, *block in self.blocks()
+                     for row in zip(statistic, *(c.tolist() for c in block)))
 
 
 def _pick_distribution(n: int, lag: int, bias: float) -> ExactDistribution:
@@ -303,9 +277,10 @@ def approximation_error(
     k_lo, k_hi = k_range if k_range is not None else (0, m)
     if not 0 <= k_lo <= k_hi <= m:
         raise ValueError(f"k_range must lie within [0, {m}], got {k_range}")
-    tails = _pick_distribution(n, lag, bias).two_sided_p()
-    # The table is read later: refuse a bias or variance it cannot use now.
+    # The table is read later: refuse a bias or variance it cannot use now,
+    # before an exact law is picked or built.
     normalize_statistic(k_lo, n, lag, bias)
+    tails = _pick_distribution(n, lag, bias).two_sided_p()
 
     def columns(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         approx = p_values(normalize_statistic(np.arange(lo, hi), n, lag, bias))

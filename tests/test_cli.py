@@ -112,6 +112,31 @@ def test_pipeline_model_and_bias_errors_exit_2(tmp_path, capsys, flags, message)
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+@pytest.mark.parametrize("flags, message", [
+    (["--rho", 0.0], "--rho does not apply to --model ideal"),
+    (["--model", "ideal", "--rho", 0.3], "--rho does not apply to --model ideal"),
+    (["--model", "drifting", "--schedule", "0.4:2,0.6:2", "--rho", 0.3],
+     "--rho does not apply to --model drifting"),
+    (["--model", "markov", "--schedule", "0.4:2,0.6:2"],
+     "--schedule does not apply to --model markov"),
+    (["--schedule", "0.4:4"], "--schedule does not apply to --model ideal"),
+    (["--model", "drifting", "--schedule", "0.4:2,0.6:2", "--p", 0.9],
+     "--p does not apply to --model drifting"),
+    # refused before any other chain check
+    (["--model", "drifting", "--p", 0.9], "--p does not apply to --model drifting"),
+    (["--model", "ideal", "--rho", 0.3, "--p", 1.5], "--rho does not apply to --model ideal"),
+], ids=["rho-default-ideal", "rho-ideal", "rho-drifting", "schedule-markov",
+        "schedule-ideal", "p-drifting", "p-before-missing-schedule", "rho-before-bias"])
+def test_flags_the_model_ignores_exit_2(tmp_path, capsys, command, flags, message):
+    shape = ["--jobs", 4, "--qubits", 1, "--bits", 16]
+    out = ["--out", tmp_path / "x.csv"] if command == "simulate" else [
+        "--workdir", tmp_path / "x"]
+    assert run([command, *shape, *flags, *out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_exits_2(tmp_path):
     assert run(["simulate", "--frobnicate", "--out", tmp_path / "x.csv"]) == 2
 
@@ -563,6 +588,36 @@ def test_oracle_flag_errors_exit_2(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [20, 100])
+@pytest.mark.parametrize("p, message", [
+    ("nan", "bias must be in [0, 1], got nan"),
+    (-0.1, "bias must be in [0, 1], got -0.1"),
+    (1.5, "bias must be in [0, 1], got 1.5"),
+    (0, "zero variance at bias 0.0"),
+    (1, "zero variance at bias 1.0"),
+], ids=["nan", "negative", "above-one", "zero", "one"])
+def test_oracle_refuses_a_bad_p_before_picking_an_exact_route(tmp_path, capsys, monkeypatch,
+                                                               n, p, message):
+    """The refusal names the bias whatever n is, and no exact law is built
+    for a table that cannot be written."""
+    def refuse(*_args):
+        raise AssertionError("built a distribution for a table that cannot be written")
+
+    monkeypatch.setattr(oracle, "_pick_distribution", refuse)
+    out = tmp_path / "t.csv"
+    assert run(["oracle", "--n", n, "--p", p, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_oracle_valid_bias_without_an_exact_route_exits_2(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert run(["oracle", "--n", 100, "--p", 0.3, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: no exact distribution available for n=100 with bias 0.3;")
+    assert not out.exists()
+
+
 def test_oracle_big_n_fair_bias_allowed(tmp_path):
     out = tmp_path / "t.csv"
     assert run(["oracle", "--n", 1024, "--lag", 1, "--p", 0.5,
@@ -573,10 +628,8 @@ def test_oracle_big_n_fair_bias_allowed(tmp_path):
 def per_row_oracle_csv(table):
     """The oracle table's lines, one f-string per row: the reference for the
     CLI writer, which formats each run of repeated float rows once."""
-    columns = (table.statistic, table.exact_p, table.approx_p, table.difference)
     return ["statistic,exact_p,approx_p,difference\n"] + [
-        f"{k},{exact!r},{approx!r},{difference!r}\n"
-        for k, exact, approx, difference in zip(*(c.tolist() for c in columns))
+        f"{r.statistic},{r.exact_p!r},{r.approx_p!r},{r.difference!r}\n" for r in table.rows
     ]
 
 
@@ -608,9 +661,10 @@ def test_oracle_csv_equals_per_row_writer(tmp_path, n, lag, p, k_range):
     assert oracle_csv(tmp_path, n, lag, p, k_range) == expected
 
 
-def test_oracle_csv_runs_cross_block_edges(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "BLOCK_BYTES", 24000)
-    expected = per_row_oracle_csv(approximation_error(20000, 7, 0.5))
+def test_oracle_csv_runs_cross_block_edges(tmp_path):
+    table = approximation_error(20000, 7, 0.5)
+    assert len(list(table.blocks())) == 8
+    expected = per_row_oracle_csv(table)
     assert oracle_csv(tmp_path, 20000, 7, 0.5) == expected
 
 
@@ -624,7 +678,7 @@ def test_oracle_csv_at_any_table_block_size(tmp_path, capsys, monkeypatch, rows)
     monkeypatch.setattr(oracle, "_TABLE_ROWS", rows)
     assert oracle_csv(tmp_path, 2000, 7, 0.5) == expected
     assert capsys.readouterr().err.endswith(
-        f"max |exact - approx|: {table.max_abs_difference:.6g}\n")
+        f"max |exact - approx|: {max(abs(r.difference) for r in table.rows):.6g}\n")
 
 
 def test_oracle_csv_keeps_signed_zero_and_nan_text_apart(tmp_path, monkeypatch):
@@ -644,9 +698,7 @@ def test_oracle_writes_its_table_without_full_columns(tmp_path, monkeypatch):
     def refuse(_table):
         raise AssertionError("the oracle built a full-length column")
 
-    for column in ("statistic", "exact_p", "approx_p", "difference", "rows",
-                   "max_abs_difference"):
-        monkeypatch.setattr(ApproximationTable, column, property(refuse))
+    monkeypatch.setattr(ApproximationTable, "rows", property(refuse))
     assert run(["oracle", "--n", 40000, "--out", tmp_path / "t.csv"]) == 0
 
 

@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qrng_audit import cli, ingest
 from qrng_audit.aggregate import build_matrix
@@ -752,3 +752,93 @@ def test_csv_reader_sees_only_the_text_before_a_plain_bit_field(monkeypatch, end
     assert seen == [text.splitlines(True)[0]] + [
         line[:line.rindex(",") + 1] + "\n" for line in text.splitlines(True)[1:]]
     assert matrix_fields(matrix) == matrix_fields(build_matrix(rows, PARAMS))
+
+
+# --------------------------------------------------------------- line ends
+
+def written_lines(write, value):
+    """The lines ``write`` writes for ``value``, as bytes without their ends."""
+    buf = io.StringIO()
+    write(value, buf)
+    return buf.getvalue().encode().splitlines()
+
+
+LINE_ENDS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+JOB_LINES = written_lines(serialize_jobs, job_rows(
+    ("j1", TS, 0, "01101001"), ("j1", TS, 1, "10010000"),
+    ("j2", TS, 0, "00000000"), ("j2", TS, 1, "11110111"),
+))
+RESULT_LINES = written_lines(write_results, parse_jobs(
+    io.BytesIO(b"\n".join(JOB_LINES) + b"\n"), PARAMS))
+CALIBRATION_LINES = written_lines(serialize_calibration, [
+    CalibrationRecord(timestamp=TS, qubit_id=q, t1_us=50.25 + q) for q in range(3)])
+
+
+@st.composite
+def mutated_lines(draw, lines):
+    """``lines`` (bytes, without their ends) with a few bytes replaced,
+    inserted or dropped: bytes that are not UTF-8, quotes, commas, or
+    plain characters, never a line end."""
+    lines = [bytearray(line) for line in lines]
+    for _ in range(draw(st.integers(1, 4))):
+        line = draw(st.sampled_from(lines))
+        pos = draw(st.integers(0, len(line)))
+        byte = draw(st.sampled_from(b'\xff\x80\xc3"",,x0'))
+        kind = draw(st.sampled_from(["replace", "insert", "drop"]))
+        if kind == "insert" or pos == len(line):
+            line.insert(pos, byte)
+        elif kind == "replace":
+            line[pos] = byte
+        else:
+            del line[pos]
+    return [bytes(line) for line in lines]
+
+
+def spans_a_line_end(lines):
+    """Whether csv.reader, reading the LF form of the file up to its first
+    error, meets a quoted field that holds a line end. Such a field holds a
+    different character under each line end, so the readers may rightly
+    treat it differently."""
+    text = (b"\n".join(lines) + b"\n").decode(errors="surrogateescape")
+    try:
+        return any("\n" in field for row in csv.reader(io.StringIO(text, newline=""),
+                                                        strict=True) for field in row)
+    except csv.Error:
+        return False
+
+
+def read_outcome(reader, data):
+    """What ``reader`` makes of the file, or the type, message and line of
+    its refusal."""
+    try:
+        result = reader(io.BytesIO(data))
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return matrix_fields(result) if isinstance(result, PValueMatrix) else result
+
+
+def assert_same_at_every_line_end(reader, lines):
+    assume(not spans_a_line_end(lines))
+    outcomes = {name: read_outcome(reader, b"".join(line + end for line in lines))
+                for name, end in LINE_ENDS.items()}
+    assert outcomes["crlf"] == outcomes["lf"]
+    assert outcomes["cr"] == outcomes["lf"]
+
+
+@given(mutated_lines(JOB_LINES))
+@example([JOB_LINES[0], b"j1,notatime,0,01101001", b"j2,2019-05-09T11:24:27Z,0,01\xff01001"])
+@settings(max_examples=300, deadline=None)
+def test_parse_jobs_reads_every_line_end_alike(lines):
+    """A job file gives the same matrix, or the same refusal at the same
+    line, whether its lines end in LF, CRLF or a lone CR: a lone-CR file
+    reports its faults in line order too."""
+    assert_same_at_every_line_end(lambda stream: parse_jobs(stream, PARAMS), lines)
+
+
+@pytest.mark.parametrize("reader, lines", [(read_results, RESULT_LINES),
+                                           (parse_calibration, CALIBRATION_LINES)],
+                         ids=["results", "calibration"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_results_and_calibration_read_every_line_end_alike(reader, lines, data):
+    assert_same_at_every_line_end(reader, data.draw(mutated_lines(lines)))

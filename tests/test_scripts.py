@@ -1,6 +1,7 @@
 """Smoke tests for the study scripts under ``scripts/`` and the README's
 Python examples."""
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -43,6 +44,14 @@ def test_approximation_gap_study_runs_at_a_small_big_n(capsys):
     assert sum("critical-region max|gap|" in line for line in lines) == 11
     assert lines[-9] == "  statistic     exact_p    approx_p  difference"
     assert lines[-8].split()[0] in {"480", "543"}
+
+
+def test_approximation_gap_study_default_output_is_pinned(capsys):
+    """The study's default output, as SHA-256 of its stdout, held fixed
+    across changes to the table it reads."""
+    load_script("approximation_gap_study").main([])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "b246959fe4dde5072425a299d8bb805c95d66f47e0a038709958e710fc1d81f0"
 
 
 def test_readme_has_python_examples():
