@@ -34,9 +34,7 @@ def build_matrix(rows: JobRows, params: TestParams) -> PValueMatrix:
     step = max(1, BLOCK_BYTES // rows.bits.shape[1])
     counts = [packed_counts(rows.bits[start:start + step], rows.n, params.lag)
               for start in range(0, len(rows.bits), step)]
-    statistic, ones = (np.concatenate(column).reshape(-1, len(rows.qubit_ids))
-                       for column in zip(*counts))
-    return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, rows.n, statistic, ones, params)
+    return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, rows.n, counts, params)
 
 
 def failure_ratio_per_qubit(matrix: PValueMatrix) -> dict[int, float]:

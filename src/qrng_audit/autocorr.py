@@ -13,8 +13,8 @@ the XOR counts and ones counts of a whole block of streams at once, each
 stream packed eight bits to a byte in ``np.packbits`` order: ones counts
 with ``np.bitwise_count`` on the bytes, XOR counts on the bytes XORed with
 the same row shifted ``lag`` bits (``lag // 8`` bytes and then ``lag % 8``
-bits). ``PValueMatrix.from_counts`` runs ``run_test``'s arithmetic, in the
-same operation order, on a (jobs x qubits) grid of those counts.
+bits). ``PValueMatrix.from_counts`` places those counts on a (jobs x
+qubits) grid and runs ``run_test``'s arithmetic on it, in the same order.
 """
 
 from __future__ import annotations
@@ -106,6 +106,11 @@ class BitSequence:
         return f"BitSequence(<{len(self)} bits>)"
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class TestParams:
     """Test configuration: lag, significance level, and bias handling.
@@ -123,8 +128,7 @@ class TestParams:
     def __post_init__(self) -> None:
         if self.lag < 1:
             raise InvalidLagError(f"lag must be >= 1, got {self.lag}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.fixed_bias is not None and not 0.0 <= self.fixed_bias <= 1.0:
             raise ValueError(f"fixed bias must be in [0, 1], got {self.fixed_bias}")
 
@@ -242,8 +246,8 @@ class PValueMatrix:
     Every cell shares one stream length ``n`` and one ``lag``. The per-cell
     fields are (jobs, qubits) arrays: ``statistic`` (int64), ``bias``,
     ``normalized`` and ``p_value`` (float64); ``normalized`` and ``p_value``
-    are NaN exactly on degenerate cells. ``alpha`` is the level pass/fail
-    are read at.
+    are NaN exactly on degenerate cells. ``alpha``, in (0, 1) as in
+    ``TestParams``, is the level pass/fail are read at.
     """
 
     job_ids: tuple[str, ...]
@@ -257,6 +261,7 @@ class PValueMatrix:
     p_value: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_alpha(self.alpha)
         shape = (len(self.job_ids), len(self.qubit_ids))
         cells = (self.statistic, self.bias, self.normalized, self.p_value)
         if any(a.shape != shape for a in cells):
@@ -268,12 +273,15 @@ class PValueMatrix:
         job_ids: tuple[str, ...],
         qubit_ids: tuple[int, ...],
         n: int,
-        statistic: np.ndarray,
-        ones: np.ndarray,
+        counts: Iterable[tuple[np.ndarray, np.ndarray]],
         params: TestParams,
+        order: np.ndarray | slice = slice(None),
     ) -> "PValueMatrix":
-        """``run_test`` on every cell at once, given each stream's XOR count
-        and ones count; equal to it cell for cell."""
+        """``run_test`` on every cell at once, equal to it cell for cell, given
+        ``packed_counts`` of each block of streams in row order and ``order``,
+        the gather of those rows that fills the grid row by row."""
+        statistic, ones = (np.concatenate(column)[order].reshape(len(job_ids), len(qubit_ids))
+                           for column in zip(*counts))
         m = n - params.lag
         if params.fixed_bias is None:
             bias = ones / n

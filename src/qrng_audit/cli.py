@@ -16,7 +16,6 @@ deterministic given its flags; repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from .autocorr import BLOCK_BYTES, InvalidLagError, PValueMatrix, TestParams, ch
 from .ingest import (
     CalibrationRecord,
     JobRows,
+    check_stream_length,
     parse_calibration,
     parse_jobs,
     read_results,
@@ -81,7 +81,8 @@ def _chain_parameters(args: argparse.Namespace) -> dict:
 
 
 def _run_config(args: argparse.Namespace) -> sim.DeviceRunConfig:
-    # Every model and run-shape rejection is a ValueError: a usage error here.
+    """The run the flags describe, whose job file ``test`` can read: each
+    model, run-shape and stream-length ValueError is a usage error here."""
     try:
         config = sim.DeviceRunConfig(
             qubit_count=args.qubits,
@@ -90,20 +91,9 @@ def _run_config(args: argparse.Namespace) -> sim.DeviceRunConfig:
             master_seed=args.seed,
             **_chain_parameters(args),
         )
+        check_stream_length(config.bits_per_job)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # The API broadcasts a one-job schedule to every job; --schedule must
-    # name each job.
-    schedule = np.asarray(config.bias)
-    if schedule.ndim == 2 and len(schedule) != config.jobs:
-        raise UsageError(f"schedule covers {len(schedule)} jobs but the run has {config.jobs}")
-    # A job file must stay readable by ``test``.
-    limit = csv.field_size_limit()
-    if config.bits_per_job > limit:
-        raise UsageError(
-            f"--bits {config.bits_per_job} exceeds the job CSV field limit "
-            f"of {limit} characters"
-        )
     return config
 
 
@@ -162,12 +152,12 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def _aggregate(matrix: PValueMatrix, calibration: list[CalibrationRecord] | None,
                report_path: str, scatter_path: str | None) -> None:
-    """Write the fleet report (and the scatter, given calibration and a
-    path) and print its headline numbers."""
+    """Write the fleet report (and the scatter, given a path, which needs
+    calibration) and print its headline numbers."""
     report = agg.build_report(matrix, calibration)
     with open(report_path, "w", newline="", encoding="utf-8") as fh:
         agg.write_report_csv(report, fh)
-    if calibration is not None and scatter_path is not None:
+    if scatter_path is not None:
         with open(scatter_path, "w", newline="", encoding="utf-8") as fh:
             agg.write_scatter_csv(report, fh)
     _status(f"simultaneous-pass proportion: {report.simultaneous_pass_proportion:.4f}")
@@ -180,6 +170,8 @@ def _aggregate(matrix: PValueMatrix, calibration: list[CalibrationRecord] | None
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    if args.scatter is not None and args.calibration is None:
+        raise UsageError("--scatter needs --calibration")
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"alpha must be in (0, 1), got {args.alpha}")
     with open(args.infile, "rb") as fh:
@@ -294,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_aggr.add_argument("--in", dest="infile", required=True, help="results CSV path")
     p_aggr.add_argument("--calibration", help="calibration CSV path (optional)")
     p_aggr.add_argument("--report", required=True, help="report CSV path")
-    p_aggr.add_argument("--scatter", help="T1-vs-failure scatter CSV path")
+    p_aggr.add_argument("--scatter", help="T1-vs-failure scatter CSV path (needs --calibration)")
     p_aggr.add_argument("--alpha", type=float, default=0.01)
     p_aggr.set_defaults(func=cmd_aggregate)
 

@@ -294,9 +294,10 @@ def parse_jobs(stream: Iterable[bytes], params: TestParams) -> PValueMatrix:
     """The matrix ``build_matrix`` gives for the grid of a job CSV, given as
     ``_rows`` takes it; the first data row declares the bit count. Each row
     is packed as read, and each block of about ``BLOCK_BYTES`` of packed
-    rows is counted and dropped; once the file is read, one gather puts the
-    counts, rows in any order, on the grid. Parse and grid errors come
-    first, then an empty grid, then a lag the streams are too short for."""
+    rows is counted and dropped; once the file is read, ``from_counts``
+    gathers the counts, rows in any order, onto the grid. Parse and grid
+    errors come first, then an empty grid, then a lag the streams are too
+    short for."""
     declared: int | None = None
     times: dict[str, datetime] = {}
     stamps: dict[str, datetime] = {}
@@ -340,9 +341,7 @@ def parse_jobs(stream: Iterable[bytes], params: TestParams) -> PValueMatrix:
     if not streams:
         raise ValueError("no streams to analyze")
     counts.append(packed_counts(block[:filled], declared, params.lag))  # the last, partial block
-    statistic, ones = (np.concatenate(column)[order].reshape(-1, len(qubit_ids))
-                       for column in zip(*counts))
-    return PValueMatrix.from_counts(job_ids, qubit_ids, declared, statistic, ones, params)
+    return PValueMatrix.from_counts(job_ids, qubit_ids, declared, counts, params, order)
 
 
 def _job_prefixes(rows: JobRows) -> Iterator[str]:
@@ -360,6 +359,12 @@ def _job_prefixes(rows: JobRows) -> Iterator[str]:
         yield from (prefix + qubit for qubit in qubits)
 
 
+def check_stream_length(n: int) -> None:
+    """Refuse streams longer than the csv module's field limit: no parser reads them."""
+    if n > (limit := csv.field_size_limit()):
+        raise ShapeError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
+
+
 def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
     """Write the grid as job CSV, its rows in grid order.
 
@@ -369,8 +374,7 @@ def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
     then a '\n'. Streams no parser could read back are refused before
     anything is written."""
     count_rows, n = len(rows.bits), rows.n
-    if n > (limit := csv.field_size_limit()):
-        raise ShapeError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
+    check_stream_length(n)
     csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
     prefixes = _job_prefixes(rows)
     step = max(1, BLOCK_BYTES // (n + 1))

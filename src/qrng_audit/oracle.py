@@ -95,10 +95,6 @@ class ExactDistribution:
         pmf.setflags(write=False)
         object.__setattr__(self, "pmf", pmf)
 
-    @property
-    def support(self) -> np.ndarray:
-        return np.arange(self.n - self.lag + 1)
-
     def mean(self) -> float:
         first, last = self._nonzero
         return float(np.dot(np.arange(first, last + 1), self.pmf[first:last + 1]))

@@ -159,7 +159,8 @@ def _chain_bits(bias: float, rho: float, n: int, seed: int) -> np.ndarray:
 class DeviceRunConfig:
     """Shape and chain parameters of one synthetic device run. ``bias`` and
     ``rho`` are each a float or an array that broadcasts to the (jobs,
-    qubits) grid: (qubits,) per qubit, (jobs, 1) per job, or the full grid."""
+    qubits) grid: (qubits,) per qubit, or (jobs, 1) per job or the full
+    grid, a 2-D array naming every job (else ``InvalidScheduleError``)."""
 
     qubit_count: int = DEFAULT_QUBIT_COUNT
     jobs: int = DEFAULT_JOBS
@@ -181,7 +182,7 @@ class DeviceRunConfig:
         grid = (self.jobs, self.qubit_count)
         bias, rho = (np.asarray(v, dtype=float) for v in (self.bias, self.rho))
         for values in (bias, rho):
-            if values.ndim == 2 and len(values) not in (1, self.jobs):
+            if values.ndim == 2 and len(values) != self.jobs:
                 raise InvalidScheduleError(
                     f"schedule covers {len(values)} jobs but the run has {self.jobs}")
             if values.ndim > 2 or values.ndim and values.shape[-1] not in (1, self.qubit_count):

@@ -1,5 +1,6 @@
 """Fleet aggregation: matrix, ratios, pass proportions, rank correlation."""
 
+import dataclasses
 import io
 import math
 from datetime import datetime, timedelta, timezone
@@ -401,3 +402,18 @@ def test_matrix_from_results_rejects_ragged():
         read_results(io.BytesIO("\n".join(lines + lines[-1:]).encode()))
     with pytest.raises(ValueError, match="no result rows to aggregate"):
         read_results(io.BytesIO(lines[0].encode()))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_matrix_refuses_alpha_outside_unit_interval(alpha):
+    """A level outside (0, 1) would read every decided cell as failed (or
+    every one as passed): the matrix refuses it as ``TestParams`` does."""
+    matrix = build_verdict_matrix(["FPD", "PPP"])
+    with pytest.raises(ValueError) as params_error:
+        TestParams(alpha=alpha)
+    message = str(params_error.value)
+    with pytest.raises(ValueError) as read_error:
+        read_results(io.BytesIO(results_text(matrix).encode()), alpha=alpha)
+    with pytest.raises(ValueError) as built_error:
+        dataclasses.replace(matrix, alpha=alpha)
+    assert str(read_error.value) == str(built_error.value) == message

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import math
 import os
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -321,14 +323,19 @@ def test_aggregate_without_calibration(tmp_path, capsys):
     results = tmp_path / "results.csv"
     run(["test", "--in", jobs, "--out", results])
     report = tmp_path / "report.csv"
-    scatter = tmp_path / "scatter.csv"
-    assert run(["aggregate", "--in", results, "--report", report,
-                "--scatter", scatter]) == 0
+    assert run(["aggregate", "--in", results, "--report", report]) == 0
     assert report.exists()
-    assert not scatter.exists()
     err = capsys.readouterr().err
     assert "simultaneous-pass proportion" in err
     assert "no calibration" in err
+
+
+def test_aggregate_scatter_without_calibration_exits_2_before_reading(tmp_path, capsys):
+    # The results file does not exist: reading it first would exit 1.
+    assert run(["aggregate", "--in", tmp_path / "missing.csv", "--report", tmp_path / "r.csv",
+                "--scatter", tmp_path / "s.csv"]) == 2
+    assert capsys.readouterr().err == "error: --scatter needs --calibration\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_aggregate_single_job_proportions_are_binary(tmp_path):
@@ -854,3 +861,27 @@ def test_files_are_utf8_in_any_locale(tmp_path):
         written.append(out.read_bytes())
     assert written[0] == written[1]
     assert written[0].splitlines()[1].startswith("jé,0,10,1,".encode())
+
+
+def test_console_script_entry_runs_the_cli(tmp_path):
+    """``qrng-audit``, the command of every README example, is the
+    ``[project.scripts]`` entry of pyproject.toml: a child process calls it
+    as an installed console script does, exiting with what it returns."""
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["qrng-audit"]
+    module, function = target.split(":")
+    assert callable(getattr(importlib.import_module(module), function))
+    launcher = f"import sys; from {module} import {function}; sys.exit({function}())"
+
+    def script(*argv):
+        return subprocess.run([sys.executable, "-c", launcher, *map(str, argv)],
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+
+    helped = script("--help")
+    assert (helped.returncode, helped.stderr) == (0, "")
+    assert helped.stdout.startswith("usage: qrng-audit ")
+    refused = script("aggregate", "--in", "results.csv", "--report", "report.csv",
+                     "--scatter", "scatter.csv")
+    assert (refused.returncode, refused.stderr) == (2, "error: --scatter needs --calibration\n")
+    assert not list(tmp_path.iterdir())

@@ -8,9 +8,9 @@
   packed bits, only each stream's two counts, in grid order or shuffled:
   about 4 MiB above ``--help``, against about 16 MiB holding the packed
   matrix and about 26 MiB with one gather of it for a shuffled file.
-* The exact oracle at n = 24 enumerates 2^24 sequences a block at a time:
-  about 1 MiB above ``--help``, against about 22 MiB at 2^20 sequences a
-  block.
+* The exact oracle at n = 24 and at n = 53, the enumeration route's limit,
+  walks the bits class by class, holding two (statistic, ones) tables of
+  counts: about 1 MiB above ``--help`` at either length.
 * The exact oracle at n = 131072 (the closed form at p = 1/2) sums its
   tails over the pmf's non-zero window (13906 of 131072 entries) and writes
   its table one block of rows at a time: about 2.1 MiB above ``--help``,
@@ -107,8 +107,9 @@ def test_test_of_a_shuffled_file_holds_no_bits(paper_shape_jobs):
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-@pytest.mark.parametrize("n, p, bound_mib", [("24", "0.3", 8), ("131072", "0.5", 5)],
-                         ids=["enumerate-n24", "binomial-n131072"])
+@pytest.mark.parametrize("n, p, bound_mib", [("24", "0.3", 3), ("53", "0.3", 3),
+                                              ("131072", "0.5", 5)],
+                         ids=["enumerate-n24", "enumerate-n53", "binomial-n131072"])
 def test_exact_oracle_peak_rss_stays_near_startup(tmp_path, n, p, bound_mib):
     startup = peak_rss_mib(["--help"], tmp_path)
     oracle = peak_rss_mib(["oracle", "--n", n, "--lag", "1", "--p", p,

@@ -278,7 +278,7 @@ def loop_approximation_error(n, lag, bias):
     dist = (exact_distribution_enumerate(n, lag, bias) if n <= ENUMERATION_MAX_N
             else exact_distribution_binomial(n, lag))
     m = n - lag
-    distances = np.abs(dist.support - dist.mean())
+    distances = np.abs(np.arange(dist.pmf.size) - dist.mean())
     order = np.argsort(-distances, kind="stable")
     tail = np.empty(m + 1)
     tail[order] = np.cumsum(dist.pmf[order])
