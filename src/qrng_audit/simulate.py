@@ -10,17 +10,22 @@ A chain stream costs its uniform draws plus work on its free draws only,
 the share |rho| whose bit depends on the previous one: each run of them is
 filled from the forced bit before it, with no full-length index arrays.
 
-Every (job, qubit) stream draws from its own generator seeded by a SplitMix64
-mix of (master_seed, job, qubit), so any subset of a run can be regenerated
-independently and results never depend on generation order.
+Every (job, qubit) stream draws from ``np.random.default_rng(seed)`` for a
+SplitMix64 mix of (master_seed, job, qubit), so any subset of a run can be
+regenerated independently and results never depend on generation order. A
+run seeds all its streams in one pass over uint64 arrays (the SplitMix64
+grid, then numpy's own SeedSequence hash and PCG64 seeding) and sets one
+reused generator to each stream's state in turn: the same draws as a
+generator per stream, without numpy's per-generator set-up.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -44,6 +49,9 @@ CALIBRATION_INTERVAL_S = 4 * 3600.0
 T1_RANGE_US = (40.0, 110.0)
 T1_RELATIVE_STEP = 0.05
 
+# PCG64's 128-bit LCG multiplier (O'Neill 2014).
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 class InvalidParameterError(ValueError):
     """Chain parameters outside their valid region."""
@@ -53,33 +61,67 @@ class InvalidScheduleError(ValueError):
     """Bias schedule does not cover the requested indices."""
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer: avalanching 64-bit mix."""
-    mask = (1 << 64) - 1
-    z = (z + 0x9E3779B97F4A7C15) & mask
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer over a uint64 array (array arithmetic wraps silently)."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def derive_substream_seed(master_seed: int, *indices: int) -> int:
-    """Deterministic 64-bit child seed for a (master, indices...) substream."""
-    h = _mix64(master_seed & ((1 << 64) - 1))
-    for index in indices:
-        h = _mix64(h ^ (index & ((1 << 64) - 1)))
-    return h
+def _seed_grid(master_seed: int, branch: int, *shape: int) -> np.ndarray:
+    """The uint64 seed of substream (branch, *index) for every index of the
+    grid ``shape``: h = mix(master), then h = mix(h ^ i) for the branch and
+    each index in turn. Branch 0 seeds the (job, qubit) streams, branch 1
+    the calibration walks."""
+    h = _mix64(_mix64(np.array([master_seed], dtype=np.uint64)) ^ np.uint64(branch))
+    for size in shape:
+        h = _mix64(h[..., None] ^ np.arange(size, dtype=np.uint64))
+    return h[0]
 
 
-def stream_seed(master_seed: int, job_index: int, qubit_id: int) -> int:
-    return derive_substream_seed(master_seed, 0, job_index, qubit_id)
+def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """The four uint64 words ``np.random.SeedSequence(seed).generate_state(4,
+    np.uint64)`` for each seed of a uint64 array, as a (seeds, 4) array,
+    computed for every seed at once: the SeedSequence hash (NEP 19) of the
+    seed's two 32-bit words into a pool of four, then eight words drawn from
+    the pool. A missing high word hashes as 0, so seeds below 2**32 take the
+    same route."""
+    const = 0x43B0D7E5
+
+    def hashmix(value: np.ndarray, multiplier: int = 0x931E8875) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * multiplier & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(seeds.size, dtype=np.uint32)
+    pool = [hashmix(w) for w in (seeds.ravel().astype(np.uint32),
+                                 (seeds.ravel() >> np.uint64(32)).astype(np.uint32), zero, zero)]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashmix(pool[src])
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    const = 0x8B51F9DD  # generate_state: the same step from its own constants
+    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    return np.stack([out[i] | out[i + 1].astype(np.uint64) << np.uint64(32)
+                     for i in range(0, 8, 2)], axis=-1)
 
 
-def _calibration_seed(master_seed: int, qubit_id: int) -> int:
-    return derive_substream_seed(master_seed, 1, qubit_id)
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def _generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for each seed of a uint64 array in
+    turn, as one reused Generator: each yield sets its PCG64 state, so a
+    yielded generator is valid until the next is asked for. PCG64 seeds its
+    128-bit LCG from a seed's SeedSequence words as (state, increment) with
+    two LCG steps."""
+    rng, mask = np.random.default_rng(0), (1 << 128) - 1
+    for row in _seed_sequence_words(seeds):
+        seed_hi, seed_lo, inc_hi, inc_lo = row.tolist()
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & mask
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULTIPLIER + inc) & mask
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _check_chain(bias: ArrayLike, rho: ArrayLike) -> None:
@@ -112,10 +154,10 @@ def drifting_bias(phases: Sequence[tuple[float, int]]) -> np.ndarray:
     return np.repeat([float(b) for b, _ in phases], [c for _, c in phases])[:, None]
 
 
-def _chain_bits(bias: float, rho: float, n: int, seed: int) -> np.ndarray:
+def _chain_bits(bias: float, rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n bits of the two-state chain with stationary ones-probability
     ``bias`` and lag-1 autocorrelation ``rho``, as a bool array; one uniform
-    draw per bit.
+    draw of ``rng`` per bit.
 
     Bit i is ``u[i] < (stay if bit i-1 else move)``, computed without a loop:
     a draw below both thresholds forces a 1 and one at or above both forces
@@ -129,7 +171,7 @@ def _chain_bits(bias: float, rho: float, n: int, seed: int) -> np.ndarray:
 
     When stay == move (rho = 0, or a rho too small to move either threshold
     in floats) both equal ``bias`` and every draw is forced."""
-    u = _rng(seed).random(n)
+    u = rng.random(n)
     stay = bias + rho * (1.0 - bias)   # P(1 | previous 1)
     move = bias * (1.0 - rho)          # P(1 | previous 0)
     if stay == move:
@@ -197,10 +239,11 @@ def generate_device_run(config: DeviceRunConfig) -> JobRows:
     regenerates bit-for-bit. The calibration series is
     ``generate_calibration_series(config)``."""
     bias, rho = (grid.ravel().tolist() for grid in config.chain_grid())
-    n, seed = config.bits_per_job, config.master_seed
+    n = config.bits_per_job
     bits = np.empty((config.jobs * config.qubit_count, -(-n // 8)), dtype=np.uint8)
-    for row, (j, q) in enumerate(np.ndindex(config.jobs, config.qubit_count)):
-        bits[row] = np.packbits(_chain_bits(bias[row], rho[row], n, stream_seed(seed, j, q)))
+    seeds = _seed_grid(config.master_seed, 0, config.jobs, config.qubit_count)
+    for row, rng in enumerate(_generators(seeds)):
+        bits[row] = np.packbits(_chain_bits(bias[row], rho[row], n, rng))
     job_ids = tuple(f"j{j + 1:04d}" for j in range(config.jobs))
     stamps = tuple(RUN_START + timedelta(seconds=j * JOB_INTERVAL_S) for j in range(config.jobs))
     return JobRows(job_ids, stamps, tuple(range(config.qubit_count)), bits, n)
@@ -211,8 +254,8 @@ def generate_calibration_series(config: DeviceRunConfig) -> list[CalibrationReco
     random walk, sampled every ``CALIBRATION_INTERVAL_S`` over the run's span."""
     ticks = int(config.jobs * JOB_INTERVAL_S // CALIBRATION_INTERVAL_S) + 1
     records = []
-    for q in range(config.qubit_count):
-        rng = _rng(_calibration_seed(config.master_seed, q))
+    seeds = _seed_grid(config.master_seed, 1, config.qubit_count)
+    for q, rng in enumerate(_generators(seeds)):
         base = float(rng.uniform(*T1_RANGE_US))
         t1 = base
         for tick in range(ticks):

@@ -97,13 +97,38 @@ def autocorr_counts(bits: np.ndarray, lag: int) -> tuple[np.ndarray, np.ndarray]
 
 # ---------------------------------------------------------- single streams
 
+def _mix64(z):
+    """SplitMix64 finalizer on a Python int."""
+    mask = (1 << 64) - 1
+    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def derive_substream_seed(master_seed, *indices):
+    """The 64-bit seed of substream (master, indices...), one index at a
+    time in Python ints: the scalar check on ``simulate._seed_grid``."""
+    h = _mix64(master_seed & ((1 << 64) - 1))
+    for index in indices:
+        h = _mix64(h ^ (index & ((1 << 64) - 1)))
+    return h
+
+
+def stream_seed(master_seed, job_index, qubit_id):
+    """The seed of a run's (job, qubit) stream: the stream is
+    ``np.random.default_rng(stream_seed(master_seed, job, qubit))``'s draws."""
+    return derive_substream_seed(master_seed, 0, job_index, qubit_id)
+
+
 def markov_source(bias, rho, n, seed):
     """One stream of the two-state chain, as the simulator draws each of a
-    run's streams (see ``simulate._chain_bits``)."""
+    run's streams (see ``simulate._chain_bits``), from numpy's own seeding
+    of ``seed``."""
     DeviceRunConfig(bias=bias, rho=rho)  # refuses what the simulator refuses
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return BitSequence(_chain_bits(bias, rho, n, seed))
+    return BitSequence(_chain_bits(bias, rho, n, np.random.default_rng(seed)))
 
 
 def ideal_source(bias, n, seed):

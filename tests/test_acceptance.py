@@ -34,12 +34,12 @@ from qrng_audit.oracle import (
 )
 from qrng_audit.simulate import (
     DeviceRunConfig,
-    derive_substream_seed,
     drifting_bias,
     generate_calibration_series,
     generate_device_run,
 )
 from reference import (
+    derive_substream_seed,
     ideal_source,
     markov_source,
     serialize_jobs_str,

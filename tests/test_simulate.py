@@ -15,13 +15,14 @@ from qrng_audit.simulate import (
     InvalidParameterError,
     InvalidScheduleError,
     _chain_bits,
-    derive_substream_seed,
+    _generators,
+    _seed_grid,
+    _seed_sequence_words,
     drifting_bias,
     generate_calibration_series,
     generate_device_run,
-    stream_seed,
 )
-from reference import bits_of, ideal_source, markov_source
+from reference import bits_of, derive_substream_seed, ideal_source, markov_source, stream_seed
 
 
 # ------------------------------------------------------------------- ideal
@@ -125,10 +126,11 @@ def test_markov_stream_holds_little_beside_its_draws():
     array: the traced peak of one 131072-bit stream stays below twice the
     1 MiB (8 bytes a bit) of the draws."""
     n = 131072
-    _chain_bits(0.5, 0.005, n, seed=3)  # any lazy set-up happens untraced
+    rng = np.random.default_rng(3)
+    _chain_bits(0.5, 0.005, n, rng)  # any lazy set-up happens untraced
     tracemalloc.start()
     try:
-        _chain_bits(0.5, 0.005, n, seed=4)
+        _chain_bits(0.5, 0.005, n, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -200,6 +202,41 @@ def test_substream_seeds_are_deterministic_and_distinct():
     assert stream_seed(42, 3, 7) == stream_seed(42, 3, 7)
     assert stream_seed(42, 3, 7) != stream_seed(43, 3, 7)
     assert derive_substream_seed(42, 0, 3) != derive_substream_seed(42, 3, 0)
+
+
+@given(st.integers(0, 2**64 - 1))
+@example(0)
+@example(1)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**64 - 1)
+@settings(max_examples=500, deadline=None)
+def test_vector_seeding_sets_numpys_own_pcg64_state(seed):
+    """The one-pass seeding equals ``np.random.PCG64(seed)`` itself, so a
+    numpy release that seeds differently fails here, not in a digest."""
+    seeds = np.array([seed], dtype=np.uint64)
+    np.testing.assert_array_equal(_seed_sequence_words(seeds)[0],
+                                  np.random.SeedSequence(seed).generate_state(4, np.uint64))
+    assert next(_generators(seeds)).bit_generator.state == np.random.PCG64(seed).state
+
+
+def test_vector_seeding_sets_each_seed_of_an_array_in_turn():
+    seeds = _seed_grid(20190509, 0, 30, 20)
+    states = [rng.bit_generator.state for rng in _generators(seeds)]
+    assert states == [np.random.PCG64(seed).state for seed in seeds.ravel().tolist()]
+
+
+@given(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+       st.sampled_from([(1, 1), (1, 7), (6, 1)]) | st.tuples(st.integers(1, 5), st.integers(1, 5)))
+@settings(max_examples=100, deadline=None)
+def test_seed_grid_equals_the_scalar_splitmix_seeds(master, shape):
+    jobs, qubits = shape
+    grid = _seed_grid(master, 0, jobs, qubits)
+    assert grid.dtype == np.uint64 and grid.shape == shape
+    assert grid.tolist() == [[stream_seed(master, j, q) for q in range(qubits)]
+                             for j in range(jobs)]
+    assert _seed_grid(master, 1, qubits).tolist() == [derive_substream_seed(master, 1, q)
+                                                      for q in range(qubits)]
 
 
 # ------------------------------------------------------------- device runs
