@@ -18,13 +18,13 @@ import argparse
 
 import numpy as np
 
-from qrng_audit.oracle import ApproximationTable, approximation_error
+from qrng_audit.oracle import approximation_error
 
 
-def joined(table: ApproximationTable) -> tuple[np.ndarray, ...]:
+def joined(n: int, lag: int, bias: float) -> tuple[np.ndarray, ...]:
     """The table's statistic, exact_p, approx_p and difference columns,
     each joined from its blocks."""
-    return tuple(np.concatenate(column) for column in zip(*table.blocks()))
+    return tuple(np.concatenate(column) for column in zip(*approximation_error(n, lag, bias)))
 
 
 def critical_region(exact_p: np.ndarray, approx_p: np.ndarray) -> np.ndarray:
@@ -33,13 +33,13 @@ def critical_region(exact_p: np.ndarray, approx_p: np.ndarray) -> np.ndarray:
             | ((0.005 <= exact_p) & (exact_p <= 0.05)))
 
 
-def gap_line(table: ApproximationTable) -> str:
-    _, exact_p, approx_p, difference = joined(table)
+def gap_line(n: int, lag: int, bias: float, columns: tuple[np.ndarray, ...]) -> str:
+    _, exact_p, approx_p, difference = columns
     gap = np.abs(difference)
     region = gap[critical_region(exact_p, approx_p)]
     region_gap = float(region.max()) if region.size else float("nan")
     return (
-        f"n={table.n:>5} lag={table.lag} bias={table.bias:<4}  "
+        f"n={n:>5} lag={lag} bias={bias:<4}  "
         f"max|gap| {gap.max():.5f}   "
         f"critical-region max|gap| {region_gap:.5f}"
     )
@@ -54,16 +54,16 @@ def main(argv: list[str] | None = None) -> None:
     print("exact enumeration, small n:")
     for n in (16, 24, 53):
         for bias in (0.5, 0.3, 0.1):
-            print("  " + gap_line(approximation_error(n, 1, bias)))
+            print("  " + gap_line(n, 1, bias, joined(n, 1, bias)))
 
     print("closed-form binomial, large n:")
-    big = approximation_error(args.big_n, 1, 0.5)
-    print("  " + gap_line(approximation_error(1024, 1, 0.5)))
-    print("  " + gap_line(big))
+    big = joined(args.big_n, 1, 0.5)
+    print("  " + gap_line(1024, 1, 0.5, joined(1024, 1, 0.5)))
+    print("  " + gap_line(args.big_n, 1, 0.5, big))
 
     print()
     print("worst critical-region rows at the large-n setting:")
-    statistic, exact_p, approx_p, difference = joined(big)
+    statistic, exact_p, approx_p, difference = big
     rows = np.flatnonzero(critical_region(exact_p, approx_p))
     rows = rows[np.argsort(-np.abs(difference[rows]), kind="stable")]
     print("  statistic     exact_p    approx_p  difference")

@@ -8,6 +8,12 @@ standardized with variance ``(n-l) q (1-q)``; the two-sided p-value is
 (p-value == alpha passes). All-zero / all-one sequences have zero variance and
 get the separate Degenerate verdict instead of a p-value.
 
+That variance is exact only at p = 1/2: pairs (i, i+l) and (i+l, i+2l)
+share a bit, so elsewhere their mismatches are correlated and the size
+drifts from alpha. At n = 8192, lag 1 and alpha 0.01, with the bias pinned
+(estimated), it is 0.00972 (0.00994) at p = 0.5 and 0.02264 (0.00247) at
+p = 0.3; README's "The test" gives the table.
+
 ``run_test`` is the readable one-sequence reference. ``packed_counts`` takes
 the XOR counts and ones counts of a whole block of streams at once, each
 stream packed eight bits to a byte in ``np.packbits`` order: ones counts

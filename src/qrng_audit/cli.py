@@ -172,10 +172,13 @@ def _aggregate(matrix: PValueMatrix, calibration: list[CalibrationRecord] | None
 def cmd_aggregate(args: argparse.Namespace) -> int:
     if args.scatter is not None and args.calibration is None:
         raise UsageError("--scatter needs --calibration")
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {args.alpha}")
+    # Checked by its one owner before the results file is read.
+    try:
+        params = TestParams(alpha=args.alpha)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     with open(args.infile, "rb") as fh:
-        matrix = read_results(fh, alpha=args.alpha)
+        matrix = read_results(fh, alpha=params.alpha)
     calibration = None
     if args.calibration is not None:
         with open(args.calibration, "rb") as fh:
@@ -193,7 +196,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise UsageError("--k-min and --k-max must be given together")
         k_range = (args.k_min, args.k_max)
     try:
-        table = approximation_error(args.n, args.lag, args.p, k_range)
+        blocks = approximation_error(args.n, args.lag, args.p, k_range)
     except ValueError as exc:
         # Every input of the table is a flag.
         raise UsageError(str(exc)) from None
@@ -206,7 +209,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         # patterns repeat (the underflowed tails are most of a long table)
         # and the run's rows are joined in one call; bit patterns keep -0.0
         # apart from 0.0.
-        for statistic, *block in table.blocks():
+        for statistic, *block in blocks:
             bits = np.stack(block, axis=1).view(np.uint64)
             new_run = np.ones(len(bits), dtype=bool)
             new_run[1:] = np.any(bits[1:] != bits[:-1], axis=1)

@@ -31,19 +31,19 @@ at m = 131072).
 
 ``ExactDistribution.two_sided_p`` sums every exact two-sided tail in one
 array pass, whichever route built the pmf, over the pmf's non-zero window
-only: beyond it every tail is 0.0. ``approximation_error`` sets those tails
-against the normal-approximation p-values, standardized and ``erfc``'d one
-block of rows at a time as the table is read. The ``oracle`` command's
-working memory is thus the non-zero window (about 77 sd wide: 13906 of the
-131072 entries at n = 131072) plus one block, and its peak RSS is about
-2.1 MiB above ``--help`` (31.6 against 29.5 MiB) at n = 131072.
+only: beyond it every tail is 0.0. ``approximation_error`` sums those tails
+and yields them against the normal-approximation p-values one block of rows
+at a time, each standardized and ``erfc``'d as it is read. The ``oracle``
+command's working memory is thus the non-zero window (about 77 sd wide:
+13906 of the 131072 entries at n = 131072) plus one block, and its peak RSS
+is about 2.1 MiB above ``--help`` (31.6 against 29.5 MiB) at n = 131072.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,58 +205,7 @@ def exact_distribution_binomial(n: int, lag: int) -> ExactDistribution:
     return ExactDistribution(n=n, lag=lag, bias=0.5, pmf=pmf)
 
 
-@dataclass(frozen=True)
-class ApproximationRow:
-    statistic: int
-    exact_p: float
-    approx_p: float
-    difference: float
-
-
 _TABLE_ROWS = BLOCK_BYTES // 24  # three float64 columns per row
-
-
-@dataclass(frozen=True, eq=False)
-class ApproximationTable:
-    """Exact vs normal-approximation two-sided p-values, one row per
-    statistic value in ``k_range`` (both ends included).
-
-    ``columns(lo, hi)`` gives the ``exact_p`` and ``approx_p`` (float64) of
-    the statistic values lo..hi-1. The table has two views: ``blocks``
-    yields it a block of rows at a time as (statistic values, exact_p,
-    approx_p, difference), with ``difference`` = exact_p - approx_p, and
-    ``rows`` holds those same blocks as one ``ApproximationRow`` of Python
-    scalars per row."""
-
-    n: int
-    lag: int
-    bias: float
-    k_range: tuple[int, int]
-    columns: Callable[[int, int], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-
-    def blocks(self) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
-        k_lo, k_hi = self.k_range
-        for lo in range(k_lo, k_hi + 1, _TABLE_ROWS):
-            hi = min(lo + _TABLE_ROWS, k_hi + 1)
-            exact, approx = self.columns(lo, hi)
-            yield range(lo, hi), exact, approx, exact - approx
-
-    @property
-    def rows(self) -> tuple[ApproximationRow, ...]:
-        return tuple(ApproximationRow(*row) for statistic, *block in self.blocks()
-                     for row in zip(statistic, *(c.tolist() for c in block)))
-
-
-def _pick_distribution(n: int, lag: int, bias: float) -> ExactDistribution:
-    if n <= ENUMERATION_MAX_N:
-        return exact_distribution_enumerate(n, lag, bias)
-    if bias == 0.5:
-        return exact_distribution_binomial(n, lag)
-    raise EnumerationLimitError(
-        f"no exact distribution available for n={n} with bias {bias}; "
-        f"enumeration stops at n={ENUMERATION_MAX_N} and the closed form "
-        "requires bias 0.5"
-    )
 
 
 def approximation_error(
@@ -264,10 +213,14 @@ def approximation_error(
     lag: int,
     bias: float,
     k_range: tuple[int, int] | None = None,
-) -> ApproximationTable:
-    """Tabulate exact vs normal-approximation two-sided p-values per statistic
-    value. The exact tails are summed here; each block of the table is
-    standardized and its p-values taken as it is read."""
+) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
+    """Exact vs normal-approximation two-sided p-values, one row per
+    statistic value in ``k_range`` (both ends included; default the whole
+    support), yielded a block of rows at a time as (statistic values,
+    exact_p, approx_p, difference), with ``difference`` = exact_p - approx_p.
+
+    Every check is made and the exact tails are summed before this returns;
+    each block is standardized and its p-values taken as it is read."""
     check_lag(n, lag)
     m = n - lag
     k_lo, k_hi = k_range if k_range is not None else (0, m)
@@ -276,11 +229,23 @@ def approximation_error(
     # The table is read later: refuse a bias or variance it cannot use now,
     # before an exact law is picked or built.
     normalize_statistic(k_lo, n, lag, bias)
-    tails = _pick_distribution(n, lag, bias).two_sided_p()
+    if n <= ENUMERATION_MAX_N:
+        dist = exact_distribution_enumerate(n, lag, bias)
+    elif bias == 0.5:
+        dist = exact_distribution_binomial(n, lag)
+    else:
+        raise EnumerationLimitError(
+            f"no exact distribution available for n={n} with bias {bias}; "
+            f"enumeration stops at n={ENUMERATION_MAX_N} and the closed form "
+            "requires bias 0.5"
+        )
+    tails = dist.two_sided_p()
 
-    def columns(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        approx = p_values(normalize_statistic(np.arange(lo, hi), n, lag, bias))
-        return np.minimum(tails[lo:hi], 1.0), approx
+    def blocks() -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
+        for lo in range(k_lo, k_hi + 1, _TABLE_ROWS):
+            hi = min(lo + _TABLE_ROWS, k_hi + 1)
+            exact = np.minimum(tails[lo:hi], 1.0)
+            approx = p_values(normalize_statistic(np.arange(lo, hi), n, lag, bias))
+            yield range(lo, hi), exact, approx, exact - approx
 
-    return ApproximationTable(n=n, lag=lag, bias=bias, k_range=(k_lo, k_hi),
-                              columns=columns)
+    return blocks()

@@ -51,6 +51,12 @@ def exact_two_sided_p(dist, observed):
     return float(np.sum(dist.pmf[mask]))
 
 
+def joined_table(blocks):
+    """The statistic, exact_p, approx_p and difference columns of an
+    ``approximation_error`` table, each joined from its blocks."""
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
 def enumerate_joint_counts(n, lag):
     """Exact int64 counts of the length-n sequences by (statistic, ones),
     from every one of the 2^n sequences as a uint32, 16384 at a time: the

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qrng_audit import oracle
-from qrng_audit.autocorr import normalize_statistic, p_value
+from qrng_audit.autocorr import normalize_statistic, p_value, p_values
 from qrng_audit.oracle import (
     ENUMERATION_MAX_N,
-    ApproximationRow,
     EnumerationLimitError,
     ExactDistribution,
     approximation_error,
@@ -23,6 +22,7 @@ from reference import (
     as_dict,
     enumerate_joint_counts,
     exact_two_sided_p,
+    joined_table,
     variance,
     xor_count_mean,
     xor_count_variance_lag1,
@@ -293,7 +293,7 @@ def loop_approximation_error(n, lag, bias):
     for k in range(m + 1):
         approx = p_value(normalize_statistic(k, n, lag, bias))
         exact = float(min(exact_by_k[k], 1.0))
-        rows.append(ApproximationRow(k, exact, approx, exact - approx))
+        rows.append((k, exact, approx, exact - approx))
     return rows
 
 
@@ -306,46 +306,70 @@ BINOMIAL = [(n, lag, 0.5) for n in (25, 101, 1000, 8193, 20000)
 
 @pytest.mark.parametrize("n, lag, bias", ENUMERATED + BINOMIAL)
 def test_approximation_table_equals_row_loop(n, lag, bias):
-    table = approximation_error(n, lag, bias)
-    reference = loop_approximation_error(n, lag, bias)
-    assert table.rows == tuple(reference)
-    columns = (np.concatenate(c) for c in zip(*table.blocks()))
-    for name, column in zip(("statistic", "exact_p", "approx_p", "difference"), columns):
-        assert np.array_equal(column, [getattr(r, name) for r in reference]), name
-
-
-def test_approximation_table_rows_are_python_scalars():
-    row = approximation_error(12, 1, 0.3, k_range=(4, 4)).rows[0]
-    assert [type(v) for v in (row.statistic, row.exact_p, row.approx_p, row.difference)] \
-        == [int, float, float, float]
+    columns = joined_table(approximation_error(n, lag, bias))
+    reference = zip(*loop_approximation_error(n, lag, bias))
+    for name, column, expected in zip(("statistic", "exact_p", "approx_p", "difference"),
+                                      columns, reference):
+        assert np.array_equal(column, expected), name
 
 
 def test_approximation_error_center_is_exact():
-    table = approximation_error(3, 1, 0.5)
-    by_k = {row.statistic: row for row in table.rows}
-    assert by_k[1].exact_p == 1.0
-    assert by_k[1].approx_p == 1.0
-    assert by_k[1].difference == 0.0
+    statistic, exact_p, approx_p, difference = joined_table(approximation_error(3, 1, 0.5))
+    assert statistic[1] == 1
+    assert exact_p[1] == 1.0
+    assert approx_p[1] == 1.0
+    assert difference[1] == 0.0
 
 
 def test_approximation_error_consistent_with_single_queries():
     dist = exact_distribution_enumerate(14, 1, 0.3)
-    table = approximation_error(14, 1, 0.3)
-    for row in table.rows:
-        assert row.exact_p == pytest.approx(exact_two_sided_p(dist, row.statistic), abs=1e-12)
+    statistic, exact_p, _, _ = joined_table(approximation_error(14, 1, 0.3))
+    for k, exact in zip(statistic.tolist(), exact_p.tolist()):
+        assert exact == pytest.approx(exact_two_sided_p(dist, k), abs=1e-12)
 
 
 def test_approximation_error_large_n_critical_region():
-    table = approximation_error(8192, 1, 0.5)
-    region = [r for r in table.rows if 0.005 <= r.approx_p <= 0.05]
-    assert region, "critical region not covered"
-    assert max(abs(r.difference) for r in region) <= 0.002
+    _, _, approx_p, difference = joined_table(approximation_error(8192, 1, 0.5))
+    region = (0.005 <= approx_p) & (approx_p <= 0.05)
+    assert region.any(), "critical region not covered"
+    assert np.abs(difference[region]).max() <= 0.002
 
 
 def test_approximation_error_biased_small_n_nonzero():
     """At p != 1/2 the plug-in variance is off; the gap must show up."""
-    table = approximation_error(20, 1, 0.3)
-    assert max(abs(r.difference) for r in table.rows) > 0.0
+    _, _, _, difference = joined_table(approximation_error(20, 1, 0.3))
+    assert np.abs(difference).max() > 0.0
+
+
+@pytest.mark.parametrize("bias, pinned, estimated", [
+    (0.5, 0.0077874, 0.0077776),
+    (0.3, 0.0182624, 0.0024395),
+])
+def test_exact_size_drifts_from_alpha_away_from_fair_bias(bias, pinned, estimated):
+    """The standardization's variance (n-l) q (1-q) is exact only at p = 1/2.
+    Exact sizes at n = 53, lag 1, alpha 0.01, pinned as a known defect: with
+    the bias pinned at 0.3 the test fails 1.8 times alpha under the null, and
+    with it estimated a quarter of alpha.
+
+    Pinned: the pmf mass of the statistic values whose approximate p-value
+    is below alpha. Estimated: given k ones, the statistic's law is column k
+    of the (statistic, ones) counts over C(n, k), tested at bias k / n, and
+    k is Binomial(n, p), so the C(n, k) cancel; at k = 0 or n the stream is
+    degenerate, never failed."""
+    n, lag, alpha = 53, 1, 0.01
+    statistic = np.arange(n - lag + 1)
+
+    def failed(p):
+        return p_values(normalize_statistic(statistic, n, lag, p)) < alpha
+
+    pmf = exact_distribution_enumerate(n, lag, bias).pmf
+    assert math.fsum(pmf[failed(bias)].tolist()) == pytest.approx(pinned, abs=5e-8)
+    counts = oracle._joint_counts(n, lag)
+    size = math.fsum(
+        bias**k * (1 - bias) ** (n - k) * math.fsum(counts[failed(k / n), k].tolist())
+        for k in range(1, n)
+    )
+    assert size == pytest.approx(estimated, abs=5e-8)
 
 
 def test_approximation_error_needs_an_oracle():
@@ -354,8 +378,8 @@ def test_approximation_error_needs_an_oracle():
 
 
 def test_approximation_error_k_range():
-    table = approximation_error(10, 1, 0.5, k_range=(2, 4))
-    assert [r.statistic for r in table.rows] == [2, 3, 4]
+    statistic, *_ = joined_table(approximation_error(10, 1, 0.5, k_range=(2, 4)))
+    assert statistic.tolist() == [2, 3, 4]
     with pytest.raises(ValueError):
         approximation_error(10, 1, 0.5, k_range=(0, 99))
 
@@ -370,8 +394,8 @@ def test_run_test_p_value_tracks_exact_binomial():
     seq = ideal_source(0.5, 8192, seed=424242)
     fixed = run_test(seq, TestParams(lag=1, alpha=0.01, fixed_bias=0.5))
     k = fixed.statistic
-    oracle_route = approximation_error(8192, 1, 0.5, k_range=(k, k)).rows[0]
-    assert fixed.p_value == oracle_route.approx_p
+    _, _, approx_p, _ = joined_table(approximation_error(8192, 1, 0.5, k_range=(k, k)))
+    assert fixed.p_value == approx_p.item()
 
     # estimated-bias mode lands near the exact law too; the gap left is
     # boundary-cell discreteness (inclusive two-sided convention) plus the
