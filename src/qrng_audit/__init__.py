@@ -3,7 +3,6 @@
 from .autocorr import (
     AutocorrResult,
     BitSequence,
-    DegenerateVarianceError,
     InvalidLagError,
     TestParams,
     Verdict,
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AutocorrResult",
     "BitSequence",
-    "DegenerateVarianceError",
     "InvalidLagError",
     "TestParams",
     "Verdict",

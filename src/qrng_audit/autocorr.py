@@ -52,10 +52,6 @@ class InvalidLagError(ValueError):
     """Lag outside 1 <= lag < n."""
 
 
-class DegenerateVarianceError(ValueError):
-    """Bias of 0 or 1 gives the statistic zero variance."""
-
-
 class Verdict(Enum):
     PASS = "pass"
     FAIL = "fail"
@@ -221,7 +217,7 @@ def normalize_statistic(
     q = pair_mismatch_rate(bias)
     variance = m * q * (1.0 - q)
     if variance <= 0.0:
-        raise DegenerateVarianceError(f"zero variance at bias {bias}")
+        raise ValueError(f"zero variance at bias {bias}")
     return (statistic - q * m) / math.sqrt(variance)
 
 

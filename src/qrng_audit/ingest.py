@@ -9,9 +9,10 @@ Three file kinds, all UTF-8 CSV with a fixed header:
 * results         ``job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict``
 
 Parsers are strict: every rejection raises ParseError carrying the offending
-line number. All three take the file as bytes, a line at a time (a file
-opened ``"rb"``), and read rows through one reader, ``_rows``. It splits
-each line at CR, LF and CRLF, as newline="" would, and decodes each piece
+line number. All three take a file opened ``"rb"`` and read rows through
+one reader, ``_rows``. It reads the file in pieces of bounded size, splits
+them into lines at CR, LF and CRLF, as newline="" would, so a file whose
+lines end in a lone CR is read in bounded memory too, and decodes each line
 as UTF-8 when csv.reader reads it: a byte that is not UTF-8 is refused at
 its own line, after the faults of the lines before it. csv.reader parses
 every row, and ``_rows`` owns the header check, strict quoting, the field
@@ -20,12 +21,12 @@ field over its 131072-character limit) into ParseError.
 
 A job row's bit text is most of the file, so csv.reader sees only the rest
 of it. A line that opens a record is cut at its last comma when the text
-before that comma holds no quote and no CR, and the text after it (line end
-aside) is 1 to 131072 characters of 0 and 1, which one numpy test on the
-line's bytes checks. csv.reader parses the text up to the comma, and the
-0/1 array is the row's bits. Every other line goes to csv.reader whole, so
-a quoted field, a stray quote, a lone CR, a bad or over-limit bit field
-meets the same check, message and line as when every row was parsed whole.
+before that comma holds no quote, and the text after it (line end aside)
+is 1 to 131072 characters of 0 and 1, which one numpy test on the line's
+bytes checks. csv.reader parses the text up to the comma, and the 0/1
+array is the row's bits. Every other line goes to csv.reader whole, so a
+quoted field, a stray quote, a bad or over-limit bit field meets the same
+check, message and line as when every row was parsed whole.
 ``parse_jobs`` checks each row's fields (each distinct timestamp text is
 parsed once), the bit text of a row csv.reader parsed whole, the one bit
 count and the grid, and returns the file's p-value matrix, keeping no bits.
@@ -49,7 +50,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -73,15 +74,6 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
-class ShapeError(ValueError):
-    """Rows do not make one (jobs x qubits) grid: every cell exactly once,
-    and every job at one time."""
-
-
-class GridError(ParseError, ShapeError):
-    """A file's rows leave a (job, qubit) cell empty or fill one twice."""
-
-
 def _grid_order(
     cells: dict[tuple[str, int], None], job_ids: tuple[str, ...]
 ) -> tuple[tuple[int, ...], np.ndarray]:
@@ -96,7 +88,7 @@ def _grid_order(
         filled = np.zeros(len(job_ids) * len(qubit_ids), dtype=bool)
         filled[cell] = True
         job, column = divmod(int(np.argmin(filled)), len(qubit_ids))
-        raise GridError(f"job {job_ids[job]!r} has no row for qubit {qubit_ids[column]}")
+        raise ParseError(f"job {job_ids[job]!r} has no row for qubit {qubit_ids[column]}")
     return qubit_ids, np.argsort(cell)
 
 
@@ -134,28 +126,28 @@ class JobRows:
         for job_id in self.job_ids:
             _check_job_id(job_id)
         if not len(self.timestamps) == len(set(self.job_ids)) == len(self.job_ids):
-            raise ShapeError("each job must appear once, with one timestamp")
+            raise ValueError("each job must appear once, with one timestamp")
         if any(ts.utcoffset() is None for ts in self.timestamps):
-            raise ShapeError("job timestamps must carry a UTC offset")
+            raise ValueError("job timestamps must carry a UTC offset")
         jobs = list(zip(self.timestamps, self.job_ids))
         if any(a > b for a, b in zip(jobs, jobs[1:])):
-            raise ShapeError("jobs must be in (timestamp, job_id) order")
+            raise ValueError("jobs must be in (timestamp, job_id) order")
         if any(a >= b for a, b in zip((-1, *self.qubit_ids), self.qubit_ids)):
-            raise ShapeError(f"qubit ids must ascend strictly from 0 up, got {self.qubit_ids}")
+            raise ValueError(f"qubit ids must ascend strictly from 0 up, got {self.qubit_ids}")
         if bool(self.job_ids) != bool(self.qubit_ids):
-            raise ShapeError("a grid has both jobs and qubits, or neither")
+            raise ValueError("a grid has both jobs and qubits, or neither")
         rows, bits, n = len(self.job_ids) * len(self.qubit_ids), self.bits, self.n
         if bits.dtype != np.uint8 or bits.ndim != 2:
-            raise ShapeError(f"bits must be a uint8 matrix, got {bits.dtype} {bits.shape}")
+            raise ValueError(f"bits must be a uint8 matrix, got {bits.dtype} {bits.shape}")
         # The streams' shape (rows, n); only an empty grid may have n = 0.
         if len(bits) != rows or n < min(rows, 1):
-            raise ShapeError(f"bits must have shape ({rows}, n >= {min(rows, 1)}), "
+            raise ValueError(f"bits must have shape ({rows}, n >= {min(rows, 1)}), "
                              f"got ({len(bits)}, {n})")
         if bits.shape[1] != -(-n // 8):
-            raise ShapeError(f"bits must be {-(-n // 8)} bytes wide for {n}-bit streams, "
+            raise ValueError(f"bits must be {-(-n // 8)} bytes wide for {n}-bit streams, "
                              f"got {bits.shape[1]}")
         if n % 8 and rows and np.any(bits[:, -1] & (0xFF >> n % 8)):
-            raise ShapeError(f"the pad bits past bit {n} of each row must be 0")
+            raise ValueError(f"the pad bits past bit {n} of each row must be 0")
 
 
 def _parse_timestamp(text: str, line: int) -> datetime:
@@ -216,30 +208,52 @@ def _decode(raw: bytes, line: int) -> str:
 def _bit_tail(raw: bytes, limit: int) -> tuple[bytes, np.ndarray] | None:
     """A line cut after its last comma, as (the bytes up to the cut, the
     bits after it as a uint8 array of 0s and 1s): only when the bytes before
-    the comma hold no quote and no CR, and those after it, line end aside,
-    are 1 to ``limit`` bytes of '0' and '1'."""
+    the comma hold no quote, and those after it, line end aside, are 1 to
+    ``limit`` bytes of '0' and '1'."""
     comma = raw.rfind(b",")
-    end = len(raw) - raw.endswith(b"\n") - raw.endswith(b"\r\n")
+    end = len(raw) - raw.endswith((b"\r", b"\n")) - raw.endswith(b"\r\n")
     prefix = raw[:comma + 1]
-    if comma < 0 or not 0 < end - comma - 1 <= limit or b'"' in prefix or b"\r" in prefix:
+    if comma < 0 or not 0 < end - comma - 1 <= limit or b'"' in prefix:
         return None
     # '0' and '1' become 0 and 1, and any other byte a value above 1.
     bits = np.frombuffer(raw, np.uint8, end - comma - 1, comma + 1) ^ ord("0")
     return (prefix, bits) if bits.max() <= 1 else None
 
 
-def _rows(stream: Iterable[bytes], header: list[str],
+def _lines(stream: BinaryIO) -> Iterator[bytes]:
+    """The file's lines, each with its end, split at CR, LF and CRLF as
+    newline="" splits them. Each read takes at most ``4 * BLOCK_BYTES``
+    bytes (256 KiB, twice a bit field at the csv field limit), so a file
+    whose lines end in a lone CR is held a read at a time, not whole; a
+    longer line is joined once from its reads."""
+    held: list[bytes] = []
+    while piece := stream.readline(4 * BLOCK_BYTES):
+        if isinstance(piece, str):
+            raise TypeError('CSV lines must be bytes: open the file "rb", not as text')
+        if not held and piece.endswith(b"\n") and piece.find(b"\r", 0, len(piece) - 2) < 0:
+            yield piece
+        elif piece.endswith(b"\n") or b"\r" in piece:
+            ended = b"".join([*held, piece]).splitlines(keepends=True)
+            # A line that has not ended, or ended at a CR an LF may follow, waits for the next read.
+            held = [] if ended[-1].endswith(b"\n") else [ended.pop()]
+            yield from ended
+        else:  # no line ends in this read
+            held.append(piece)
+    yield from b"".join(held).splitlines(keepends=True)
+
+
+def _rows(stream: BinaryIO, header: list[str],
           bits_last: bool = False) -> Iterator[tuple[int, list]]:
     """Yield (line, fields) for each non-blank data row of a CSV whose first
     row is ``header`` and whose rows all carry as many fields.
 
-    ``stream`` gives the file's bytes a line at a time, as a file opened
-    ``"rb"`` does (a text line raises TypeError), and ``bytes.splitlines``
-    splits each at CR, LF and CRLF, as newline="" does. Each piece is
-    decoded as UTF-8 when csv.reader reads it, a byte that is not UTF-8
-    refused at the piece's own line. Quoting is strict; any csv.Error (bad
-    quoting, a field over the csv module's size limit) becomes a ParseError
-    at the line the reader stopped on.
+    ``stream`` is the file opened ``"rb"``, or anything with its
+    ``readline`` (a text file raises TypeError), and ``_lines`` splits it
+    at CR, LF and CRLF, as newline="" does. Each line is decoded as UTF-8
+    when csv.reader reads it, a byte that is not UTF-8 refused at the
+    line's own number. Quoting is strict; any csv.Error (bad quoting, a
+    field over the csv module's size limit) becomes a ParseError at the
+    line the reader stopped on.
 
     With ``bits_last``, a line that opens a record (a row has just been
     read) is cut where ``_bit_tail`` allows, with the csv module's field
@@ -252,18 +266,13 @@ def _rows(stream: Iterable[bytes], header: list[str],
 
     def lines() -> Iterator[str]:
         nonlocal opens_record, cut
-        for raw in stream:
-            if isinstance(raw, str):
-                raise TypeError('CSV lines must be bytes: open the file "rb", not as text')
+        for raw in _lines(stream):
             tail = _bit_tail(raw, limit) if opens_record else None
+            opens_record = False
             if tail is not None:
                 prefix, cut = tail
                 raw = prefix + b"\n"
-            for piece in raw.splitlines(keepends=True):
-                # Only the piece read right after a row opens a record: a row
-                # that ends at a CR inside this line leaves the next line unmarked.
-                opens_record = False
-                yield _decode(piece, reader.line_num + 1)
+            yield _decode(raw, reader.line_num + 1)
 
     reader = csv.reader(lines(), strict=True)
     try:
@@ -290,7 +299,7 @@ def _rows(stream: Iterable[bytes], header: list[str],
         raise ParseError(f"unreadable CSV: {exc}", reader.line_num) from None
 
 
-def parse_jobs(stream: Iterable[bytes], params: TestParams) -> PValueMatrix:
+def parse_jobs(stream: BinaryIO, params: TestParams) -> PValueMatrix:
     """The matrix ``build_matrix`` gives for the grid of a job CSV, given as
     ``_rows`` takes it; the first data row declares the bit count. Each row
     is packed as read, and each block of about ``BLOCK_BYTES`` of packed
@@ -362,7 +371,7 @@ def _job_prefixes(rows: JobRows) -> Iterator[str]:
 def check_stream_length(n: int) -> None:
     """Refuse streams longer than the csv module's field limit: no parser reads them."""
     if n > (limit := csv.field_size_limit()):
-        raise ShapeError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
+        raise ValueError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
 
 
 def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
@@ -390,7 +399,7 @@ def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
             stream.write(block[lo:lo + n + 1])
 
 
-def parse_calibration(stream: Iterable[bytes]) -> tuple[list[CalibrationRecord], int]:
+def parse_calibration(stream: BinaryIO) -> tuple[list[CalibrationRecord], int]:
     """Parse a calibration CSV; returns (records, duplicate_count).
 
     Repeated (timestamp, qubit_id) keys keep the last value seen.
@@ -433,7 +442,7 @@ def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
     for name, ids in (("job", matrix.job_ids), ("qubit", matrix.qubit_ids)):
         repeated = [i for i, count in Counter(ids).items() if count > 1]
         if repeated:
-            raise GridError(f"{name} id {repeated[0]!r} repeats: its cells would be duplicates")
+            raise ValueError(f"{name} id {repeated[0]!r} repeats: its cells would be duplicates")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(RESULT_HEADER)
     keys = ((job_id, qubit) for job_id in matrix.job_ids for qubit in matrix.qubit_ids)
@@ -448,7 +457,7 @@ def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
     )
 
 
-def read_results(stream: Iterable[bytes], alpha: float = 0.01) -> PValueMatrix:
+def read_results(stream: BinaryIO, alpha: float = 0.01) -> PValueMatrix:
     """Read a results CSV as the matrix it describes, pass/fail read at
     ``alpha``: jobs in order of first appearance, qubits ascending, and each
     (job, qubit) cell once.
@@ -514,7 +523,7 @@ def read_results(stream: Iterable[bytes], alpha: float = 0.01) -> PValueMatrix:
             min_pass = min(min_pass, p)
         qubit = _parse_qubit_id(qubit_text, line)
         if (job_id, qubit) in cells:
-            raise GridError(f"duplicate cell for job {job_id!r} qubit {qubit}", line)
+            raise ParseError(f"duplicate cell for job {job_id!r} qubit {qubit}", line)
         cells[job_id, qubit] = None
         for column, value in zip(columns, (statistic, bias, normalized, p)):
             column.append(value)

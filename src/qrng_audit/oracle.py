@@ -61,10 +61,6 @@ _FIXED_POINT_BITS = 1200
 _MODE_CHUNK = 64
 
 
-class EnumerationLimitError(ValueError):
-    """Sequence length too large for exhaustive enumeration."""
-
-
 @dataclass(frozen=True)
 class ExactDistribution:
     """Exact pmf of the XOR-count statistic on its support 0..n-lag."""
@@ -153,9 +149,7 @@ def exact_distribution_enumerate(n: int, lag: int, bias: float) -> ExactDistribu
     (n <= ENUMERATION_MAX_N), any bias."""
     check_lag(n, lag)
     if n > ENUMERATION_MAX_N:
-        raise EnumerationLimitError(
-            f"enumeration is limited to n <= {ENUMERATION_MAX_N}, got {n}"
-        )
+        raise ValueError(f"enumeration is limited to n <= {ENUMERATION_MAX_N}, got {n}")
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must be in [0, 1], got {bias}")
 
@@ -234,7 +228,7 @@ def approximation_error(
     elif bias == 0.5:
         dist = exact_distribution_binomial(n, lag)
     else:
-        raise EnumerationLimitError(
+        raise ValueError(
             f"no exact distribution available for n={n} with bias {bias}; "
             f"enumeration stops at n={ENUMERATION_MAX_N} and the closed form "
             "requires bias 0.5"

@@ -53,14 +53,6 @@ T1_RELATIVE_STEP = 0.05
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-class InvalidParameterError(ValueError):
-    """Chain parameters outside their valid region."""
-
-
-class InvalidScheduleError(ValueError):
-    """Bias schedule does not cover the requested indices."""
-
-
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array (array arithmetic wraps silently)."""
     z = z + np.uint64(0x9E3779B97F4A7C15)
@@ -137,11 +129,11 @@ def _check_chain(bias: ArrayLike, rho: ArrayLike) -> None:
         cell = np.unravel_index(np.argmax(bad), bad.shape)
         b, r = float(bias[cell]), float(rho[cell])
         if bad_bias[cell]:
-            raise InvalidParameterError(f"bias must be in [0, 1], got {b}")
+            raise ValueError(f"bias must be in [0, 1], got {b}")
         if bad_rho[cell]:
-            raise InvalidParameterError(f"rho must be < 1, got {r}")
-        raise InvalidParameterError(f"rho={r} with bias={b} gives transition probabilities "
-                                    f"outside [0, 1] (need rho > -min(p/(1-p), (1-p)/p))")
+            raise ValueError(f"rho must be < 1, got {r}")
+        raise ValueError(f"rho={r} with bias={b} gives transition probabilities "
+                         f"outside [0, 1] (need rho > -min(p/(1-p), (1-p)/p))")
 
 
 def drifting_bias(phases: Sequence[tuple[float, int]]) -> np.ndarray:
@@ -150,7 +142,7 @@ def drifting_bias(phases: Sequence[tuple[float, int]]) -> np.ndarray:
     for bias, count in phases:
         _check_chain(bias, 0.0)
         if count < 1:
-            raise InvalidScheduleError(f"phase job count must be >= 1, got {count}")
+            raise ValueError(f"phase job count must be >= 1, got {count}")
     return np.repeat([float(b) for b, _ in phases], [c for _, c in phases])[:, None]
 
 
@@ -202,7 +194,7 @@ class DeviceRunConfig:
     """Shape and chain parameters of one synthetic device run. ``bias`` and
     ``rho`` are each a float or an array that broadcasts to the (jobs,
     qubits) grid: (qubits,) per qubit, or (jobs, 1) per job or the full
-    grid, a 2-D array naming every job (else ``InvalidScheduleError``)."""
+    grid, a 2-D array naming every job (else ``ValueError``)."""
 
     qubit_count: int = DEFAULT_QUBIT_COUNT
     jobs: int = DEFAULT_JOBS
@@ -225,8 +217,7 @@ class DeviceRunConfig:
         bias, rho = (np.asarray(v, dtype=float) for v in (self.bias, self.rho))
         for values in (bias, rho):
             if values.ndim == 2 and len(values) != self.jobs:
-                raise InvalidScheduleError(
-                    f"schedule covers {len(values)} jobs but the run has {self.jobs}")
+                raise ValueError(f"schedule covers {len(values)} jobs but the run has {self.jobs}")
             if values.ndim > 2 or values.ndim and values.shape[-1] not in (1, self.qubit_count):
                 raise ValueError(f"chain parameters of shape {values.shape} do not fit {grid}")
         return np.broadcast_to(bias, grid), np.broadcast_to(rho, grid)

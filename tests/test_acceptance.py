@@ -7,6 +7,7 @@ the test. Seeds are frozen; every criterion is deterministic.
 """
 
 import csv
+import io
 import math
 import random
 import time
@@ -250,7 +251,7 @@ def test_criterion_11_round_trip_and_fuzz():
         lines = text.encode().splitlines(True)
         assert serialize_jobs_str(whole_row_parse_jobs(iter(lines))) == text
         # ``test`` of the written file gives the matrix of the generated grid
-        tested, expected = parse_jobs(iter(lines), PARAMS), build_matrix(jobs, PARAMS)
+        tested, expected = parse_jobs(io.BytesIO(text.encode()), PARAMS), build_matrix(jobs, PARAMS)
         assert (tested.job_ids, tested.qubit_ids, tested.n) == (
             expected.job_ids, expected.qubit_ids, expected.n)
         for field in ("statistic", "bias", "normalized", "p_value"):
@@ -274,7 +275,7 @@ def test_criterion_11_round_trip_and_fuzz():
             else:
                 del text[pos]
         try:
-            parse_jobs(iter("".join(text).encode().splitlines(True)), PARAMS)
+            parse_jobs(io.BytesIO("".join(text).encode()), PARAMS)
             parsed_ok += 1
         except ParseError:
             rejected += 1

@@ -28,7 +28,6 @@ from qrng_audit.autocorr import BitSequence, TestParams, Verdict, run_test
 from qrng_audit.ingest import (
     CalibrationRecord,
     ParseError,
-    ShapeError,
     format_timestamp,
     read_results,
     write_results,
@@ -85,7 +84,7 @@ def test_build_matrix_rejects_ragged_qubits():
         ("j1", 0, [(0, "0110")]),
         ("j2", 1, [(0, "0110"), (1, "0110")]),
     ]
-    with pytest.raises(ShapeError, match="job 'j1' has no row for qubit 1") as err:
+    with pytest.raises(ParseError, match="job 'j1' has no row for qubit 1") as err:
         make_rows(jobs)
     assert isinstance(err.value, ParseError)
 
@@ -93,7 +92,7 @@ def test_build_matrix_rejects_ragged_qubits():
 def test_build_matrix_rejects_job_with_two_timestamps():
     # j1 at two times: no job file holds such a job, and no single time
     # orders it among the others, so no grid holds it to be tested.
-    with pytest.raises(ShapeError, match="each job must appear once, with one timestamp"):
+    with pytest.raises(ValueError, match="each job must appear once, with one timestamp"):
         rows_from_bits(("j1", "j2", "j1"),
                        (TS, TS + timedelta(minutes=10), TS + timedelta(minutes=30)),
                        (0, 1), np.zeros((6, 4), np.uint8))
@@ -180,7 +179,7 @@ def test_build_matrix_blocks_and_placement_match_run_test():
 
 
 def test_build_matrix_rejects_duplicate_cells():
-    with pytest.raises(ShapeError, match=r"ascend strictly from 0 up, got \(0, 0\)"):
+    with pytest.raises(ValueError, match=r"ascend strictly from 0 up, got \(0, 0\)"):
         rows_from_bits(("j1",), (TS,), (0, 0), np.zeros((2, 4), np.uint8))
 
 
@@ -396,9 +395,9 @@ def test_matrix_from_results_places_shuffled_rows():
 def test_matrix_from_results_rejects_ragged():
     matrix = build_verdict_matrix(["FP", "PP"])
     lines = results_text(matrix).splitlines()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParseError):
         read_results(io.BytesIO("\n".join(lines[:-1]).encode()))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParseError):
         read_results(io.BytesIO("\n".join(lines + lines[-1:]).encode()))
     with pytest.raises(ValueError, match="no result rows to aggregate"):
         read_results(io.BytesIO(lines[0].encode()))

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from qrng_audit.autocorr import (
     BitSequence,
-    DegenerateVarianceError,
     InvalidLagError,
     TestParams,
     Verdict,
@@ -221,7 +220,7 @@ def test_normalize_spot_values():
 
 def test_normalize_degenerate_bias():
     for bias in (0.0, 1.0):
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(ValueError):
             normalize_statistic(10, 101, 1, bias)
 
 

@@ -16,7 +16,6 @@ from qrng_audit.ingest import (
     CalibrationRecord,
     JobRows,
     ParseError,
-    ShapeError,
     format_timestamp,
     parse_calibration,
     parse_jobs,
@@ -374,7 +373,7 @@ def test_job_rows_refuses_packed_bits_no_file_holds(qubit_ids, bits, n, message,
     def build(config=None):
         return JobRows(("j1",), (TS,), qubit_ids, bits, n)
 
-    with pytest.raises(ShapeError, match=message):
+    with pytest.raises(ValueError, match=message):
         build()
     monkeypatch.setattr(cli.sim, "generate_device_run", build)
     out = tmp_path / "jobs.csv"
@@ -388,7 +387,7 @@ def test_job_rows_refuses_packed_bits_no_file_holds(qubit_ids, bits, n, message,
 def test_job_rows_accepts_any_n_on_an_empty_grid_but_a_negative_one():
     assert JobRows((), (), (), np.zeros((0, 0), np.uint8), 0).n == 0
     assert JobRows((), (), (), np.zeros((0, 2), np.uint8), 9).n == 9
-    with pytest.raises(ShapeError, match=r"shape \(0, n >= 0\), got \(0, -1\)"):
+    with pytest.raises(ValueError, match=r"shape \(0, n >= 0\), got \(0, -1\)"):
         JobRows((), (), (), np.zeros((0, 0), np.uint8), -1)
 
 
@@ -708,8 +707,8 @@ def job_file_bytes(draw):
     return "".join(lines).encode()
 
 
-def file_example(data):
-    return example(data, 1, None, ingest.BLOCK_BYTES)
+def file_example(data, block_bytes=ingest.BLOCK_BYTES):
+    return example(data, 1, None, block_bytes)
 
 
 @given(job_file_bytes(), st.sampled_from([1, 1, 2, 3, 9, 20, 21]),
@@ -723,6 +722,17 @@ def file_example(data):
               b"j1,2019-05-09T11:24:27Z,1,0110")
 @file_example(f"job_id,timestamp,qubit_id,bits\nj1,{STAMPS[0]},0,{'1' * LIMIT}\n"
               f"j1,{STAMPS[0]},1,{'1' * (LIMIT + 1)}\n".encode())
+# Reads of 16 bytes: one ends at the CR of the first row's CRLF, the next
+# starts at its LF.
+@file_example(b"job_id,timestamp,qubit_id,bits\r\nj1,2019-05-09T11:24:27Z,0,01101\r\n"
+              b"j1,2019-05-09T11:24:27Z,1,0110x\r\n", block_bytes=4)
+# Reads of 16 bytes: one ends at the lone CR after the first row, the next
+# starts at the second row's 'j'.
+@file_example(b"job_id,timestamp,qubit_id,bits\rj1,2019-05-09T11:24:27Z,0,011010\r"
+              b"j1,2019-05-09T11:24:27Z,1,01101x\r", block_bytes=4)
+# Rows longer than one read: a job_id and a bit field each at the field limit.
+@file_example("job_id,timestamp,qubit_id,bits\n".encode() + b"".join(
+    f"{'j' * LIMIT},{STAMPS[0]},{q},{'1' * LIMIT}\n".encode() for q in range(2)))
 @settings(max_examples=300, deadline=None)
 def test_parse_jobs_matches_the_whole_row_parse(data, lag, fixed_bias, block_bytes):
     """The byte-line parser, counting blocks of ``block_bytes`` of packed

@@ -5,9 +5,11 @@
   shape) holds 2.9 MB of packed bits. One byte per bit would be 23.8 MB, and
   its peak would exceed ``--help``'s by about 30 MiB instead of about 10 MiB.
 * ``test`` on a 579 x 20 x 8192 job file holds none of its 11.9 MB of
-  packed bits, only each stream's two counts, in grid order or shuffled:
-  about 4 MiB above ``--help``, against about 16 MiB holding the packed
-  matrix and about 26 MiB with one gather of it for a shuffled file.
+  packed bits, only each stream's two counts, in grid order, shuffled, or
+  with its lines ending in a lone CR: about 4 MiB above ``--help``, against
+  about 16 MiB holding the packed matrix, about 26 MiB with one gather of
+  it for a shuffled file, and about 185 MiB reading a lone-CR file as one
+  line.
 * The exact oracle at n = 24 and at n = 53, the enumeration route's limit,
   walks the bits class by class, holding two (statistic, ones) tables of
   counts: about 1 MiB above ``--help`` at either length.
@@ -72,8 +74,9 @@ def test_pipeline_peak_rss_stays_near_startup(tmp_path):
 
 @pytest.fixture(scope="module")
 def paper_shape_jobs(tmp_path_factory):
-    """A 579 x 20 x 8192 job file in grid order, ``jobs.csv``, and its rows
-    shuffled, ``shuffled.csv``, written a row at a time."""
+    """A 579 x 20 x 8192 job file in grid order, ``jobs.csv``, its rows
+    shuffled, ``shuffled.csv``, written a row at a time, and its lines
+    ending in a lone CR, ``cr.csv``."""
     workdir = tmp_path_factory.mktemp("paper-shape")
     peak_rss_mib(["simulate", "--jobs", "579", "--qubits", "20", "--bits", "8192",
                   "--out", "jobs.csv"], workdir)
@@ -88,21 +91,18 @@ def paper_shape_jobs(tmp_path_factory):
             for start in starts:
                 source.seek(start)
                 shuffled.write(source.readline())
+        source.seek(0)
+        with open(workdir / "cr.csv", "wb") as lone_cr:
+            while block := source.read(1 << 16):
+                lone_cr.write(block.replace(b"\n", b"\r"))
     return workdir
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-def test_test_of_a_file_in_grid_order_copies_no_bits(paper_shape_jobs):
+@pytest.mark.parametrize("name", ["jobs.csv", "shuffled.csv", "cr.csv"])
+def test_test_of_a_job_file_holds_no_bits(paper_shape_jobs, name):
     startup = peak_rss_mib(["--help"], paper_shape_jobs)
-    test = peak_rss_mib(["test", "--in", "jobs.csv", "--out", "results.csv"], paper_shape_jobs)
-    assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
-
-
-@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
-def test_test_of_a_shuffled_file_holds_no_bits(paper_shape_jobs):
-    startup = peak_rss_mib(["--help"], paper_shape_jobs)
-    test = peak_rss_mib(["test", "--in", "shuffled.csv", "--out", "results.csv"],
-                        paper_shape_jobs)
+    test = peak_rss_mib(["test", "--in", name, "--out", "results.csv"], paper_shape_jobs)
     assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
 
 

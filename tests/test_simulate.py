@@ -12,8 +12,6 @@ from scipy import stats as sp_stats
 from qrng_audit.autocorr import BitSequence, autocorr_statistic
 from qrng_audit.simulate import (
     DeviceRunConfig,
-    InvalidParameterError,
-    InvalidScheduleError,
     _chain_bits,
     _generators,
     _seed_grid,
@@ -46,7 +44,7 @@ def test_ideal_deterministic():
 
 
 def test_ideal_rejects_bad_params():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ValueError):
         ideal_source(1.5, 8, seed=0)
     with pytest.raises(ValueError):
         ideal_source(0.5, 0, seed=0)
@@ -61,11 +59,11 @@ def test_markov_rho_zero_equals_ideal():
 
 
 def test_markov_rejects_out_of_range_rho():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ValueError):
         markov_source(0.5, 1.0, 16, seed=0)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ValueError):
         markov_source(0.5, 1.5, 16, seed=0)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(ValueError):
         markov_source(0.2, -0.3, 16, seed=0)  # below -min(p/(1-p), (1-p)/p)
     markov_source(0.2, -0.2, 16, seed=0)  # inside the valid range
 
@@ -94,7 +92,7 @@ def markov_parameters(draw):
     rho = draw(st.sampled_from([limit, 0.0]) | st.just(limit + share * (1.0 - limit)))
     try:
         DeviceRunConfig(bias=bias, rho=rho)
-    except InvalidParameterError:
+    except ValueError:
         assume(False)
     return bias, rho
 
@@ -299,7 +297,7 @@ def test_device_run_per_qubit_models():
 
 def test_device_run_drifting_schedule_must_cover_jobs():
     bias = drifting_bias(((0.4, 1), (0.6, 1)))
-    with pytest.raises(InvalidScheduleError, match="schedule covers 2 jobs but the run has 3"):
+    with pytest.raises(ValueError, match="schedule covers 2 jobs but the run has 3"):
         DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8, bias=bias)
 
 
@@ -349,18 +347,18 @@ def test_device_run_draws_each_cell_from_its_chain(form, n, seed):
 ], ids=["grid-bias", "qubit-rho", "job-rho-with-qubit-bias", "nan-bias", "first-cell",
         "bias-before-rho"])
 def test_device_run_config_names_an_invalid_cell_anywhere_in_the_grid(bias, rho, message):
-    with pytest.raises(InvalidParameterError, match=message):
+    with pytest.raises(ValueError, match=message):
         DeviceRunConfig(qubit_count=2, jobs=2, bits_per_job=8, bias=bias, rho=rho)
 
 
 def test_device_run_config_checks_chain_values_before_shape_and_seed():
     for shape in (dict(jobs=0), dict(master_seed=-1), dict(qubit_count=3)):
-        with pytest.raises(InvalidParameterError, match="rho=-0.9 with bias=0.2"):
+        with pytest.raises(ValueError, match="rho=-0.9 with bias=0.2"):
             DeviceRunConfig(bias=[0.5, 0.2], rho=-0.9, **shape)
 
 
 def test_device_run_config_refuses_arrays_that_do_not_fit_the_grid():
-    with pytest.raises(InvalidScheduleError, match="schedule covers 3 jobs but the run has 2"):
+    with pytest.raises(ValueError, match="schedule covers 3 jobs but the run has 2"):
         DeviceRunConfig(qubit_count=2, jobs=2, rho=np.zeros((3, 2)))
     for bias in ([0.5] * 3, np.full((2, 3), 0.5), np.full((2, 2, 1), 0.5)):
         with pytest.raises(ValueError, match="do not fit"):
@@ -369,11 +367,11 @@ def test_device_run_config_refuses_arrays_that_do_not_fit_the_grid():
 
 def test_drifting_bias_is_a_job_column_checked_phase_by_phase():
     np.testing.assert_array_equal(drifting_bias([(0.3, 2), (0.7, 1)]), [[0.3], [0.3], [0.7]])
-    with pytest.raises(InvalidParameterError, match="got 1.5"):
+    with pytest.raises(ValueError, match="got 1.5"):
         drifting_bias([(1.5, 0)])
-    with pytest.raises(InvalidScheduleError, match="phase job count must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="phase job count must be >= 1, got 0"):
         drifting_bias([(0.5, 0), (1.5, 1)])
-    with pytest.raises(InvalidScheduleError, match="schedule covers 0 jobs but the run has 2"):
+    with pytest.raises(ValueError, match="schedule covers 0 jobs but the run has 2"):
         DeviceRunConfig(jobs=2, bias=drifting_bias([]))
 
 
