@@ -17,13 +17,7 @@ from __future__ import annotations
 
 import argparse
 
-from qrng_audit.aggregate import (
-    InsufficientDataError,
-    build_matrix,
-    build_report,
-    failure_ratio_per_qubit,
-    spearman,
-)
+from qrng_audit.aggregate import build_matrix, build_report, spearman
 from qrng_audit.autocorr import TestParams
 from qrng_audit.simulate import (
     DeviceRunConfig,
@@ -82,11 +76,7 @@ def main(argv=None) -> None:
     ramp_matrix = build_matrix(generate_device_run(ramp_config), params)
     ramp_report = build_report(ramp_matrix)
     print(fleet_table(ramp_report, rho_by_qubit=rhos))
-    ratios = failure_ratio_per_qubit(ramp_matrix)
-    try:
-        rho_s = spearman(rhos, [ratios[q] for q in range(args.qubits)])
-    except InsufficientDataError:
-        rho_s = None
+    rho_s = spearman(rhos, [ramp_report.failure_ratio[q] for q in range(args.qubits)])
     print(f"simultaneous-pass proportion: {ramp_report.simultaneous_pass_proportion:.4f}")
     print(f"spearman(rho, failure ratio): {signed(rho_s)}")
     print(f"mean statistic over the fleet: {ramp_matrix.statistic.mean():.1f}")

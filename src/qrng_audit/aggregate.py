@@ -6,7 +6,10 @@ correlation, so they are excluded from failure ratios and pass proportions
 and reported separately as counts. The relaxation-time
 comparison uses Spearman rank correlation (with average ranks for ties): the
 relationship claim is monotone, not linear, and the raw scatter is emitted
-alongside so any other coefficient can be recomputed externally.
+alongside so any other coefficient can be recomputed externally. Where the
+coefficient is undefined (fewer than 3 complete pairs, or a side constant
+after ranking) ``spearman`` returns None, as the other statistics give NaN
+or None for what they cannot define.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ import numpy as np
 
 from .autocorr import BLOCK_BYTES, PValueMatrix, TestParams, packed_counts
 from .ingest import CalibrationRecord, JobRows
-
-
-class InsufficientDataError(ValueError):
-    """Too few complete pairs for a rank correlation."""
 
 
 def build_matrix(rows: JobRows, params: TestParams) -> PValueMatrix:
@@ -86,9 +85,10 @@ def _rank_with_ties(values: np.ndarray) -> np.ndarray:
     return (0.5 * (first + last) + 1.0)[inverse]
 
 
-def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
+def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     """Spearman rank correlation with average ranks for ties; pairs with a
-    NaN on either side are dropped."""
+    NaN on either side are dropped. None where the coefficient is undefined:
+    fewer than 3 complete pairs, or a side constant after ranking."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape:
@@ -96,17 +96,13 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     keep = ~(np.isnan(x) | np.isnan(y))
     x, y = x[keep], y[keep]
     if x.size < 3:
-        raise InsufficientDataError(
-            f"need at least 3 complete pairs, got {x.size}"
-        )
+        return None
     rx = _rank_with_ties(x)
     ry = _rank_with_ties(y)
     rx -= rx.mean()
     ry -= ry.mean()
     denom = math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
-    if denom == 0.0:
-        raise InsufficientDataError("a side is constant after ranking")
-    return float(np.dot(rx, ry) / denom)
+    return float(np.dot(rx, ry) / denom) if denom else None
 
 
 @dataclass(frozen=True)
@@ -128,21 +124,15 @@ def build_report(
     calibration: Iterable[CalibrationRecord] | None = None,
 ) -> AggregateReport:
     """Assemble the full fleet report at the matrix's alpha; T1 fields are
-    omitted (None) when no calibration data is supplied or too few qubits
-    have both values."""
+    None when no calibration data is supplied, and the Spearman coefficient
+    is None where it is undefined."""
     ratios = failure_ratio_per_qubit(matrix)
     degenerates = degenerate_count_per_qubit(matrix)
-    mean_t1 = None
-    rho_s: float | None = None
+    mean_t1 = rho_s = None
     if calibration is not None:
         mean_t1 = mean_t1_per_qubit(calibration, matrix.qubit_ids)
-        try:
-            rho_s = spearman(
-                [mean_t1[q] for q in matrix.qubit_ids],
-                [ratios[q] for q in matrix.qubit_ids],
-            )
-        except InsufficientDataError:
-            rho_s = None
+        rho_s = spearman([mean_t1[q] for q in matrix.qubit_ids],
+                         [ratios[q] for q in matrix.qubit_ids])
     return AggregateReport(
         qubit_ids=matrix.qubit_ids,
         failure_ratio=ratios,

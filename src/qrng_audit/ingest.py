@@ -8,11 +8,12 @@ Three file kinds, all UTF-8 CSV with a fixed header:
 * calibration     ``timestamp,qubit_id,t1_us``
 * results         ``job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict``
 
-Parsers are strict: every rejection raises ParseError carrying the offending
-line number. All three take a file opened ``"rb"`` and read rows through
-one reader, ``_rows``. It reads the file in pieces of bounded size, splits
-them into lines at CR, LF and CRLF, as newline="" would, so a file whose
-lines end in a lone CR is read in bounded memory too, and decodes each line
+Parsers are strict: every rejection raises ParseError, carrying the
+offending line number where there is one. All three take a file opened
+``"rb"`` and read rows through one reader, ``_rows``. It reads the file in
+pieces of bounded size, splits them into lines at CR, LF and CRLF, as
+newline="" would, so a file whose lines end in a lone CR, or a line longer
+than any row, is read in bounded memory too, and decodes each line
 as UTF-8 when csv.reader reads it: a byte that is not UTF-8 is refused at
 its own line, after the faults of the lines before it. csv.reader parses
 every row, and ``_rows`` owns the header check, strict quoting, the field
@@ -44,6 +45,7 @@ as the matrix of the grid or of the results written.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -196,10 +198,11 @@ def _parse_qubit_id(text: str, line: int) -> int:
     return qubit
 
 
-def _decode(raw: bytes, line: int) -> str:
-    """``raw``, file line ``line``, as UTF-8 text."""
+def _decode(raw: bytes, line: int, final: bool = True) -> str:
+    """``raw``, file line ``line``, as UTF-8 text; unless ``final``, less a
+    character cut at its end."""
     try:
-        return raw.decode()
+        return codecs.utf_8_decode(raw, "strict", final)[0]
     except UnicodeDecodeError as exc:
         raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})",
                          line) from None
@@ -220,25 +223,29 @@ def _bit_tail(raw: bytes, limit: int) -> tuple[bytes, np.ndarray] | None:
     return (prefix, bits) if bits.max() <= 1 else None
 
 
-def _lines(stream: BinaryIO) -> Iterator[bytes]:
+def _lines(stream: BinaryIO, longest: int) -> Iterator[bytes]:
     """The file's lines, each with its end, split at CR, LF and CRLF as
     newline="" splits them. Each read takes at most ``4 * BLOCK_BYTES``
     bytes (256 KiB, twice a bit field at the csv field limit), so a file
     whose lines end in a lone CR is held a read at a time, not whole; a
-    longer line is joined once from its reads."""
+    longer line is joined once from its reads, or, past ``longest`` bytes,
+    cut after the read that passes them, as the last line."""
     held: list[bytes] = []
     while piece := stream.readline(4 * BLOCK_BYTES):
         if isinstance(piece, str):
             raise TypeError('CSV lines must be bytes: open the file "rb", not as text')
         if not held and piece.endswith(b"\n") and piece.find(b"\r", 0, len(piece) - 2) < 0:
             yield piece
-        elif piece.endswith(b"\n") or b"\r" in piece:
+        elif piece.endswith(b"\n") or b"\r" in piece or held and held[-1].endswith(b"\r"):
             ended = b"".join([*held, piece]).splitlines(keepends=True)
             # A line that has not ended, or ended at a CR an LF may follow, waits for the next read.
             held = [] if ended[-1].endswith(b"\n") else [ended.pop()]
             yield from ended
-        else:  # no line ends in this read
+        else:  # no line ends in this read or the held ones
             held.append(piece)
+            if sum(map(len, held)) > longest:
+                held = [b"".join(held)]
+                break
     yield from b"".join(held).splitlines(keepends=True)
 
 
@@ -253,7 +260,9 @@ def _rows(stream: BinaryIO, header: list[str],
     when csv.reader reads it, a byte that is not UTF-8 refused at the
     line's own number. Quoting is strict; any csv.Error (bad quoting, a
     field over the csv module's size limit) becomes a ParseError at the
-    line the reader stopped on.
+    line the reader stopped on. A line longer than any row can take is
+    read no further and refused at its line: with the csv.Error its start
+    meets, if any, else as too long.
 
     With ``bits_last``, a line that opens a record (a row has just been
     read) is cut where ``_bit_tail`` allows, with the csv module's field
@@ -261,12 +270,20 @@ def _rows(stream: BinaryIO, header: list[str],
     the row's last field is its bits as a uint8 array of 0s and 1s. On
     every other row the last field is text."""
     limit = csv.field_size_limit()
+    # A row's longest line: each field at the limit in 4-byte characters, quoted, and CRLF.
+    longest = len(header) * (4 * limit + 3) + 1
     opens_record = False
     cut: np.ndarray | None = None
+    over_long: ParseError | None = None
 
     def lines() -> Iterator[str]:
-        nonlocal opens_record, cut
-        for raw in _lines(stream):
+        nonlocal opens_record, cut, over_long
+        for raw in _lines(stream, longest):
+            if len(raw) > longest:  # no row's line; perhaps cut short by _lines
+                over_long = ParseError(f"line longer than the {longest} bytes a row can take",
+                                       reader.line_num + 1)
+                yield _decode(raw, over_long.line, final=False)
+                raise over_long  # csv.reader reads on inside a quoted field
             tail = _bit_tail(raw, limit) if opens_record else None
             opens_record = False
             if tail is not None:
@@ -277,8 +294,8 @@ def _rows(stream: BinaryIO, header: list[str],
     reader = csv.reader(lines(), strict=True)
     try:
         first = next(reader, None)
-        if first != header:
-            raise ParseError(
+        if over_long or first != header:
+            raise over_long or ParseError(
                 f"expected header {','.join(header)!r}, got "
                 f"{','.join(first) if first else '<empty file>'!r}",
                 line=1,
@@ -290,8 +307,8 @@ def _rows(stream: BinaryIO, header: list[str],
                 fields[-1], cut = cut, None
             if not fields:
                 continue
-            if len(fields) != len(header):
-                raise ParseError(
+            if over_long or len(fields) != len(header):
+                raise over_long or ParseError(
                     f"expected {len(header)} fields, got {len(fields)}", reader.line_num
                 )
             yield reader.line_num, fields
@@ -348,7 +365,7 @@ def parse_jobs(stream: BinaryIO, params: TestParams) -> PValueMatrix:
     job_ids = tuple(sorted(stamps, key=lambda job: (stamps[job], job)))
     qubit_ids, order = _grid_order(streams, job_ids)
     if not streams:
-        raise ValueError("no streams to analyze")
+        raise ParseError("no streams to analyze")
     counts.append(packed_counts(block[:filled], declared, params.lag))  # the last, partial block
     return PValueMatrix.from_counts(job_ids, qubit_ids, declared, counts, params, order)
 
@@ -528,7 +545,7 @@ def read_results(stream: BinaryIO, alpha: float = 0.01) -> PValueMatrix:
         for column, value in zip(columns, (statistic, bias, normalized, p)):
             column.append(value)
     if n_lag is None:
-        raise ValueError("no result rows to aggregate")
+        raise ParseError("no result rows to aggregate")
     job_ids = tuple(dict.fromkeys(job for job, _ in cells))
     qubit_ids, order = _grid_order(cells, job_ids)
     shape = (len(job_ids), len(qubit_ids))

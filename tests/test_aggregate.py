@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from qrng_audit.aggregate import (
     BLOCK_BYTES,
-    InsufficientDataError,
     _rank_with_ties,
     build_matrix,
     build_report,
@@ -297,10 +296,11 @@ def test_spearman_examples():
 
 
 def test_spearman_needs_three_pairs():
-    with pytest.raises(InsufficientDataError):
-        spearman([1, 2], [3, 4])
-    with pytest.raises(InsufficientDataError):
-        spearman([1, 2, math.nan], [3, 4, 5])
+    assert spearman([1, 2], [3, 4]) is None
+    assert spearman([1, 2, math.nan], [3, 4, 5]) is None
+    assert spearman([1, 2, 3], [5, 5, 5]) is None
+    with pytest.raises(ValueError, match="length mismatch"):
+        spearman([1, 2, 3], [3, 4])
 
 
 def test_spearman_drops_nan_pairwise():
@@ -355,6 +355,19 @@ def test_build_report_fields_and_csv():
     assert len(buf.getvalue().splitlines()) == 4
 
 
+def test_build_report_with_tied_failure_ratios():
+    """Every cell passing leaves every failure ratio 0: the ranks of that
+    side are tied, the coefficient is undefined, and the footer omits it."""
+    matrix = build_verdict_matrix(["PP", "PP", "PP"])
+    calib = [CalibrationRecord(TS, q, 50.0 + q) for q in range(3)]
+    report = build_report(matrix, calib)
+    assert report.spearman_t1_failure is None
+    buf = io.StringIO()
+    write_report_csv(report, buf)
+    footer = [l for l in buf.getvalue().splitlines() if l.startswith("#")]
+    assert not any(l.startswith(("# spearman_t1_failure=", "# note=")) for l in footer)
+
+
 def test_build_report_without_calibration():
     report = build_report(build_verdict_matrix(["PP"]))
     assert report.mean_t1_us is None
@@ -399,7 +412,7 @@ def test_matrix_from_results_rejects_ragged():
         read_results(io.BytesIO("\n".join(lines[:-1]).encode()))
     with pytest.raises(ParseError):
         read_results(io.BytesIO("\n".join(lines + lines[-1:]).encode()))
-    with pytest.raises(ValueError, match="no result rows to aggregate"):
+    with pytest.raises(ParseError, match="^no result rows to aggregate$"):
         read_results(io.BytesIO(lines[0].encode()))
 
 

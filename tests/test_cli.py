@@ -277,6 +277,18 @@ def test_test_error_precedence(tmp_path, capsys, edit, flags, code, message):
     assert not out.exists()
 
 
+def test_test_refuses_a_line_longer_than_any_row(tmp_path, capsys):
+    """A 3 MiB bit field with no line end runs past the longest line a job
+    row can take: it is refused at its line, by the csv field limit."""
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_bytes(b"job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:24:27Z,0,"
+                     + b"0" * (3 << 20))
+    out = tmp_path / "r.csv"
+    assert (run(["test", "--in", jobs, "--out", out]), capsys.readouterr().err) == (
+        1, "error: line 2: unreadable CSV: field larger than field limit (131072)\n")
+    assert not out.exists()
+
+
 def test_test_fixed_bias_flag(tmp_path):
     jobs = tmp_path / "jobs.csv"
     jobs.write_text(

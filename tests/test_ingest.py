@@ -75,7 +75,7 @@ def test_parse_groups_rows_into_jobs():
 def test_parse_empty_file_has_no_rows():
     rows = whole_row_parse_jobs(job_file())
     assert rows.job_ids == () and rows.bits.shape == (0, 0)
-    with pytest.raises(ValueError, match="^no streams to analyze$"):
+    with pytest.raises(ParseError, match="^no streams to analyze$"):
         parse_jobs(job_file(), PARAMS)
 
 
@@ -852,3 +852,59 @@ def test_parse_jobs_reads_every_line_end_alike(lines):
 @settings(max_examples=150, deadline=None)
 def test_results_and_calibration_read_every_line_end_alike(reader, lines, data):
     assert_same_at_every_line_end(reader, data.draw(mutated_lines(lines)))
+
+
+# --------------------------------------------------------- over-long lines
+
+def test_lines_cuts_a_line_not_ended_within_longest(monkeypatch):
+    """A line not ended within ``longest`` bytes is cut after the read that
+    passes them, and the file is read no further. A line that ended at a
+    lone CR before it counts none of its bytes."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 1)  # reads of 4 bytes
+    stream = io.BytesIO(b"abc\r" + b"defg" * 4 + b"\nhij\n")
+    assert list(ingest._lines(stream, 9)) == [b"abc\r", b"defg" * 3]
+    assert stream.tell() == 16
+    stream = io.BytesIO(b"abc\r" + b"defg" * 2 + b"\nhij\n")
+    assert list(ingest._lines(stream, 9)) == [b"abc\r", b"defgdefg\n", b"hij\n"]
+
+
+@pytest.fixture
+def field_limit_32():
+    old = csv.field_size_limit(32)
+    yield
+    csv.field_size_limit(old)
+
+
+JOB_HEADER_LINE = b"job_id,timestamp,qubit_id,bits\n"
+# A job row's longest line at a field limit of 32: 4 * (4 * 32 + 3) + 1 bytes.
+TOO_LONG = "line 2: line longer than the 525 bytes a row can take"
+FIELD_OVER_LIMIT = "line 2: unreadable CSV: field larger than field limit (32)"
+
+
+@pytest.mark.parametrize("line, message", [
+    (b"j1,2019-05-09T11:24:27Z,0," + b"0" * 10_000, FIELD_OVER_LIMIT),
+    # The cut splits a 2-byte character, which is dropped.
+    (("j" + "é" * 10_000).encode(), FIELD_OVER_LIMIT),
+    (b"\xff" + b"0" * 10_000, "line 2: byte 0xff is not UTF-8 (invalid start byte)"),
+    (b"," * 10_000, TOO_LONG),
+    # The cut falls inside a quoted field, so csv.reader asks for the next line.
+    (b"," * 520 + b'"' + b"x" * 10_000 + b'"', TOO_LONG),
+    # Ended one byte past the longest line, in the read that passes it.
+    (b"," * 525, TOO_LONG),
+], ids=["field-over-limit", "cut-character", "not-utf8", "many-fields", "quoted", "ended"])
+def test_a_line_longer_than_any_row_is_refused_at_its_line(monkeypatch, field_limit_32,
+                                                           line, message):
+    """A line longer than any job row can take is read no further than the
+    read that passes that length, and refused at its line: with the fault
+    csv.reader or the UTF-8 check finds in its start, else as too long."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 4)  # reads of 16 bytes
+    stream = io.BytesIO(JOB_HEADER_LINE + line + b"\nj2,2019-05-09T11:24:27Z,0,0110\n")
+    with pytest.raises(ParseError) as err:
+        parse_jobs(stream, PARAMS)
+    assert (str(err.value), err.value.line) == (message, 2)
+    assert stream.tell() <= len(JOB_HEADER_LINE) + 525 + 16
+
+
+def test_a_header_longer_than_any_row_is_refused_as_too_long(field_limit_32):
+    with pytest.raises(ParseError, match="^line 1: line longer than the 525 bytes a row can take$"):
+        parse_jobs(io.BytesIO(b"," * 10_000), PARAMS)

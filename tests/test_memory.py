@@ -10,6 +10,10 @@
   about 16 MiB holding the packed matrix, about 26 MiB with one gather of
   it for a shuffled file, and about 185 MiB reading a lone-CR file as one
   line.
+* ``test`` on a job file whose second line is 24 MiB of bits with no line
+  end reads that line only until it passes the longest line a job row can
+  take (about 2 MiB), and refuses it, exit 1: about 5 MiB above ``--help``,
+  against about 72 MiB holding the whole line.
 * The exact oracle at n = 24 and at n = 53, the enumeration route's limit,
   walks the bits class by class, holding two (statistic, ones) tables of
   counts: about 1 MiB above ``--help`` at either length.
@@ -49,9 +53,9 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def peak_rss_mib(argv, cwd):
+def peak_rss_mib(argv, cwd, exit_code=0):
     """Run ``python -m qrng_audit argv`` as a grandchild, through the
-    launcher, and return its own peak RSS."""
+    launcher, check its exit code, and return its own peak RSS."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     launched = subprocess.run(
         [sys.executable, "-c", LAUNCHER, str(CHILD_TIMEOUT_S),
@@ -59,7 +63,7 @@ def peak_rss_mib(argv, cwd):
         cwd=cwd, env=env, capture_output=True, text=True, check=True,
         timeout=CHILD_TIMEOUT_S + 30.0)
     returncode, max_rss = map(int, launched.stdout.split())
-    assert returncode == 0
+    assert returncode == exit_code
     # ru_maxrss is in KiB on Linux, in bytes on macOS.
     return max_rss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
@@ -103,6 +107,18 @@ def paper_shape_jobs(tmp_path_factory):
 def test_test_of_a_job_file_holds_no_bits(paper_shape_jobs, name):
     startup = peak_rss_mib(["--help"], paper_shape_jobs)
     test = peak_rss_mib(["test", "--in", name, "--out", "results.csv"], paper_shape_jobs)
+    assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_test_of_an_over_long_line_holds_no_more_than_a_row(tmp_path):
+    with open(tmp_path / "long.csv", "wb") as fh:
+        fh.write(b"job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:24:27Z,0,")
+        for _ in range(24):
+            fh.write(b"0" * (1 << 20))
+    startup = peak_rss_mib(["--help"], tmp_path)
+    test = peak_rss_mib(["test", "--in", "long.csv", "--out", "results.csv"], tmp_path,
+                        exit_code=1)
     assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
 
 
