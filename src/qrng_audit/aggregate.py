@@ -20,19 +20,17 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .autocorr import BLOCK_BYTES, PValueMatrix, TestParams, packed_counts
+from .autocorr import PValueMatrix, TestParams, packed_counts
 from .ingest import CalibrationRecord, JobRows
 
 
 def build_matrix(rows: JobRows, params: TestParams) -> PValueMatrix:
     """Run the autocorrelation test on every stream of the grid: the XOR and
-    ones counts of each block of about ``BLOCK_BYTES`` of packed rows, which
-    row for row are already the grid's cells."""
+    ones counts of its packed rows, which row for row are already the
+    grid's cells."""
     if not rows.job_ids:
         raise ValueError("no streams to analyze")
-    step = max(1, BLOCK_BYTES // rows.bits.shape[1])
-    counts = [packed_counts(rows.bits[start:start + step], rows.n, params.lag)
-              for start in range(0, len(rows.bits), step)]
+    counts = [packed_counts(rows.bits, rows.n, params.lag)]
     return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, rows.n, counts, params)
 
 

@@ -41,8 +41,9 @@ LOW_SAMPLE_VARIANCE = 25.0
 _TINY = 5e-324
 
 # Bytes handled at once by every blocked loop: packed bit rows counted by
-# ``packed_counts``, their '0'/'1' text in ``ingest.serialize_jobs`` and rows
-# of three float64 columns in the ``oracle`` command's CSV writer.
+# ``packed_counts`` or drawn by ``simulate.device_run_blocks``, their '0'/'1'
+# text in ``ingest.serialize_jobs`` and rows of three float64 columns in the
+# ``oracle`` command's CSV writer.
 # Small enough that each block's temporaries stay in cache and add nothing
 # to peak memory.
 BLOCK_BYTES = 1 << 16
@@ -169,8 +170,9 @@ def autocorr_statistic(seq: BitSequence, lag: int) -> int:
 
 def packed_counts(bits: np.ndarray, n: int, lag: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row XOR count (as ``autocorr_statistic``) and ones count, both
-    int64, of a (rows, ceil(n / 8)) block of n-bit streams packed in
-    ``np.packbits`` order, whose pad bits are zero.
+    int64, of a (rows, ceil(n / 8)) matrix of n-bit streams packed in
+    ``np.packbits`` order, whose pad bits are zero, counted a block of about
+    ``BLOCK_BYTES`` of rows at a time, so its temporaries stay that small.
 
     Byte k of the shifted row holds bits 8k + lag .. 8k + lag + 7: byte
     k + lag // 8 moved up ``lag % 8`` bits, with the top of the next byte
@@ -178,6 +180,9 @@ def packed_counts(bits: np.ndarray, n: int, lag: int) -> tuple[np.ndarray, np.nd
     bits are the mismatched pairs, once the bits of the last byte past the
     n - lag pairs are masked."""
     check_lag(n, lag)
+    if len(bits) > (step := max(1, BLOCK_BYTES // bits.shape[1])):
+        counts = [packed_counts(bits[i:i + step], n, lag) for i in range(0, len(bits), step)]
+        return np.concatenate([c[0] for c in counts]), np.concatenate([c[1] for c in counts])
     pairs = n - lag
     width = -(-pairs // 8)
     skip, shift = divmod(lag, 8)

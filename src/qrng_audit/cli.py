@@ -23,10 +23,10 @@ import numpy as np
 
 from . import aggregate as agg
 from . import simulate as sim
-from .autocorr import BLOCK_BYTES, InvalidLagError, PValueMatrix, TestParams, check_lag
+from .autocorr import (BLOCK_BYTES, InvalidLagError, PValueMatrix, TestParams, check_lag,
+                       packed_counts)
 from .ingest import (
     CalibrationRecord,
-    JobRows,
     check_stream_length,
     parse_calibration,
     parse_jobs,
@@ -97,13 +97,22 @@ def _run_config(args: argparse.Namespace) -> sim.DeviceRunConfig:
     return config
 
 
-def _simulate(config: sim.DeviceRunConfig, model: str, out: str,
-              calibration_out: str | None) -> tuple[JobRows, list[CalibrationRecord] | None]:
-    """Generate the run, write its job file (and calibration file, if asked
-    for), and return the job rows and calibration records."""
-    jobs = sim.generate_device_run(config)
+def _simulate(config: sim.DeviceRunConfig, model: str, out: str, calibration_out: str | None,
+              params: TestParams | None = None,
+              ) -> tuple[PValueMatrix | None, list[CalibrationRecord] | None]:
+    """Generate the run a block of jobs at a time, write each block to the
+    job file and, given test parameters, count its streams as it passes;
+    write the calibration file, if asked for. Returns the run's p-value
+    matrix (given parameters) and the calibration records."""
+    blocks, job_ids, counts = sim.device_run_blocks(config), [], []
     with open(out, "w", newline="", encoding="utf-8") as fh:
-        serialize_jobs(jobs, fh)
+        for block in blocks:
+            serialize_jobs(block, fh, header=not job_ids)
+            job_ids += block.job_ids
+            if params is not None:
+                counts.append(packed_counts(block.bits, block.n, params.lag))
+    matrix = None if params is None else PValueMatrix.from_counts(
+        tuple(job_ids), tuple(range(config.qubit_count)), config.bits_per_job, counts, params)
     calibration = None
     if calibration_out is not None:
         calibration = sim.generate_calibration_series(config)
@@ -114,7 +123,7 @@ def _simulate(config: sim.DeviceRunConfig, model: str, out: str,
         f"{config.bits_per_job} bits (model {model}, seed {config.master_seed}) "
         f"-> {out}"
     )
-    return jobs, calibration
+    return matrix, calibration
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -236,9 +245,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     check_lag(config.bits_per_job, params.lag)
     workdir = Path(args.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    jobs, calibration = _simulate(config, args.model, str(workdir / "jobs.csv"),
-                                  str(workdir / "calibration.csv"))
-    matrix = agg.build_matrix(jobs, params)
+    matrix, calibration = _simulate(config, args.model, str(workdir / "jobs.csv"),
+                                    str(workdir / "calibration.csv"), params)
     _write_results(matrix, str(workdir / "results.csv"))
     _aggregate(matrix, calibration, str(workdir / "report.csv"), str(workdir / "scatter.csv"))
     return 0

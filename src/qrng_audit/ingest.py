@@ -48,6 +48,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -65,6 +66,8 @@ RESULT_HEADER = [
     "job_id", "qubit_id", "n", "lag", "bias",
     "statistic", "normalized", "p_value", "verdict",
 ]
+# The longest text, with room to spare, of a field that is a number, a timestamp or a verdict.
+_SHORT_FIELD = 64
 
 
 class ParseError(ValueError):
@@ -270,8 +273,11 @@ def _rows(stream: BinaryIO, header: list[str],
     the row's last field is its bits as a uint8 array of 0s and 1s. On
     every other row the last field is text."""
     limit = csv.field_size_limit()
-    # A row's longest line: each field at the limit in 4-byte characters, quoted, and CRLF.
-    longest = len(header) * (4 * limit + 3) + 1
+    # A row's longest line: each field quoted, in 4-byte characters, and CRLF. Only a job_id
+    # and a job row's bits may reach the field limit; every other field is a number, a
+    # timestamp or a verdict, of at most _SHORT_FIELD characters.
+    longest = sum(4 * (limit if name in ("job_id", "bits") else min(limit, _SHORT_FIELD)) + 3
+                  for name in header) + 1
     opens_record = False
     cut: np.ndarray | None = None
     over_long: ParseError | None = None
@@ -391,8 +397,9 @@ def check_stream_length(n: int) -> None:
         raise ValueError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
 
 
-def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
-    """Write the grid as job CSV, its rows in grid order.
+def serialize_jobs(rows: JobRows, stream: TextIO, header: bool = True) -> None:
+    """Write the grid as job CSV, its rows in grid order, after the header
+    unless ``header`` is false (a later block of one file).
 
     Bit text never needs quoting, so only the three short fields go through
     csv.writer. The bits are unpacked and turned into text a block of rows
@@ -401,7 +408,8 @@ def serialize_jobs(rows: JobRows, stream: TextIO) -> None:
     anything is written."""
     count_rows, n = len(rows.bits), rows.n
     check_stream_length(n)
-    csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
+    if header:
+        csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
     prefixes = _job_prefixes(rows)
     step = max(1, BLOCK_BYTES // (n + 1))
     text = np.empty((step, n + 1), dtype=np.uint8)
@@ -445,10 +453,6 @@ def serialize_calibration(records: Iterable[CalibrationRecord], stream: TextIO) 
         writer.writerow([format_timestamp(rec.timestamp), rec.qubit_id, repr(rec.t1_us)])
 
 
-def _format_float(value: float) -> str:
-    return "" if math.isnan(value) else repr(value)
-
-
 def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
     """Write every cell of the matrix as one results-CSV row, in row order.
     Ids ``read_results`` would refuse are refused before anything is written."""
@@ -462,16 +466,20 @@ def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
             raise ValueError(f"{name} id {repeated[0]!r} repeats: its cells would be duplicates")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(RESULT_HEADER)
-    keys = ((job_id, qubit) for job_id in matrix.job_ids for qubit in matrix.qubit_ids)
-    cells = zip(*(a.ravel().tolist() for a in (
-        matrix.statistic, matrix.bias, matrix.normalized, matrix.p_value,
-        matrix.verdicts(),
-    )))
-    writer.writerows(
-        [job_id, qubit, matrix.n, matrix.lag, repr(bias), statistic,
-         _format_float(normalized), _format_float(p), verdict.value]
-        for (job_id, qubit), (statistic, bias, normalized, p, verdict) in zip(keys, cells)
-    )
+    qubits, verdicts = matrix.qubit_ids, matrix.verdicts()
+    # A block of jobs at a time: the Python objects of every cell at once
+    # would take about 150 bytes a cell. A NaN is written as an empty field.
+    step = max(1, BLOCK_BYTES // 64 // max(1, len(qubits)))
+    for start in range(0, len(matrix.job_ids), step):
+        jobs = slice(start, start + step)
+        cells = [a[jobs].ravel().tolist() for a in (
+            matrix.bias, matrix.statistic, matrix.normalized, matrix.p_value, verdicts)]
+        for values, text in zip((matrix.normalized[jobs], matrix.p_value[jobs]), cells[2:4]):
+            for cell in np.flatnonzero(np.isnan(values)).tolist():
+                text[cell] = ""
+        job_ids = [job_id for job_id in matrix.job_ids[jobs] for _ in qubits]
+        writer.writerows(zip(job_ids, itertools.cycle(qubits), itertools.repeat(matrix.n),
+                             itertools.repeat(matrix.lag), *cells))
 
 
 def read_results(stream: BinaryIO, alpha: float = 0.01) -> PValueMatrix:

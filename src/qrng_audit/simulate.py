@@ -17,6 +17,11 @@ run seeds all its streams in one pass over uint64 arrays (the SplitMix64
 grid, then numpy's own SeedSequence hash and PCG64 seeding) and sets one
 reused generator to each stream's state in turn: the same draws as a
 generator per stream, without numpy's per-generator set-up.
+
+A run is drawn a block of whole jobs at a time (``device_run_blocks``), as
+many as fit in ``BLOCK_BYTES`` of packed bits, into one reused buffer, so
+the CLI writes and counts each block as it passes and never holds the run;
+``generate_device_run`` joins the blocks into the whole grid.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
+from .autocorr import BLOCK_BYTES
 from .ingest import CalibrationRecord, JobRows
 
 # Experiment-shaped defaults: 20 qubits, 579 jobs of 8192 bits, which at
@@ -223,21 +229,37 @@ class DeviceRunConfig:
         return np.broadcast_to(bias, grid), np.broadcast_to(rho, grid)
 
 
+def device_run_blocks(config: DeviceRunConfig) -> Iterator[JobRows]:
+    """The run as ``JobRows`` blocks of as many whole jobs as fit in
+    ``BLOCK_BYTES`` of packed bits (at least one). Every stream's seed is
+    computed when this is called; a block's streams are drawn from their
+    cells of the (bias, rho) grid when it is asked for, into one reused
+    buffer, so its bits hold until the next block is asked for."""
+    bias, rho = config.chain_grid()
+    n, qubits = config.bits_per_job, config.qubit_count
+    step = max(1, BLOCK_BYTES // (qubits * -(-n // 8)))
+    buffer = np.empty((step * qubits, -(-n // 8)), dtype=np.uint8)
+    rngs = _generators(_seed_grid(config.master_seed, 0, config.jobs, qubits))
+
+    def block(jobs: range) -> JobRows:
+        bits = buffer[:len(jobs) * qubits]
+        chains = zip(bias[jobs].ravel().tolist(), rho[jobs].ravel().tolist())
+        for row, (b, r), rng in zip(bits, chains, rngs):  # rngs last: zip takes no extra one
+            row[:] = np.packbits(_chain_bits(b, r, n, rng))
+        return JobRows(tuple(f"j{j + 1:04d}" for j in jobs),
+                       tuple(RUN_START + timedelta(seconds=j * JOB_INTERVAL_S) for j in jobs),
+                       tuple(range(qubits)), bits, n)
+
+    return map(block, (range(j, min(j + step, config.jobs)) for j in range(0, config.jobs, step)))
+
+
 def generate_device_run(config: DeviceRunConfig) -> JobRows:
-    """Generate the run's jobs x qubits streams, each drawn from its cell of
-    the (bias, rho) grid and packed straight into its row of the bit matrix.
-    Each stream is independently derivable from its seed, so any subset
-    regenerates bit-for-bit. The calibration series is
-    ``generate_calibration_series(config)``."""
-    bias, rho = (grid.ravel().tolist() for grid in config.chain_grid())
-    n = config.bits_per_job
-    bits = np.empty((config.jobs * config.qubit_count, -(-n // 8)), dtype=np.uint8)
-    seeds = _seed_grid(config.master_seed, 0, config.jobs, config.qubit_count)
-    for row, rng in enumerate(_generators(seeds)):
-        bits[row] = np.packbits(_chain_bits(bias[row], rho[row], n, rng))
-    job_ids = tuple(f"j{j + 1:04d}" for j in range(config.jobs))
-    stamps = tuple(RUN_START + timedelta(seconds=j * JOB_INTERVAL_S) for j in range(config.jobs))
-    return JobRows(job_ids, stamps, tuple(range(config.qubit_count)), bits, n)
+    """The whole run as one grid: the blocks of ``device_run_blocks``
+    joined. Its calibration series is ``generate_calibration_series(config)``."""
+    blocks = [(b.job_ids, b.timestamps, b.bits.copy()) for b in device_run_blocks(config)]
+    job_ids, stamps, bits = zip(*blocks)
+    return JobRows(tuple(itertools.chain(*job_ids)), tuple(itertools.chain(*stamps)),
+                   tuple(range(config.qubit_count)), np.concatenate(bits), config.bits_per_job)
 
 
 def generate_calibration_series(config: DeviceRunConfig) -> list[CalibrationRecord]:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrng_audit.aggregate import (
-    BLOCK_BYTES,
     _rank_with_ties,
     build_matrix,
     build_report,
@@ -23,7 +22,7 @@ from qrng_audit.aggregate import (
     write_report_csv,
     write_scatter_csv,
 )
-from qrng_audit.autocorr import BitSequence, TestParams, Verdict, run_test
+from qrng_audit.autocorr import BLOCK_BYTES, BitSequence, TestParams, Verdict, run_test
 from qrng_audit.ingest import (
     CalibrationRecord,
     ParseError,
@@ -154,9 +153,10 @@ def test_build_matrix_equals_run_test_cell_for_cell(case):
 
 
 def test_build_matrix_blocks_and_placement_match_run_test():
-    """Streams long enough that a kernel block holds two rows, filed in
+    """Streams long enough that a kernel block holds four rows (each row
+    BLOCK_BYTES // 4 bytes, so nine rows make three blocks), filed in
     reverse time order with qubits descending."""
-    n = BLOCK_BYTES // 2 - 8
+    n = 8 * (BLOCK_BYTES // 4) - 5
     rng = np.random.default_rng(5)
     specs = [
         (f"j{r}", 10 - r, [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qrng_audit import autocorr
 from qrng_audit.autocorr import (
     BitSequence,
     InvalidLagError,
@@ -161,6 +162,21 @@ def test_packed_counts_equals_reference_at_every_lag():
             expected = autocorr_counts(bits, lag)
             assert statistic.tolist() == expected[0].tolist(), (n, lag)
             assert ones.tolist() == expected[1].tolist(), (n, lag)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 4, 64], ids=["row", "row-again", "sixteen-rows"])
+def test_packed_counts_of_many_rows_counts_a_block_at_a_time(monkeypatch, block_bytes):
+    """Rows past one block of ``BLOCK_BYTES`` are counted a block at a time
+    (here 4-byte rows, 1, 1 and 16 to a block, the last block partial) and
+    joined in row order."""
+    rng = np.random.default_rng(7)
+    bits = (rng.random((37, 29)) < rng.random((37, 1))).astype(np.uint8)
+    monkeypatch.setattr(autocorr, "BLOCK_BYTES", block_bytes)
+    for lag in (1, 9, 28):
+        statistic, ones = packed_counts(np.packbits(bits, axis=1), 29, lag)
+        expected = autocorr_counts(bits, lag)
+        assert statistic.tolist() == expected[0].tolist(), lag
+        assert ones.tolist() == expected[1].tolist(), lag
 
 
 def test_bitsequence_validation():

@@ -289,6 +289,20 @@ def test_test_refuses_a_line_longer_than_any_row(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_aggregate_refuses_a_line_longer_than_any_results_row(tmp_path, capsys):
+    """Only a results row's job_id may reach the csv field limit, so a 3 MiB
+    line is read no further than about one field past it and refused at its
+    line, by the csv field limit."""
+    results = tmp_path / "results.csv"
+    results.write_bytes(b"job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
+                        b"j1,0," + b"0" * (3 << 20))
+    report = tmp_path / "report.csv"
+    assert (run(["aggregate", "--in", results, "--report", report]),
+            capsys.readouterr().err) == (
+        1, "error: line 2: unreadable CSV: field larger than field limit (131072)\n")
+    assert not report.exists()
+
+
 def test_test_fixed_bias_flag(tmp_path):
     jobs = tmp_path / "jobs.csv"
     jobs.write_text(
@@ -752,6 +766,24 @@ def test_pipeline_matches_manual_stages(tmp_path):
         assert sha256(manual) == sha256(staged), staged.name
 
 
+@pytest.mark.parametrize("shape", [
+    ["--jobs", 7, "--qubits", 20, "--bits", 8192],
+    ["--jobs", 2, "--qubits", 20, "--bits", 131072, "--model", "markov", "--rho", -0.1],
+], ids=["three-blocks", "job-wider-than-block"])
+def test_pipeline_of_job_blocks_matches_simulate_and_test(tmp_path, shape):
+    """The pipeline writes and counts its run a block of jobs at a time
+    (3 jobs at 20 x 8192, so 7 jobs end in a partial block; 1 job at
+    20 x 131072): ``simulate`` gives its job file and ``test`` of that file
+    its results file, byte for byte."""
+    workdir = tmp_path / "run"
+    assert run(["pipeline", *shape, "--seed", 2**64 - 1, "--workdir", workdir]) == 0
+    jobs, results = tmp_path / "jobs.csv", tmp_path / "results.csv"
+    assert run(["simulate", *shape, "--seed", 2**64 - 1, "--out", jobs]) == 0
+    assert run(["test", "--in", jobs, "--out", results]) == 0
+    assert sha256(jobs) == sha256(workdir / "jobs.csv")
+    assert sha256(results) == sha256(workdir / "results.csv")
+
+
 def test_pipeline_tests_the_simulated_rows_without_parsing(tmp_path, monkeypatch):
     flags = ["--qubits", 3, "--jobs", 5, "--bits", 256, "--seed", 9,
              "--model", "markov", "--rho", -0.2, "--lag", 2, "--bias", "fixed:0.5"]
@@ -783,7 +815,7 @@ def test_bits_above_csv_field_limit_exit_2_before_generating(tmp_path, capsys, m
     def refuse(*_args, **_kwargs):
         raise AssertionError("generated a run that no job file can hold")
 
-    monkeypatch.setattr(cli.sim, "generate_device_run", refuse)
+    monkeypatch.setattr(cli.sim, "device_run_blocks", refuse)
     where = ["--out", tmp_path / "jobs.csv"] if command == "simulate" else [
         "--workdir", tmp_path / "run"]
     assert run([command, "--jobs", 1, "--qubits", 2, "--bits", 131072 + 1, *where]) == 2
@@ -800,7 +832,7 @@ def test_failed_allocation_exits_1_without_traceback(tmp_path, capsys, monkeypat
     def fail(*_args, **_kwargs):
         raise MemoryError("Unable to allocate 4.21 TiB for an array")
 
-    monkeypatch.setattr(cli.sim, "generate_device_run", fail)
+    monkeypatch.setattr(cli.sim, "device_run_blocks", fail)
     monkeypatch.setattr(cli, "approximation_error", fail)
     argv = (["simulate", "--jobs", 579, "--qubits", 1000000000, "--bits", 8]
             if command == "simulate" else ["oracle", "--n", 10**12])

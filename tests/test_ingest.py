@@ -2,6 +2,8 @@
 
 import csv
 import io
+import itertools
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -311,6 +313,30 @@ def test_parse_rejects_carriage_return_in_job_id():
 # JobRows refuses, when it is built, any grid no job file holds, so
 # serialize_jobs never writes a file that parse_jobs rejects.
 
+def test_write_results_writes_each_block_of_jobs_as_one_row_per_cell():
+    """Results are formatted a block of jobs at a time (1024 cells: 341 jobs
+    of 3 qubits, so 700 jobs end in a partial third block); the text is one
+    row per cell in row order, an empty field for each NaN."""
+    rng = np.random.default_rng(3)
+    jobs, n = 700, 64
+    ones = rng.integers(0, n + 1, jobs * 3)
+    ones[::7], ones[::11] = 0, n  # degenerate cells
+    statistic = rng.integers(0, n, jobs * 3)
+    matrix = PValueMatrix.from_counts(tuple(f"j{j}" for j in range(jobs)), (0, 1, 2), n,
+                                      [(statistic, ones)], TestParams(lag=1))
+    buf = io.StringIO()
+    write_results(matrix, buf)
+    verdicts, lines = matrix.verdicts(), [",".join(ingest.RESULT_HEADER)]
+    for (j, job_id), (k, qubit) in itertools.product(enumerate(matrix.job_ids),
+                                                     enumerate(matrix.qubit_ids)):
+        z, p = (float(a[j, k]) for a in (matrix.normalized, matrix.p_value))
+        lines.append(",".join([job_id, str(qubit), str(n), "1", repr(float(matrix.bias[j, k])),
+                               str(int(matrix.statistic[j, k])), "" if math.isnan(z) else repr(z),
+                               "" if math.isnan(p) else repr(p), verdicts[j, k].value]))
+    assert 0 < int(matrix.degenerate.sum()) < jobs * 3
+    assert buf.getvalue() == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("job_id", ["", "cr\rid"])
 def test_serialize_jobs_rejects_job_id_no_parser_reads(job_id):
     buf = io.StringIO()
@@ -375,7 +401,7 @@ def test_job_rows_refuses_packed_bits_no_file_holds(qubit_ids, bits, n, message,
 
     with pytest.raises(ValueError, match=message):
         build()
-    monkeypatch.setattr(cli.sim, "generate_device_run", build)
+    monkeypatch.setattr(cli.sim, "device_run_blocks", build)
     out = tmp_path / "jobs.csv"
     assert cli.main(["simulate", "--jobs", "1", "--qubits", "1", "--bits", "4",
                      "--out", str(out)]) == 1
@@ -908,3 +934,34 @@ def test_a_line_longer_than_any_row_is_refused_at_its_line(monkeypatch, field_li
 def test_a_header_longer_than_any_row_is_refused_as_too_long(field_limit_32):
     with pytest.raises(ParseError, match="^line 1: line longer than the 525 bytes a row can take$"):
         parse_jobs(io.BytesIO(b"," * 10_000), PARAMS)
+
+
+@pytest.fixture
+def field_limit_1024():
+    old = csv.field_size_limit(1024)
+    yield
+    csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("parse, header, longest", [
+    # job_id and bits at the field limit, timestamp and qubit_id at 64
+    # characters: 2 * (4 * 1024 + 3) + 2 * (4 * 64 + 3) + 1 bytes.
+    (lambda stream: parse_jobs(stream, PARAMS), ingest.JOB_HEADER, 8717),
+    # Only job_id at the limit: 4 * 1024 + 3 + 8 * (4 * 64 + 3) + 1.
+    (read_results, ingest.RESULT_HEADER, 6172),
+    # No field at the limit: 3 * (4 * 64 + 3) + 1.
+    (parse_calibration, ingest.CALIBRATION_HEADER, 778),
+], ids=["jobs", "results", "calibration"])
+def test_the_longest_line_comes_from_the_header_fields(monkeypatch, field_limit_1024,
+                                                       parse, header, longest):
+    """Only a job_id and a job row's bits may reach the csv field limit;
+    every other field is allowed 64 characters. A line past the longest row
+    is read no further than the read that passes it, and refused at its line."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 64)  # reads of 256 bytes
+    head = (",".join(header) + "\n").encode()
+    stream = io.BytesIO(head + b"," * 100_000 + b"\n")
+    with pytest.raises(ParseError) as err:
+        parse(stream)
+    assert (str(err.value), err.value.line) == (
+        f"line 2: line longer than the {longest} bytes a row can take", 2)
+    assert stream.tell() <= len(head) + longest + 256

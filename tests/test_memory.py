@@ -2,8 +2,12 @@
 (interpreter, numpy and the package imported).
 
 * The pipeline at 145 jobs x 20 qubits x 8192 bits (the benchmark's paper
-  shape) holds 2.9 MB of packed bits. One byte per bit would be 23.8 MB, and
-  its peak would exceed ``--help``'s by about 30 MiB instead of about 10 MiB.
+  shape) generates, writes and counts one block of 3 jobs (60 KiB of packed
+  bits) at a time and keeps only each stream's two counts: about 8.7 MiB
+  above ``--help``, against about 11 MiB holding the run's 2.9 MB of packed
+  bits and about 30 MiB at one byte per bit. ``pipeline`` and ``simulate``
+  peak about 1.5 MiB higher at 1158 jobs than at 579 (the run's seeds are
+  computed in one pass), against 14 and 12 MiB higher holding the grid.
 * ``test`` on a 579 x 20 x 8192 job file holds none of its 11.9 MB of
   packed bits, only each stream's two counts, in grid order, shuffled, or
   with its lines ending in a lone CR: about 4 MiB above ``--help``, against
@@ -12,8 +16,12 @@
   line.
 * ``test`` on a job file whose second line is 24 MiB of bits with no line
   end reads that line only until it passes the longest line a job row can
-  take (about 2 MiB), and refuses it, exit 1: about 5 MiB above ``--help``,
-  against about 72 MiB holding the whole line.
+  take (about 1 MiB: only job_id and bits may reach the csv field limit),
+  and refuses it, exit 1: about 3.5 MiB above ``--help``, against about
+  72 MiB holding the whole line. ``aggregate`` of a results file whose
+  second line is such a line stops at about 0.5 MiB (only job_id may reach
+  the limit): about 2 MiB above ``--help``, against about 10 MiB when
+  every field's share of the bound was the field limit.
 * The exact oracle at n = 24 and at n = 53, the enumeration route's limit,
   walks the bits class by class, holding two (statistic, ones) tables of
   counts: about 1 MiB above ``--help`` at either length.
@@ -33,8 +41,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Peaks above the --help peak, in MiB.
-PEAK_ABOVE_STARTUP_MIB = 16
+PEAK_ABOVE_STARTUP_MIB = 11
 TEST_PEAK_ABOVE_STARTUP_MIB = 8
+# Growth of a peak from 579 to 1158 jobs.
+PEAK_GROWTH_MIB = 3
 CHILD_TIMEOUT_S = 120.0
 
 
@@ -74,6 +84,15 @@ def test_pipeline_peak_rss_stays_near_startup(tmp_path):
     pipeline = peak_rss_mib(["pipeline", "--jobs", "145", "--qubits", "20", "--bits", "8192",
                              "--workdir", "run"], tmp_path)
     assert pipeline - startup < PEAK_ABOVE_STARTUP_MIB, (pipeline, startup)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.parametrize("command", ["pipeline", "simulate"])
+def test_peak_rss_does_not_grow_with_the_job_count(tmp_path, command):
+    where = ["--workdir", "run"] if command == "pipeline" else ["--out", "jobs.csv"]
+    paper, double = (peak_rss_mib([command, "--jobs", jobs, "--qubits", "20", "--bits", "8192",
+                                   *where], tmp_path) for jobs in ("579", "1158"))
+    assert double - paper < PEAK_GROWTH_MIB, (paper, double)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +139,18 @@ def test_test_of_an_over_long_line_holds_no_more_than_a_row(tmp_path):
     test = peak_rss_mib(["test", "--in", "long.csv", "--out", "results.csv"], tmp_path,
                         exit_code=1)
     assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_aggregate_of_an_over_long_line_holds_no_more_than_a_row(tmp_path):
+    with open(tmp_path / "long.csv", "wb") as fh:
+        fh.write(b"job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\nj1,0,")
+        for _ in range(24):
+            fh.write(b"0" * (1 << 20))
+    startup = peak_rss_mib(["--help"], tmp_path)
+    aggregate = peak_rss_mib(["aggregate", "--in", "long.csv", "--report", "report.csv"],
+                             tmp_path, exit_code=1)
+    assert aggregate - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (aggregate, startup)
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")

@@ -3,19 +3,23 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as sp_stats
 
-from qrng_audit.autocorr import BitSequence, autocorr_statistic
+from qrng_audit.autocorr import BLOCK_BYTES, BitSequence, autocorr_statistic
 from qrng_audit.simulate import (
+    JOB_INTERVAL_S,
+    RUN_START,
     DeviceRunConfig,
     _chain_bits,
     _generators,
     _seed_grid,
     _seed_sequence_words,
+    device_run_blocks,
     drifting_bias,
     generate_calibration_series,
     generate_device_run,
@@ -334,6 +338,55 @@ def test_device_run_draws_each_cell_from_its_chain(form, n, seed):
         expected = markov_source(float(cell_bias[j, q]), float(cell_rho[j, q]), n,
                                  stream_seed(seed, j, q))
         assert BitSequence(bits_of(rows)[row]) == expected
+
+
+# A job of 20 qubits x 8192 bits packs into 20 KiB, so a block holds 3.
+PAPER_BLOCK_JOBS = BLOCK_BYTES // (20 * 8192 // 8)
+BLOCK_MODELS = {
+    "ideal": lambda jobs: (0.5, 0.0),
+    "markov-positive": lambda jobs: (0.5, 0.05),
+    "markov-negative": lambda jobs: (0.4, -0.2),
+    # A bias of each job's own, so a block that takes the wrong jobs' chains shows.
+    "drifting": lambda jobs: (drifting_bias([(0.3 + 0.1 * j, 1) for j in range(jobs)]), 0.0),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
+@pytest.mark.parametrize("jobs, bits", [
+    (1, 8192), (PAPER_BLOCK_JOBS - 1, 8192), (PAPER_BLOCK_JOBS, 8192),
+    (PAPER_BLOCK_JOBS + 1, 8192), (2, 131072)],
+    ids=["one-job", "block-less-one", "one-block", "block-plus-one", "job-wider-than-block"])
+def test_device_run_blocks_join_to_each_stream_drawn_alone(jobs, bits, model, seed):
+    """The blocks hold whole jobs, as many as fit in BLOCK_BYTES (at least
+    one), in one reused buffer; joined, they are the run each stream drawn
+    alone from numpy's own seeding gives, and ``generate_device_run``."""
+    assert PAPER_BLOCK_JOBS == 3
+    bias, rho = BLOCK_MODELS[model](jobs)
+    config = DeviceRunConfig(qubit_count=20, jobs=jobs, bits_per_job=bits, bias=bias, rho=rho,
+                             master_seed=seed)
+    cell_bias, cell_rho = config.chain_grid()
+    per_block = max(1, BLOCK_BYTES // (20 * bits // 8))
+    whole = generate_device_run(config)
+    first_bits, job = None, 0
+    for block in device_run_blocks(config):
+        assert len(block.job_ids) == min(per_block, jobs - job)
+        assert block.qubit_ids == tuple(range(20)) and block.n == bits
+        first_bits = block.bits if first_bits is None else first_bits
+        assert np.shares_memory(block.bits, first_bits)
+        streams = bits_of(block)
+        for row, (j, q) in enumerate(np.ndindex(len(block.job_ids), 20)):
+            j += job  # the job's index in the run
+            expected = markov_source(float(cell_bias[j, q]), float(cell_rho[j, q]), bits,
+                                     stream_seed(seed, j, q))
+            assert BitSequence(streams[row]) == expected
+            assert np.array_equal(block.bits[row], whole.bits[j * 20 + q])
+        span = range(job, job + len(block.job_ids))
+        assert block.job_ids == tuple(f"j{j + 1:04d}" for j in span)
+        assert block.timestamps == tuple(RUN_START + timedelta(seconds=j * JOB_INTERVAL_S)
+                                         for j in span)
+        job += len(block.job_ids)
+    assert job == jobs == len(whole.job_ids)
 
 
 @pytest.mark.parametrize("bias, rho, message", [
