@@ -3,7 +3,6 @@
 from .autocorr import (
     AutocorrResult,
     BitSequence,
-    InvalidLagError,
     TestParams,
     Verdict,
     autocorr_statistic,
@@ -18,7 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AutocorrResult",
     "BitSequence",
-    "InvalidLagError",
     "TestParams",
     "Verdict",
     "autocorr_statistic",

@@ -49,10 +49,6 @@ _TINY = 5e-324
 BLOCK_BYTES = 1 << 16
 
 
-class InvalidLagError(ValueError):
-    """Lag outside 1 <= lag < n."""
-
-
 class Verdict(Enum):
     PASS = "pass"
     FAIL = "fail"
@@ -130,7 +126,7 @@ class TestParams:
 
     def __post_init__(self) -> None:
         if self.lag < 1:
-            raise InvalidLagError(f"lag must be >= 1, got {self.lag}")
+            raise ValueError(f"lag must be >= 1, got {self.lag}")
         _check_alpha(self.alpha)
         if self.fixed_bias is not None and not 0.0 <= self.fixed_bias <= 1.0:
             raise ValueError(f"fixed bias must be in [0, 1], got {self.fixed_bias}")
@@ -159,7 +155,7 @@ class AutocorrResult:
 def check_lag(n: int, lag: int) -> None:
     """Refuse a lag that leaves no bit pair in a stream of n bits."""
     if not 1 <= lag < n:
-        raise InvalidLagError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
+        raise ValueError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
 
 
 def autocorr_statistic(seq: BitSequence, lag: int) -> int:

@@ -8,9 +8,12 @@ Subcommands:
 * ``oracle``    exact-vs-normal-approximation error table
 * ``pipeline``  the three stages end to end in one working directory
 
-Exit codes: 0 success, 1 data/IO error or failed allocation, 2 usage error.
-Data goes to files and status lines to stderr. Every subcommand is
-deterministic given its flags; repeated runs produce byte-identical files.
+Exit codes, which ``main`` alone decides from the error's class: 0 success;
+1 for ``ParseError`` (a file's data), ``OSError`` and ``MemoryError``; 2 for
+any other ``ValueError`` (a flag's value, a flag pair, or a ``--lag`` the
+file's streams are too short for). Data goes to files and status lines to
+stderr. Every subcommand is deterministic given its flags; repeated runs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ import numpy as np
 
 from . import aggregate as agg
 from . import simulate as sim
-from .autocorr import (BLOCK_BYTES, InvalidLagError, PValueMatrix, TestParams, check_lag,
-                       packed_counts)
+from .autocorr import BLOCK_BYTES, PValueMatrix, TestParams, check_lag, packed_counts
 from .ingest import (
     CalibrationRecord,
+    ParseError,
     check_stream_length,
     parse_calibration,
     parse_jobs,
@@ -36,10 +39,6 @@ from .ingest import (
     write_results,
 )
 from .oracle import approximation_error
-
-
-class UsageError(ValueError):
-    """Flag combination outside the valid range (exit code 2)."""
 
 
 def _status(line: str) -> None:
@@ -53,8 +52,8 @@ def _parse_bias_flag(text: str) -> float | None:
         try:
             return float(text.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad fixed bias in {text!r}") from None
-    raise UsageError(f"--bias must be 'estimated' or 'fixed:<p>', got {text!r}")
+            raise ValueError(f"bad fixed bias in {text!r}") from None
+    raise ValueError(f"--bias must be 'estimated' or 'fixed:<p>', got {text!r}")
 
 
 def _chain_parameters(args: argparse.Namespace) -> dict:
@@ -64,36 +63,32 @@ def _chain_parameters(args: argparse.Namespace) -> dict:
                                 ("--schedule", args.schedule, ("drifting",)),
                                 ("--p", args.p, ("ideal", "markov"))):
         if value is not None and args.model not in models:
-            raise UsageError(f"{flag} does not apply to --model {args.model}")
+            raise ValueError(f"{flag} does not apply to --model {args.model}")
     if args.model != "drifting":
         return {"bias": 0.5 if args.p is None else args.p,
                 "rho": 0.0 if args.rho is None else args.rho}
     if args.schedule is None:
-        raise UsageError("--model drifting requires --schedule")
+        raise ValueError("--model drifting requires --schedule")
     phases = []
     for chunk in args.schedule.split(","):
         try:
             bias_text, count_text = chunk.split(":")
             phases.append((float(bias_text), int(count_text)))
         except ValueError:
-            raise UsageError(f"bad schedule phase {chunk!r}, expected <bias>:<jobs>") from None
+            raise ValueError(f"bad schedule phase {chunk!r}, expected <bias>:<jobs>") from None
     return {"bias": sim.drifting_bias(phases)}
 
 
 def _run_config(args: argparse.Namespace) -> sim.DeviceRunConfig:
-    """The run the flags describe, whose job file ``test`` can read: each
-    model, run-shape and stream-length ValueError is a usage error here."""
-    try:
-        config = sim.DeviceRunConfig(
-            qubit_count=args.qubits,
-            jobs=args.jobs,
-            bits_per_job=args.bits,
-            master_seed=args.seed,
-            **_chain_parameters(args),
-        )
-        check_stream_length(config.bits_per_job)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    """The run the flags describe, whose job file ``test`` can read."""
+    config = sim.DeviceRunConfig(
+        qubit_count=args.qubits,
+        jobs=args.jobs,
+        bits_per_job=args.bits,
+        master_seed=args.seed,
+        **_chain_parameters(args),
+    )
+    check_stream_length(config.bits_per_job)
     return config
 
 
@@ -132,20 +127,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _test_params(args: argparse.Namespace) -> TestParams:
-    try:
-        return TestParams(
-            lag=args.lag, alpha=args.alpha, fixed_bias=_parse_bias_flag(args.bias)
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return TestParams(lag=args.lag, alpha=args.alpha, fixed_bias=_parse_bias_flag(args.bias))
 
 
 def _write_results(matrix: PValueMatrix, out: str) -> None:
     with open(out, "w", newline="", encoding="utf-8") as fh:
         write_results(matrix, fh)
+    fail, degenerate, low = (int(a.sum()) for a in (
+        matrix.failed(), matrix.degenerate, matrix.low_sample))
+    # Low-sample cells pass or fail like any other, on a dubious normal approximation.
     _status(
         f"tested {len(matrix.job_ids)} jobs x {len(matrix.qubit_ids)} qubits "
-        f"(lag {matrix.lag}, alpha {matrix.alpha}) -> {out}"
+        f"(lag {matrix.lag}, alpha {matrix.alpha}): {matrix.p_value.size - fail - degenerate} "
+        f"pass, {fail} fail, {degenerate} degenerate, {low} low-sample -> {out}"
     )
 
 
@@ -180,12 +174,9 @@ def _aggregate(matrix: PValueMatrix, calibration: list[CalibrationRecord] | None
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     if args.scatter is not None and args.calibration is None:
-        raise UsageError("--scatter needs --calibration")
+        raise ValueError("--scatter needs --calibration")
     # Checked by its one owner before the results file is read.
-    try:
-        params = TestParams(alpha=args.alpha)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    params = TestParams(alpha=args.alpha)
     with open(args.infile, "rb") as fh:
         matrix = read_results(fh, alpha=params.alpha)
     calibration = None
@@ -202,13 +193,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     k_range = None
     if args.k_min is not None or args.k_max is not None:
         if args.k_min is None or args.k_max is None:
-            raise UsageError("--k-min and --k-max must be given together")
+            raise ValueError("--k-min and --k-max must be given together")
         k_range = (args.k_min, args.k_max)
-    try:
-        blocks = approximation_error(args.n, args.lag, args.p, k_range)
-    except ValueError as exc:
-        # Every input of the table is a flag.
-        raise UsageError(str(exc)) from None
+    # Every input of the table is a flag, each checked before the file is opened.
+    blocks = approximation_error(args.n, args.lag, args.p, k_range)
     worst = np.float64(0.0)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("statistic,exact_p,approx_p,difference\n")
@@ -330,17 +318,18 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, InvalidLagError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        # Data-level rejections (parse errors carry line numbers) and IO.
+    except (ParseError, OSError) as exc:
+        # A file's data (parse errors carry line numbers) or its IO.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
               file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # A flag's value, a flag pair, or a --lag the streams are too short for.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

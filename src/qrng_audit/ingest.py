@@ -488,7 +488,8 @@ def read_results(stream: BinaryIO, alpha: float = 0.01) -> PValueMatrix:
     (job, qubit) cell once.
 
     Only rows a ``test`` run can write are accepted: a non-empty job_id
-    without a carriage return, 1 <= lag < n, statistic in [0, n - lag],
+    without a carriage return, 1 <= lag < n, n within the job CSV field
+    limit (``check_stream_length``'s rule), statistic in [0, n - lag],
     bias in [0, 1], and one n and one lag per file. A row is degenerate
     exactly when its normalized and p_value fields are empty, and exactly
     when its bias gives the test zero variance (``q * (1 - q) <= 0`` with
@@ -517,6 +518,9 @@ def read_results(stream: BinaryIO, alpha: float = 0.01) -> PValueMatrix:
             raise ParseError(f"malformed result row: {exc}", line) from None
         if not 1 <= lag < n:
             raise ParseError(f"lag must satisfy 1 <= lag < n, got lag={lag}, n={n}", line)
+        if n > csv.field_size_limit():  # check_stream_length's rule: no job file holds it
+            raise ParseError(f"n = {n} exceeds the job CSV field limit of "
+                             f"{csv.field_size_limit()} characters", line)
         if not 0 <= statistic <= n - lag:
             raise ParseError(f"statistic {statistic} outside [0, n - lag = {n - lag}]", line)
         if not 0.0 <= bias <= 1.0:

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, determinism, pipeline."""
 
+import collections
 import contextlib
+import csv
 import hashlib
 import importlib
 import io
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrng_audit import cli, oracle
 from qrng_audit.cli import main
+from qrng_audit.ingest import ParseError
 from qrng_audit.oracle import ENUMERATION_MAX_N, approximation_error
 from reference import joined_table
 
@@ -231,6 +234,56 @@ def test_test_bad_lag_exits_2(tmp_path):
     )
     assert run(["test", "--in", jobs, "--out", tmp_path / "r.csv", "--lag", 0]) == 2
     assert run(["test", "--in", jobs, "--out", tmp_path / "r.csv", "--lag", 99]) == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (ParseError("bits past the declared count", 2), 1),
+    (OSError("No space left on device"), 1),
+    (MemoryError("Unable to allocate 4.21 TiB for an array"), 1),
+    (ValueError("lag must satisfy 1 <= lag < n=4, got 9"), 2),
+], ids=["ParseError", "OSError", "MemoryError", "ValueError"])
+def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, error, code):
+    """``main`` alone turns an error into an exit code, by its class: a
+    file's data, IO and allocation exit 1, and any other ValueError, which
+    only a flag can cause, exits 2."""
+    def fail(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "parse_jobs", fail)
+    jobs, out = tmp_path / "jobs.csv", tmp_path / "results.csv"
+    jobs.write_text("job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:00:00Z,0,0110\n")
+    assert run(["test", "--in", jobs, "--out", out]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_tested_line_gives_the_verdict_counts_of_the_results_file(tmp_path, capsys):
+    """``pipeline`` and ``test`` both report how many cells pass, fail and
+    are degenerate, as results.csv's verdict column counts them, and how
+    many of the decided cells are low-sample: (n - lag) q (1 - q) < 25 at
+    the row's bias, q = 2 bias (1 - bias)."""
+    workdir, results = tmp_path / "run", tmp_path / "results.csv"
+    flags = ["--lag", 1, "--alpha", 0.3]
+    assert run(["pipeline", "--qubits", 5, "--jobs", 6, "--bits", 200, "--model", "drifting",
+                "--schedule", "0:1,0.05:2,0.5:3", *flags, "--workdir", workdir]) == 0
+    piped = capsys.readouterr().err
+    assert run(["test", "--in", workdir / "jobs.csv", "--out", results, *flags]) == 0
+    tested = capsys.readouterr().err
+    assert sha256(results) == sha256(workdir / "results.csv")
+    with open(results, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    verdicts = collections.Counter(row["verdict"] for row in rows)
+    low = 0
+    for row in rows:
+        q = 2 * float(row["bias"]) * (1 - float(row["bias"]))
+        low += row["verdict"] != "degenerate" and 199 * q * (1 - q) < 25
+    assert min(verdicts["pass"], verdicts["fail"], verdicts["degenerate"]) > 0
+    assert 0 < low < verdicts["pass"] + verdicts["fail"]
+    counts = (f"tested 6 jobs x 5 qubits (lag 1, alpha 0.3): {verdicts['pass']} pass, "
+              f"{verdicts['fail']} fail, {verdicts['degenerate']} degenerate, {low} low-sample")
+    assert f"{counts} -> {workdir / 'results.csv'}\n" in piped
+    assert tested == f"{counts} -> {results}\n"
 
 
 def multi_block_job_rows():

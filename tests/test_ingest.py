@@ -395,7 +395,8 @@ def test_serialize_jobs_refuses_rows_no_job_file_holds(job_ids, stamps, qubit_id
 def test_job_rows_refuses_packed_bits_no_file_holds(qubit_ids, bits, n, message, monkeypatch,
                                                     tmp_path, capsys):
     """Packed bits that hold no job file's streams are refused when the grid
-    is built, and a refusal reaching the CLI ends in exit 1, not a traceback."""
+    is built, and a refusal reaching the CLI ends in exit 2, the code of
+    every ValueError that is not a ParseError, not a traceback."""
     def build(config=None):
         return JobRows(("j1",), (TS,), qubit_ids, bits, n)
 
@@ -404,7 +405,7 @@ def test_job_rows_refuses_packed_bits_no_file_holds(qubit_ids, bits, n, message,
     monkeypatch.setattr(cli.sim, "device_run_blocks", build)
     out = tmp_path / "jobs.csv"
     assert cli.main(["simulate", "--jobs", "1", "--qubits", "1", "--bits", "4",
-                     "--out", str(out)]) == 1
+                     "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
@@ -632,6 +633,25 @@ def test_read_results_rejects_lag_outside_range_on_first_row(lag):
         ).encode()))
     assert err.value.line == 2
     assert "lag" in str(err.value)
+
+
+@pytest.mark.parametrize("n", [131072, 131073, 10**30])
+def test_read_results_refuses_n_above_the_job_csv_field_limit(n, tmp_path, capsys):
+    """No job file holds streams longer than the csv field limit, so no
+    ``test`` run writes such a row: it is refused at its line (exit 1), and
+    the statistic of every row read stays int64."""
+    text = RESULTS_HEADER + f"j1,0,{n},1,0.5,{n // 2},0.5,0.6170750774519738,pass\n"
+    results = tmp_path / "results.csv"
+    results.write_text(text)
+    code = cli.main(["aggregate", "--in", str(results), "--report", str(tmp_path / "r.csv")])
+    if n <= 131072:
+        assert code == 0
+        assert read_results(io.BytesIO(text.encode())).statistic.dtype == np.int64
+        return
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: line 2: n = {n} exceeds the job CSV field "
+                                       "limit of 131072 characters\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_read_results_rejects_carriage_return_in_job_id():
