@@ -14,31 +14,18 @@ any other ``ValueError`` (a flag's value, a flag pair, or a ``--lag`` the
 file's streams are too short for). Data goes to files and status lines to
 stderr. Every subcommand is deterministic given its flags; repeated runs
 produce byte-identical files.
+
+The parse path loads no numpy: ``--help`` and a missing or unknown flag
+import only ``argparse``, and each subcommand, when called, imports only
+the layers it runs (``oracle``: autocorr and oracle; ``test``: autocorr
+and ingest; ``aggregate``: those two and aggregate). The annotations name
+those layers' types, as text that is never evaluated.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-
-import numpy as np
-
-from . import aggregate as agg
-from . import simulate as sim
-from .autocorr import BLOCK_BYTES, PValueMatrix, TestParams, check_lag, packed_counts
-from .ingest import (
-    CalibrationRecord,
-    ParseError,
-    check_stream_length,
-    parse_calibration,
-    parse_jobs,
-    read_results,
-    serialize_calibration,
-    serialize_jobs,
-    write_results,
-)
-from .oracle import approximation_error
 
 
 def _status(line: str) -> None:
@@ -76,30 +63,36 @@ def _chain_parameters(args: argparse.Namespace) -> dict:
             phases.append((float(bias_text), int(count_text)))
         except ValueError:
             raise ValueError(f"bad schedule phase {chunk!r}, expected <bias>:<jobs>") from None
-    return {"bias": sim.drifting_bias(phases)}
+    from .simulate import drifting_bias
+    return {"bias": drifting_bias(phases)}
 
 
-def _run_config(args: argparse.Namespace) -> sim.DeviceRunConfig:
-    """The run the flags describe, whose job file ``test`` can read."""
-    config = sim.DeviceRunConfig(
-        qubit_count=args.qubits,
-        jobs=args.jobs,
-        bits_per_job=args.bits,
-        master_seed=args.seed,
-        **_chain_parameters(args),
-    )
+def _run_config(args: argparse.Namespace) -> DeviceRunConfig:
+    """The run the flags describe, whose job file ``test`` can read. A shape
+    flag not given takes ``DeviceRunConfig``'s default."""
+    from .ingest import check_stream_length
+    from .simulate import DeviceRunConfig
+
+    shape = {field: value for field, value in (
+        ("qubit_count", args.qubits), ("jobs", args.jobs), ("bits_per_job", args.bits),
+        ("master_seed", args.seed)) if value is not None}
+    config = DeviceRunConfig(**shape, **_chain_parameters(args))
     check_stream_length(config.bits_per_job)
     return config
 
 
-def _simulate(config: sim.DeviceRunConfig, model: str, out: str, calibration_out: str | None,
+def _simulate(config: DeviceRunConfig, model: str, out: str, calibration_out: str | None,
               params: TestParams | None = None,
               ) -> tuple[PValueMatrix | None, list[CalibrationRecord] | None]:
     """Generate the run a block of jobs at a time, write each block to the
     job file and, given test parameters, count its streams as it passes;
     write the calibration file, if asked for. Returns the run's p-value
     matrix (given parameters) and the calibration records."""
-    blocks, job_ids, counts = sim.device_run_blocks(config), [], []
+    from .autocorr import PValueMatrix, packed_counts
+    from .ingest import serialize_calibration, serialize_jobs
+    from .simulate import device_run_blocks, generate_calibration_series
+
+    blocks, job_ids, counts = device_run_blocks(config), [], []
     with open(out, "w", newline="", encoding="utf-8") as fh:
         for block in blocks:
             serialize_jobs(block, fh, header=not job_ids)
@@ -110,7 +103,7 @@ def _simulate(config: sim.DeviceRunConfig, model: str, out: str, calibration_out
         tuple(job_ids), tuple(range(config.qubit_count)), config.bits_per_job, counts, params)
     calibration = None
     if calibration_out is not None:
-        calibration = sim.generate_calibration_series(config)
+        calibration = generate_calibration_series(config)
         with open(calibration_out, "w", newline="", encoding="utf-8") as fh:
             serialize_calibration(calibration, fh)
     _status(
@@ -127,10 +120,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _test_params(args: argparse.Namespace) -> TestParams:
+    from .autocorr import TestParams
     return TestParams(lag=args.lag, alpha=args.alpha, fixed_bias=_parse_bias_flag(args.bias))
 
 
 def _write_results(matrix: PValueMatrix, out: str) -> None:
+    from .ingest import write_results
     with open(out, "w", newline="", encoding="utf-8") as fh:
         write_results(matrix, fh)
     fail, degenerate, low = (int(a.sum()) for a in (
@@ -144,6 +139,9 @@ def _write_results(matrix: PValueMatrix, out: str) -> None:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
+    from .autocorr import BLOCK_BYTES
+    from .ingest import parse_jobs
+
     params = _test_params(args)
     # A job file's lines run to kilobytes: a buffer of many lines reads them
     # in a quarter of the time the default 8 KiB buffer takes.
@@ -157,12 +155,14 @@ def _aggregate(matrix: PValueMatrix, calibration: list[CalibrationRecord] | None
                report_path: str, scatter_path: str | None) -> None:
     """Write the fleet report (and the scatter, given a path, which needs
     calibration) and print its headline numbers."""
-    report = agg.build_report(matrix, calibration)
+    from .aggregate import build_report, write_report_csv, write_scatter_csv
+
+    report = build_report(matrix, calibration)
     with open(report_path, "w", newline="", encoding="utf-8") as fh:
-        agg.write_report_csv(report, fh)
+        write_report_csv(report, fh)
     if scatter_path is not None:
         with open(scatter_path, "w", newline="", encoding="utf-8") as fh:
-            agg.write_scatter_csv(report, fh)
+            write_scatter_csv(report, fh)
     _status(f"simultaneous-pass proportion: {report.simultaneous_pass_proportion:.4f}")
     if report.spearman_t1_failure is not None:
         _status(f"spearman(T1, failure ratio): {report.spearman_t1_failure:.4f}")
@@ -173,6 +173,9 @@ def _aggregate(matrix: PValueMatrix, calibration: list[CalibrationRecord] | None
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    from .autocorr import TestParams
+    from .ingest import parse_calibration, read_results
+
     if args.scatter is not None and args.calibration is None:
         raise ValueError("--scatter needs --calibration")
     # Checked by its one owner before the results file is read.
@@ -190,6 +193,10 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .oracle import approximation_error
+
     k_range = None
     if args.k_min is not None or args.k_max is not None:
         if args.k_min is None or args.k_max is None:
@@ -229,6 +236,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     what the one before returned, not the file just written: ``test`` of
     ``jobs.csv`` gives the same ``results.csv``, and the results and
     calibration files round-trip floats through ``repr`` in the order held."""
+    from pathlib import Path
+
+    from .autocorr import check_lag
+
     config, params = _run_config(args), _test_params(args)
     check_lag(config.bits_per_job, params.lag)
     workdir = Path(args.workdir)
@@ -249,17 +260,17 @@ def _add_test_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_simulate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--qubits", type=int, default=sim.DEFAULT_QUBIT_COUNT)
-    parser.add_argument("--jobs", type=int, default=sim.DEFAULT_JOBS)
-    parser.add_argument("--bits", type=int, default=sim.DEFAULT_BITS_PER_JOB)
+    # The shape flags default to None: DeviceRunConfig's defaults are the run's.
+    parser.add_argument("--qubits", type=int)
+    parser.add_argument("--jobs", type=int)
+    parser.add_argument("--bits", type=int)
     parser.add_argument("--model", choices=["ideal", "markov", "drifting"],
                         default="ideal")
     parser.add_argument("--p", type=float, help="ones-probability (default 0.5)")
     parser.add_argument("--rho", type=float, help="lag-1 autocorrelation (markov; default 0)")
     parser.add_argument("--schedule",
                         help="drifting bias phases '<bias>:<jobs>,...' covering the run")
-    parser.add_argument("--seed", type=int, default=sim.DEFAULT_MASTER_SEED,
-                        help="64-bit master seed")
+    parser.add_argument("--seed", type=int, help="64-bit master seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,8 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
-        # A file's data (parse errors carry line numbers) or its IO.
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
@@ -327,9 +337,12 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1
     except ValueError as exc:
-        # A flag's value, a flag pair, or a --lag the streams are too short for.
+        # A ParseError is a file's data (its message carries the line) and
+        # only ingest raises one, so then ingest is loaded already. Any other
+        # is a flag's value, a flag pair, or a --lag the streams are too short for.
+        from .ingest import ParseError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ParseError) else 2
 
 
 def entrypoint() -> None:

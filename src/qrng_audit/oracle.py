@@ -36,7 +36,8 @@ and yields them against the normal-approximation p-values one block of rows
 at a time, each standardized and ``erfc``'d as it is read. The ``oracle``
 command's working memory is thus the non-zero window (about 77 sd wide:
 13906 of the 131072 entries at n = 131072) plus one block, and its peak RSS
-is about 2.1 MiB above ``--help`` (31.6 against 29.5 MiB) at n = 131072.
+is about 1.6 MiB above that of a process with every module of the package
+imported (30.7 against 29.1 MiB) at n = 131072.
 """
 
 from __future__ import annotations

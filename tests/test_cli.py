@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrng_audit import cli, oracle
+from qrng_audit import ingest, oracle, simulate
 from qrng_audit.cli import main
 from qrng_audit.ingest import ParseError
 from qrng_audit.oracle import ENUMERATION_MAX_N, approximation_error
@@ -249,7 +249,7 @@ def test_exit_code_follows_the_error_class(tmp_path, capsys, monkeypatch, error,
     def fail(*_args, **_kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "parse_jobs", fail)
+    monkeypatch.setattr(ingest, "parse_jobs", fail)
     jobs, out = tmp_path / "jobs.csv", tmp_path / "results.csv"
     jobs.write_text("job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:00:00Z,0,0110\n")
     assert run(["test", "--in", jobs, "--out", out]) == code
@@ -775,7 +775,7 @@ def test_oracle_csv_keeps_signed_zero_and_nan_text_apart(tmp_path, monkeypatch):
     exact = np.array([0.0, -0.0, -0.0, 0.0, np.nan, np.nan, 1.0, -np.nan])
     approx = np.array([0.0, 0.0, 0.0, -0.0, 0.5, 0.5, 1.0, 0.5])
     block = (range(exact.size), exact, approx, exact - approx)
-    monkeypatch.setattr(cli, "approximation_error", lambda *args: iter([block]))
+    monkeypatch.setattr(oracle, "approximation_error", lambda *args: iter([block]))
     assert oracle_csv(tmp_path, 10, 1, 0.5) == per_row_oracle_csv([block])
 
 
@@ -848,7 +848,7 @@ def test_pipeline_tests_the_simulated_rows_without_parsing(tmp_path, monkeypatch
     workdir = tmp_path / "run"
     with monkeypatch.context() as patched:
         for reader in ("parse_jobs", "read_results", "parse_calibration"):
-            patched.setattr(cli, reader, refuse)
+            patched.setattr(ingest, reader, refuse)
         assert run(["pipeline", *flags, "--workdir", workdir]) == 0
     jobs, cal, results, report, scatter = (
         tmp_path / name for name in ("jobs.csv", "cal.csv", "results.csv",
@@ -868,7 +868,7 @@ def test_bits_above_csv_field_limit_exit_2_before_generating(tmp_path, capsys, m
     def refuse(*_args, **_kwargs):
         raise AssertionError("generated a run that no job file can hold")
 
-    monkeypatch.setattr(cli.sim, "device_run_blocks", refuse)
+    monkeypatch.setattr(simulate, "device_run_blocks", refuse)
     where = ["--out", tmp_path / "jobs.csv"] if command == "simulate" else [
         "--workdir", tmp_path / "run"]
     assert run([command, "--jobs", 1, "--qubits", 2, "--bits", 131072 + 1, *where]) == 2
@@ -885,8 +885,8 @@ def test_failed_allocation_exits_1_without_traceback(tmp_path, capsys, monkeypat
     def fail(*_args, **_kwargs):
         raise MemoryError("Unable to allocate 4.21 TiB for an array")
 
-    monkeypatch.setattr(cli.sim, "device_run_blocks", fail)
-    monkeypatch.setattr(cli, "approximation_error", fail)
+    monkeypatch.setattr(simulate, "device_run_blocks", fail)
+    monkeypatch.setattr(oracle, "approximation_error", fail)
     argv = (["simulate", "--jobs", 579, "--qubits", 1000000000, "--bits", 8]
             if command == "simulate" else ["oracle", "--n", 10**12])
     assert run([*argv, "--out", tmp_path / "out.csv"]) == 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qrng_audit import cli, ingest
+from qrng_audit import cli, ingest, simulate
 from qrng_audit.aggregate import build_matrix
 from qrng_audit.autocorr import PValueMatrix, TestParams
 from qrng_audit.ingest import (
@@ -402,7 +402,7 @@ def test_job_rows_refuses_packed_bits_no_file_holds(qubit_ids, bits, n, message,
 
     with pytest.raises(ValueError, match=message):
         build()
-    monkeypatch.setattr(cli.sim, "device_run_blocks", build)
+    monkeypatch.setattr(simulate, "device_run_blocks", build)
     out = tmp_path / "jobs.csv"
     assert cli.main(["simulate", "--jobs", "1", "--qubits", "1", "--bits", "4",
                      "--out", str(out)]) == 2

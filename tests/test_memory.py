@@ -1,33 +1,36 @@
-"""Peak memory of the CLI, each bound above the peak of ``--help``
-(interpreter, numpy and the package imported).
+"""Peak memory of the CLI, each bound above the startup reference: the
+peak of a process that imports every module of the package, numpy with
+them, and exits (about 29.1 MiB). That is what ``--help`` loaded until its
+parse path stopped importing numpy; ``--help`` now peaks at about 14.5 MiB,
+at least 10 MiB below the reference.
 
 * The pipeline at 145 jobs x 20 qubits x 8192 bits (the benchmark's paper
   shape) generates, writes and counts one block of 3 jobs (60 KiB of packed
-  bits) at a time and keeps only each stream's two counts: about 8.7 MiB
-  above ``--help``, against about 11 MiB holding the run's 2.9 MB of packed
+  bits) at a time and keeps only each stream's two counts: about 7.8 MiB
+  above the reference, against about 11 MiB holding the run's 2.9 MB of packed
   bits and about 30 MiB at one byte per bit. ``pipeline`` and ``simulate``
   peak about 1.5 MiB higher at 1158 jobs than at 579 (the run's seeds are
   computed in one pass), against 14 and 12 MiB higher holding the grid.
 * ``test`` on a 579 x 20 x 8192 job file holds none of its 11.9 MB of
   packed bits, only each stream's two counts, in grid order, shuffled, or
-  with its lines ending in a lone CR: about 4 MiB above ``--help``, against
+  with its lines ending in a lone CR: about 4 MiB above the reference, against
   about 16 MiB holding the packed matrix, about 26 MiB with one gather of
   it for a shuffled file, and about 185 MiB reading a lone-CR file as one
   line.
 * ``test`` on a job file whose second line is 24 MiB of bits with no line
   end reads that line only until it passes the longest line a job row can
   take (about 1 MiB: only job_id and bits may reach the csv field limit),
-  and refuses it, exit 1: about 3.5 MiB above ``--help``, against about
+  and refuses it, exit 1: about 4 MiB above the reference, against about
   72 MiB holding the whole line. ``aggregate`` of a results file whose
   second line is such a line stops at about 0.5 MiB (only job_id may reach
-  the limit): about 2 MiB above ``--help``, against about 10 MiB when
+  the limit): about 3 MiB above the reference, against about 10 MiB when
   every field's share of the bound was the field limit.
 * The exact oracle at n = 24 and at n = 53, the enumeration route's limit,
   walks the bits class by class, holding two (statistic, ones) tables of
-  counts: about 1 MiB above ``--help`` at either length.
+  counts: about 0.6 MiB above the reference at either length.
 * The exact oracle at n = 131072 (the closed form at p = 1/2) sums its
   tails over the pmf's non-zero window (13906 of 131072 entries) and writes
-  its table one block of rows at a time: about 2.1 MiB above ``--help``,
+  its table one block of rows at a time: about 1.6 MiB above the reference,
   against about 8.5 MiB with full-length tail-sum temporaries and columns.
 """
 
@@ -40,12 +43,16 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-# Peaks above the --help peak, in MiB.
+# Peaks above the startup reference, in MiB.
 PEAK_ABOVE_STARTUP_MIB = 11
 TEST_PEAK_ABOVE_STARTUP_MIB = 8
 # Growth of a peak from 579 to 1158 jobs.
 PEAK_GROWTH_MIB = 3
 CHILD_TIMEOUT_S = 120.0
+LAYERS = ("aggregate", "autocorr", "cli", "ingest", "oracle", "simulate")
+# The parse path imports no numpy: --help peaks at least this far below the
+# package loaded.
+HELP_BELOW_STARTUP_MIB = 10
 
 
 # A child's peak RSS starts from the size of the process that forked it, and
@@ -63,13 +70,14 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def peak_rss_mib(argv, cwd, exit_code=0):
-    """Run ``python -m qrng_audit argv`` as a grandchild, through the
-    launcher, check its exit code, and return its own peak RSS."""
+def peak_rss_mib(argv, cwd, exit_code=0, program=("-m", "qrng_audit")):
+    """Run ``python -m qrng_audit argv`` (or other ``program`` arguments) as
+    a grandchild, through the launcher, check its exit code, and return its
+    own peak RSS."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     launched = subprocess.run(
         [sys.executable, "-c", LAUNCHER, str(CHILD_TIMEOUT_S),
-         sys.executable, "-m", "qrng_audit", *argv],
+         sys.executable, *program, *argv],
         cwd=cwd, env=env, capture_output=True, text=True, check=True,
         timeout=CHILD_TIMEOUT_S + 30.0)
     returncode, max_rss = map(int, launched.stdout.split())
@@ -78,9 +86,22 @@ def peak_rss_mib(argv, cwd, exit_code=0):
     return max_rss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
+def startup_rss_mib(cwd):
+    """The peak of a process that imports every module of the package, numpy
+    with them, and exits: the reference of every bound here."""
+    return peak_rss_mib([], cwd, program=("-c", "import " + ", ".join(
+        f"qrng_audit.{layer}" for layer in LAYERS)))
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_help_peaks_well_below_the_loaded_package(tmp_path):
+    startup, help_peak = startup_rss_mib(tmp_path), peak_rss_mib(["--help"], tmp_path)
+    assert startup - help_peak >= HELP_BELOW_STARTUP_MIB, (startup, help_peak)
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 def test_pipeline_peak_rss_stays_near_startup(tmp_path):
-    startup = peak_rss_mib(["--help"], tmp_path)
+    startup = startup_rss_mib(tmp_path)
     pipeline = peak_rss_mib(["pipeline", "--jobs", "145", "--qubits", "20", "--bits", "8192",
                              "--workdir", "run"], tmp_path)
     assert pipeline - startup < PEAK_ABOVE_STARTUP_MIB, (pipeline, startup)
@@ -124,7 +145,7 @@ def paper_shape_jobs(tmp_path_factory):
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
 @pytest.mark.parametrize("name", ["jobs.csv", "shuffled.csv", "cr.csv"])
 def test_test_of_a_job_file_holds_no_bits(paper_shape_jobs, name):
-    startup = peak_rss_mib(["--help"], paper_shape_jobs)
+    startup = startup_rss_mib(paper_shape_jobs)
     test = peak_rss_mib(["test", "--in", name, "--out", "results.csv"], paper_shape_jobs)
     assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
 
@@ -135,7 +156,7 @@ def test_test_of_an_over_long_line_holds_no_more_than_a_row(tmp_path):
         fh.write(b"job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:24:27Z,0,")
         for _ in range(24):
             fh.write(b"0" * (1 << 20))
-    startup = peak_rss_mib(["--help"], tmp_path)
+    startup = startup_rss_mib(tmp_path)
     test = peak_rss_mib(["test", "--in", "long.csv", "--out", "results.csv"], tmp_path,
                         exit_code=1)
     assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
@@ -147,7 +168,7 @@ def test_aggregate_of_an_over_long_line_holds_no_more_than_a_row(tmp_path):
         fh.write(b"job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\nj1,0,")
         for _ in range(24):
             fh.write(b"0" * (1 << 20))
-    startup = peak_rss_mib(["--help"], tmp_path)
+    startup = startup_rss_mib(tmp_path)
     aggregate = peak_rss_mib(["aggregate", "--in", "long.csv", "--report", "report.csv"],
                              tmp_path, exit_code=1)
     assert aggregate - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (aggregate, startup)
@@ -158,7 +179,7 @@ def test_aggregate_of_an_over_long_line_holds_no_more_than_a_row(tmp_path):
                                               ("131072", "0.5", 5)],
                          ids=["enumerate-n24", "enumerate-n53", "binomial-n131072"])
 def test_exact_oracle_peak_rss_stays_near_startup(tmp_path, n, p, bound_mib):
-    startup = peak_rss_mib(["--help"], tmp_path)
+    startup = startup_rss_mib(tmp_path)
     oracle = peak_rss_mib(["oracle", "--n", n, "--lag", "1", "--p", p,
                            "--out", "gap.csv"], tmp_path)
     assert oracle - startup < bound_mib, (oracle, startup)
