@@ -17,13 +17,9 @@ from __future__ import annotations
 
 import argparse
 
-from qrng_audit.aggregate import build_matrix, build_report, spearman
+from qrng_audit.aggregate import build_report, spearman
 from qrng_audit.autocorr import TestParams
-from qrng_audit.simulate import (
-    DeviceRunConfig,
-    generate_calibration_series,
-    generate_device_run,
-)
+from qrng_audit.simulate import DeviceRunConfig, generate_calibration_series, stream_run
 
 
 def fleet_table(report, rho_by_qubit=None):
@@ -57,7 +53,7 @@ def main(argv=None) -> None:
         qubit_count=args.qubits, jobs=args.jobs, bits_per_job=args.bits,
         bias=0.5, master_seed=args.seed,
     )
-    matrix = build_matrix(generate_device_run(config), params)
+    matrix = stream_run(config, params)
     report = build_report(matrix, generate_calibration_series(config))
     print(fleet_table(report))
     analytic = (1.0 - args.alpha) ** args.qubits
@@ -73,7 +69,7 @@ def main(argv=None) -> None:
         qubit_count=args.qubits, jobs=args.jobs, bits_per_job=args.bits,
         bias=0.5, rho=rhos, master_seed=args.seed,
     )
-    ramp_matrix = build_matrix(generate_device_run(ramp_config), params)
+    ramp_matrix = stream_run(ramp_config, params)
     ramp_report = build_report(ramp_matrix)
     print(fleet_table(ramp_report, rho_by_qubit=rhos))
     rho_s = spearman(rhos, [ramp_report.failure_ratio[q] for q in range(args.qubits)])

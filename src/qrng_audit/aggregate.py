@@ -1,5 +1,5 @@
-"""Fleet-level analysis: p-value matrix, failure ratios, pass proportions,
-and the relaxation-time-vs-failure relationship.
+"""Fleet-level analysis of a p-value matrix: failure ratios, pass
+proportions, and the relaxation-time-vs-failure relationship.
 
 Degenerate cells (all-zero / all-one streams) carry no evidence about
 correlation, so they are excluded from failure ratios and pass proportions
@@ -20,18 +20,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .autocorr import PValueMatrix, TestParams, packed_counts
-from .ingest import CalibrationRecord, JobRows
-
-
-def build_matrix(rows: JobRows, params: TestParams) -> PValueMatrix:
-    """Run the autocorrelation test on every stream of the grid: the XOR and
-    ones counts of its packed rows, which row for row are already the
-    grid's cells."""
-    if not rows.job_ids:
-        raise ValueError("no streams to analyze")
-    counts = [packed_counts(rows.bits, rows.n, params.lag)]
-    return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, rows.n, counts, params)
+from .autocorr import PValueMatrix
+from .ingest import CalibrationRecord
 
 
 def failure_ratio_per_qubit(matrix: PValueMatrix) -> dict[int, float]:

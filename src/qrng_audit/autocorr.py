@@ -20,7 +20,7 @@ stream packed eight bits to a byte in ``np.packbits`` order: ones counts
 with ``np.bitwise_count`` on the bytes, XOR counts on the bytes XORed with
 the same row shifted ``lag`` bits (``lag // 8`` bytes and then ``lag % 8``
 bits). ``PValueMatrix.from_counts`` places those counts on a (jobs x
-qubits) grid and runs ``run_test``'s arithmetic on it, in the same order.
+qubits) grid, where ``cell_outcomes`` runs ``run_test``'s arithmetic in its order.
 """
 
 from __future__ import annotations
@@ -242,6 +242,22 @@ def p_values(normalized: np.ndarray) -> np.ndarray:
     return np.maximum(p, _TINY).reshape(z.shape)
 
 
+def cell_outcomes(statistic: np.ndarray, bias: np.ndarray, n: int,
+                  lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """``run_test``'s normalized statistic and p-value, equal to it cell for
+    cell, of arrays of XOR counts and biases of n-bit streams at ``lag``:
+    both NaN exactly where the bias gives the test zero variance."""
+    m = n - lag
+    q = pair_mismatch_rate(bias)
+    degenerate = q * (1.0 - q) <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = (statistic - q * m) / np.sqrt(m * q * (1.0 - q))
+    normalized[degenerate] = np.nan
+    p = np.full(statistic.shape, np.nan)
+    p[~degenerate] = p_values(normalized[~degenerate])
+    return normalized, p
+
+
 @dataclass(frozen=True, eq=False)
 class PValueMatrix:
     """Test outcomes on a (jobs x qubits) grid, rows in job-time order.
@@ -265,10 +281,6 @@ class PValueMatrix:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        shape = (len(self.job_ids), len(self.qubit_ids))
-        cells = (self.statistic, self.bias, self.normalized, self.p_value)
-        if any(a.shape != shape for a in cells):
-            raise ValueError(f"every per-cell array must have shape {shape}")
 
     @classmethod
     def from_counts(
@@ -285,23 +297,10 @@ class PValueMatrix:
         the gather of those rows that fills the grid row by row."""
         statistic, ones = (np.concatenate(column)[order].reshape(len(job_ids), len(qubit_ids))
                            for column in zip(*counts))
-        m = n - params.lag
-        if params.fixed_bias is None:
-            bias = ones / n
-        else:
-            bias = np.full(statistic.shape, params.fixed_bias, dtype=float)
-        q = pair_mismatch_rate(bias)
-        degenerate = q * (1.0 - q) <= 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            normalized = (statistic - q * m) / np.sqrt(m * q * (1.0 - q))
-        normalized[degenerate] = np.nan
-        p = np.full(statistic.shape, np.nan)
-        p[~degenerate] = p_values(normalized[~degenerate])
-        return cls(
-            job_ids=job_ids, qubit_ids=qubit_ids, n=n, lag=params.lag,
-            alpha=params.alpha, statistic=statistic, bias=bias,
-            normalized=normalized, p_value=p,
-        )
+        bias = (ones / n if params.fixed_bias is None
+                else np.full(statistic.shape, params.fixed_bias, dtype=float))
+        return cls(job_ids, qubit_ids, n, params.lag, params.alpha, statistic, bias,
+                   *cell_outcomes(statistic, bias, n, params.lag))
 
     @property
     def degenerate(self) -> np.ndarray:

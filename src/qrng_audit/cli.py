@@ -25,6 +25,7 @@ those layers' types, as text that is never evaluated.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -84,23 +85,19 @@ def _run_config(args: argparse.Namespace) -> DeviceRunConfig:
 def _simulate(config: DeviceRunConfig, model: str, out: str, calibration_out: str | None,
               params: TestParams | None = None,
               ) -> tuple[PValueMatrix | None, list[CalibrationRecord] | None]:
-    """Generate the run a block of jobs at a time, write each block to the
-    job file and, given test parameters, count its streams as it passes;
-    write the calibration file, if asked for. Returns the run's p-value
-    matrix (given parameters) and the calibration records."""
-    from .autocorr import PValueMatrix, packed_counts
-    from .ingest import serialize_calibration, serialize_jobs
-    from .simulate import device_run_blocks, generate_calibration_series
+    """Write the job file by ``stream_run`` (a run that fails part way leaves
+    none) and the calibration file, if asked for. Returns the run's p-value
+    matrix (given test parameters) and the calibration records."""
+    from .ingest import serialize_calibration
+    from .simulate import generate_calibration_series, stream_run
 
-    blocks, job_ids, counts = device_run_blocks(config), [], []
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        for block in blocks:
-            serialize_jobs(block, fh, header=not job_ids)
-            job_ids += block.job_ids
-            if params is not None:
-                counts.append(packed_counts(block.bits, block.n, params.lag))
-    matrix = None if params is None else PValueMatrix.from_counts(
-        tuple(job_ids), tuple(range(config.qubit_count)), config.bits_per_job, counts, params)
+    fh = open(out, "w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            matrix = stream_run(config, params, fh)
+    except BaseException:
+        os.remove(out)
+        raise
     calibration = None
     if calibration_out is not None:
         calibration = generate_calibration_series(config)

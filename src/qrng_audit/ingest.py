@@ -34,6 +34,7 @@ count and the grid, and returns the file's p-value matrix, keeping no bits.
 
 Job and result rows may come in any order: each parser places them on their
 grid with one gather. A results row must be one a ``test`` run can write,
+its normalized statistic and p-value the ones its statistic and bias give,
 and ``read_results`` returns the file as the p-value matrix it describes.
 
 Serializers emit a canonical form (job rows in the grid order of
@@ -57,8 +58,8 @@ from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .autocorr import (BLOCK_BYTES, PValueMatrix, TestParams, Verdict, packed_counts,
-                       pair_mismatch_rate)
+from .autocorr import (BLOCK_BYTES, PValueMatrix, TestParams, Verdict, cell_outcomes,
+                       packed_counts)
 
 JOB_HEADER = ["job_id", "timestamp", "qubit_id", "bits"]
 CALIBRATION_HEADER = ["timestamp", "qubit_id", "t1_us"]
@@ -118,41 +119,13 @@ class JobRows:
     streams of ``n`` bits each. Row j * len(qubit_ids) + k of ``bits``
     holds job j's stream on qubit k, packed eight bits to a byte as
     ``np.packbits`` packs it: ``bits`` is a (jobs * qubits, ceil(n / 8))
-    uint8 matrix whose pad bits, past bit n of each row, are zero. Only a
-    grid some job file holds is accepted."""
+    uint8 matrix whose pad bits, past bit n of each row, are zero."""
 
     job_ids: tuple[str, ...]
     timestamps: tuple[datetime, ...]
     qubit_ids: tuple[int, ...]
     bits: np.ndarray
     n: int
-
-    def __post_init__(self) -> None:
-        for job_id in self.job_ids:
-            _check_job_id(job_id)
-        if not len(self.timestamps) == len(set(self.job_ids)) == len(self.job_ids):
-            raise ValueError("each job must appear once, with one timestamp")
-        if any(ts.utcoffset() is None for ts in self.timestamps):
-            raise ValueError("job timestamps must carry a UTC offset")
-        jobs = list(zip(self.timestamps, self.job_ids))
-        if any(a > b for a, b in zip(jobs, jobs[1:])):
-            raise ValueError("jobs must be in (timestamp, job_id) order")
-        if any(a >= b for a, b in zip((-1, *self.qubit_ids), self.qubit_ids)):
-            raise ValueError(f"qubit ids must ascend strictly from 0 up, got {self.qubit_ids}")
-        if bool(self.job_ids) != bool(self.qubit_ids):
-            raise ValueError("a grid has both jobs and qubits, or neither")
-        rows, bits, n = len(self.job_ids) * len(self.qubit_ids), self.bits, self.n
-        if bits.dtype != np.uint8 or bits.ndim != 2:
-            raise ValueError(f"bits must be a uint8 matrix, got {bits.dtype} {bits.shape}")
-        # The streams' shape (rows, n); only an empty grid may have n = 0.
-        if len(bits) != rows or n < min(rows, 1):
-            raise ValueError(f"bits must have shape ({rows}, n >= {min(rows, 1)}), "
-                             f"got ({len(bits)}, {n})")
-        if bits.shape[1] != -(-n // 8):
-            raise ValueError(f"bits must be {-(-n // 8)} bytes wide for {n}-bit streams, "
-                             f"got {bits.shape[1]}")
-        if n % 8 and rows and np.any(bits[:, -1] & (0xFF >> n % 8)):
-            raise ValueError(f"the pad bits past bit {n} of each row must be 0")
 
 
 def _parse_timestamp(text: str, line: int) -> datetime:
@@ -323,8 +296,8 @@ def _rows(stream: BinaryIO, header: list[str],
 
 
 def parse_jobs(stream: BinaryIO, params: TestParams) -> PValueMatrix:
-    """The matrix ``build_matrix`` gives for the grid of a job CSV, given as
-    ``_rows`` takes it; the first data row declares the bit count. Each row
+    """The p-value matrix of the grid of a job CSV, given as ``_rows``
+    takes it; the first data row declares the bit count. Each row
     is packed as read, and each block of about ``BLOCK_BYTES`` of packed
     rows is counted and dropped; once the file is read, ``from_counts``
     gathers the counts, rows in any order, onto the grid. Parse and grid
@@ -491,16 +464,16 @@ def read_results(stream: BinaryIO, alpha: float = 0.01) -> PValueMatrix:
     without a carriage return, 1 <= lag < n, n within the job CSV field
     limit (``check_stream_length``'s rule), statistic in [0, n - lag],
     bias in [0, 1], and one n and one lag per file. A row is degenerate
-    exactly when its normalized and p_value fields are empty, and exactly
-    when its bias gives the test zero variance (``q * (1 - q) <= 0`` with
-    ``q = pair_mismatch_rate(bias)``, the test's own rule); otherwise
-    normalized is finite and p_value lies in (0, 1]. Every fail p_value lies
-    below every pass p_value, as both sides of the alpha they were read at."""
+    exactly when its normalized and p_value fields are empty, and every
+    fail p_value lies below every pass p_value, as both sides of the alpha
+    they were read at. Once the file is read, each row's normalized and
+    p_value must be those ``cell_outcomes`` gives for its statistic and
+    bias, bit for bit; the first row whose numbers differ is refused at its line."""
     n_lag: tuple[int, int] | None = None
     max_fail, min_pass = -math.inf, math.inf
     cells: dict[tuple[str, int], None] = {}
-    # statistic, bias, normalized, p_value
-    columns: tuple[list, ...] = ([], [], [], [])
+    # line, degenerate, then the matrix's statistic, bias, normalized, p_value
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
     for line, row in _rows(stream, RESULT_HEADER):
         job_id, qubit_text, n_text, lag_text, bias_text = row[:5]
         stat_text, z_text, p_text, v_text = row[5:]
@@ -531,15 +504,6 @@ def read_results(stream: BinaryIO, alpha: float = 0.01) -> PValueMatrix:
         degenerate = verdict is Verdict.DEGENERATE
         if degenerate != (not z_text) or degenerate != (not p_text):
             raise ParseError("normalized and p_value must be empty exactly on degenerate rows", line)
-        q = pair_mismatch_rate(bias)
-        if degenerate != (q * (1.0 - q) <= 0.0):
-            raise ParseError(f"verdict {v_text!r} at bias {bias_text}: a row is degenerate "
-                             "exactly when its bias gives zero variance", line)
-        if not degenerate and not (math.isfinite(normalized) and 0.0 < p <= 1.0):
-            raise ParseError(
-                f"need a finite normalized and a p_value in (0, 1], got {z_text!r}, {p_text!r}",
-                line,
-            )
         if verdict is Verdict.FAIL:
             if p >= min_pass:
                 raise ParseError(f"fail p_value {p_text} is not below the pass p_value "
@@ -554,12 +518,23 @@ def read_results(stream: BinaryIO, alpha: float = 0.01) -> PValueMatrix:
         if (job_id, qubit) in cells:
             raise ParseError(f"duplicate cell for job {job_id!r} qubit {qubit}", line)
         cells[job_id, qubit] = None
-        for column, value in zip(columns, (statistic, bias, normalized, p)):
+        for column, value in zip(columns, (line, degenerate, statistic, bias, normalized, p)):
             column.append(value)
     if n_lag is None:
         raise ParseError("no result rows to aggregate")
+    lines, degenerate, *values = (np.array(column) for column in columns)
+    statistic, bias, normalized, p = values
+    z_test, p_test = cell_outcomes(statistic, bias, *n_lag)
+    # A degenerate row's fields are empty; every other row's are the test's own numbers.
+    bad = (np.isnan(p_test) != degenerate) | ~degenerate & ((normalized != z_test) | (p != p_test))
+    if bad.any():
+        row = int(np.argmax(bad))
+        z, p, z_test, p_test, bias = (a[row].item() for a in (normalized, p, z_test, p_test, bias))
+        raise ParseError(f"normalized {z!r} and p_value {p!r} are not {z_test!r} and {p_test!r}, "
+                         f"the test's at statistic {statistic[row]} and bias {bias!r}",
+                         int(lines[row]))
     job_ids = tuple(dict.fromkeys(job for job, _ in cells))
     qubit_ids, order = _grid_order(cells, job_ids)
     shape = (len(job_ids), len(qubit_ids))
     return PValueMatrix(job_ids, qubit_ids, *n_lag, alpha,
-                        *(np.array(v)[order].reshape(shape) for v in columns))
+                        *(v[order].reshape(shape) for v in values))

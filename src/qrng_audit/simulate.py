@@ -19,9 +19,9 @@ reused generator to each stream's state in turn: the same draws as a
 generator per stream, without numpy's per-generator set-up.
 
 A run is drawn a block of whole jobs at a time (``device_run_blocks``), as
-many as fit in ``BLOCK_BYTES`` of packed bits, into one reused buffer, so
-the CLI writes and counts each block as it passes and never holds the run;
-``generate_device_run`` joins the blocks into the whole grid.
+many as fit in ``BLOCK_BYTES`` of packed bits, into one reused buffer;
+``stream_run`` writes and counts each block as it passes and never holds
+the run.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .autocorr import BLOCK_BYTES
-from .ingest import CalibrationRecord, JobRows
+from .autocorr import BLOCK_BYTES, PValueMatrix, TestParams, packed_counts
+from .ingest import CalibrationRecord, JobRows, serialize_jobs
 
 # Experiment-shaped defaults: 20 qubits, 579 jobs of 8192 bits, which at
 # JOB_INTERVAL_S apart from RUN_START span roughly three and a half days.
@@ -253,13 +253,20 @@ def device_run_blocks(config: DeviceRunConfig) -> Iterator[JobRows]:
     return map(block, (range(j, min(j + step, config.jobs)) for j in range(0, config.jobs, step)))
 
 
-def generate_device_run(config: DeviceRunConfig) -> JobRows:
-    """The whole run as one grid: the blocks of ``device_run_blocks``
-    joined. Its calibration series is ``generate_calibration_series(config)``."""
-    blocks = [(b.job_ids, b.timestamps, b.bits.copy()) for b in device_run_blocks(config)]
-    job_ids, stamps, bits = zip(*blocks)
-    return JobRows(tuple(itertools.chain(*job_ids)), tuple(itertools.chain(*stamps)),
-                   tuple(range(config.qubit_count)), np.concatenate(bits), config.bits_per_job)
+def stream_run(config: DeviceRunConfig, params: TestParams | None = None,
+               jobs: TextIO | None = None) -> PValueMatrix | None:
+    """Draw the run a block of jobs at a time (``device_run_blocks``), write
+    each block to the open job file ``jobs``, if given, and count it, given
+    test parameters: the run's p-value matrix, or None without them."""
+    job_ids, counts = [], []
+    for block in device_run_blocks(config):
+        if jobs is not None:
+            serialize_jobs(block, jobs, header=not job_ids)
+        job_ids += block.job_ids
+        if params is not None:
+            counts.append(packed_counts(block.bits, block.n, params.lag))
+    return None if params is None else PValueMatrix.from_counts(
+        tuple(job_ids), tuple(range(config.qubit_count)), config.bits_per_job, counts, params)
 
 
 def generate_calibration_series(config: DeviceRunConfig) -> list[CalibrationRecord]:

@@ -10,7 +10,8 @@ import io
 
 import numpy as np
 
-from qrng_audit.autocorr import BitSequence, check_lag, pair_mismatch_rate
+from qrng_audit.autocorr import (BitSequence, PValueMatrix, check_lag, packed_counts,
+                                 pair_mismatch_rate)
 from qrng_audit.ingest import (
     JOB_HEADER,
     JobRows,
@@ -21,7 +22,7 @@ from qrng_audit.ingest import (
     _parse_timestamp,
     serialize_jobs,
 )
-from qrng_audit.simulate import DeviceRunConfig, _chain_bits
+from qrng_audit.simulate import DeviceRunConfig, _chain_bits, device_run_blocks
 
 
 # ------------------------------------------------------------ exact oracle
@@ -152,12 +153,33 @@ def serialize_jobs_str(rows):
 
 
 def rows_from_bits(job_ids, timestamps, qubit_ids, bits):
-    """``JobRows`` from its streams as a (rows, n) matrix of 0/1 bits, packed
-    as ``JobRows`` holds them. An array of any dtype but uint8 is passed on
-    as given, for the constructor to refuse."""
-    bits = np.asarray(bits)
-    packed = np.packbits(bits, axis=-1) if bits.dtype == np.uint8 else bits
-    return JobRows(job_ids, timestamps, qubit_ids, packed, bits.shape[-1])
+    """``JobRows`` from its streams as a (rows, n) uint8 matrix of 0/1 bits,
+    packed as ``JobRows`` holds them."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return JobRows(job_ids, timestamps, qubit_ids, np.packbits(bits, axis=-1), bits.shape[-1])
+
+
+def whole_run(config):
+    """The whole run as one ``JobRows`` grid: the blocks of
+    ``device_run_blocks``, each copied out of the reused buffer, joined."""
+    blocks = [(b.job_ids, b.timestamps, b.bits.copy()) for b in device_run_blocks(config)]
+    job_ids, stamps, bits = zip(*blocks)
+    return JobRows(sum(job_ids, ()), sum(stamps, ()), tuple(range(config.qubit_count)),
+                   np.concatenate(bits), config.bits_per_job)
+
+
+def grid_matrix(rows, params):
+    """The p-value matrix of a ``JobRows`` grid: the counts of all its rows
+    at once, already in grid order, placed by ``PValueMatrix.from_counts``."""
+    counts = [packed_counts(rows.bits, rows.n, params.lag)]
+    return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, rows.n, counts, params)
+
+
+def matrix_fields(matrix):
+    """Every field of a p-value matrix, the arrays as dtype, shape and bytes."""
+    arrays = (matrix.statistic, matrix.bias, matrix.normalized, matrix.p_value)
+    return (matrix.job_ids, matrix.qubit_ids, matrix.n, matrix.lag, matrix.alpha,
+            *((a.dtype, a.shape, a.tobytes()) for a in arrays))
 
 
 def bits_of(rows):
@@ -169,7 +191,7 @@ def whole_row_parse_jobs(stream):
     """A job CSV, given as ``parse_jobs`` takes it (bytes, a line at a
     time), as its ``JobRows`` grid: csv.reader reads every row of the text
     whole, bit field included, as from the file opened with newline="".
-    ``parse_jobs(stream, params)`` must equal ``build_matrix`` of this grid,
+    ``parse_jobs(stream, params)`` must equal ``grid_matrix`` of this grid,
     field for field and error for error."""
     declared = None
     stamps = {}

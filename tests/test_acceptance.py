@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrng_audit.aggregate import build_matrix, failure_ratio_per_qubit, spearman
+from qrng_audit.aggregate import failure_ratio_per_qubit, spearman
 from qrng_audit.autocorr import (
     BitSequence,
     TestParams,
@@ -37,7 +37,7 @@ from qrng_audit.simulate import (
     DeviceRunConfig,
     drifting_bias,
     generate_calibration_series,
-    generate_device_run,
+    stream_run,
 )
 from reference import (
     derive_substream_seed,
@@ -209,7 +209,7 @@ def test_criterion_10_t1_relationship():
         qubit_count=20, jobs=120, bits_per_job=8192,
         bias=0.5, master_seed=MASTER,
     )
-    matrix = build_matrix(generate_device_run(config), PARAMS)
+    matrix = stream_run(config, PARAMS)
     ratios = failure_ratio_per_qubit(matrix)
     t1_sum: dict[int, list[float]] = {}
     for rec in generate_calibration_series(config):
@@ -224,7 +224,7 @@ def test_criterion_10_t1_relationship():
         qubit_count=20, jobs=120, bits_per_job=8192,
         bias=0.5, rho=rhos, master_seed=MASTER,
     )
-    ramp_matrix = build_matrix(generate_device_run(ramp_config), PARAMS)
+    ramp_matrix = stream_run(ramp_config, PARAMS)
     ramp_ratios = failure_ratio_per_qubit(ramp_matrix)
     ramp_rho = spearman(rhos, [ramp_ratios[q] for q in range(20)])
     assert ramp_rho >= 0.8
@@ -246,19 +246,22 @@ def test_criterion_11_round_trip_and_fuzz():
                         master_seed=4),
     ]
     for config in corpora:
-        jobs = generate_device_run(config)
-        text = serialize_jobs_str(jobs)
+        written = io.StringIO()
+        expected = stream_run(config, PARAMS, written)
+        text = written.getvalue()
         lines = text.encode().splitlines(True)
         assert serialize_jobs_str(whole_row_parse_jobs(iter(lines))) == text
-        # ``test`` of the written file gives the matrix of the generated grid
-        tested, expected = parse_jobs(io.BytesIO(text.encode()), PARAMS), build_matrix(jobs, PARAMS)
+        # ``test`` of the written file gives the matrix counted as the run was drawn
+        tested = parse_jobs(io.BytesIO(text.encode()), PARAMS)
         assert (tested.job_ids, tested.qubit_ids, tested.n) == (
             expected.job_ids, expected.qubit_ids, expected.n)
         for field in ("statistic", "bias", "normalized", "p_value"):
             np.testing.assert_array_equal(getattr(tested, field), getattr(expected, field))
 
     # 10^4 mutated files: structured errors only, zero crashes
-    base = serialize_jobs_str(generate_device_run(corpora[0]))
+    written = io.StringIO()
+    stream_run(corpora[0], jobs=written)
+    base = written.getvalue()
     rng = random.Random(11)
     alphabet = "01,\n\rjZT:-x\"'\x00 9"
     parsed_ok = rejected = 0

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from qrng_audit.aggregate import (
     _rank_with_ties,
-    build_matrix,
     build_report,
     degenerate_count_per_qubit,
     failure_ratio_per_qubit,
@@ -22,7 +21,8 @@ from qrng_audit.aggregate import (
     write_report_csv,
     write_scatter_csv,
 )
-from qrng_audit.autocorr import BLOCK_BYTES, BitSequence, TestParams, Verdict, run_test
+from qrng_audit.autocorr import (BLOCK_BYTES, BitSequence, PValueMatrix, TestParams, Verdict,
+                                 packed_counts, run_test)
 from qrng_audit.ingest import (
     CalibrationRecord,
     ParseError,
@@ -30,8 +30,8 @@ from qrng_audit.ingest import (
     read_results,
     write_results,
 )
-from qrng_audit.simulate import DeviceRunConfig, generate_device_run
-from reference import rows_from_bits, whole_row_parse_jobs
+from qrng_audit.simulate import DeviceRunConfig, stream_run
+from reference import grid_matrix, whole_row_parse_jobs
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 
@@ -51,33 +51,33 @@ def alternating(n):
 
 # ------------------------------------------------------------------ matrix
 
-def test_build_matrix_all_zero_cells_degenerate():
+def test_from_counts_all_zero_cells_degenerate():
     jobs = [
         ("j1", 0, [(0, "0" * 16), (1, "0" * 16)]),
         ("j2", 1, [(0, "0" * 16), (1, "0" * 16)]),
     ]
-    matrix = build_matrix(make_rows(jobs), TestParams(lag=1))
+    matrix = grid_matrix(make_rows(jobs), TestParams(lag=1))
     assert (matrix.verdicts() == Verdict.DEGENERATE).all()
     assert np.isnan(matrix.normalized).all() and np.isnan(matrix.p_value).all()
     assert degenerate_count_per_qubit(matrix) == {0: 2, 1: 2}
 
 
-def test_build_matrix_alternating_cells_fail():
+def test_from_counts_alternating_cells_fail():
     jobs = [("j1", 0, [(0, alternating(512)), (1, alternating(512))])]
-    matrix = build_matrix(make_rows(jobs), TestParams(lag=1))
+    matrix = grid_matrix(make_rows(jobs), TestParams(lag=1))
     assert (matrix.verdicts() == Verdict.FAIL).all()
 
 
-def test_build_matrix_orders_rows_by_timestamp():
+def test_grid_orders_rows_by_timestamp():
     jobs = [
         ("late", 30, [(0, "0110")]),
         ("early", 0, [(0, "1001")]),
     ]
-    matrix = build_matrix(make_rows(jobs), TestParams(lag=1))
+    matrix = grid_matrix(make_rows(jobs), TestParams(lag=1))
     assert matrix.job_ids == ("early", "late")
 
 
-def test_build_matrix_rejects_ragged_qubits():
+def test_grid_rejects_ragged_qubits():
     jobs = [
         ("j1", 0, [(0, "0110")]),
         ("j2", 1, [(0, "0110"), (1, "0110")]),
@@ -87,25 +87,11 @@ def test_build_matrix_rejects_ragged_qubits():
     assert isinstance(err.value, ParseError)
 
 
-def test_build_matrix_rejects_job_with_two_timestamps():
-    # j1 at two times: no job file holds such a job, and no single time
-    # orders it among the others, so no grid holds it to be tested.
-    with pytest.raises(ValueError, match="each job must appear once, with one timestamp"):
-        rows_from_bits(("j1", "j2", "j1"),
-                       (TS, TS + timedelta(minutes=10), TS + timedelta(minutes=30)),
-                       (0, 1), np.zeros((6, 4), np.uint8))
-
-
-def test_build_matrix_rejects_empty():
-    with pytest.raises(ValueError):
-        build_matrix(rows_from_bits((), (), (), np.empty((0, 0), np.uint8)), TestParams(lag=1))
-
-
-def test_build_matrix_ideal_fleet_false_positive_band():
+def test_stream_run_ideal_fleet_false_positive_band():
     """Seeded fair fleet: fail-cell fraction stays in the alpha=0.01 band."""
     config = DeviceRunConfig(qubit_count=20, jobs=100, bits_per_job=8192,
                              bias=0.5, master_seed=12)
-    matrix = build_matrix(generate_device_run(config), TestParams(lag=1))
+    matrix = stream_run(config, TestParams(lag=1))
     fails = int((matrix.verdicts() == Verdict.FAIL).sum())
     assert 0.002 <= fails / 2000 <= 0.025
 
@@ -133,9 +119,9 @@ def stream_grids(draw):
 
 @given(stream_grids())
 @settings(max_examples=150, deadline=None)
-def test_build_matrix_equals_run_test_cell_for_cell(case):
+def test_from_counts_equals_run_test_cell_for_cell(case):
     jobs, params = case
-    matrix = build_matrix(make_rows(jobs), params)
+    matrix = grid_matrix(make_rows(jobs), params)
     verdicts = matrix.verdicts()
     for r, (_, _, streams) in enumerate(jobs):
         for c, (_, bits) in enumerate(streams):
@@ -152,34 +138,22 @@ def test_build_matrix_equals_run_test_cell_for_cell(case):
             assert matrix.low_sample[r, c] == ref.low_sample
 
 
-def test_build_matrix_blocks_and_placement_match_run_test():
-    """Streams long enough that a kernel block holds four rows (each row
-    BLOCK_BYTES // 4 bytes, so nine rows make three blocks), filed in
-    reverse time order with qubits descending."""
+def test_from_counts_blocks_and_placement_match_run_test():
+    """Counts given a block of four rows at a time (each row BLOCK_BYTES // 4
+    bytes, so nine rows make three blocks), the rows filed in reverse time
+    order with qubits descending, and ``order`` the gather that fills the
+    grid row by row."""
     n = 8 * (BLOCK_BYTES // 4) - 5
-    rng = np.random.default_rng(5)
-    specs = [
-        (f"j{r}", 10 - r, [
-            (q, "".join(map(str, rng.integers(0, 2, n).tolist())))
-            for q in (2, 1, 0)
-        ])
-        for r in range(3)
-    ]
-    params = TestParams(lag=3)
-    matrix = build_matrix(make_rows(specs), params)
-    assert matrix.job_ids == ("j2", "j1", "j0")
-    assert matrix.qubit_ids == (0, 1, 2)
-    for job_id, _, streams in specs:
-        for q, bits in streams:
-            ref = run_test(BitSequence.from_string(bits), params)
-            cell = (matrix.job_ids.index(job_id), q)
-            assert (matrix.statistic[cell], matrix.bias[cell]) == (ref.statistic, ref.bias)
-            assert matrix.p_value[cell] == ref.p_value
-
-
-def test_build_matrix_rejects_duplicate_cells():
-    with pytest.raises(ValueError, match=r"ascend strictly from 0 up, got \(0, 0\)"):
-        rows_from_bits(("j1",), (TS,), (0, 0), np.zeros((2, 4), np.uint8))
+    bits = np.random.default_rng(5).integers(0, 2, (9, n), dtype=np.uint8)
+    packed, params = np.packbits(bits, axis=1), TestParams(lag=3)
+    counts = [packed_counts(packed[i:i + 4], n, params.lag) for i in range(0, 9, 4)]
+    # File row 3 * r + i holds job j{r} on qubit 2 - i; the grid's job k is j{2 - k}.
+    order = np.array([3 * (2 - k) + 2 - q for k in range(3) for q in range(3)])
+    matrix = PValueMatrix.from_counts(("j2", "j1", "j0"), (0, 1, 2), n, counts, params, order)
+    for cell, row in zip(np.ndindex(3, 3), order):
+        ref = run_test(BitSequence(bits[row]), params)
+        assert (matrix.statistic[cell], matrix.bias[cell]) == (ref.statistic, ref.bias)
+        assert matrix.p_value[cell] == ref.p_value
 
 
 # ---------------------------------------------------------- ratios, passes
@@ -198,7 +172,7 @@ def build_verdict_matrix(columns):
                 bits = "0110" * 128
             streams.append((q, bits))
         jobs.append((f"j{r}", r, streams))
-    return build_matrix(make_rows(jobs), TestParams(lag=1))
+    return grid_matrix(make_rows(jobs), TestParams(lag=1))
 
 
 def test_failure_ratio_examples():
@@ -256,7 +230,7 @@ def test_permuting_jobs_leaves_report_fields_unchanged():
         ])
         for r in range(5)
     ]
-    permuted = build_matrix(make_rows(jobs), TestParams(lag=1))
+    permuted = grid_matrix(make_rows(jobs), TestParams(lag=1))
     assert failure_ratio_per_qubit(matrix) == failure_ratio_per_qubit(permuted)
     assert simultaneous_pass_proportion(matrix) == simultaneous_pass_proportion(permuted)
 

@@ -432,7 +432,7 @@ def test_aggregate_single_job_proportions_are_binary(tmp_path):
 
 
 RESULTS_HEADER = "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
-GOOD_ROW = "j1,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
+GOOD_ROW = "j1,0,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,pass\n"
 
 
 @pytest.mark.parametrize(
@@ -441,25 +441,32 @@ GOOD_ROW = "j1,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
         "j1,1,8,1,0.5,3,-0.3779644730092272,,pass\n",  # empty p_value, not degenerate
         "j1,1,8,1,0.5,3,-0.3779644730092272,nan,pass\n",
         "j1,1,8,1,0.5,3,-0.3779644730092272,7,fail\n",
-        "j1,1,8,2,0.5,3,-0.3779644730092272,0.705456536697442,pass\n",  # second lag
-        "j1,1,9,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n",  # second n
+        "j1,1,8,2,0.5,3,-0.3779644730092272,0.7054569861112734,pass\n",  # second lag
+        "j1,1,9,1,0.5,3,-0.3779644730092272,0.7054569861112734,pass\n",  # second n
         "j1,1,8,1,1.0,0,,,pass\n",  # empty fields need the degenerate verdict
         "j1,1,8,1,0.5,3,0.1,0.9,degenerate\n",
-        ",1,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n",
-        "j1,1,8,9,0.5,3,-0.3779644730092272,0.705456536697442,pass\n",
-        "j1,1,8,1,0.5,-1,-0.3779644730092272,0.705456536697442,pass\n",
-        "j1,1,8,1,0.5,8,-0.3779644730092272,0.705456536697442,pass\n",
-        "j1,1,8,1,nan,3,-0.3779644730092272,0.705456536697442,pass\n",
-        "j1,1,8,1,1.5,3,-0.3779644730092272,0.705456536697442,pass\n",
-        "j1,1,8,1,-0.5,3,-0.3779644730092272,0.705456536697442,pass\n",
+        ",1,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,pass\n",
+        "j1,1,8,9,0.5,3,-0.3779644730092272,0.7054569861112734,pass\n",
+        "j1,1,8,1,0.5,-1,-0.3779644730092272,0.7054569861112734,pass\n",
+        "j1,1,8,1,0.5,8,-0.3779644730092272,0.7054569861112734,pass\n",
+        "j1,1,8,1,nan,3,-0.3779644730092272,0.7054569861112734,pass\n",
+        "j1,1,8,1,1.5,3,-0.3779644730092272,0.7054569861112734,pass\n",
+        "j1,1,8,1,-0.5,3,-0.3779644730092272,0.7054569861112734,pass\n",
         "j1,1,8,1,0.0,0,0.5,0.6,pass\n",  # zero variance needs the degenerate verdict
         "j1,1,8,1,0.5,7,,,degenerate\n",  # bias 0.5 gives variance
+        "j1,1,8,1,0.5,3,-0.3779644730092272,0.7054569861112735,pass\n",  # p one ulp off
+        "j1,1,8,1,0.5,3,-0.3779644730092273,0.7054569861112734,pass\n",
+        "j1,1,8,1,0.5,4,-0.3779644730092272,0.7054569861112734,pass\n",  # statistic 3's numbers
+        "j1,1,8,1,1.0,0,nan,nan,pass\n",  # zero variance needs empty fields
+        "j1,1,8,1,0.5,3,2.6,0.0001,fail\n",  # its counts give p = 0.705, a pass
     ],
     ids=["empty-p", "nan-p", "p-above-one", "mixed-lag", "mixed-n",
          "pass-without-p", "degenerate-with-p", "empty-job-id", "lag-above-n",
          "negative-statistic",
          "statistic-above-n-minus-lag", "nan-bias", "bias-above-one",
-         "negative-bias", "pass-at-zero-variance", "degenerate-at-half-bias"],
+         "negative-bias", "pass-at-zero-variance", "degenerate-at-half-bias",
+         "p-one-ulp-off", "normalized-off", "another-statistic", "nan-at-zero-variance",
+         "fail-of-a-pass"],
 )
 def test_aggregate_rejects_bad_results_row(tmp_path, capsys, bad_row):
     results = tmp_path / "results.csv"
@@ -525,7 +532,7 @@ def test_aggregate_rejects_unreadable_csv(tmp_path, capsys, results_text, calibr
              "j\xff,2019-05-09T11:00:00Z,1,0110\n"),
     ("jobs", "job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:00:00Z,0,0110\n"
              "j1,2019-05-09T11:00:00Z,1,01\xff0\n"),
-    ("results", RESULTS_HEADER + GOOD_ROW + "j1,1,8,1,0.5,3,\xff,0.705456536697442,pass\n"),
+    ("results", RESULTS_HEADER + GOOD_ROW + "j1,1,8,1,0.5,3,\xff,0.7054569861112734,pass\n"),
     ("calibration", CALIBRATION_HEADER + CALIBRATION_ROW + "2019-05-09T12:00:00Z,\xff,71.5\n"),
 ], ids=["jobs-job-id", "jobs-bits", "results", "calibration"])
 def test_bytes_that_are_not_utf8_exit_1_at_their_line(tmp_path, capsys, kind, text):
@@ -837,6 +844,25 @@ def test_pipeline_of_job_blocks_matches_simulate_and_test(tmp_path, shape):
     assert sha256(results) == sha256(workdir / "results.csv")
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("model", [
+    [], ["--model", "markov", "--rho", 0.005], ["--model", "markov", "--rho", -0.3],
+    ["--model", "drifting", "--schedule", "0.4:7,0.6:6"],
+], ids=["ideal", "markov-positive", "markov-negative", "drifting"])
+def test_aggregate_reads_back_every_results_file_test_writes(tmp_path, model, seed):
+    """``aggregate`` recomputes every row's normalized statistic and p-value
+    from its statistic and bias: each model's results file, as ``test``
+    writes it, reads back bit for bit, to the pipeline's report and scatter."""
+    workdir = tmp_path / "run"
+    assert run(["pipeline", "--jobs", 13, "--qubits", 20, "--bits", 8192, *model,
+                "--seed", seed, "--workdir", workdir]) == 0
+    report, scatter = tmp_path / "report.csv", tmp_path / "scatter.csv"
+    assert run(["aggregate", "--in", workdir / "results.csv", "--calibration",
+                workdir / "calibration.csv", "--report", report, "--scatter", scatter]) == 0
+    assert sha256(report) == sha256(workdir / "report.csv")
+    assert sha256(scatter) == sha256(workdir / "scatter.csv")
+
+
 def test_pipeline_tests_the_simulated_rows_without_parsing(tmp_path, monkeypatch):
     flags = ["--qubits", 3, "--jobs", 5, "--bits", 256, "--seed", 9,
              "--model", "markov", "--rho", -0.2, "--lag", 2, "--bias", "fixed:0.5"]
@@ -893,6 +919,25 @@ def test_failed_allocation_exits_1_without_traceback(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 4.21 TiB for an array\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_a_run_that_fails_part_way_leaves_no_job_file(tmp_path, capsys, monkeypatch, command):
+    """A failed allocation for the second of three blocks of jobs, after the
+    first is written: exit 1, and the half-written job file is removed."""
+    draw = simulate.device_run_blocks
+
+    def second_block_fails(config):
+        yield next(draw(config))
+        raise MemoryError("Unable to allocate 480. KiB for an array")
+
+    monkeypatch.setattr(simulate, "device_run_blocks", second_block_fails)
+    where = ["--out", tmp_path / "jobs.csv"] if command == "simulate" else [
+        "--workdir", tmp_path / "run"]
+    assert run([command, "--jobs", 7, "--qubits", 20, "--bits", 8192, *where]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 480. KiB for an array\n"
+    assert list(tmp_path.rglob("*.csv")) == []
 
 
 def test_bits_at_csv_field_limit_round_trip(tmp_path):

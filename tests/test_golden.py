@@ -24,8 +24,8 @@ import pytest
 
 from qrng_audit import cli
 from qrng_audit.autocorr import TestParams, normalize_statistic, p_value
-from qrng_audit.ingest import parse_jobs, serialize_jobs
-from qrng_audit.simulate import DeviceRunConfig, drifting_bias, generate_device_run
+from qrng_audit.ingest import parse_jobs
+from qrng_audit.simulate import DeviceRunConfig, drifting_bias, stream_run
 
 SHAPE = ["--jobs", "6", "--qubits", "4", "--bits", "256", "--seed", "7"]
 
@@ -144,7 +144,7 @@ def test_pipeline_outputs_match_golden_digests(case, tmp_path):
 def test_per_qubit_and_per_job_runs_match_golden_digests(case):
     fields, expected = RUN_GOLDEN[case]
     buf = io.StringIO()
-    serialize_jobs(generate_device_run(DeviceRunConfig(**fields)), buf)
+    stream_run(DeviceRunConfig(**fields), jobs=buf)
     assert _sha256(buf.getvalue().encode()) == expected
 
 

@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qrng_audit import cli, ingest, simulate
-from qrng_audit.aggregate import build_matrix
+from qrng_audit import cli, ingest
 from qrng_audit.autocorr import PValueMatrix, TestParams
 from qrng_audit.ingest import (
     JOB_HEADER,
     CalibrationRecord,
-    JobRows,
     ParseError,
     format_timestamp,
     parse_calibration,
@@ -26,7 +24,8 @@ from qrng_audit.ingest import (
     serialize_jobs,
     write_results,
 )
-from reference import bits_of, rows_from_bits, serialize_jobs_str, whole_row_parse_jobs
+from reference import (bits_of, grid_matrix, matrix_fields, rows_from_bits, serialize_jobs_str,
+                       whole_row_parse_jobs)
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
 PARAMS = TestParams()
@@ -225,13 +224,6 @@ def test_parse_places_rows_of_any_order(rows, data):
         parse_jobs, io.BytesIO(text.encode()), params)
 
 
-def matrix_fields(matrix):
-    """Every field of a p-value matrix, the arrays as dtype, shape and bytes."""
-    arrays = (matrix.statistic, matrix.bias, matrix.normalized, matrix.p_value)
-    return (matrix.job_ids, matrix.qubit_ids, matrix.n, matrix.lag, matrix.alpha,
-            *((a.dtype, a.shape, a.tobytes()) for a in arrays))
-
-
 def matrix_outcome(test, stream, params):
     """``matrix_fields`` of what ``test(stream, params)`` returns, or the
     type and message of its refusal."""
@@ -242,7 +234,7 @@ def matrix_outcome(test, stream, params):
 
 
 def reference_test(stream, params):
-    return build_matrix(whole_row_parse_jobs(stream), params)
+    return grid_matrix(whole_row_parse_jobs(stream), params)
 
 
 def whole_row_serialize_jobs(rows):
@@ -310,9 +302,6 @@ def test_parse_rejects_carriage_return_in_job_id():
     assert "carriage return" in str(err.value)
 
 
-# JobRows refuses, when it is built, any grid no job file holds, so
-# serialize_jobs never writes a file that parse_jobs rejects.
-
 def test_write_results_writes_each_block_of_jobs_as_one_row_per_cell():
     """Results are formatted a block of jobs at a time (1024 cells: 341 jobs
     of 3 qubits, so 700 jobs end in a partial third block); the text is one
@@ -335,87 +324,6 @@ def test_write_results_writes_each_block_of_jobs_as_one_row_per_cell():
                                "" if math.isnan(p) else repr(p), verdicts[j, k].value]))
     assert 0 < int(matrix.degenerate.sum()) < jobs * 3
     assert buf.getvalue() == "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("job_id", ["", "cr\rid"])
-def test_serialize_jobs_rejects_job_id_no_parser_reads(job_id):
-    buf = io.StringIO()
-    with pytest.raises(ParseError, match="empty job_id|carriage return"):
-        serialize_jobs(job_rows(("j1", TS, 0, "0110"), (job_id, TS, 0, "1001")), buf)
-    assert buf.getvalue() == ""
-
-
-def u8(*rows):
-    return np.array(rows, dtype=np.uint8)
-
-
-LATER = TS.replace(hour=12)
-NAIVE = LATER.replace(tzinfo=None)
-
-
-@pytest.mark.parametrize("job_ids, stamps, qubit_ids, bits, message", [
-    (("j1",), (TS, LATER), (0, 1), u8([0, 1], [1, 0]), "each job must appear once, with one"),
-    (("j1",), (TS,), (0, 0), u8([0, 1], [1, 0]), r"ascend strictly from 0 up, got \(0, 0\)"),
-    (("j1",), (TS,), (0, 1, 2), np.zeros((3, 0), np.uint8),
-     r"bits must have shape \(3, n >= 1\), got \(3, 0\)"),
-    (("j1", "j1"), (TS, LATER), (0,), u8([0, 1], [1, 0]), "each job must appear once"),
-    (("j2", "j1"), (TS, TS), (0,), u8([0, 1], [1, 0]), r"must be in \(timestamp, job_id\) order"),
-    (("j1",), (TS,), (-1,), u8([0, 1]), r"ascend strictly from 0 up, got \(-1,\)"),
-    (("j1",), (TS,), (), np.zeros((0, 2), np.uint8), "both jobs and qubits, or neither"),
-    (("j1",), (TS,), (0,), u8([0, 1], [1, 0]), r"must have shape \(1, n >= 1\), got \(2, 2\)"),
-    (("j1",), (TS,), (0,), np.zeros((1, 2), np.int64), r"uint8 matrix, got int64 \(1, 2\)"),
-    ((), (), (), np.array([], np.uint8), r"uint8 matrix, got uint8 \(0,\)"),
-    # a naive stamp would be written in the machine's local time, and next
-    # to an aware one it cannot even be ordered
-    (("j1",), (NAIVE,), (0,), u8([0, 1]), "job timestamps must carry a UTC offset"),
-    (("j1", "j2"), (TS, NAIVE), (0,), u8([0, 1], [1, 0]), "job timestamps must carry a UTC"),
-], ids=["second-timestamp", "repeated-stream", "zero-bits", "repeated-job",
-        "jobs-out-of-order", "negative-qubit", "job-without-qubits", "extra-row", "not-uint8",
-        "one-d-bits", "naive-timestamp", "naive-and-aware-timestamps"])
-def test_serialize_jobs_refuses_rows_no_job_file_holds(job_ids, stamps, qubit_ids, bits,
-                                                       message):
-    buf = io.StringIO()
-    with pytest.raises(ValueError, match=message):
-        serialize_jobs(rows_from_bits(job_ids, stamps, qubit_ids, bits), buf)
-    assert buf.getvalue() == ""
-
-
-@pytest.mark.parametrize("qubit_ids, bits, n, message", [
-    ((0,), u8([0b0110_0000, 0]), 4, r"bits must be 1 bytes wide for 4-bit streams, got 2"),
-    ((0,), u8([0b0110_0000]), 9, r"bits must be 2 bytes wide for 9-bit streams, got 1"),
-    ((0,), u8([0b0110_0000]), 0, r"bits must have shape \(1, n >= 1\), got \(1, 0\)"),
-    ((0,), np.zeros((1, 0), np.uint8), -8, r"shape \(1, n >= 1\), got \(1, -8\)"),
-    ((0,), u8([0b0110_0001]), 4, "the pad bits past bit 4 of each row must be 0"),
-    ((0,), u8([0xFF, 0b1000_0001]), 15, "the pad bits past bit 15 of each row must be 0"),
-    ((0,), np.zeros((1, 1), np.int8), 4, r"uint8 matrix, got int8 \(1, 1\)"),
-    ((0,), np.zeros((1, 1, 1), np.uint8), 4, r"uint8 matrix, got uint8 \(1, 1, 1\)"),
-    ((0, 1), u8([0b0110_0000]), 4, r"bits must have shape \(2, n >= 1\), got \(1, 4\)"),
-], ids=["width-over-n", "width-under-n", "n-zero", "n-negative", "nonzero-pad-bit",
-        "nonzero-last-pad-bit", "not-uint8", "three-d-bits", "missing-row"])
-def test_job_rows_refuses_packed_bits_no_file_holds(qubit_ids, bits, n, message, monkeypatch,
-                                                    tmp_path, capsys):
-    """Packed bits that hold no job file's streams are refused when the grid
-    is built, and a refusal reaching the CLI ends in exit 2, the code of
-    every ValueError that is not a ParseError, not a traceback."""
-    def build(config=None):
-        return JobRows(("j1",), (TS,), qubit_ids, bits, n)
-
-    with pytest.raises(ValueError, match=message):
-        build()
-    monkeypatch.setattr(simulate, "device_run_blocks", build)
-    out = tmp_path / "jobs.csv"
-    assert cli.main(["simulate", "--jobs", "1", "--qubits", "1", "--bits", "4",
-                     "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert not out.exists()
-
-
-def test_job_rows_accepts_any_n_on_an_empty_grid_but_a_negative_one():
-    assert JobRows((), (), (), np.zeros((0, 0), np.uint8), 0).n == 0
-    assert JobRows((), (), (), np.zeros((0, 2), np.uint8), 9).n == 9
-    with pytest.raises(ValueError, match=r"shape \(0, n >= 0\), got \(0, -1\)"):
-        JobRows((), (), (), np.zeros((0, 0), np.uint8), -1)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 16, 8193])
@@ -505,6 +413,9 @@ def test_parse_calibration_rejects_nonpositive_t1():
             ).encode()))
 
 
+NAIVE = TS.replace(hour=12, tzinfo=None)
+
+
 @pytest.mark.parametrize("timestamp, qubit_id, t1_us, message", [
     (NAIVE, 0, 50.0, "must carry a UTC offset"),
     (TS, -1, 50.0, "qubit_id must be non-negative, got -1"),
@@ -547,13 +458,13 @@ def test_results_round_trip():
         job_ids=("j1",), qubit_ids=(0, 1), n=8, lag=1, alpha=0.01,
         statistic=np.array([[3, 0]]), bias=np.array([[0.5, 1.0]]),
         normalized=np.array([[-0.3779644730092272, np.nan]]),
-        p_value=np.array([[0.705456536697442, np.nan]]),
+        p_value=np.array([[0.7054569861112734, np.nan]]),
     )
     buf = io.StringIO()
     write_results(matrix, buf)
     assert buf.getvalue().splitlines() == [
         "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict",
-        "j1,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass",
+        "j1,0,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,pass",
         "j1,1,8,1,1.0,0,,,degenerate",
     ]
     parsed = read_results(io.BytesIO(buf.getvalue().encode()), alpha=0.25)
@@ -564,13 +475,33 @@ def test_results_round_trip():
                               equal_nan=True), field
 
 
+@given(st.integers(2, 64), st.data())
+@settings(max_examples=100, deadline=None)
+def test_read_results_reads_back_every_matrix_from_counts_gives(n, data):
+    """Counts at any n, lag and bias, tested by ``from_counts`` and written by
+    ``write_results``: each row's numbers recompute to themselves bit for
+    bit, and the file reads back as the matrix, field for field."""
+    jobs, qubits = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    params = TestParams(lag=data.draw(st.integers(1, n - 1)), fixed_bias=data.draw(
+        st.none() | st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cells = jobs * qubits
+    counts = (rng.integers(0, n - params.lag + 1, cells), rng.integers(0, n + 1, cells))
+    matrix = PValueMatrix.from_counts(tuple(f"j{j}" for j in range(jobs)), tuple(range(qubits)),
+                                      n, [counts], params)
+    buf = io.StringIO()
+    write_results(matrix, buf)
+    read = read_results(io.BytesIO(buf.getvalue().encode()), alpha=params.alpha)
+    assert matrix_fields(read) == matrix_fields(matrix)
+
+
 @pytest.mark.parametrize("job_id", ["", "cr\rid"])
 def test_write_results_rejects_job_id_no_parser_reads(job_id):
     matrix = PValueMatrix(
         job_ids=("j1", job_id), qubit_ids=(0,), n=8, lag=1, alpha=0.01,
         statistic=np.array([[3], [3]]), bias=np.array([[0.5], [0.5]]),
         normalized=np.array([[-0.3779644730092272], [-0.3779644730092272]]),
-        p_value=np.array([[0.705456536697442], [0.705456536697442]]),
+        p_value=np.array([[0.7054569861112734], [0.7054569861112734]]),
     )
     buf = io.StringIO()
     with pytest.raises(ValueError, match="empty job_id|carriage return"):
@@ -589,7 +520,7 @@ def test_write_results_refuses_ids_read_results_rejects(job_ids, qubit_ids, mess
         job_ids=job_ids, qubit_ids=qubit_ids, n=8, lag=1, alpha=0.01,
         statistic=np.full(shape, 3), bias=np.full(shape, 0.5),
         normalized=np.full(shape, -0.3779644730092272),
-        p_value=np.full(shape, 0.705456536697442),
+        p_value=np.full(shape, 0.7054569861112734),
     )
     buf = io.StringIO()
     with pytest.raises(ValueError, match=message):
@@ -602,11 +533,15 @@ RESULTS_HEADER = "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdic
 
 @pytest.mark.parametrize("rows", [
     # a fail p-value not below an earlier pass p-value
-    "j1,0,8,1,0.5,3,-0.3,0.2,pass\nj1,1,8,1,0.5,4,0.4,0.3,fail\n",
-    "j1,0,8,1,0.5,3,-0.3,0.2,pass\nj1,1,8,1,0.5,4,0.4,0.2,fail\n",
+    "j1,0,8,1,0.5,2,-1.1338934190276817,0.25683925795785667,pass\n"
+    "j1,1,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,fail\n",
+    "j1,0,8,1,0.5,2,-1.1338934190276817,0.25683925795785667,pass\n"
+    "j1,1,8,1,0.5,5,1.1338934190276817,0.25683925795785667,fail\n",
     # a pass p-value not above an earlier fail p-value
-    "j1,0,8,1,0.5,7,2.6,0.05,fail\nj1,1,8,1,0.5,4,0.4,0.01,pass\n",
-    "j1,0,8,1,0.5,7,2.6,0.05,fail\nj1,1,8,1,0.5,4,0.4,0.05,pass\n",
+    "j1,0,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,fail\n"
+    "j1,1,8,1,0.5,2,-1.1338934190276817,0.25683925795785667,pass\n",
+    "j1,0,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,fail\n"
+    "j1,1,8,1,0.5,4,0.3779644730092272,0.7054569861112734,pass\n",
 ])
 def test_read_results_rejects_verdicts_out_of_p_value_order(rows):
     with pytest.raises(ParseError) as err:
@@ -616,21 +551,38 @@ def test_read_results_rejects_verdicts_out_of_p_value_order(rows):
     assert "of an earlier row" in str(err.value)
 
 
+FOUND_ROW = "j1,0,8,1,0.5,3,2.6,0.0001,fail\n"  # its counts give p = 0.705, a pass
+GOOD_ROW = "j1,1,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,pass\n"
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # read as written, its fail would give qubit 0 a failure ratio of 1.0
+    (FOUND_ROW, 2, "^line 2: normalized 2.6 and p_value 0.0001 are not -0.3779644730092272 and "
+                   "0.7054569861112734, the test's at statistic 3 and bias 0.5$"),
+    (FOUND_ROW + "j1,1,8,1,0.5,3,0.1,0.9,maybe\n", 3, "unknown verdict 'maybe'"),
+    (GOOD_ROW.replace("j1", "j0") + FOUND_ROW + FOUND_ROW.replace("j1,0", "j1,1"), 3,
+     "normalized 2.6 and p_value 0.0001 are not -0.3779644730092272 and 0.7054569861112734"),
+    (GOOD_ROW + FOUND_ROW.replace("j1", "j2"), 3, "normalized 2.6 and p_value 0.0001 are not"),
+], ids=["fail-of-a-pass", "read-fault-first", "first-mismatch", "mismatch-before-missing-cell"])
+def test_read_results_refuses_numbers_not_the_tests_own_after_reading(rows, line, message):
+    """Each row's numbers are recomputed once the file is read: a fault found
+    while reading comes first, then the first row whose numbers its statistic
+    and bias do not give, at its line, then a fault of the grid."""
+    with pytest.raises(ParseError, match=message) as err:
+        read_results(io.BytesIO((RESULTS_HEADER + rows).encode()))
+    assert err.value.line == line
+
+
 def test_read_results_rejects_bad_verdict():
     with pytest.raises(ParseError):
-        read_results(io.BytesIO((
-            "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
-            "j1,0,8,1,0.5,3,0.1,0.9,maybe\n"
-        ).encode()))
+        read_results(io.BytesIO((RESULTS_HEADER + "j1,0,8,1,0.5,3,0.1,0.9,maybe\n").encode()))
 
 
 @pytest.mark.parametrize("lag", [0, 8, 9])
 def test_read_results_rejects_lag_outside_range_on_first_row(lag):
     with pytest.raises(ParseError) as err:
-        read_results(io.BytesIO((
-            "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
-            f"j1,0,8,{lag},0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
-        ).encode()))
+        row = f"j1,0,8,{lag},0.5,3,-0.3779644730092272,0.7054569861112734,pass\n"
+        read_results(io.BytesIO((RESULTS_HEADER + row).encode()))
     assert err.value.line == 2
     assert "lag" in str(err.value)
 
@@ -640,7 +592,9 @@ def test_read_results_refuses_n_above_the_job_csv_field_limit(n, tmp_path, capsy
     """No job file holds streams longer than the csv field limit, so no
     ``test`` run writes such a row: it is refused at its line (exit 1), and
     the statistic of every row read stays int64."""
-    text = RESULTS_HEADER + f"j1,0,{n},1,0.5,{n // 2},0.5,0.6170750774519738,pass\n"
+    # normalized and p_value are the test's own at n = 131072
+    text = RESULTS_HEADER + (f"j1,0,{n},1,0.5,{n // 2},0.002762146400782371,"
+                             "0.9977961288345274,pass\n")
     results = tmp_path / "results.csv"
     results.write_text(text)
     code = cli.main(["aggregate", "--in", str(results), "--report", str(tmp_path / "r.csv")])
@@ -656,23 +610,17 @@ def test_read_results_refuses_n_above_the_job_csv_field_limit(n, tmp_path, capsy
 
 def test_read_results_rejects_carriage_return_in_job_id():
     with pytest.raises(ParseError) as err:
-        read_results(io.BytesIO((
-            "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n"
-            '"cr\rid",0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n'
-        ).encode()))
+        read_results(io.BytesIO((RESULTS_HEADER + GOOD_ROW.replace("j1", '"cr\rid"')).encode()))
     # The CR ends line 2, as in a file opened with newline="": the row ends on line 3.
     assert err.value.line == 3
     assert "carriage return" in str(err.value)
 
 
 def test_read_results_rejects_duplicate_cell_at_its_second_row():
-    row = "j0001,0,8,1,0.5,3,-0.3779644730092272,0.705456536697442,pass\n"
     with pytest.raises(ParseError) as err:
-        read_results(io.BytesIO((
-            "job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict\n" + row + row
-        ).encode()))
+        read_results(io.BytesIO((RESULTS_HEADER + GOOD_ROW + GOOD_ROW).encode()))
     assert err.value.line == 3
-    assert "duplicate cell for job 'j0001' qubit 0" in str(err.value)
+    assert "duplicate cell for job 'j1' qubit 1" in str(err.value)
 
 
 # -------------------------------------------------------------------- fuzz
@@ -782,7 +730,7 @@ def file_example(data, block_bytes=ingest.BLOCK_BYTES):
 @settings(max_examples=300, deadline=None)
 def test_parse_jobs_matches_the_whole_row_parse(data, lag, fixed_bias, block_bytes):
     """The byte-line parser, counting blocks of ``block_bytes`` of packed
-    rows, gives the matrix ``build_matrix`` gives for the grid of the
+    rows, gives the matrix ``grid_matrix`` gives for the grid of the
     whole-row parse, field for field, or refuses the file alike."""
     params = TestParams(lag=lag, fixed_bias=fixed_bias)
     with pytest.MonkeyPatch.context() as patch:
@@ -807,7 +755,7 @@ def test_csv_reader_sees_only_the_text_before_a_plain_bit_field(monkeypatch, end
     matrix = parse_jobs(io.BytesIO(text.encode()), PARAMS)
     assert seen == [text.splitlines(True)[0]] + [
         line[:line.rindex(",") + 1] + "\n" for line in text.splitlines(True)[1:]]
-    assert matrix_fields(matrix) == matrix_fields(build_matrix(rows, PARAMS))
+    assert matrix_fields(matrix) == matrix_fields(grid_matrix(rows, PARAMS))
 
 
 # --------------------------------------------------------------- line ends

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qrng_audit.ingest import serialize_jobs
-from qrng_audit.simulate import DeviceRunConfig, generate_device_run
+from qrng_audit.simulate import DeviceRunConfig, stream_run
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -54,6 +53,15 @@ def test_approximation_gap_study_default_output_is_pinned(capsys):
     assert digest == "b246959fe4dde5072425a299d8bb805c95d66f47e0a038709958e710fc1d81f0"
 
 
+def test_fleet_study_small_output_is_pinned(capsys):
+    """The fleet study's output at 30 jobs x 6 qubits x 2048 bits, as SHA-256
+    of its stdout, held fixed across changes to how the run is drawn and
+    tested."""
+    load_script("run_fleet_study").main(["--jobs", "30", "--qubits", "6", "--bits", "2048"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "730db3c784ae742e273e8157114a307ba031136ea5ffff22270b0c458120a121"
+
+
 def test_readme_has_python_examples():
     assert len(README_PYTHON) >= 3
 
@@ -62,8 +70,7 @@ def test_readme_has_python_examples():
                          ids=[f"block-{i}" for i in range(len(README_PYTHON))])
 def test_readme_python_example_runs(code, tmp_path, monkeypatch, capsys):
     """Each example runs as written, beside a small simulated jobs.csv."""
-    rows = generate_device_run(DeviceRunConfig(qubit_count=3, jobs=4, bits_per_job=256))
     with open(tmp_path / "jobs.csv", "w", newline="", encoding="utf-8") as fh:
-        serialize_jobs(rows, fh)
+        stream_run(DeviceRunConfig(qubit_count=3, jobs=4, bits_per_job=256), jobs=fh)
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {"__name__": "__readme__"})

@@ -1,5 +1,6 @@
 """Bit-stream sources: determinism, parameter laws, and the device-run shape."""
 
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as sp_stats
 
-from qrng_audit.autocorr import BLOCK_BYTES, BitSequence, autocorr_statistic
+from qrng_audit import simulate
+from qrng_audit.autocorr import BLOCK_BYTES, BitSequence, TestParams, autocorr_statistic
+from qrng_audit.ingest import parse_jobs
 from qrng_audit.simulate import (
     JOB_INTERVAL_S,
     RUN_START,
@@ -22,9 +25,10 @@ from qrng_audit.simulate import (
     device_run_blocks,
     drifting_bias,
     generate_calibration_series,
-    generate_device_run,
+    stream_run,
 )
-from reference import bits_of, derive_substream_seed, ideal_source, markov_source, stream_seed
+from reference import (bits_of, derive_substream_seed, ideal_source, markov_source, matrix_fields,
+                       serialize_jobs_str, stream_seed, whole_run)
 
 
 # ------------------------------------------------------------------- ideal
@@ -247,7 +251,7 @@ def test_device_run_shape_and_subset_regeneration():
     config = DeviceRunConfig(
         qubit_count=3, jobs=2, bits_per_job=16, bias=0.5, master_seed=7
     )
-    rows = generate_device_run(config)
+    rows = whole_run(config)
     assert (rows.job_ids, rows.qubit_ids) == (("j0001", "j0002"), (0, 1, 2))
     assert bits_of(rows).shape == (6, 16) and rows.bits.dtype == np.uint8
     cells = [(j, q) for j in range(2) for q in range(3)]
@@ -257,12 +261,12 @@ def test_device_run_shape_and_subset_regeneration():
     # and so does every other model's: markov at either sign of rho, and
     # drifting at the bias of the job's phase
     for rho in (0.3, -0.3):
-        markov = generate_device_run(replace(config, bias=0.5, rho=rho))
+        markov = whole_run(replace(config, bias=0.5, rho=rho))
         for row, (j, q) in enumerate(cells):
             seed = stream_seed(7, j, q)
             assert BitSequence(bits_of(markov)[row]) == markov_source(0.5, rho, 16, seed)
     phases = drifting_bias(((0.2, 1), (0.9, 1)))
-    drifting = generate_device_run(replace(config, bias=phases))
+    drifting = whole_run(replace(config, bias=phases))
     for row, (j, q) in enumerate(cells):
         seed = stream_seed(7, j, q)
         assert BitSequence(bits_of(drifting)[row]) == ideal_source((0.2, 0.9)[j], 16, seed)
@@ -270,22 +274,22 @@ def test_device_run_shape_and_subset_regeneration():
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 8193])
 def test_device_run_holds_each_row_in_ceil_n_over_8_bytes(n):
-    rows = generate_device_run(DeviceRunConfig(qubit_count=3, jobs=2, bits_per_job=n))
+    rows = whole_run(DeviceRunConfig(qubit_count=3, jobs=2, bits_per_job=n))
     assert rows.n == n
     assert rows.bits.nbytes == 6 * -(-n // 8)
 
 
 def test_device_run_deterministic():
     config = DeviceRunConfig(qubit_count=2, jobs=3, bits_per_job=32, master_seed=5)
-    a = generate_device_run(config)
-    b = generate_device_run(config)
+    a = whole_run(config)
+    b = whole_run(config)
     assert (a.job_ids, a.timestamps, a.qubit_ids) == (b.job_ids, b.timestamps, b.qubit_ids)
     assert np.array_equal(a.bits, b.bits)
 
 
 def test_device_run_timestamps_advance():
     config = DeviceRunConfig(qubit_count=1, jobs=3, bits_per_job=8)
-    stamps = generate_device_run(config).timestamps
+    stamps = whole_run(config).timestamps
     deltas = [(b - a).total_seconds() for a, b in zip(stamps, stamps[1:])]
     assert deltas == [523.0, 523.0]
 
@@ -293,7 +297,7 @@ def test_device_run_timestamps_advance():
 def test_device_run_per_qubit_models():
     config = DeviceRunConfig(qubit_count=2, jobs=1, bits_per_job=4096, bias=0.5, rho=[0.0, 0.3],
                              master_seed=9)
-    ideal, markov = bits_of(generate_device_run(config))
+    ideal, markov = bits_of(whole_run(config))
     ideal_stat = autocorr_statistic(BitSequence(ideal), 1)
     markov_stat = autocorr_statistic(BitSequence(markov), 1)
     assert markov_stat < ideal_stat  # rho=0.3 suppresses adjacent flips hard
@@ -331,7 +335,7 @@ def test_device_run_draws_each_cell_from_its_chain(form, n, seed):
     jobs, qubits, bias, rho = form
     config = DeviceRunConfig(qubit_count=qubits, jobs=jobs, bits_per_job=n, bias=bias, rho=rho,
                              master_seed=seed)
-    rows = generate_device_run(config)
+    rows = whole_run(config)
     cell_bias = np.broadcast_to(bias, (jobs, qubits))
     cell_rho = np.broadcast_to(rho, (jobs, qubits))
     for row, (j, q) in enumerate(np.ndindex(jobs, qubits)):
@@ -360,14 +364,13 @@ BLOCK_MODELS = {
 def test_device_run_blocks_join_to_each_stream_drawn_alone(jobs, bits, model, seed):
     """The blocks hold whole jobs, as many as fit in BLOCK_BYTES (at least
     one), in one reused buffer; joined, they are the run each stream drawn
-    alone from numpy's own seeding gives, and ``generate_device_run``."""
+    alone from numpy's own seeding gives."""
     assert PAPER_BLOCK_JOBS == 3
     bias, rho = BLOCK_MODELS[model](jobs)
     config = DeviceRunConfig(qubit_count=20, jobs=jobs, bits_per_job=bits, bias=bias, rho=rho,
                              master_seed=seed)
     cell_bias, cell_rho = config.chain_grid()
     per_block = max(1, BLOCK_BYTES // (20 * bits // 8))
-    whole = generate_device_run(config)
     first_bits, job = None, 0
     for block in device_run_blocks(config):
         assert len(block.job_ids) == min(per_block, jobs - job)
@@ -380,13 +383,40 @@ def test_device_run_blocks_join_to_each_stream_drawn_alone(jobs, bits, model, se
             expected = markov_source(float(cell_bias[j, q]), float(cell_rho[j, q]), bits,
                                      stream_seed(seed, j, q))
             assert BitSequence(streams[row]) == expected
-            assert np.array_equal(block.bits[row], whole.bits[j * 20 + q])
         span = range(job, job + len(block.job_ids))
         assert block.job_ids == tuple(f"j{j + 1:04d}" for j in span)
         assert block.timestamps == tuple(RUN_START + timedelta(seconds=j * JOB_INTERVAL_S)
                                          for j in span)
         job += len(block.job_ids)
-    assert job == jobs == len(whole.job_ids)
+    assert job == jobs
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
+def test_stream_run_writes_and_tests_the_run_a_block_at_a_time(model, seed, monkeypatch):
+    """7 jobs of 20 x 8192 bits span three blocks (3, 3, 1): ``stream_run``
+    writes the text of the whole run written at once, the matrix it counts
+    as it goes is the one ``parse_jobs`` reads from that text. Without
+    parameters it returns None; without a job file it writes nothing."""
+    bias, rho = BLOCK_MODELS[model](7)
+    config = DeviceRunConfig(qubit_count=20, jobs=7, bits_per_job=8192, bias=bias, rho=rho,
+                             master_seed=seed)
+    assert len(list(device_run_blocks(config))) == 3
+    written, params = io.StringIO(), TestParams(lag=2)
+    matrix = stream_run(config, params, written)
+    text = written.getvalue()
+    assert text == serialize_jobs_str(whole_run(config))
+    assert matrix_fields(matrix) == matrix_fields(parse_jobs(io.BytesIO(text.encode()), params))
+
+    written = io.StringIO()
+    assert stream_run(config, jobs=written) is None
+    assert written.getvalue() == text
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("wrote a block with no job file to write to")
+
+    monkeypatch.setattr(simulate, "serialize_jobs", refuse)
+    assert matrix_fields(stream_run(config, params)) == matrix_fields(matrix)
 
 
 @pytest.mark.parametrize("bias, rho, message", [
@@ -457,14 +487,13 @@ def test_calibration_series_covers_every_qubit():
 
 def test_ten_t1_reset_fleet_indistinguishable_from_ideal():
     """rho = exp(-10) is ~4.5e-5: far below detectability at n=8192."""
-    from qrng_audit.aggregate import build_matrix
-    from qrng_audit.autocorr import TestParams, Verdict
+    from qrng_audit.autocorr import Verdict
 
     shape = dict(qubit_count=5, jobs=40, bits_per_job=8192, master_seed=15)
 
     def fail_fraction(rho):
         config = DeviceRunConfig(bias=0.5, rho=rho, **shape)
-        matrix = build_matrix(generate_device_run(config), TestParams(lag=1))
+        matrix = stream_run(config, TestParams(lag=1))
         return int((matrix.verdicts() == Verdict.FAIL).sum()) / 200
 
     assert abs(fail_fraction(math.exp(-10.0)) - fail_fraction(0.0)) <= 0.02
