@@ -159,8 +159,7 @@ def write_report_csv(report: AggregateReport, stream: TextIO) -> None:
 
 
 def write_scatter_csv(report: AggregateReport, stream: TextIO) -> None:
-    if report.mean_t1_us is None:
-        raise ValueError("no relaxation-time data to emit")
+    """One row per qubit of a report built with calibration data."""
     stream.write("qubit_id,mean_t1_us,failure_ratio\n")
     for q in report.qubit_ids:
         stream.write(f"{q},{report.mean_t1_us[q]!r},{report.failure_ratio[q]!r}\n")

@@ -105,11 +105,6 @@ class BitSequence:
         return f"BitSequence(<{len(self)} bits>)"
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-
-
 @dataclass(frozen=True)
 class TestParams:
     """Test configuration: lag, significance level, and bias handling.
@@ -127,7 +122,8 @@ class TestParams:
     def __post_init__(self) -> None:
         if self.lag < 1:
             raise ValueError(f"lag must be >= 1, got {self.lag}")
-        _check_alpha(self.alpha)
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.fixed_bias is not None and not 0.0 <= self.fixed_bias <= 1.0:
             raise ValueError(f"fixed bias must be in [0, 1], got {self.fixed_bias}")
 
@@ -265,8 +261,8 @@ class PValueMatrix:
     Every cell shares one stream length ``n`` and one ``lag``. The per-cell
     fields are (jobs, qubits) arrays: ``statistic`` (int64), ``bias``,
     ``normalized`` and ``p_value`` (float64); ``normalized`` and ``p_value``
-    are NaN exactly on degenerate cells. ``alpha``, in (0, 1) as in
-    ``TestParams``, is the level pass/fail are read at.
+    are NaN exactly on degenerate cells. ``alpha`` is the level pass/fail
+    are read at, which ``TestParams`` or ``read_results`` has checked.
     """
 
     job_ids: tuple[str, ...]
@@ -278,9 +274,6 @@ class PValueMatrix:
     bias: np.ndarray
     normalized: np.ndarray
     p_value: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
 
     @classmethod
     def from_counts(

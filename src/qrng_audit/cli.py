@@ -44,6 +44,11 @@ def _parse_bias_flag(text: str) -> float | None:
     raise ValueError(f"--bias must be 'estimated' or 'fixed:<p>', got {text!r}")
 
 
+def _given(**flags) -> dict:
+    """The flags the user gave: a flag not given takes its config's default."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _chain_parameters(args: argparse.Namespace) -> dict:
     """The model flags as the run's ``bias`` and ``rho``. A flag the model
     would ignore is refused first."""
@@ -53,8 +58,7 @@ def _chain_parameters(args: argparse.Namespace) -> dict:
         if value is not None and args.model not in models:
             raise ValueError(f"{flag} does not apply to --model {args.model}")
     if args.model != "drifting":
-        return {"bias": 0.5 if args.p is None else args.p,
-                "rho": 0.0 if args.rho is None else args.rho}
+        return _given(bias=args.p, rho=args.rho)
     if args.schedule is None:
         raise ValueError("--model drifting requires --schedule")
     phases = []
@@ -69,15 +73,13 @@ def _chain_parameters(args: argparse.Namespace) -> dict:
 
 
 def _run_config(args: argparse.Namespace) -> DeviceRunConfig:
-    """The run the flags describe, whose job file ``test`` can read. A shape
-    flag not given takes ``DeviceRunConfig``'s default."""
+    """The run the flags describe, whose job file ``test`` can read."""
     from .ingest import check_stream_length
     from .simulate import DeviceRunConfig
 
-    shape = {field: value for field, value in (
-        ("qubit_count", args.qubits), ("jobs", args.jobs), ("bits_per_job", args.bits),
-        ("master_seed", args.seed)) if value is not None}
-    config = DeviceRunConfig(**shape, **_chain_parameters(args))
+    config = DeviceRunConfig(**_given(qubit_count=args.qubits, jobs=args.jobs,
+                                      bits_per_job=args.bits, master_seed=args.seed),
+                             **_chain_parameters(args))
     check_stream_length(config.bits_per_job)
     return config
 
@@ -85,18 +87,21 @@ def _run_config(args: argparse.Namespace) -> DeviceRunConfig:
 def _simulate(config: DeviceRunConfig, model: str, out: str, calibration_out: str | None,
               params: TestParams | None = None,
               ) -> tuple[PValueMatrix | None, list[CalibrationRecord] | None]:
-    """Write the job file by ``stream_run`` (a run that fails part way leaves
-    none) and the calibration file, if asked for. Returns the run's p-value
-    matrix (given test parameters) and the calibration records."""
+    """Write the job file by ``stream_run``, under a temporary name renamed
+    onto ``out`` once whole (a run that fails part way changes nothing at
+    ``out``), and the calibration file, if asked for. Returns the run's
+    p-value matrix (given test parameters) and the calibration records."""
     from .ingest import serialize_calibration
     from .simulate import generate_calibration_series, stream_run
 
-    fh = open(out, "w", newline="", encoding="utf-8")
+    partial = f"{out}.{os.getpid()}.partial"
+    fh = open(partial, "x", newline="", encoding="utf-8")
     try:
         with fh:
             matrix = stream_run(config, params, fh)
+        os.replace(partial, out)
     except BaseException:
-        os.remove(out)
+        os.remove(partial)
         raise
     calibration = None
     if calibration_out is not None:
@@ -118,7 +123,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _test_params(args: argparse.Namespace) -> TestParams:
     from .autocorr import TestParams
-    return TestParams(lag=args.lag, alpha=args.alpha, fixed_bias=_parse_bias_flag(args.bias))
+    return TestParams(**_given(lag=args.lag, alpha=args.alpha),
+                      fixed_bias=_parse_bias_flag(args.bias))
 
 
 def _write_results(matrix: PValueMatrix, out: str) -> None:
@@ -176,7 +182,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     if args.scatter is not None and args.calibration is None:
         raise ValueError("--scatter needs --calibration")
     # Checked by its one owner before the results file is read.
-    params = TestParams(alpha=args.alpha)
+    params = TestParams(**_given(alpha=args.alpha))
     with open(args.infile, "rb") as fh:
         matrix = read_results(fh, alpha=params.alpha)
     calibration = None
@@ -249,9 +255,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _add_test_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lag", type=int, default=1, help="bit separation l (default 1)")
-    parser.add_argument("--alpha", type=float, default=0.01,
-                        help="significance level (default 0.01)")
+    # --lag and --alpha default to None: TestParams' defaults are the test's.
+    parser.add_argument("--lag", type=int, help="bit separation l (default 1)")
+    parser.add_argument("--alpha", type=float, help="significance level (default 0.01)")
     parser.add_argument("--bias", default="estimated",
                         help="'estimated' (per-stream ones-frequency) or 'fixed:<p>'")
 
@@ -294,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_aggr.add_argument("--calibration", help="calibration CSV path (optional)")
     p_aggr.add_argument("--report", required=True, help="report CSV path")
     p_aggr.add_argument("--scatter", help="T1-vs-failure scatter CSV path (needs --calibration)")
-    p_aggr.add_argument("--alpha", type=float, default=0.01)
+    p_aggr.add_argument("--alpha", type=float, help="significance level (default 0.01)")
     p_aggr.set_defaults(func=cmd_aggregate)
 
     p_oracle = sub.add_parser("oracle", help="exact vs normal-approximation table")

@@ -9,16 +9,19 @@ Three file kinds, all UTF-8 CSV with a fixed header:
 * results         ``job_id,qubit_id,n,lag,bias,statistic,normalized,p_value,verdict``
 
 Parsers are strict: every rejection raises ParseError, carrying the
-offending line number where there is one. All three take a file opened
-``"rb"`` and read rows through one reader, ``_rows``. It reads the file in
-pieces of bounded size, splits them into lines at CR, LF and CRLF, as
-newline="" would, so a file whose lines end in a lone CR, or a line longer
-than any row, is read in bounded memory too, and decodes each line
-as UTF-8 when csv.reader reads it: a byte that is not UTF-8 is refused at
-its own line, after the faults of the lines before it. csv.reader parses
-every row, and ``_rows`` owns the header check, strict quoting, the field
-count, blank-row skipping, and turning csv module errors (bad quoting, a
-field over its 131072-character limit) into ParseError.
+offending line number where there is one. A file's rules have its parser
+as their one owner; records and writers trust what they are given.
+
+All three parsers take a file opened ``"rb"`` and read rows through one
+reader, ``_rows``. It reads the file in pieces of bounded size, splits
+them into lines at CR, LF and CRLF, as newline="" would, so a file whose
+lines end in a lone CR, or a line longer than any row, is read in bounded
+memory too, and decodes each line as UTF-8 when csv.reader reads it: a
+byte that is not UTF-8 is refused at its own line, after the faults of
+the lines before it. csv.reader parses every row, and ``_rows`` owns the
+header check, strict quoting, the field count, blank-row skipping, and
+turning csv module errors (bad quoting, a field over its 131072-character
+limit) into ParseError.
 
 A job row's bit text is most of the file, so csv.reader sees only the rest
 of it. A line that opens a record is cut at its last comma when the text
@@ -51,7 +54,6 @@ import csv
 import io
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import BinaryIO, Iterable, Iterator, TextIO
@@ -104,13 +106,6 @@ class CalibrationRecord:
     qubit_id: int
     t1_us: float
 
-    def __post_init__(self) -> None:
-        if self.timestamp.utcoffset() is None:
-            raise ValueError(f"timestamp {self.timestamp} must carry a UTC offset")
-        _check_qubit_id(self.qubit_id)
-        if not 0.0 < self.t1_us < math.inf:
-            raise ValueError(f"t1_us must be a positive finite value, got {self.t1_us}")
-
 
 @dataclass(frozen=True, eq=False)
 class JobRows:
@@ -149,9 +144,8 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
 
 
-def _check_job_id(job_id: str, line: int | None = None) -> None:
-    """Refuse a job_id no file can hold: at its line when parsing, and with
-    no line, before anything is written, when writing."""
+def _check_job_id(job_id: str, line: int) -> None:
+    """Refuse, at its line, a job_id no file can hold."""
     if not job_id:
         raise ParseError("empty job_id", line)
     # csv.writer quotes a newline but not a carriage return, so a job_id
@@ -160,17 +154,13 @@ def _check_job_id(job_id: str, line: int | None = None) -> None:
         raise ParseError(f"job_id {job_id!r} contains a carriage return", line)
 
 
-def _check_qubit_id(qubit: int, line: int | None = None) -> None:
-    if qubit < 0:
-        raise ParseError(f"qubit_id must be non-negative, got {qubit}", line)
-
-
 def _parse_qubit_id(text: str, line: int) -> int:
     try:
         qubit = int(text)
     except ValueError:
         raise ParseError(f"qubit_id {text!r} is not an integer", line) from None
-    _check_qubit_id(qubit, line)
+    if qubit < 0:
+        raise ParseError(f"qubit_id must be non-negative, got {qubit}", line)
     return qubit
 
 
@@ -377,10 +367,8 @@ def serialize_jobs(rows: JobRows, stream: TextIO, header: bool = True) -> None:
     Bit text never needs quoting, so only the three short fields go through
     csv.writer. The bits are unpacked and turned into text a block of rows
     at a time, in one reused buffer holding each row's bits plus '0' and
-    then a '\n'. Streams no parser could read back are refused before
-    anything is written."""
+    then a '\n'."""
     count_rows, n = len(rows.bits), rows.n
-    check_stream_length(n)
     if header:
         csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
     prefixes = _job_prefixes(rows)
@@ -428,21 +416,14 @@ def serialize_calibration(records: Iterable[CalibrationRecord], stream: TextIO) 
 
 def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
     """Write every cell of the matrix as one results-CSV row, in row order.
-    Ids ``read_results`` would refuse are refused before anything is written."""
-    for job_id in matrix.job_ids:
-        _check_job_id(job_id)
-    for qubit in matrix.qubit_ids:
-        _check_qubit_id(qubit)
-    for name, ids in (("job", matrix.job_ids), ("qubit", matrix.qubit_ids)):
-        repeated = [i for i, count in Counter(ids).items() if count > 1]
-        if repeated:
-            raise ValueError(f"{name} id {repeated[0]!r} repeats: its cells would be duplicates")
+    Its ids are those of a file ``parse_jobs`` or ``read_results`` read, or
+    of a run ``stream_run`` drew, so each is one ``read_results`` reads."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(RESULT_HEADER)
     qubits, verdicts = matrix.qubit_ids, matrix.verdicts()
     # A block of jobs at a time: the Python objects of every cell at once
     # would take about 150 bytes a cell. A NaN is written as an empty field.
-    step = max(1, BLOCK_BYTES // 64 // max(1, len(qubits)))
+    step = max(1, BLOCK_BYTES // 64 // len(qubits))
     for start in range(0, len(matrix.job_ids), step):
         jobs = slice(start, start + step)
         cells = [a[jobs].ravel().tolist() for a in (
@@ -455,10 +436,11 @@ def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
                              itertools.repeat(matrix.lag), *cells))
 
 
-def read_results(stream: BinaryIO, alpha: float = 0.01) -> PValueMatrix:
+def read_results(stream: BinaryIO, alpha: float = TestParams.alpha) -> PValueMatrix:
     """Read a results CSV as the matrix it describes, pass/fail read at
     ``alpha``: jobs in order of first appearance, qubits ascending, and each
-    (job, qubit) cell once.
+    (job, qubit) cell once. An ``alpha`` outside (0, 1) is refused first,
+    with ``TestParams``' message.
 
     Only rows a ``test`` run can write are accepted: a non-empty job_id
     without a carriage return, 1 <= lag < n, n within the job CSV field
@@ -469,6 +451,7 @@ def read_results(stream: BinaryIO, alpha: float = 0.01) -> PValueMatrix:
     they were read at. Once the file is read, each row's normalized and
     p_value must be those ``cell_outcomes`` gives for its statistic and
     bias, bit for bit; the first row whose numbers differ is refused at its line."""
+    TestParams(alpha=alpha)
     n_lag: tuple[int, int] | None = None
     max_fail, min_pass = -math.inf, math.inf
     cells: dict[tuple[str, int], None] = {}

@@ -271,7 +271,8 @@ def stream_run(config: DeviceRunConfig, params: TestParams | None = None,
 
 def generate_calibration_series(config: DeviceRunConfig) -> list[CalibrationRecord]:
     """Per-qubit relaxation-time series drifting as a bounded multiplicative
-    random walk, sampled every ``CALIBRATION_INTERVAL_S`` over the run's span."""
+    random walk, sampled every ``CALIBRATION_INTERVAL_S`` over the run's
+    span: qubit by qubit, each qubit's records in tick order."""
     ticks = int(config.jobs * JOB_INTERVAL_S // CALIBRATION_INTERVAL_S) + 1
     records = []
     seeds = _seed_grid(config.master_seed, 1, config.qubit_count)
@@ -279,14 +280,8 @@ def generate_calibration_series(config: DeviceRunConfig) -> list[CalibrationReco
         base = float(rng.uniform(*T1_RANGE_US))
         t1 = base
         for tick in range(ticks):
-            records.append(
-                CalibrationRecord(
-                    timestamp=RUN_START + timedelta(seconds=tick * CALIBRATION_INTERVAL_S),
-                    qubit_id=q,
-                    t1_us=t1,
-                )
-            )
+            records.append(CalibrationRecord(
+                RUN_START + timedelta(seconds=tick * CALIBRATION_INTERVAL_S), q, t1))
             t1 = float(np.clip(t1 * math.exp(rng.normal(0.0, T1_RELATIVE_STEP)),
                                base / 3.0, base * 3.0))
-    records.sort(key=lambda r: (r.timestamp, r.qubit_id))
     return records

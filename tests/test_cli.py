@@ -316,9 +316,16 @@ BAD_ROW_90 = "j4,2019-05-09T14:00:00Z,9," + "01a0" * 2048 + "\n"
     (lambda rows: rows + rows[70:71], [], 1, "line 102: duplicate stream for job 'j3' qubit 10"),
     (lambda rows: rows + rows[70:71], ["--lag", 8192], 1,
      "line 102: duplicate stream for job 'j3' qubit 10"),
+    (lambda rows: with_row(rows, 89, rows[89][2:]), ["--lag", 8192], 1, "line 91: empty job_id"),
+    # the CR ends line 91, so the row ends on line 92
+    (lambda rows: with_row(rows, 89, '"j\r4"' + rows[89][2:]), ["--lag", 8192], 1,
+     "line 92: job_id 'j\\r4' contains a carriage return"),
+    (lambda rows: with_row(rows, 89, rows[89].replace(",9,", ",-9,", 1)), ["--lag", 8192], 1,
+     "line 91: qubit_id must be non-negative, got -9"),
 ], ids=["bad-row-lag-n", "bad-row-lag-above-n", "header-only", "header-only-lag-n",
         "lag-n", "missing-cell", "missing-cell-lag-n", "duplicate-cell",
-        "duplicate-cell-lag-n"])
+        "duplicate-cell-lag-n", "empty-job-id-lag-n", "cr-job-id-lag-n",
+        "negative-qubit-lag-n"])
 def test_test_error_precedence(tmp_path, capsys, edit, flags, code, message):
     """A file's parse and grid errors come before the emptiness check, and
     that before the lag check, whatever block of rows holds the fault."""
@@ -459,6 +466,7 @@ GOOD_ROW = "j1,0,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,pass\n"
         "j1,1,8,1,0.5,4,-0.3779644730092272,0.7054569861112734,pass\n",  # statistic 3's numbers
         "j1,1,8,1,1.0,0,nan,nan,pass\n",  # zero variance needs empty fields
         "j1,1,8,1,0.5,3,2.6,0.0001,fail\n",  # its counts give p = 0.705, a pass
+        "j1,-1,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,pass\n",
     ],
     ids=["empty-p", "nan-p", "p-above-one", "mixed-lag", "mixed-n",
          "pass-without-p", "degenerate-with-p", "empty-job-id", "lag-above-n",
@@ -466,7 +474,7 @@ GOOD_ROW = "j1,0,8,1,0.5,3,-0.3779644730092272,0.7054569861112734,pass\n"
          "statistic-above-n-minus-lag", "nan-bias", "bias-above-one",
          "negative-bias", "pass-at-zero-variance", "degenerate-at-half-bias",
          "p-one-ulp-off", "normalized-off", "another-statistic", "nan-at-zero-variance",
-         "fail-of-a-pass"],
+         "fail-of-a-pass", "negative-qubit"],
 )
 def test_aggregate_rejects_bad_results_row(tmp_path, capsys, bad_row):
     results = tmp_path / "results.csv"
@@ -483,7 +491,9 @@ def test_aggregate_rejects_bad_results_row(tmp_path, capsys, bad_row):
     ("", "no result rows to aggregate"),
     (GOOD_ROW, "line 3: duplicate cell for job 'j1' qubit 0"),
     (GOOD_ROW.replace("j1,0", "j2,1"), "job 'j1' has no row for qubit 1"),
-], ids=["empty", "repeated-cell", "missing-cell"])
+    # the CR ends line 3, so the row ends on line 4
+    (GOOD_ROW.replace("j1,0", '"j\r1",1'), "line 4: job_id 'j\\r1' contains a carriage return"),
+], ids=["empty", "repeated-cell", "missing-cell", "cr-job-id"])
 def test_aggregate_grid_errors_exit_1(tmp_path, capsys, rows, message):
     results = tmp_path / "results.csv"
     results.write_text(RESULTS_HEADER + (GOOD_ROW if rows else "") + rows)
@@ -525,6 +535,24 @@ def test_aggregate_rejects_unreadable_csv(tmp_path, capsys, results_text, calibr
     assert "Traceback" not in err
     assert not (tmp_path / "report.csv").exists()
     assert not (tmp_path / "scatter.csv").exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2019-05-09T12:00:00,1,60.0\n", "timestamp '2019-05-09T12:00:00' must carry a UTC offset"),
+    ("2019-05-09T12:00:00Z,-1,60.0\n", "qubit_id must be non-negative, got -1"),
+    ("2019-05-09T12:00:00Z,1,0\n", "t1_us must be a positive finite value, got 0"),
+    ("2019-05-09T12:00:00Z,1,inf\n", "t1_us must be a positive finite value, got inf"),
+    ("2019-05-09T12:00:00Z,1,nan\n", "t1_us must be a positive finite value, got nan"),
+], ids=["naive-timestamp", "negative-qubit", "zero-t1", "infinite-t1", "nan-t1"])
+def test_aggregate_rejects_bad_calibration_row(tmp_path, capsys, row, message):
+    results, calibration = tmp_path / "results.csv", tmp_path / "calibration.csv"
+    results.write_text(RESULTS_HEADER + GOOD_ROW)
+    calibration.write_text(CALIBRATION_HEADER + CALIBRATION_ROW + row)
+    report, scatter = tmp_path / "report.csv", tmp_path / "scatter.csv"
+    code = run(["aggregate", "--in", results, "--calibration", calibration,
+                "--report", report, "--scatter", scatter])
+    assert (code, capsys.readouterr().err) == (1, f"error: line 3: {message}\n")
+    assert not report.exists() and not scatter.exists()
 
 
 @pytest.mark.parametrize("kind, text", [
@@ -924,7 +952,8 @@ def test_failed_allocation_exits_1_without_traceback(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
 def test_a_run_that_fails_part_way_leaves_no_job_file(tmp_path, capsys, monkeypatch, command):
     """A failed allocation for the second of three blocks of jobs, after the
-    first is written: exit 1, and the half-written job file is removed."""
+    first is written: exit 1, and the half-written job file is removed. A
+    job file already at the target keeps its bytes."""
     draw = simulate.device_run_blocks
 
     def second_block_fails(config):
@@ -934,10 +963,18 @@ def test_a_run_that_fails_part_way_leaves_no_job_file(tmp_path, capsys, monkeypa
     monkeypatch.setattr(simulate, "device_run_blocks", second_block_fails)
     where = ["--out", tmp_path / "jobs.csv"] if command == "simulate" else [
         "--workdir", tmp_path / "run"]
-    assert run([command, "--jobs", 7, "--qubits", 20, "--bits", 8192, *where]) == 1
+    argv = [command, "--jobs", 7, "--qubits", 20, "--bits", 8192, *where]
+    assert run(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 480. KiB for an array\n"
     assert list(tmp_path.rglob("*.csv")) == []
+
+    target = tmp_path / "jobs.csv" if command == "simulate" else tmp_path / "run" / "jobs.csv"
+    target.write_bytes(b"job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:00:00Z,0,0110\n")
+    kept = target.read_bytes()
+    assert run(argv) == 1
+    assert target.read_bytes() == kept
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == [target]
 
 
 def test_bits_at_csv_field_limit_round_trip(tmp_path):
