@@ -32,18 +32,16 @@ from typing import Iterable
 
 import numpy as np
 
+# The scalar standardization, re-exported: the test reads it from here.
+from .standardize import _TINY, check_lag, normalize_statistic, p_value, pair_mismatch_rate
+
 # Below this value of (n-l) * q * (1-q) the normal approximation is dubious;
 # results are still computed but flagged.
 LOW_SAMPLE_VARIANCE = 25.0
 
-# Smallest positive double; p-values are clamped here so they stay in (0, 1]
-# even when erfc underflows for astronomically extreme statistics.
-_TINY = 5e-324
-
-# Bytes handled at once by every blocked loop: packed bit rows counted by
-# ``packed_counts`` or drawn by ``simulate.device_run_blocks``, their '0'/'1'
-# text in ``ingest.serialize_jobs`` and rows of three float64 columns in the
-# ``oracle`` command's CSV writer.
+# Bytes handled at once by every blocked loop over streams: packed bit rows
+# counted by ``packed_counts``, drawn by ``simulate.device_run_blocks`` or
+# parsed by ``ingest``, and their '0'/'1' text in ``ingest.serialize_jobs``.
 # Small enough that each block's temporaries stay in cache and add nothing
 # to peak memory.
 BLOCK_BYTES = 1 << 16
@@ -148,12 +146,6 @@ class AutocorrResult:
     low_sample: bool = False
 
 
-def check_lag(n: int, lag: int) -> None:
-    """Refuse a lag that leaves no bit pair in a stream of n bits."""
-    if not 1 <= lag < n:
-        raise ValueError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
-
-
 def autocorr_statistic(seq: BitSequence, lag: int) -> int:
     """XOR count of the ``len(seq) - lag`` bit pairs ``lag`` apart."""
     check_lag(len(seq), lag)
@@ -193,37 +185,6 @@ def packed_counts(bits: np.ndarray, n: int, lag: int) -> tuple[np.ndarray, np.nd
 def estimate_bias(seq: BitSequence) -> float:
     """Ones-frequency of the sequence."""
     return seq.ones_count() / len(seq)
-
-
-def pair_mismatch_rate(bias: float) -> float:
-    """Probability 2p(1-p) that two independent bits with ones-probability p differ."""
-    return 2.0 * bias * (1.0 - bias)
-
-
-def normalize_statistic(
-    statistic: float | np.ndarray, n: int, lag: int, bias: float
-) -> float | np.ndarray:
-    """Standardize the XOR count: (A - q(n-lag)) / sqrt((n-lag) q (1-q)).
-
-    ``statistic`` may be an array of XOR counts, standardized elementwise
-    with the same operations."""
-    if not 0.0 <= bias <= 1.0:
-        raise ValueError(f"bias must be in [0, 1], got {bias}")
-    check_lag(n, lag)
-    m = n - lag
-    q = pair_mismatch_rate(bias)
-    variance = m * q * (1.0 - q)
-    if variance <= 0.0:
-        raise ValueError(f"zero variance at bias {bias}")
-    return (statistic - q * m) / math.sqrt(variance)
-
-
-def p_value(normalized: float) -> float:
-    """Two-sided p-value erfc(|A'| / sqrt(2)) of a standardized statistic."""
-    normalized = float(normalized)
-    if not math.isfinite(normalized):
-        raise ValueError(f"normalized statistic must be finite, got {normalized!r}")
-    return max(math.erfc(abs(normalized) / math.sqrt(2.0)), _TINY)
 
 
 def p_values(normalized: np.ndarray) -> np.ndarray:

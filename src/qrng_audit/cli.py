@@ -17,9 +17,10 @@ produce byte-identical files.
 
 The parse path loads no numpy: ``--help`` and a missing or unknown flag
 import only ``argparse``, and each subcommand, when called, imports only
-the layers it runs (``oracle``: autocorr and oracle; ``test``: autocorr
-and ingest; ``aggregate``: those two and aggregate). The annotations name
-those layers' types, as text that is never evaluated.
+the layers it runs (``oracle``: oracle and standardize, and no numpy;
+``test``: autocorr, which imports standardize, and ingest; ``aggregate``:
+those and aggregate). The annotations name those layers' types, as text
+that is never evaluated.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    import numpy as np
+    from itertools import groupby
 
     from .oracle import approximation_error
 
@@ -207,30 +208,25 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         k_range = (args.k_min, args.k_max)
     # Every input of the table is a flag, each checked before the file is opened.
     blocks = approximation_error(args.n, args.lag, args.p, k_range)
-    worst = np.float64(0.0)
+    worst = 0.0
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("statistic,exact_p,approx_p,difference\n")
-        # A block of rows at a time: Python scalars for every row of a long
-        # table would cost 32 bytes per cell of peak memory. Within a block
-        # the float text is formatted once per run of rows whose three bit
-        # patterns repeat (the underflowed tails are most of a long table)
-        # and the run's rows are joined in one call; bit patterns keep -0.0
-        # apart from 0.0.
-        for statistic, *block in blocks:
-            bits = np.stack(block, axis=1).view(np.uint64)
-            new_run = np.ones(len(bits), dtype=bool)
-            new_run[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-            starts = np.flatnonzero(new_run)
-            texts = [
-                f",{exact!r},{approx!r},{difference!r}\n"
-                for exact, approx, difference in zip(*(c[starts].tolist() for c in block))
-            ]
-            bounds = [*starts.tolist(), len(bits)]
-            fh.writelines(text.join(map(str, statistic[start:end])) + text
-                          for start, end, text in zip(bounds, bounds[1:], texts))
-            # np.maximum, as np.max over the whole column, carries a NaN.
-            worst = np.maximum(worst, np.max(np.abs(block[2]), initial=0.0))
-    _status(f"max |exact - approx|: {float(worst):.6g}")
+        # Within a block the float text is formatted once per run of rows
+        # whose three floats repeat (the underflowed tails are most of a long
+        # table) and the run's rows are joined in one call. Equal floats have
+        # equal text here, as no column holds -0.0 or NaN: exact_p is a sum
+        # of finite masses from +0.0, capped at 1.0, and approx_p a finite
+        # p-value of at least the smallest positive double, so exact_p -
+        # approx_p is finite and never -0.0.
+        for statistic, exact, approx, difference in blocks:
+            start = 0
+            for row, run in groupby(zip(exact, approx, difference)):
+                end = start + len(list(run))
+                text = ",%r,%r,%r\n" % row
+                fh.write(text.join(map(str, statistic[start:end])) + text)
+                start = end
+            worst = max(worst, *map(abs, difference))
+    _status(f"max |exact - approx|: {worst:.6g}")
     return 0
 
 
@@ -341,12 +337,17 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         # A ParseError is a file's data (its message carries the line) and
-        # only ingest raises one, so then ingest is loaded already. Any other
-        # is a flag's value, a flag pair, or a --lag the streams are too short for.
-        from .ingest import ParseError
+        # only ingest raises one: a command that never loaded ingest has
+        # none. Any other is a flag's value, a flag pair, or a --lag the
+        # streams are too short for.
+        ingest = sys.modules.get(f"{__package__}.ingest")
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, ParseError) else 2
+        return 1 if ingest is not None and isinstance(exc, ingest.ParseError) else 2
 
 
 def entrypoint() -> None:
+    # numpy's OpenBLAS starts a thread per core when it is imported, and no
+    # command makes a call large enough to use them: on a loaded host the
+    # idle pool still slows the import. A value the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

@@ -30,30 +30,33 @@ and only the non-zero support is visited (about 13900 of the 131073 entries
 at m = 131072).
 
 ``ExactDistribution.two_sided_p`` sums every exact two-sided tail in one
-array pass, whichever route built the pmf, over the pmf's non-zero window
+sorted pass, whichever route built the pmf, over the pmf's non-zero window
 only: beyond it every tail is 0.0. ``approximation_error`` sums those tails
 and yields them against the normal-approximation p-values one block of rows
-at a time, each standardized and ``erfc``'d as it is read. The ``oracle``
-command's working memory is thus the non-zero window (about 77 sd wide:
-13906 of the 131072 entries at n = 131072) plus one block, and its peak RSS
-is about 1.6 MiB above that of a process with every module of the package
-imported (30.7 against 29.1 MiB) at n = 131072.
+at a time, each standardized and ``erfc``'d as it is read.
+
+Counts are Python ints and masses Python floats, with the test's scalar
+standardization from ``standardize``: the module loads no numpy. The
+``oracle`` command's working memory is thus the pmf and its tails (a
+pointer per entry, with a float object only in the non-zero window: 13906
+of the 131072 entries at n = 131072) plus one block, and at n = 131072 its
+peak RSS is 18.4 MiB, 10.8 MiB below that of a process with every module
+of the package imported (29.1 MiB), where it was 30.7 MiB with numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from itertools import compress, count
 
-import numpy as np
-
-from .autocorr import BLOCK_BYTES, check_lag, normalize_statistic, p_values
+from .standardize import check_lag, p_value, standardization
 
 # Each (statistic, ones) count is below 2^n. Up to n = 53, the doubles'
 # significand width, every count converts to a double exactly, so at p = 1/2
-# each int(count) * 2^-n is exact and fsum rounds each pmf entry once.
+# each count * 2^-n is exact and fsum rounds each pmf entry once.
 ENUMERATION_MAX_N = sys.float_info.mant_dig
 # Fraction bits of the binomial walk: above the 1075 bits that reach the
 # smallest subnormal, with ample room for the floors' slack.
@@ -62,43 +65,39 @@ _FIXED_POINT_BITS = 1200
 _MODE_CHUNK = 64
 
 
-@dataclass(frozen=True)
 class ExactDistribution:
-    """Exact pmf of the XOR-count statistic on its support 0..n-lag."""
+    """Exact pmf of the XOR-count statistic on its support 0..n-lag, held
+    as a tuple of floats (a copy of the caller's sequence). A plain class:
+    importing ``dataclasses`` would cost the ``oracle`` command about 8 ms,
+    a seventh of its run at n = 24."""
 
-    n: int
-    lag: int
-    bias: float
-    pmf: np.ndarray = field(repr=False)
-    # First and last statistic value of non-zero mass.
-    _nonzero: tuple[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "lag", "bias", "pmf", "_nonzero")
 
-    def __post_init__(self) -> None:
-        m = self.n - self.lag
-        if self.pmf.shape != (m + 1,):
-            raise ValueError(f"pmf must cover 0..{m}, got shape {self.pmf.shape}")
-        if not np.all(np.isfinite(self.pmf)):
+    def __init__(self, n: int, lag: int, bias: float, pmf: Iterable[float]) -> None:
+        m = n - lag
+        pmf = tuple(map(float, pmf))
+        if len(pmf) != m + 1:
+            raise ValueError(f"pmf must cover 0..{m}, got shape ({len(pmf)},)")
+        if not all(map(math.isfinite, pmf)):
             raise ValueError("pmf has non-finite mass")
-        if np.any(self.pmf < 0.0):
+        if min(pmf, default=0.0) < 0.0:
             raise ValueError("pmf has negative mass")
-        # Zeros, most of a long pmf, add nothing to the correctly rounded sum.
-        nonzero = np.flatnonzero(self.pmf)
-        total = math.fsum(self.pmf[nonzero].tolist())
+        total = math.fsum(pmf)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"pmf mass {total!r} deviates from 1 by more than 1e-12")
-        object.__setattr__(self, "_nonzero", (int(nonzero[0]), int(nonzero[-1])))
-        # Read-only through this distribution; the caller's array stays writable.
-        pmf = self.pmf.view()
-        pmf.setflags(write=False)
-        object.__setattr__(self, "pmf", pmf)
+        self.n, self.lag, self.bias, self.pmf = n, lag, bias, pmf
+        # First and last statistic value of non-zero mass.
+        nonzero = list(compress(count(), pmf))
+        self._nonzero = (nonzero[0], nonzero[-1])
 
     def mean(self) -> float:
         first, last = self._nonzero
-        return float(np.dot(np.arange(first, last + 1), self.pmf[first:last + 1]))
+        return math.fsum(map(operator.mul, range(first, last + 1), self.pmf[first:last + 1]))
 
-    def two_sided_p(self) -> np.ndarray:
-        """Exact two-sided p-value of every statistic value, from one cumsum in
-        order of falling distance from the mean (small tails summed first).
+    def two_sided_p(self) -> list[float]:
+        """Exact two-sided p-value of every statistic value, from one running
+        sum in order of falling distance from the mean (small tails summed
+        first).
 
         Only the window of statistic values no farther from the mean than
         the farthest non-zero entry plus one is summed. Every value outside
@@ -110,39 +109,50 @@ class ExactDistribution:
         mean = self.mean()
         reach = max(mean - first, last - mean) + 1.0
         lo, hi = max(0, math.ceil(mean - reach)), min(m, math.floor(mean + reach))
-        distances = np.abs(np.arange(lo, hi + 1) - mean)
-        order = np.argsort(-distances, kind="stable")
-        tail = np.cumsum(self.pmf[lo:hi + 1][order])
-        # k and its mirror about the mean share the pair's tail. Distances on
-        # one side of the mean are 1 apart, so a tie is at most a pair.
-        sorted_d = distances[order]
-        tied = sorted_d[1:] >= sorted_d[:-1] - 1e-9
-        tail[:-1][tied] = tail[1:][tied]
-        # Pages of the zeros outside the window are never written.
-        p = np.zeros(m + 1)
-        p[lo:hi + 1][order] = tail
+        p = [0.0] * (m + 1)
+        tail, previous, previous_distance = 0.0, lo, math.inf
+        # A stable sort, so equal distances keep their order of k.
+        for k in sorted(range(lo, hi + 1), key=lambda k: -abs(k - mean)):
+            distance = abs(k - mean)
+            tail += self.pmf[k]
+            p[k] = tail
+            # k and its mirror about the mean share the pair's tail. Distances
+            # on one side of the mean are 1 apart, so a tie is at most a pair.
+            if distance >= previous_distance - 1e-9:
+                p[previous] = tail
+            previous, previous_distance = k, distance
         return p
 
 
-def _joint_counts(n: int, lag: int) -> np.ndarray:
-    """Exact int64 counts of the length-n sequences by (statistic, ones).
+def _joint_counts(n: int, lag: int) -> list[list[int]]:
+    """Exact counts of the length-n sequences by (statistic, ones), as
+    ``counts[statistic][ones]``.
 
     The bits are walked class by class (positions c, c + lag, c + 2 lag, ...),
     so each bit pairs with the one before it in the walk unless it opens its
-    class. ``zero[s, k]`` and ``one[s, k]`` count the prefixes so far with s
+    class. ``zero[s][k]`` and ``one[s][k]`` count the prefixes so far with s
     mismatched pairs and k ones, split by their last bit. No prefix reaches
-    s = n - lag or k = n before the last bit, so what ``np.roll`` wraps
-    round is always zero.
+    s = n - lag or k = n before the last bit, so what a shift drops off the
+    end of a table is always zero.
     """
-    zero = np.zeros((n - lag + 1, n + 1), dtype=np.int64)
-    one = np.zeros_like(zero)
-    zero[0, 0] = 1
+    def add(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+        return [list(map(operator.add, x, y)) for x, y in zip(a, b)]
+
+    def one_more_one(a: list[list[int]]) -> list[list[int]]:
+        return [[0, *row[:-1]] for row in a]
+
+    def one_more_mismatch(a: list[list[int]]) -> list[list[int]]:
+        return [[0] * (n + 1), *a[:-1]]
+
+    zero, one = ([[0] * (n + 1) for _ in range(n - lag + 1)] for _ in range(2))
+    zero[0][0] = 1
     for c in range(lag):
-        zero, one = zero + one, np.roll(zero + one, 1, axis=1)
+        zero = add(zero, one)
+        one = one_more_one(zero)
         for _ in range(c + lag, n, lag):
-            zero, one = (zero + np.roll(one, 1, axis=0),
-                         np.roll(one + np.roll(zero, 1, axis=0), 1, axis=1))
-    return zero + one
+            zero, one = (add(zero, one_more_mismatch(one)),
+                         one_more_one(add(one, one_more_mismatch(zero))))
+    return add(zero, one)
 
 
 def exact_distribution_enumerate(n: int, lag: int, bias: float) -> ExactDistribution:
@@ -154,16 +164,8 @@ def exact_distribution_enumerate(n: int, lag: int, bias: float) -> ExactDistribu
     if not 0.0 <= bias <= 1.0:
         raise ValueError(f"bias must be in [0, 1], got {bias}")
 
-    m = n - lag
-    counts = _joint_counts(n, lag)
-
     weight_by_ones = [bias**c * (1.0 - bias) ** (n - c) for c in range(n + 1)]
-    pmf = np.array(
-        [
-            math.fsum(int(counts[a, c]) * weight_by_ones[c] for c in range(n + 1))
-            for a in range(m + 1)
-        ]
-    )
+    pmf = [math.fsum(map(operator.mul, row, weight_by_ones)) for row in _joint_counts(n, lag)]
     return ExactDistribution(n=n, lag=lag, bias=bias, pmf=pmf)
 
 
@@ -171,7 +173,7 @@ def exact_distribution_binomial(n: int, lag: int) -> ExactDistribution:
     """Binomial(n-lag, 1/2) pmf; the exact law of the statistic at bias 1/2."""
     check_lag(n, lag)
     m = n - lag
-    pmf = np.zeros(m + 1)
+    pmf = [0.0] * (m + 1)
     # f is C(m, k) / 2^m scaled by 2^_FIXED_POINT_BITS and rounded down, and
     # slack counts the floors taken. Every factor is at most 1, so each floor
     # lowers f by less than one unit: the exact value lies in
@@ -200,7 +202,9 @@ def exact_distribution_binomial(n: int, lag: int) -> ExactDistribution:
     return ExactDistribution(n=n, lag=lag, bias=0.5, pmf=pmf)
 
 
-_TABLE_ROWS = BLOCK_BYTES // 24  # three float64 columns per row
+# Rows of the table built at a time: about 260 KiB of Python floats, three
+# to a row with their list slots.
+_TABLE_ROWS = 2730
 
 
 def approximation_error(
@@ -208,7 +212,7 @@ def approximation_error(
     lag: int,
     bias: float,
     k_range: tuple[int, int] | None = None,
-) -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[range, list[float], list[float], list[float]]]:
     """Exact vs normal-approximation two-sided p-values, one row per
     statistic value in ``k_range`` (both ends included; default the whole
     support), yielded a block of rows at a time as (statistic values,
@@ -223,7 +227,7 @@ def approximation_error(
         raise ValueError(f"k_range must lie within [0, {m}], got {k_range}")
     # The table is read later: refuse a bias or variance it cannot use now,
     # before an exact law is picked or built.
-    normalize_statistic(k_lo, n, lag, bias)
+    center, scale = standardization(n, lag, bias)
     if n <= ENUMERATION_MAX_N:
         dist = exact_distribution_enumerate(n, lag, bias)
     elif bias == 0.5:
@@ -236,11 +240,16 @@ def approximation_error(
         )
     tails = dist.two_sided_p()
 
-    def blocks() -> Iterator[tuple[range, np.ndarray, np.ndarray, np.ndarray]]:
+    def blocks() -> Iterator[tuple[range, list[float], list[float], list[float]]]:
         for lo in range(k_lo, k_hi + 1, _TABLE_ROWS):
             hi = min(lo + _TABLE_ROWS, k_hi + 1)
-            exact = np.minimum(tails[lo:hi], 1.0)
-            approx = p_values(normalize_statistic(np.arange(lo, hi), n, lag, bias))
-            yield range(lo, hi), exact, approx, exact - approx
+            exact = tails[lo:hi]
+            # Only the tails near the mean, sums of nearly all the mass, can
+            # round above 1.0: most blocks need no cap.
+            if max(exact) > 1.0:
+                exact = [min(tail, 1.0) for tail in exact]
+            # normalize_statistic's operations, without its checks per row.
+            approx = [p_value((k - center) / scale) for k in range(lo, hi)]
+            yield range(lo, hi), exact, approx, list(map(operator.sub, exact, approx))
 
     return blocks()

@@ -13,10 +13,10 @@ filled from the forced bit before it, with no full-length index arrays.
 Every (job, qubit) stream draws from ``np.random.default_rng(seed)`` for a
 SplitMix64 mix of (master_seed, job, qubit), so any subset of a run can be
 regenerated independently and results never depend on generation order. A
-run seeds all its streams in one pass over uint64 arrays (the SplitMix64
-grid, then numpy's own SeedSequence hash and PCG64 seeding) and sets one
-reused generator to each stream's state in turn: the same draws as a
-generator per stream, without numpy's per-generator set-up.
+run seeds its streams over uint64 arrays (the SplitMix64 grid in one pass,
+then numpy's own SeedSequence hash and PCG64 seeding 4096 streams at a
+time) and sets one reused generator to each stream's state in turn: the
+same draws as a generator per stream, without numpy's per-generator set-up.
 
 A run is drawn a block of whole jobs at a time (``device_run_blocks``), as
 many as fit in ``BLOCK_BYTES`` of packed bits, into one reused buffer;
@@ -57,6 +57,10 @@ T1_RELATIVE_STEP = 0.05
 
 # PCG64's 128-bit LCG multiplier (O'Neill 2014).
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+# Streams seeded per pass of ``_seed_sequence_words``: its temporaries cost
+# about 128 bytes per stream, so a pass holds about 0.5 MiB however many
+# jobs the run has.
+_SEED_CHUNK = 4096
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -111,9 +115,12 @@ def _generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     turn, as one reused Generator: each yield sets its PCG64 state, so a
     yielded generator is valid until the next is asked for. PCG64 seeds its
     128-bit LCG from a seed's SeedSequence words as (state, increment) with
-    two LCG steps."""
+    two LCG steps. The words are computed ``_SEED_CHUNK`` seeds at a time."""
     rng, mask = np.random.default_rng(0), (1 << 128) - 1
-    for row in _seed_sequence_words(seeds):
+    seeds = seeds.ravel()
+    words = (_seed_sequence_words(seeds[i:i + _SEED_CHUNK])
+             for i in range(0, seeds.size, _SEED_CHUNK))
+    for row in itertools.chain.from_iterable(words):
         seed_hi, seed_lo, inc_hi, inc_lo = row.tolist()
         inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & mask
         state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULTIPLIER + inc) & mask

@@ -29,12 +29,12 @@ from qrng_audit.simulate import DeviceRunConfig, _chain_bits, device_run_blocks
 
 def as_dict(dist):
     """The pmf of an ExactDistribution as {statistic: mass}."""
-    return {int(k): float(p) for k, p in zip(np.arange(dist.pmf.size), dist.pmf)}
+    return dict(enumerate(dist.pmf))
 
 
 def variance(dist):
     """Variance of an ExactDistribution, summed over its pmf."""
-    d = np.arange(dist.pmf.size) - dist.mean()
+    d = np.arange(len(dist.pmf)) - dist.mean()
     return float(np.dot(d * d, dist.pmf))
 
 
@@ -45,11 +45,12 @@ def exact_two_sided_p(dist, observed):
     m = dist.n - dist.lag
     if not 0 <= observed <= m:
         raise ValueError(f"observed must be in [0, {m}], got {observed}")
-    distances = np.abs(np.arange(dist.pmf.size) - dist.mean())
+    pmf = np.array(dist.pmf)
+    distances = np.abs(np.arange(pmf.size) - dist.mean())
     # Tiny slack so the mirror point k = 2*mean - observed is kept when the
     # mean itself carries float rounding (bias != 1/2).
     mask = distances >= distances[observed] - 1e-9
-    return float(np.sum(dist.pmf[mask]))
+    return float(np.sum(pmf[mask]))
 
 
 def joined_table(blocks):

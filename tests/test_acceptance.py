@@ -103,7 +103,7 @@ def test_criterion_04_oracle_agreement():
         for lag in range(1, n):
             enum = exact_distribution_enumerate(n, lag, 0.5)
             closed = exact_distribution_binomial(n, lag)
-            worst_pmf = max(worst_pmf, float(np.max(np.abs(enum.pmf - closed.pmf))))
+            worst_pmf = max(worst_pmf, float(np.max(np.abs(np.subtract(enum.pmf, closed.pmf)))))
     assert worst_pmf <= 1e-12
 
     worst_mean = worst_var = 0.0

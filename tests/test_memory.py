@@ -2,15 +2,18 @@
 peak of a process that imports every module of the package, numpy with
 them, and exits (about 29.1 MiB). That is what ``--help`` loaded until its
 parse path stopped importing numpy; ``--help`` now peaks at about 14.5 MiB,
+and ``oracle``, which imports no numpy either, at 15.2 to 18.4 MiB: each
 at least 10 MiB below the reference.
 
 * The pipeline at 145 jobs x 20 qubits x 8192 bits (the benchmark's paper
   shape) generates, writes and counts one block of 3 jobs (60 KiB of packed
   bits) at a time and keeps only each stream's two counts: about 7.8 MiB
   above the reference, against about 11 MiB holding the run's 2.9 MB of packed
-  bits and about 30 MiB at one byte per bit. ``pipeline`` and ``simulate``
-  peak about 1.5 MiB higher at 1158 jobs than at 579 (the run's seeds are
-  computed in one pass), against 14 and 12 MiB higher holding the grid.
+  bits and about 30 MiB at one byte per bit. ``pipeline`` peaks about
+  1.1 MiB higher at 1158 jobs than at 579 (each stream's counts and
+  outcomes) and ``simulate`` about 0.2 MiB (the seeds are computed 4096
+  streams at a time), against 1.3 and 1.6 MiB seeding every stream in one
+  pass and 14 and 12 MiB holding the grid.
 * ``test`` on a 579 x 20 x 8192 job file holds none of its 11.9 MB of
   packed bits, only each stream's two counts, in grid order, shuffled, or
   with its lines ending in a lone CR: about 4 MiB above the reference, against
@@ -25,13 +28,15 @@ at least 10 MiB below the reference.
   second line is such a line stops at about 0.5 MiB (only job_id may reach
   the limit): about 3 MiB above the reference, against about 10 MiB when
   every field's share of the bound was the field limit.
-* The exact oracle at n = 24 and at n = 53, the enumeration route's limit,
-  walks the bits class by class, holding two (statistic, ones) tables of
-  counts: about 0.6 MiB above the reference at either length.
+* The exact oracle imports no numpy. At n = 24 and at n = 53, the
+  enumeration route's limit, it walks the bits class by class, holding two
+  (statistic, ones) tables of counts: about 14 MiB below the reference at
+  either length, against 0.6 MiB above it with numpy loaded.
 * The exact oracle at n = 131072 (the closed form at p = 1/2) sums its
   tails over the pmf's non-zero window (13906 of 131072 entries) and writes
-  its table one block of rows at a time: about 1.6 MiB above the reference,
-  against about 8.5 MiB with full-length tail-sum temporaries and columns.
+  its table one block of rows at a time: about 10.8 MiB below the
+  reference, against 1.6 MiB above it with numpy loaded and about 8.5 MiB
+  above with full-length tail-sum temporaries and columns.
 """
 
 import os
@@ -47,9 +52,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PEAK_ABOVE_STARTUP_MIB = 11
 TEST_PEAK_ABOVE_STARTUP_MIB = 8
 # Growth of a peak from 579 to 1158 jobs.
-PEAK_GROWTH_MIB = 3
+PEAK_GROWTH_MIB = 1.5
 CHILD_TIMEOUT_S = 120.0
-LAYERS = ("aggregate", "autocorr", "cli", "ingest", "oracle", "simulate")
+LAYERS = ("aggregate", "autocorr", "cli", "ingest", "oracle", "simulate", "standardize")
 # The parse path imports no numpy: --help peaks at least this far below the
 # package loaded.
 HELP_BELOW_STARTUP_MIB = 10
@@ -183,3 +188,13 @@ def test_exact_oracle_peak_rss_stays_near_startup(tmp_path, n, p, bound_mib):
     oracle = peak_rss_mib(["oracle", "--n", n, "--lag", "1", "--p", p,
                            "--out", "gap.csv"], tmp_path)
     assert oracle - startup < bound_mib, (oracle, startup)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+@pytest.mark.parametrize("n, p", [("24", "0.3"), ("53", "0.3"), ("131072", "0.5")],
+                         ids=["enumerate-n24", "enumerate-n53", "binomial-n131072"])
+def test_exact_oracle_peaks_well_below_the_loaded_package(tmp_path, n, p):
+    startup = startup_rss_mib(tmp_path)
+    oracle = peak_rss_mib(["oracle", "--n", n, "--lag", "1", "--p", p, "--out", "gap.csv"],
+                          tmp_path)
+    assert startup - oracle >= HELP_BELOW_STARTUP_MIB, (startup, oracle)

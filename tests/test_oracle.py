@@ -32,7 +32,7 @@ def test_enumerate_examples():
     assert as_dict(exact_distribution_enumerate(2, 1, 0.5)) == {0: 0.5, 1: 0.5}
     assert as_dict(exact_distribution_enumerate(3, 1, 0.5)) == {0: 0.25, 1: 0.5, 2: 0.25}
     degenerate = exact_distribution_enumerate(3, 1, 1.0)
-    assert degenerate.pmf[0] == 1.0 and degenerate.pmf[1:].sum() == 0.0
+    assert degenerate.pmf[0] == 1.0 and sum(degenerate.pmf[1:]) == 0.0
 
 
 def test_enumerate_size_limit():
@@ -121,7 +121,7 @@ def test_binomial_pmf_underflow_edge_is_correctly_rounded():
         assert pmf[k] == float(Fraction(math.comb(m, k), 2**m))
         assert pmf[m - k] == pmf[k]
     assert pmf[last] > 0.0 and pmf[last - 1] == 0.0
-    assert not pmf[:last].any() and not pmf[m - last + 1:].any()
+    assert not any(pmf[:last]) and not any(pmf[m - last + 1:])
 
 
 def counting(comb, calls):
@@ -178,11 +178,25 @@ def test_exact_distribution_rejects_non_finite_pmf(pmf):
         ExactDistribution(3, 1, 0.5, np.array(pmf))
 
 
+@pytest.mark.parametrize("pmf, message", [
+    ([0.5, 0.5], "pmf must cover 0..2, got shape (2,)"),
+    ([0.25, 0.5, 0.25, 0.0], "pmf must cover 0..2, got shape (4,)"),
+    ([0.75, 0.5, -0.25], "pmf has negative mass"),
+    ([0.25, 0.5, 0.25 + 2e-12], "pmf mass 1.000000000002 deviates from 1 by more than 1e-12"),
+    ([0.0, 0.0, 0.0], "pmf mass 0.0 deviates from 1 by more than 1e-12"),
+])
+def test_exact_distribution_rejects_a_pmf_that_is_not_one_law(pmf, message):
+    with pytest.raises(ValueError) as refusal:
+        ExactDistribution(3, 1, 0.5, pmf)
+    assert str(refusal.value) == message
+
+
 def test_exact_distribution_leaves_the_callers_pmf_writable():
     pmf = np.array([0.25, 0.5, 0.25])
     dist = ExactDistribution(3, 1, 0.5, pmf)
     pmf[0] = 0.3
-    with pytest.raises(ValueError, match="read-only"):
+    assert dist.pmf == (0.25, 0.5, 0.25)
+    with pytest.raises(TypeError, match="does not support item assignment"):
         dist.pmf[0] = 0.3
 
 
@@ -192,7 +206,7 @@ def test_enumerate_matches_binomial_at_half(n):
     for lag in range(1, n):
         enum = exact_distribution_enumerate(n, lag, 0.5)
         closed = exact_distribution_binomial(n, lag)
-        assert np.max(np.abs(enum.pmf - closed.pmf)) <= 1e-12
+        assert np.max(np.abs(np.subtract(enum.pmf, closed.pmf))) <= 1e-12
 
 
 @pytest.mark.parametrize("bias", [0.1, 0.3, 0.5, 0.73])
@@ -223,8 +237,8 @@ def test_pmf_is_normalized():
         exact_distribution_enumerate(12, 2, 0.27),
         exact_distribution_binomial(100_000, 1),
     ):
-        assert abs(math.fsum(dist.pmf.tolist()) - 1.0) <= 1e-12
-        assert np.all(dist.pmf >= 0.0)
+        assert abs(math.fsum(dist.pmf) - 1.0) <= 1e-12
+        assert min(dist.pmf) >= 0.0
 
 
 def test_two_sided_p_examples():
@@ -255,8 +269,7 @@ def test_two_sided_p_of_an_off_centre_window(n, lag, bias):
     still checked point by point, the zero tails beyond the window included."""
     dist = exact_distribution_enumerate(n, lag, bias)
     assert np.flatnonzero(dist.pmf).max() <= 2
-    assert dist.two_sided_p().tolist() == [exact_two_sided_p(dist, k)
-                                           for k in range(n - lag + 1)]
+    assert dist.two_sided_p() == [exact_two_sided_p(dist, k) for k in range(n - lag + 1)]
 
 
 @pytest.mark.parametrize("dist", [
@@ -267,7 +280,7 @@ def test_two_sided_p_of_an_off_centre_window(n, lag, bias):
 def test_mean_equals_the_full_support_sum(dist):
     """``mean`` sums only the non-zero window; the correctly rounded sum of
     k * pmf[k] over the whole support is within one ulp of it."""
-    expected = math.fsum(k * p for k, p in enumerate(dist.pmf.tolist()))
+    expected = math.fsum(k * p for k, p in enumerate(dist.pmf))
     assert abs(dist.mean() - expected) <= math.ulp(expected)
 
 
@@ -277,10 +290,11 @@ def loop_approximation_error(n, lag, bias):
     dist = (exact_distribution_enumerate(n, lag, bias) if n <= ENUMERATION_MAX_N
             else exact_distribution_binomial(n, lag))
     m = n - lag
-    distances = np.abs(np.arange(dist.pmf.size) - dist.mean())
+    pmf = np.array(dist.pmf)
+    distances = np.abs(np.arange(pmf.size) - dist.mean())
     order = np.argsort(-distances, kind="stable")
     tail = np.empty(m + 1)
-    tail[order] = np.cumsum(dist.pmf[order])
+    tail[order] = np.cumsum(pmf[order])
     exact_by_k = np.empty(m + 1)
     sorted_d = distances[order]
     run_start = 0
@@ -361,9 +375,9 @@ def test_exact_size_drifts_from_alpha_away_from_fair_bias(bias, pinned, estimate
     def failed(p):
         return p_values(normalize_statistic(statistic, n, lag, p)) < alpha
 
-    pmf = exact_distribution_enumerate(n, lag, bias).pmf
+    pmf = np.array(exact_distribution_enumerate(n, lag, bias).pmf)
     assert math.fsum(pmf[failed(bias)].tolist()) == pytest.approx(pinned, abs=5e-8)
-    counts = oracle._joint_counts(n, lag)
+    counts = np.array(oracle._joint_counts(n, lag))
     size = math.fsum(
         bias**k * (1 - bias) ** (n - k) * math.fsum(counts[failed(k / n), k].tolist())
         for k in range(1, n)
