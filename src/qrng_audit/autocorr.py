@@ -25,7 +25,6 @@ qubits) grid, where ``cell_outcomes`` runs ``run_test``'s arithmetic in its orde
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -33,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 # The scalar standardization, re-exported: the test reads it from here.
-from .standardize import _TINY, check_lag, normalize_statistic, p_value, pair_mismatch_rate
+from .standardize import check_lag, normalize_statistic, p_value, pair_mismatch_rate
 
 # Below this value of (n-l) * q * (1-q) the normal approximation is dubious;
 # results are still computed but flagged.
@@ -41,7 +40,8 @@ LOW_SAMPLE_VARIANCE = 25.0
 
 # Bytes handled at once by every blocked loop over streams: packed bit rows
 # counted by ``packed_counts``, drawn by ``simulate.device_run_blocks`` or
-# parsed by ``ingest``, and their '0'/'1' text in ``ingest.serialize_jobs``.
+# parsed by ``ingest``, and their '0'/'1' bytes unpacked by
+# ``ingest.serialize_jobs``.
 # Small enough that each block's temporaries stay in cache and add nothing
 # to peak memory.
 BLOCK_BYTES = 1 << 16
@@ -190,13 +190,7 @@ def estimate_bias(seq: BitSequence) -> float:
 def p_values(normalized: np.ndarray) -> np.ndarray:
     """``p_value`` of every element of an array, equal to it bit for bit."""
     z = np.asarray(normalized, dtype=float)
-    finite = np.isfinite(z)
-    if not finite.all():
-        bad = float(z[~finite][0])
-        raise ValueError(f"normalized statistic must be finite, got {bad!r}")
-    x = (np.abs(z) / math.sqrt(2.0)).ravel()
-    p = np.fromiter(map(math.erfc, x), dtype=float, count=x.size)
-    return np.maximum(p, _TINY).reshape(z.shape)
+    return np.fromiter(map(p_value, z.ravel()), float, z.size).reshape(z.shape)
 
 
 def cell_outcomes(statistic: np.ndarray, bias: np.ndarray, n: int,
@@ -284,17 +278,14 @@ def run_test(seq: BitSequence, params: TestParams = TestParams()) -> AutocorrRes
     statistic = autocorr_statistic(seq, params.lag)
     bias = params.fixed_bias if params.fixed_bias is not None else estimate_bias(seq)
     q = pair_mismatch_rate(bias)
-    m = n - params.lag
-    if q * (1.0 - q) <= 0.0:
-        return AutocorrResult(
-            n=n, lag=params.lag, statistic=statistic, bias=bias,
-            normalized=None, p_value=None, verdict=Verdict.DEGENERATE,
-        )
-    normalized = normalize_statistic(statistic, n, params.lag, bias)
-    p = p_value(normalized)
-    verdict = Verdict.FAIL if p < params.alpha else Verdict.PASS
+    normalized = p = None
+    verdict = Verdict.DEGENERATE
+    if q * (1.0 - q) > 0.0:
+        normalized = normalize_statistic(statistic, n, params.lag, bias)
+        p = p_value(normalized)
+        verdict = Verdict.FAIL if p < params.alpha else Verdict.PASS
     return AutocorrResult(
         n=n, lag=params.lag, statistic=statistic, bias=bias,
         normalized=normalized, p_value=p, verdict=verdict,
-        low_sample=m * q * (1.0 - q) < LOW_SAMPLE_VARIANCE,
+        low_sample=p is not None and (n - params.lag) * q * (1.0 - q) < LOW_SAMPLE_VARIANCE,
     )

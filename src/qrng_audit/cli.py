@@ -96,7 +96,7 @@ def _simulate(config: DeviceRunConfig, model: str, out: str, calibration_out: st
     from .simulate import generate_calibration_series, stream_run
 
     partial = f"{out}.{os.getpid()}.partial"
-    fh = open(partial, "x", newline="", encoding="utf-8")
+    fh = open(partial, "xb")
     try:
         with fh:
             matrix = stream_run(config, params, fh)
@@ -201,11 +201,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     from .oracle import approximation_error
 
-    k_range = None
-    if args.k_min is not None or args.k_max is not None:
-        if args.k_min is None or args.k_max is None:
-            raise ValueError("--k-min and --k-max must be given together")
-        k_range = (args.k_min, args.k_max)
+    if (args.k_min is None) != (args.k_max is None):
+        raise ValueError("--k-min and --k-max must be given together")
+    k_range = None if args.k_min is None else (args.k_min, args.k_max)
     # Every input of the table is a flag, each checked before the file is opened.
     blocks = approximation_error(args.n, args.lag, args.p, k_range)
     worst = 0.0

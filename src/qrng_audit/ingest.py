@@ -44,7 +44,8 @@ Serializers emit a canonical form (job rows in the grid order of
 ``JobRows``, result rows in the order held; timestamps UTC with a trailing Z
 and a four-digit year, to the second, or to the microsecond when they carry
 a fraction; floats in shortest round-trip notation), which each parser reads
-as the matrix of the grid or of the results written.
+as the matrix of the grid or of the results written. ``serialize_jobs``
+writes to a file opened ``"wb"``; the other two writers, to text files.
 """
 
 from __future__ import annotations
@@ -339,18 +340,18 @@ def parse_jobs(stream: BinaryIO, params: TestParams) -> PValueMatrix:
     return PValueMatrix.from_counts(job_ids, qubit_ids, declared, counts, params, order)
 
 
-def _job_prefixes(rows: JobRows) -> Iterator[str]:
+def _job_prefixes(rows: JobRows) -> Iterator[bytes]:
     """Each row's ``job_id,timestamp,qubit_id,`` as csv.writer quotes it, in
-    grid order; a job's ``job_id,timestamp,`` is quoted once."""
+    UTF-8 and grid order; a job's ``job_id,timestamp,`` is quoted once."""
     line = io.StringIO()
     writer = csv.writer(line, lineterminator="\n")
-    qubits = [f"{qubit}," for qubit in rows.qubit_ids]
+    qubits = [f"{qubit},".encode() for qubit in rows.qubit_ids]
     for job_id, ts in zip(rows.job_ids, rows.timestamps):
         line.seek(0)
         line.truncate()
         # An empty last field leaves the row's text as its prefix plus "\n".
         writer.writerow((job_id, format_timestamp(ts), ""))
-        prefix = line.getvalue()[:-1]
+        prefix = line.getvalue()[:-1].encode()
         yield from (prefix + qubit for qubit in qubits)
 
 
@@ -360,29 +361,25 @@ def check_stream_length(n: int) -> None:
         raise ValueError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
 
 
-def serialize_jobs(rows: JobRows, stream: TextIO, header: bool = True) -> None:
-    """Write the grid as job CSV, its rows in grid order, after the header
-    unless ``header`` is false (a later block of one file).
+def serialize_jobs(rows: JobRows, stream: BinaryIO, header: bool = True) -> None:
+    """Write the grid as job CSV to a file opened ``"wb"``, its rows in grid
+    order, after the header unless ``header`` is false (a later block of one
+    file).
 
     Bit text never needs quoting, so only the three short fields go through
-    csv.writer. The bits are unpacked and turned into text a block of rows
-    at a time, in one reused buffer holding each row's bits plus '0' and
-    then a '\n'."""
-    count_rows, n = len(rows.bits), rows.n
+    csv.writer. The bits are unpacked into '0'/'1' bytes a block of rows at
+    a time, and each row's bytes are written as they are."""
     if header:
-        csv.writer(stream, lineterminator="\n").writerow(JOB_HEADER)
+        stream.write(",".join(JOB_HEADER).encode() + b"\n")
     prefixes = _job_prefixes(rows)
-    step = max(1, BLOCK_BYTES // (n + 1))
-    text = np.empty((step, n + 1), dtype=np.uint8)
-    text[:, n] = ord("\n")
-    for start in range(0, count_rows, step):
-        count = min(step, count_rows - start)
-        bits = np.unpackbits(rows.bits[start:start + count], axis=1, count=n)
-        np.add(bits, ord("0"), out=text[:count, :n])
-        block = text[:count].tobytes().decode("ascii")
-        for lo in range(0, len(block), n + 1):
+    step = max(1, BLOCK_BYTES // (rows.n + 1))
+    for start in range(0, len(rows.bits), step):
+        text = np.unpackbits(rows.bits[start:start + step], axis=1, count=rows.n)
+        text |= ord("0")
+        for line in text:
             stream.write(next(prefixes))
-            stream.write(block[lo:lo + n + 1])
+            stream.write(line)
+            stream.write(b"\n")
 
 
 def parse_calibration(stream: BinaryIO) -> tuple[list[CalibrationRecord], int]:

@@ -20,8 +20,8 @@ same draws as a generator per stream, without numpy's per-generator set-up.
 
 A run is drawn a block of whole jobs at a time (``device_run_blocks``), as
 many as fit in ``BLOCK_BYTES`` of packed bits, into one reused buffer;
-``stream_run`` writes and counts each block as it passes and never holds
-the run.
+``stream_run`` writes each block to a binary job file and counts it as it
+passes, and never holds the run.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -261,10 +261,11 @@ def device_run_blocks(config: DeviceRunConfig) -> Iterator[JobRows]:
 
 
 def stream_run(config: DeviceRunConfig, params: TestParams | None = None,
-               jobs: TextIO | None = None) -> PValueMatrix | None:
+               jobs: BinaryIO | None = None) -> PValueMatrix | None:
     """Draw the run a block of jobs at a time (``device_run_blocks``), write
-    each block to the open job file ``jobs``, if given, and count it, given
-    test parameters: the run's p-value matrix, or None without them."""
+    each block to the job file ``jobs``, if given, opened ``"wb"``, and count
+    it, given test parameters: the run's p-value matrix, or None without
+    them."""
     job_ids, counts = [], []
     for block in device_run_blocks(config):
         if jobs is not None:

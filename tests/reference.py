@@ -148,9 +148,9 @@ def ideal_source(bias, n, seed):
 
 def serialize_jobs_str(rows):
     """``serialize_jobs`` into a string."""
-    buf = io.StringIO()
+    buf = io.BytesIO()
     serialize_jobs(rows, buf)
-    return buf.getvalue()
+    return buf.getvalue().decode()
 
 
 def rows_from_bits(job_ids, timestamps, qubit_ids, bits):

@@ -246,9 +246,9 @@ def test_criterion_11_round_trip_and_fuzz():
                         master_seed=4),
     ]
     for config in corpora:
-        written = io.StringIO()
+        written = io.BytesIO()
         expected = stream_run(config, PARAMS, written)
-        text = written.getvalue()
+        text = written.getvalue().decode()
         lines = text.encode().splitlines(True)
         assert serialize_jobs_str(whole_row_parse_jobs(iter(lines))) == text
         # ``test`` of the written file gives the matrix counted as the run was drawn
@@ -259,9 +259,9 @@ def test_criterion_11_round_trip_and_fuzz():
             np.testing.assert_array_equal(getattr(tested, field), getattr(expected, field))
 
     # 10^4 mutated files: structured errors only, zero crashes
-    written = io.StringIO()
+    written = io.BytesIO()
     stream_run(corpora[0], jobs=written)
-    base = written.getvalue()
+    base = written.getvalue().decode()
     rng = random.Random(11)
     alphabet = "01,\n\rjZT:-x\"'\x00 9"
     parsed_ok = rejected = 0

@@ -143,9 +143,9 @@ def test_pipeline_outputs_match_golden_digests(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(RUN_GOLDEN))
 def test_per_qubit_and_per_job_runs_match_golden_digests(case):
     fields, expected = RUN_GOLDEN[case]
-    buf = io.StringIO()
+    buf = io.BytesIO()
     stream_run(DeviceRunConfig(**fields), jobs=buf)
-    assert _sha256(buf.getvalue().encode()) == expected
+    assert _sha256(buf.getvalue()) == expected
 
 
 @pytest.mark.parametrize("case", sorted(AGGREGATE_GOLDEN))

@@ -21,7 +21,6 @@ from qrng_audit.ingest import (
     parse_jobs,
     read_results,
     serialize_calibration,
-    serialize_jobs,
     write_results,
 )
 from reference import (bits_of, grid_matrix, matrix_fields, rows_from_bits, serialize_jobs_str,
@@ -714,10 +713,10 @@ def written_lines(write, value):
 
 
 LINE_ENDS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
-JOB_LINES = written_lines(serialize_jobs, job_rows(
+JOB_LINES = serialize_jobs_str(job_rows(
     ("j1", TS, 0, "01101001"), ("j1", TS, 1, "10010000"),
     ("j2", TS, 0, "00000000"), ("j2", TS, 1, "11110111"),
-))
+)).encode().splitlines()
 RESULT_LINES = written_lines(write_results, parse_jobs(
     io.BytesIO(b"\n".join(JOB_LINES) + b"\n"), PARAMS))
 CALIBRATION_LINES = written_lines(serialize_calibration, [

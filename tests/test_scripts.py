@@ -70,7 +70,7 @@ def test_readme_has_python_examples():
                          ids=[f"block-{i}" for i in range(len(README_PYTHON))])
 def test_readme_python_example_runs(code, tmp_path, monkeypatch, capsys):
     """Each example runs as written, beside a small simulated jobs.csv."""
-    with open(tmp_path / "jobs.csv", "w", newline="", encoding="utf-8") as fh:
+    with open(tmp_path / "jobs.csv", "wb") as fh:
         stream_run(DeviceRunConfig(qubit_count=3, jobs=4, bits_per_job=256), jobs=fh)
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {"__name__": "__readme__"})

@@ -402,21 +402,29 @@ def test_stream_run_writes_and_tests_the_run_a_block_at_a_time(model, seed, monk
     config = DeviceRunConfig(qubit_count=20, jobs=7, bits_per_job=8192, bias=bias, rho=rho,
                              master_seed=seed)
     assert len(list(device_run_blocks(config))) == 3
-    written, params = io.StringIO(), TestParams(lag=2)
+    written, params = io.BytesIO(), TestParams(lag=2)
     matrix = stream_run(config, params, written)
-    text = written.getvalue()
+    text = written.getvalue().decode()
     assert text == serialize_jobs_str(whole_run(config))
     assert matrix_fields(matrix) == matrix_fields(parse_jobs(io.BytesIO(text.encode()), params))
 
-    written = io.StringIO()
+    written = io.BytesIO()
     assert stream_run(config, jobs=written) is None
-    assert written.getvalue() == text
+    assert written.getvalue().decode() == text
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("wrote a block with no job file to write to")
 
     monkeypatch.setattr(simulate, "serialize_jobs", refuse)
     assert matrix_fields(stream_run(config, params)) == matrix_fields(matrix)
+
+
+def test_stream_run_refuses_a_job_file_opened_as_text():
+    """The job file is written as bytes: a text handle takes none of it."""
+    written = io.StringIO()
+    with pytest.raises(TypeError):
+        stream_run(DeviceRunConfig(qubit_count=2, jobs=3, bits_per_job=16), jobs=written)
+    assert written.getvalue() == ""
 
 
 @pytest.mark.parametrize("bias, rho, message", [
