@@ -14,20 +14,18 @@ drifts from alpha. At n = 8192, lag 1 and alpha 0.01, with the bias pinned
 (estimated), it is 0.00972 (0.00994) at p = 0.5 and 0.02264 (0.00247) at
 p = 0.3; README's "The test" gives the table.
 
-``run_test`` is the readable one-sequence reference. ``packed_counts`` takes
-the XOR counts and ones counts of a whole block of streams at once, each
-stream packed eight bits to a byte in ``np.packbits`` order: ones counts
-with ``np.bitwise_count`` on the bytes, XOR counts on the bytes XORed with
-the same row shifted ``lag`` bits (``lag // 8`` bytes and then ``lag % 8``
-bits). ``PValueMatrix.from_counts`` places those counts on a (jobs x
-qubits) grid, where ``cell_outcomes`` runs ``run_test``'s arithmetic in its order.
+``run_test`` is the readable one-sequence reference. ``stream_counts``
+takes the XOR count and ones count of one stream, a 1-D array of 0/1
+values, where it is drawn or read. ``PValueMatrix.from_counts`` places
+those counts on a (jobs x qubits) grid, where ``cell_outcomes`` runs
+``run_test``'s arithmetic in its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,14 +35,6 @@ from .standardize import check_lag, normalize_statistic, p_value, pair_mismatch_
 # Below this value of (n-l) * q * (1-q) the normal approximation is dubious;
 # results are still computed but flagged.
 LOW_SAMPLE_VARIANCE = 25.0
-
-# Bytes handled at once by every blocked loop over streams: packed bit rows
-# counted by ``packed_counts``, drawn by ``simulate.device_run_blocks`` or
-# parsed by ``ingest``, and their '0'/'1' bytes unpacked by
-# ``ingest.serialize_jobs``.
-# Small enough that each block's temporaries stay in cache and add nothing
-# to peak memory.
-BLOCK_BYTES = 1 << 16
 
 
 class Verdict(Enum):
@@ -152,34 +142,11 @@ def autocorr_statistic(seq: BitSequence, lag: int) -> int:
     return int((seq.bits[:-lag] ^ seq.bits[lag:]).sum(dtype=np.int64))
 
 
-def packed_counts(bits: np.ndarray, n: int, lag: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row XOR count (as ``autocorr_statistic``) and ones count, both
-    int64, of a (rows, ceil(n / 8)) matrix of n-bit streams packed in
-    ``np.packbits`` order, whose pad bits are zero, counted a block of about
-    ``BLOCK_BYTES`` of rows at a time, so its temporaries stay that small.
-
-    Byte k of the shifted row holds bits 8k + lag .. 8k + lag + 7: byte
-    k + lag // 8 moved up ``lag % 8`` bits, with the top of the next byte
-    below it. XORed with the row's first ceil((n - lag) / 8) bytes, its set
-    bits are the mismatched pairs, once the bits of the last byte past the
-    n - lag pairs are masked."""
-    check_lag(n, lag)
-    if len(bits) > (step := max(1, BLOCK_BYTES // bits.shape[1])):
-        counts = [packed_counts(bits[i:i + step], n, lag) for i in range(0, len(bits), step)]
-        return np.concatenate([c[0] for c in counts]), np.concatenate([c[1] for c in counts])
-    pairs = n - lag
-    width = -(-pairs // 8)
-    skip, shift = divmod(lag, 8)
-    xor = bits[:, :width] ^ (bits[:, skip:skip + width] << shift)
-    if shift:
-        # The byte after the last one may lie past the row: its bits would
-        # only reach masked pairs.
-        carry = bits[:, skip + 1:skip + 1 + width] >> (8 - shift)
-        xor[:, :carry.shape[1]] ^= carry
-    if pairs % 8:
-        xor[:, -1] &= (0xFF00 >> pairs % 8) & 0xFF
-    statistic = np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
-    return statistic, np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+def stream_counts(bits: np.ndarray, lag: int) -> tuple[int, int]:
+    """XOR count (as ``autocorr_statistic``) and ones count of one stream, a
+    1-D bool or uint8 array of 0s and 1s, at a lag 1 <= lag < len(bits)
+    that the caller has checked."""
+    return np.count_nonzero(bits[lag:] != bits[:-lag]), np.count_nonzero(bits)
 
 
 def estimate_bias(seq: BitSequence) -> float:
@@ -236,15 +203,16 @@ class PValueMatrix:
         job_ids: tuple[str, ...],
         qubit_ids: tuple[int, ...],
         n: int,
-        counts: Iterable[tuple[np.ndarray, np.ndarray]],
+        statistic: Sequence[int],
+        ones: Sequence[int],
         params: TestParams,
         order: np.ndarray | slice = slice(None),
     ) -> "PValueMatrix":
         """``run_test`` on every cell at once, equal to it cell for cell, given
-        ``packed_counts`` of each block of streams in row order and ``order``,
-        the gather of those rows that fills the grid row by row."""
-        statistic, ones = (np.concatenate(column)[order].reshape(len(job_ids), len(qubit_ids))
-                           for column in zip(*counts))
+        each row's ``stream_counts`` as two flat int64 sequences in row order
+        and ``order``, the gather of those rows that fills the grid row by row."""
+        statistic, ones = (np.asarray(column, dtype=np.int64)[order].reshape(
+            len(job_ids), len(qubit_ids)) for column in (statistic, ones))
         bias = (ones / n if params.fixed_bias is None
                 else np.full(statistic.shape, params.fixed_bias, dtype=float))
         return cls(job_ids, qubit_ids, n, params.lag, params.alpha, statistic, bias,
@@ -264,12 +232,6 @@ class PValueMatrix:
     def failed(self) -> np.ndarray:
         """Cells with p-value < alpha."""
         return self.p_value < self.alpha
-
-    def verdicts(self) -> np.ndarray:
-        """Per-cell Verdict at level alpha, as an object array."""
-        out = np.where(self.failed(), Verdict.FAIL, Verdict.PASS)
-        out[self.degenerate] = Verdict.DEGENERATE
-        return out
 
 
 def run_test(seq: BitSequence, params: TestParams = TestParams()) -> AutocorrResult:

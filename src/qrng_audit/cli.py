@@ -143,8 +143,7 @@ def _write_results(matrix: PValueMatrix, out: str) -> None:
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    from .autocorr import BLOCK_BYTES
-    from .ingest import parse_jobs
+    from .ingest import BLOCK_BYTES, parse_jobs
 
     params = _test_params(args)
     # A job file's lines run to kilobytes: a buffer of many lines reads them

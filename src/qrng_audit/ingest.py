@@ -33,19 +33,20 @@ quoted field, a stray quote, a bad or over-limit bit field meets the same
 check, message and line as when every row was parsed whole.
 ``parse_jobs`` checks each row's fields (each distinct timestamp text is
 parsed once), the bit text of a row csv.reader parsed whole, the one bit
-count and the grid, and returns the file's p-value matrix, keeping no bits.
+count and the grid, and counts each row's 0/1 bytes as it reads them: it
+returns the file's p-value matrix, keeping no bits.
 
 Job and result rows may come in any order: each parser places them on their
 grid with one gather. A results row must be one a ``test`` run can write,
 its normalized statistic and p-value the ones its statistic and bias give,
 and ``read_results`` returns the file as the p-value matrix it describes.
 
-Serializers emit a canonical form (job rows in the grid order of
-``JobRows``, result rows in the order held; timestamps UTC with a trailing Z
-and a four-digit year, to the second, or to the microsecond when they carry
-a fraction; floats in shortest round-trip notation), which each parser reads
-as the matrix of the grid or of the results written. ``serialize_jobs``
-writes to a file opened ``"wb"``; the other two writers, to text files.
+Serializers emit a canonical form (job and result rows in the order
+given; timestamps UTC with a trailing Z and a four-digit year, to the
+second, or to the microsecond when they carry a fraction; floats in
+shortest round-trip notation), which each parser reads as the matrix of the
+streams or of the results written. ``serialize_jobs`` writes to a file
+opened ``"wb"``; the other two writers, to text files.
 """
 
 from __future__ import annotations
@@ -55,14 +56,14 @@ import csv
 import io
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import BinaryIO, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .autocorr import (BLOCK_BYTES, PValueMatrix, TestParams, Verdict, cell_outcomes,
-                       packed_counts)
+from .autocorr import PValueMatrix, TestParams, Verdict, cell_outcomes, check_lag, stream_counts
 
 JOB_HEADER = ["job_id", "timestamp", "qubit_id", "bits"]
 CALIBRATION_HEADER = ["timestamp", "qubit_id", "t1_us"]
@@ -72,6 +73,10 @@ RESULT_HEADER = [
 ]
 # The longest text, with room to spare, of a field that is a number, a timestamp or a verdict.
 _SHORT_FIELD = 64
+# The unit of every bounded read and write: ``_lines`` reads at most four of
+# it at once, ``write_results`` formats about this many bytes of rows at a
+# time, and ``test`` reads the job file through a buffer of it.
+BLOCK_BYTES = 1 << 16
 
 
 class ParseError(ValueError):
@@ -92,7 +97,7 @@ def _grid_order(
     qubit_ids = tuple(sorted({qubit for _, qubit in cells}))
     row_start = {job: i * len(qubit_ids) for i, job in enumerate(job_ids)}
     column = {qubit: i for i, qubit in enumerate(qubit_ids)}
-    cell = np.array([row_start[job] + column[q] for job, q in cells])
+    cell = np.fromiter((row_start[job] + column[q] for job, q in cells), np.int64, len(cells))
     if cell.size != len(job_ids) * len(qubit_ids):
         filled = np.zeros(len(job_ids) * len(qubit_ids), dtype=bool)
         filled[cell] = True
@@ -106,22 +111,6 @@ class CalibrationRecord:
     timestamp: datetime
     qubit_id: int
     t1_us: float
-
-
-@dataclass(frozen=True, eq=False)
-class JobRows:
-    """A job file as its (jobs x qubits) grid: ``job_ids`` in (timestamp,
-    job_id) order, one timestamp each, ``qubit_ids`` ascending, and the
-    streams of ``n`` bits each. Row j * len(qubit_ids) + k of ``bits``
-    holds job j's stream on qubit k, packed eight bits to a byte as
-    ``np.packbits`` packs it: ``bits`` is a (jobs * qubits, ceil(n / 8))
-    uint8 matrix whose pad bits, past bit n of each row, are zero."""
-
-    job_ids: tuple[str, ...]
-    timestamps: tuple[datetime, ...]
-    qubit_ids: tuple[int, ...]
-    bits: np.ndarray
-    n: int
 
 
 def _parse_timestamp(text: str, line: int) -> datetime:
@@ -288,17 +277,16 @@ def _rows(stream: BinaryIO, header: list[str],
 
 def parse_jobs(stream: BinaryIO, params: TestParams) -> PValueMatrix:
     """The p-value matrix of the grid of a job CSV, given as ``_rows``
-    takes it; the first data row declares the bit count. Each row
-    is packed as read, and each block of about ``BLOCK_BYTES`` of packed
-    rows is counted and dropped; once the file is read, ``from_counts``
-    gathers the counts, rows in any order, onto the grid. Parse and grid
-    errors come first, then an empty grid, then a lag the streams are too
-    short for."""
+    takes it; the first data row declares the bit count. Each row's bits
+    are counted (``stream_counts``) as read and dropped; once the file is
+    read, ``from_counts`` gathers the counts, rows in any order, onto the
+    grid. Parse and grid errors come first, then an empty grid, then a lag
+    the streams are too short for."""
     declared: int | None = None
     times: dict[str, datetime] = {}
     stamps: dict[str, datetime] = {}
     streams: dict[tuple[str, int], None] = {}
-    counts: list[tuple[np.ndarray, np.ndarray]] = []
+    statistic, ones = array("q"), array("q")
     for line, (job_id, ts_text, qubit_text, bits) in _rows(stream, JOB_HEADER, bits_last=True):
         timestamp = times.get(ts_text)
         if timestamp is None:
@@ -320,39 +308,21 @@ def parse_jobs(stream: BinaryIO, params: TestParams) -> PValueMatrix:
                 raise ParseError(f"bit string contains non-bit character {bad!r}", line)
         if declared is None:
             declared = len(bits)
-            width = -(-declared // 8)
-            block, filled = np.empty((max(1, BLOCK_BYTES // width), width), np.uint8), 0
         elif len(bits) != declared:
             raise ParseError(
                 f"bit string length {len(bits)} does not match declared {declared}", line
             )
-        block[filled] = np.packbits(bits)
-        filled = (filled + 1) % len(block)
         # A lag the streams are too short for is refused once the file has parsed.
-        if not filled and params.lag < declared:
-            counts.append(packed_counts(block, declared, params.lag))
+        counts = stream_counts(bits, params.lag)
+        statistic.append(counts[0])
+        ones.append(counts[1])
 
     job_ids = tuple(sorted(stamps, key=lambda job: (stamps[job], job)))
     qubit_ids, order = _grid_order(streams, job_ids)
     if not streams:
         raise ParseError("no streams to analyze")
-    counts.append(packed_counts(block[:filled], declared, params.lag))  # the last, partial block
-    return PValueMatrix.from_counts(job_ids, qubit_ids, declared, counts, params, order)
-
-
-def _job_prefixes(rows: JobRows) -> Iterator[bytes]:
-    """Each row's ``job_id,timestamp,qubit_id,`` as csv.writer quotes it, in
-    UTF-8 and grid order; a job's ``job_id,timestamp,`` is quoted once."""
-    line = io.StringIO()
-    writer = csv.writer(line, lineterminator="\n")
-    qubits = [f"{qubit},".encode() for qubit in rows.qubit_ids]
-    for job_id, ts in zip(rows.job_ids, rows.timestamps):
-        line.seek(0)
-        line.truncate()
-        # An empty last field leaves the row's text as its prefix plus "\n".
-        writer.writerow((job_id, format_timestamp(ts), ""))
-        prefix = line.getvalue()[:-1].encode()
-        yield from (prefix + qubit for qubit in qubits)
+    check_lag(declared, params.lag)
+    return PValueMatrix.from_counts(job_ids, qubit_ids, declared, statistic, ones, params, order)
 
 
 def check_stream_length(n: int) -> None:
@@ -361,25 +331,30 @@ def check_stream_length(n: int) -> None:
         raise ValueError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
 
 
-def serialize_jobs(rows: JobRows, stream: BinaryIO, header: bool = True) -> None:
-    """Write the grid as job CSV to a file opened ``"wb"``, its rows in grid
-    order, after the header unless ``header`` is false (a later block of one
-    file).
+def serialize_jobs(rows: Iterable[tuple[str, datetime, int, np.ndarray]],
+                   stream: BinaryIO) -> None:
+    """Write streams, each (job_id, timestamp, qubit_id, bits) with ``bits``
+    a 1-D bool or uint8 array of 0s and 1s, as job CSV to a file opened
+    ``"wb"``: the header, then a row per stream in the order given.
 
     Bit text never needs quoting, so only the three short fields go through
-    csv.writer. The bits are unpacked into '0'/'1' bytes a block of rows at
-    a time, and each row's bytes are written as they are."""
-    if header:
-        stream.write(",".join(JOB_HEADER).encode() + b"\n")
-    prefixes = _job_prefixes(rows)
-    step = max(1, BLOCK_BYTES // (rows.n + 1))
-    for start in range(0, len(rows.bits), step):
-        text = np.unpackbits(rows.bits[start:start + step], axis=1, count=rows.n)
-        text |= ord("0")
-        for line in text:
-            stream.write(next(prefixes))
-            stream.write(line)
-            stream.write(b"\n")
+    csv.writer, and a job's ``job_id,timestamp,`` is quoted once per run of
+    its rows. Each row's bits are written as their '0'/'1' bytes."""
+    stream.write(",".join(JOB_HEADER).encode() + b"\n")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    job = prefix = None
+    for job_id, timestamp, qubit, bits in rows:
+        if (job_id, timestamp) != job:
+            job = job_id, timestamp
+            text.seek(0)
+            text.truncate()
+            # An empty last field leaves the row's text as its prefix plus "\n".
+            writer.writerow((job_id, format_timestamp(timestamp), ""))
+            prefix = text.getvalue()[:-1].encode()
+        stream.write(b"%s%d," % (prefix, qubit))
+        stream.write(bits.view(np.uint8) | ord("0"))
+        stream.write(b"\n")
 
 
 def parse_calibration(stream: BinaryIO) -> tuple[list[CalibrationRecord], int]:
@@ -417,14 +392,17 @@ def write_results(matrix: PValueMatrix, stream: TextIO) -> None:
     of a run ``stream_run`` drew, so each is one ``read_results`` reads."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(RESULT_HEADER)
-    qubits, verdicts = matrix.qubit_ids, matrix.verdicts()
+    qubits, failed, degenerate = matrix.qubit_ids, matrix.failed(), matrix.degenerate
+    # A cell's verdict is the name at 2 where it is degenerate, else at 1 where it failed.
+    names = np.array([str(v) for v in (Verdict.PASS, Verdict.FAIL, Verdict.DEGENERATE)])
     # A block of jobs at a time: the Python objects of every cell at once
     # would take about 150 bytes a cell. A NaN is written as an empty field.
     step = max(1, BLOCK_BYTES // 64 // len(qubits))
     for start in range(0, len(matrix.job_ids), step):
         jobs = slice(start, start + step)
         cells = [a[jobs].ravel().tolist() for a in (
-            matrix.bias, matrix.statistic, matrix.normalized, matrix.p_value, verdicts)]
+            matrix.bias, matrix.statistic, matrix.normalized, matrix.p_value)]
+        cells.append(names[np.where(degenerate[jobs], 2, failed[jobs])].ravel().tolist())
         for values, text in zip((matrix.normalized[jobs], matrix.p_value[jobs]), cells[2:4]):
             for cell in np.flatnonzero(np.isnan(values)).tolist():
                 text[cell] = ""
@@ -453,7 +431,7 @@ def read_results(stream: BinaryIO, alpha: float = TestParams.alpha) -> PValueMat
     max_fail, min_pass = -math.inf, math.inf
     cells: dict[tuple[str, int], None] = {}
     # line, degenerate, then the matrix's statistic, bias, normalized, p_value
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    columns = tuple(map(array, "qbqddd"))
     for line, row in _rows(stream, RESULT_HEADER):
         job_id, qubit_text, n_text, lag_text, bias_text = row[:5]
         stat_text, z_text, p_text, v_text = row[5:]
@@ -503,6 +481,7 @@ def read_results(stream: BinaryIO, alpha: float = TestParams.alpha) -> PValueMat
     if n_lag is None:
         raise ParseError("no result rows to aggregate")
     lines, degenerate, *values = (np.array(column) for column in columns)
+    degenerate = degenerate.astype(bool)
     statistic, bias, normalized, p = values
     z_test, p_test = cell_outcomes(statistic, bias, *n_lag)
     # A degenerate row's fields are empty; every other row's are the test's own numbers.

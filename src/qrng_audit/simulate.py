@@ -18,9 +18,8 @@ then numpy's own SeedSequence hash and PCG64 seeding 4096 streams at a
 time) and sets one reused generator to each stream's state in turn: the
 same draws as a generator per stream, without numpy's per-generator set-up.
 
-A run is drawn a block of whole jobs at a time (``device_run_blocks``), as
-many as fit in ``BLOCK_BYTES`` of packed bits, into one reused buffer;
-``stream_run`` writes each block to a binary job file and counts it as it
+A run is drawn one stream at a time, in grid order (``device_streams``);
+``stream_run`` writes each stream to a binary job file and counts it as it
 passes, and never holds the run.
 """
 
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import BinaryIO, Iterator, Sequence
@@ -35,8 +35,8 @@ from typing import BinaryIO, Iterator, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .autocorr import BLOCK_BYTES, PValueMatrix, TestParams, packed_counts
-from .ingest import CalibrationRecord, JobRows, serialize_jobs
+from .autocorr import PValueMatrix, TestParams, check_lag, stream_counts
+from .ingest import CalibrationRecord, serialize_jobs
 
 # Experiment-shaped defaults: 20 qubits, 579 jobs of 8192 bits, which at
 # JOB_INTERVAL_S apart from RUN_START span roughly three and a half days.
@@ -236,45 +236,51 @@ class DeviceRunConfig:
         return np.broadcast_to(bias, grid), np.broadcast_to(rho, grid)
 
 
-def device_run_blocks(config: DeviceRunConfig) -> Iterator[JobRows]:
-    """The run as ``JobRows`` blocks of as many whole jobs as fit in
-    ``BLOCK_BYTES`` of packed bits (at least one). Every stream's seed is
-    computed when this is called; a block's streams are drawn from their
-    cells of the (bias, rho) grid when it is asked for, into one reused
-    buffer, so its bits hold until the next block is asked for."""
+def device_streams(config: DeviceRunConfig) -> Iterator[tuple[str, datetime, int, np.ndarray]]:
+    """The run's streams one at a time, in grid order, as (job_id,
+    timestamp, qubit_id, bits), ``bits`` a bool array of ``bits_per_job``
+    bits drawn from the stream's cell of the (bias, rho) grid when it is
+    asked for."""
     bias, rho = config.chain_grid()
-    n, qubits = config.bits_per_job, config.qubit_count
-    step = max(1, BLOCK_BYTES // (qubits * -(-n // 8)))
-    buffer = np.empty((step * qubits, -(-n // 8)), dtype=np.uint8)
-    rngs = _generators(_seed_grid(config.master_seed, 0, config.jobs, qubits))
-
-    def block(jobs: range) -> JobRows:
-        bits = buffer[:len(jobs) * qubits]
-        chains = zip(bias[jobs].ravel().tolist(), rho[jobs].ravel().tolist())
-        for row, (b, r), rng in zip(bits, chains, rngs):  # rngs last: zip takes no extra one
-            row[:] = np.packbits(_chain_bits(b, r, n, rng))
-        return JobRows(tuple(f"j{j + 1:04d}" for j in jobs),
-                       tuple(RUN_START + timedelta(seconds=j * JOB_INTERVAL_S) for j in jobs),
-                       tuple(range(qubits)), bits, n)
-
-    return map(block, (range(j, min(j + step, config.jobs)) for j in range(0, config.jobs, step)))
+    qubits = range(config.qubit_count)
+    rngs = _generators(_seed_grid(config.master_seed, 0, config.jobs, config.qubit_count))
+    for j in range(config.jobs):
+        job_id, timestamp = f"j{j + 1:04d}", RUN_START + timedelta(seconds=j * JOB_INTERVAL_S)
+        # rngs last: zip takes no extra one.
+        for q, b, r, rng in zip(qubits, bias[j].tolist(), rho[j].tolist(), rngs):
+            yield job_id, timestamp, q, _chain_bits(b, r, config.bits_per_job, rng)
 
 
 def stream_run(config: DeviceRunConfig, params: TestParams | None = None,
                jobs: BinaryIO | None = None) -> PValueMatrix | None:
-    """Draw the run a block of jobs at a time (``device_run_blocks``), write
-    each block to the job file ``jobs``, if given, opened ``"wb"``, and count
+    """Draw the run a stream at a time (``device_streams``), write each
+    stream to the job file ``jobs``, if given, opened ``"wb"``, and count
     it, given test parameters: the run's p-value matrix, or None without
     them."""
-    job_ids, counts = [], []
-    for block in device_run_blocks(config):
+    rows = device_streams(config)
+    if params is None:
         if jobs is not None:
-            serialize_jobs(block, jobs, header=not job_ids)
-        job_ids += block.job_ids
-        if params is not None:
-            counts.append(packed_counts(block.bits, block.n, params.lag))
-    return None if params is None else PValueMatrix.from_counts(
-        tuple(job_ids), tuple(range(config.qubit_count)), config.bits_per_job, counts, params)
+            serialize_jobs(rows, jobs)
+        return None
+    check_lag(config.bits_per_job, params.lag)
+    job_ids: dict[str, None] = {}
+    statistic, ones = array("q"), array("q")
+
+    def counted() -> Iterator[tuple[str, datetime, int, np.ndarray]]:
+        for row in rows:
+            job_ids[row[0]] = None
+            counts = stream_counts(row[3], params.lag)
+            statistic.append(counts[0])
+            ones.append(counts[1])
+            yield row
+
+    if jobs is not None:
+        serialize_jobs(counted(), jobs)
+    else:
+        for _ in counted():
+            pass
+    return PValueMatrix.from_counts(tuple(job_ids), tuple(range(config.qubit_count)),
+                                    config.bits_per_job, statistic, ones, params)
 
 
 def generate_calibration_series(config: DeviceRunConfig) -> list[CalibrationRecord]:

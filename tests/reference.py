@@ -7,14 +7,15 @@ part of the program; ``tests/test_surface.py`` keeps such code out of
 
 import csv
 import io
+from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 
-from qrng_audit.autocorr import (BitSequence, PValueMatrix, check_lag, packed_counts,
-                                 pair_mismatch_rate)
+from qrng_audit.autocorr import (BitSequence, PValueMatrix, check_lag, pair_mismatch_rate,
+                                 stream_counts)
 from qrng_audit.ingest import (
     JOB_HEADER,
-    JobRows,
     ParseError,
     _check_job_id,
     _grid_order,
@@ -22,7 +23,7 @@ from qrng_audit.ingest import (
     _parse_timestamp,
     serialize_jobs,
 )
-from qrng_audit.simulate import DeviceRunConfig, _chain_bits, device_run_blocks
+from qrng_audit.simulate import DeviceRunConfig, _chain_bits, device_streams
 
 
 # ------------------------------------------------------------ exact oracle
@@ -146,34 +147,57 @@ def ideal_source(bias, n, seed):
 
 # -------------------------------------------------------------- job files
 
-def serialize_jobs_str(rows):
-    """``serialize_jobs`` into a string."""
+@dataclass(frozen=True, eq=False)
+class JobGrid:
+    """A job file as its (jobs x qubits) grid: ``job_ids`` in (timestamp,
+    job_id) order, one timestamp each, ``qubit_ids`` ascending, and the
+    streams of ``n`` bits each as a (jobs * qubits, n) uint8 matrix of 0/1
+    bits, ``bits``, whose row j * len(qubit_ids) + k holds job j's stream
+    on qubit k."""
+
+    job_ids: tuple[str, ...]
+    timestamps: tuple[datetime, ...]
+    qubit_ids: tuple[int, ...]
+    bits: np.ndarray
+    n: int
+
+    def streams(self):
+        """Each stream in grid order, as (job_id, timestamp, qubit_id,
+        bits): the rows ``serialize_jobs`` writes."""
+        cells = ((job_id, ts, qubit) for job_id, ts in zip(self.job_ids, self.timestamps)
+                 for qubit in self.qubit_ids)
+        return ((*cell, bits) for cell, bits in zip(cells, self.bits))
+
+
+def serialize_jobs_str(grid):
+    """``serialize_jobs`` of a grid's streams into a string."""
     buf = io.BytesIO()
-    serialize_jobs(rows, buf)
+    serialize_jobs(grid.streams(), buf)
     return buf.getvalue().decode()
 
 
 def rows_from_bits(job_ids, timestamps, qubit_ids, bits):
-    """``JobRows`` from its streams as a (rows, n) uint8 matrix of 0/1 bits,
-    packed as ``JobRows`` holds them."""
+    """A ``JobGrid`` from its streams as a (rows, n) matrix of 0/1 bits."""
     bits = np.asarray(bits, dtype=np.uint8)
-    return JobRows(job_ids, timestamps, qubit_ids, np.packbits(bits, axis=-1), bits.shape[-1])
+    return JobGrid(job_ids, timestamps, qubit_ids, bits, bits.shape[-1])
 
 
 def whole_run(config):
-    """The whole run as one ``JobRows`` grid: the blocks of
-    ``device_run_blocks``, each copied out of the reused buffer, joined."""
-    blocks = [(b.job_ids, b.timestamps, b.bits.copy()) for b in device_run_blocks(config)]
-    job_ids, stamps, bits = zip(*blocks)
-    return JobRows(sum(job_ids, ()), sum(stamps, ()), tuple(range(config.qubit_count)),
-                   np.concatenate(bits), config.bits_per_job)
+    """The whole run as one ``JobGrid``: the streams of ``device_streams``,
+    each copied as it is drawn, joined."""
+    job_ids, stamps, _, bits = zip(*device_streams(config))
+    return JobGrid(tuple(dict.fromkeys(job_ids)), tuple(dict.fromkeys(stamps)),
+                   tuple(range(config.qubit_count)), np.array(bits, dtype=np.uint8),
+                   config.bits_per_job)
 
 
-def grid_matrix(rows, params):
-    """The p-value matrix of a ``JobRows`` grid: the counts of all its rows
-    at once, already in grid order, placed by ``PValueMatrix.from_counts``."""
-    counts = [packed_counts(rows.bits, rows.n, params.lag)]
-    return PValueMatrix.from_counts(rows.job_ids, rows.qubit_ids, rows.n, counts, params)
+def grid_matrix(grid, params):
+    """The p-value matrix of a ``JobGrid``: each stream's ``stream_counts``,
+    already in grid order, placed by ``PValueMatrix.from_counts``."""
+    check_lag(grid.n, params.lag)
+    counts = np.array([stream_counts(bits, params.lag) for bits in grid.bits]).reshape(-1, 2)
+    return PValueMatrix.from_counts(grid.job_ids, grid.qubit_ids, grid.n, counts[:, 0],
+                                    counts[:, 1], params)
 
 
 def matrix_fields(matrix):
@@ -183,21 +207,16 @@ def matrix_fields(matrix):
             *((a.dtype, a.shape, a.tobytes()) for a in arrays))
 
 
-def bits_of(rows):
-    """The streams of a ``JobRows`` as a (rows, n) matrix of 0/1 bits."""
-    return np.unpackbits(rows.bits, axis=1, count=rows.n)
-
-
 def whole_row_parse_jobs(stream):
     """A job CSV, given as ``parse_jobs`` takes it (bytes, a line at a
-    time), as its ``JobRows`` grid: csv.reader reads every row of the text
+    time), as its ``JobGrid``: csv.reader reads every row of the text
     whole, bit field included, as from the file opened with newline="".
     ``parse_jobs(stream, params)`` must equal ``grid_matrix`` of this grid,
     field for field and error for error."""
     declared = None
     stamps = {}
     streams = {}
-    buffer = bytearray()
+    rows = []
     text = io.StringIO(b"".join(stream).decode(), newline="")
     for line, (job_id, ts_text, qubit_text, bits_text) in _whole_rows(text, JOB_HEADER):
         timestamp = _parse_timestamp(ts_text, line)
@@ -221,13 +240,13 @@ def whole_row_parse_jobs(stream):
                 f"bit string length {len(bits_text)} does not match declared {declared}",
                 line,
             )
-        buffer += np.packbits(row).tobytes()
+        rows.append(row)
 
     n = declared or 0
     job_ids = tuple(sorted(stamps, key=lambda job: (stamps[job], job)))
     qubit_ids, order = _grid_order(streams, job_ids)
-    bits = np.frombuffer(buffer, dtype=np.uint8).reshape(len(streams), -(-n // 8))
-    return JobRows(job_ids, tuple(stamps[job] for job in job_ids), qubit_ids, bits[order], n)
+    bits = np.array(rows, dtype=np.uint8).reshape(len(streams), n)
+    return JobGrid(job_ids, tuple(stamps[job] for job in job_ids), qubit_ids, bits[order], n)
 
 
 def _whole_rows(stream, header):

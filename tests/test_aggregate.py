@@ -2,7 +2,9 @@
 
 import io
 import math
+from array import array
 from datetime import datetime, timedelta, timezone
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from qrng_audit.aggregate import (
     write_report_csv,
     write_scatter_csv,
 )
-from qrng_audit.autocorr import (BLOCK_BYTES, BitSequence, PValueMatrix, TestParams, Verdict,
-                                 packed_counts, run_test)
+from qrng_audit.autocorr import (BitSequence, PValueMatrix, TestParams, Verdict, run_test,
+                                 stream_counts)
 from qrng_audit.ingest import (
     CalibrationRecord,
     ParseError,
@@ -56,7 +58,7 @@ def test_from_counts_all_zero_cells_degenerate():
         ("j2", 1, [(0, "0" * 16), (1, "0" * 16)]),
     ]
     matrix = grid_matrix(make_rows(jobs), TestParams(lag=1))
-    assert (matrix.verdicts() == Verdict.DEGENERATE).all()
+    assert matrix.degenerate.all() and not matrix.failed().any()
     assert np.isnan(matrix.normalized).all() and np.isnan(matrix.p_value).all()
     assert degenerate_count_per_qubit(matrix) == {0: 2, 1: 2}
 
@@ -64,7 +66,7 @@ def test_from_counts_all_zero_cells_degenerate():
 def test_from_counts_alternating_cells_fail():
     jobs = [("j1", 0, [(0, alternating(512)), (1, alternating(512))])]
     matrix = grid_matrix(make_rows(jobs), TestParams(lag=1))
-    assert (matrix.verdicts() == Verdict.FAIL).all()
+    assert matrix.failed().all() and not matrix.degenerate.any()
 
 
 def test_grid_orders_rows_by_timestamp():
@@ -91,7 +93,7 @@ def test_stream_run_ideal_fleet_false_positive_band():
     config = DeviceRunConfig(qubit_count=20, jobs=100, bits_per_job=8192,
                              bias=0.5, master_seed=12)
     matrix = stream_run(config, TestParams(lag=1))
-    fails = int((matrix.verdicts() == Verdict.FAIL).sum())
+    fails = int(matrix.failed().sum())
     assert 0.002 <= fails / 2000 <= 0.025
 
 
@@ -121,7 +123,7 @@ def stream_grids(draw):
 def test_from_counts_equals_run_test_cell_for_cell(case):
     jobs, params = case
     matrix = grid_matrix(make_rows(jobs), params)
-    verdicts = matrix.verdicts()
+    failed, degenerate = matrix.failed(), matrix.degenerate
     for r, (_, _, streams) in enumerate(jobs):
         for c, (_, bits) in enumerate(streams):
             ref = run_test(BitSequence.from_string(bits), params)
@@ -133,22 +135,26 @@ def test_from_counts_equals_run_test_cell_for_cell(case):
             else:
                 assert matrix.normalized[r, c] == ref.normalized
                 assert matrix.p_value[r, c] == ref.p_value
-            assert verdicts[r, c] is ref.verdict
+            assert failed[r, c] == (ref.verdict is Verdict.FAIL)
+            assert degenerate[r, c] == (ref.verdict is Verdict.DEGENERATE)
             assert matrix.low_sample[r, c] == ref.low_sample
 
 
-def test_from_counts_blocks_and_placement_match_run_test():
-    """Counts given a block of four rows at a time (each row BLOCK_BYTES // 4
-    bytes, so nine rows make three blocks), the rows filed in reverse time
-    order with qubits descending, and ``order`` the gather that fills the
-    grid row by row."""
-    n = 8 * (BLOCK_BYTES // 4) - 5
+@pytest.mark.parametrize("column", [tuple, partial(array, "q"), np.array],
+                         ids=["tuple", "array", "ndarray"])
+def test_from_counts_placement_matches_run_test(column):
+    """Each row's counts in file order, as any flat sequence of ints (the
+    callers append to ``array("q")``s), the rows filed in reverse time order
+    with qubits descending, and ``order`` the gather that fills the grid row
+    by row."""
+    n = 8191
     bits = np.random.default_rng(5).integers(0, 2, (9, n), dtype=np.uint8)
-    packed, params = np.packbits(bits, axis=1), TestParams(lag=3)
-    counts = [packed_counts(packed[i:i + 4], n, params.lag) for i in range(0, 9, 4)]
+    params = TestParams(lag=3)
+    statistic, ones = map(column, zip(*(stream_counts(row, params.lag) for row in bits)))
     # File row 3 * r + i holds job j{r} on qubit 2 - i; the grid's job k is j{2 - k}.
     order = np.array([3 * (2 - k) + 2 - q for k in range(3) for q in range(3)])
-    matrix = PValueMatrix.from_counts(("j2", "j1", "j0"), (0, 1, 2), n, counts, params, order)
+    matrix = PValueMatrix.from_counts(("j2", "j1", "j0"), (0, 1, 2), n, statistic, ones, params,
+                                      order)
     for cell, row in zip(np.ndindex(3, 3), order):
         ref = run_test(BitSequence(bits[row]), params)
         assert (matrix.statistic[cell], matrix.bias[cell]) == (ref.statistic, ref.bias)
@@ -200,10 +206,10 @@ def test_counting_identity_per_column():
     matrix = build_verdict_matrix(["FPD", "PPP"])
     ratios = failure_ratio_per_qubit(matrix)
     degenerates = degenerate_count_per_qubit(matrix)
-    verdicts = matrix.verdicts()
+    failed, degenerate = matrix.failed(), matrix.degenerate
     for col, qubit in enumerate(matrix.qubit_ids):
-        fails = int((verdicts[:, col] == Verdict.FAIL).sum())
-        passes = int((verdicts[:, col] == Verdict.PASS).sum())
+        fails = int(failed[:, col].sum())
+        passes = int((~failed & ~degenerate)[:, col].sum())
         assert fails + passes + degenerates[qubit] == len(matrix.job_ids)
         assert ratios[qubit] == fails / (fails + passes)
 

@@ -1,5 +1,6 @@
 """Core autocorrelation test: statistic, normalization, p-value, verdicts."""
 
+import io
 import math
 import sys
 
@@ -17,9 +18,11 @@ from qrng_audit.autocorr import (
     normalize_statistic,
     p_value,
     p_values,
-    packed_counts,
     run_test,
+    stream_counts,
 )
+from qrng_audit.ingest import parse_jobs
+from qrng_audit.simulate import DeviceRunConfig, stream_run
 from reference import autocorr_counts
 
 # mpmath oracle values, frozen up front
@@ -104,79 +107,55 @@ def test_counts_kernel_matches_scalar_reference(case):
 
 
 @pytest.mark.parametrize("lag", [0, -1, 10, 11])
-def test_counts_kernel_invalid_lag(lag):
+def test_counting_callers_refuse_an_invalid_lag(lag):
+    """``stream_counts`` checks no lag: a lag below 1 is refused where its
+    ``TestParams`` is made, and ``stream_run`` and ``parse_jobs``, which
+    call ``stream_counts``, refuse one the 10-bit streams are too short for."""
     with pytest.raises(ValueError, match="^lag must"):
-        packed_counts(np.zeros((3, 2), dtype=np.uint8), 10, lag)
+        stream_run(DeviceRunConfig(qubit_count=2, jobs=1, bits_per_job=10), TestParams(lag=lag))
+    with pytest.raises(ValueError, match="^lag must"):
+        parse_jobs(io.BytesIO(b"job_id,timestamp,qubit_id,bits\n"
+                              b"j1,2019-05-09T11:24:27Z,0,0110011001\n"), TestParams(lag=lag))
 
 
 @st.composite
-def bit_blocks(draw):
-    """(rows, n) bits and a lag drawn from 1 <= lag < n (lag = 1 at n = 1,
-    where no lag is valid); each row has its own bias, 0 and 1 included."""
-    n = draw(st.integers(1, 300) | st.sampled_from([8191, 8193]))
-    biases = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-                           min_size=1, max_size=4))
-    seed = draw(st.integers(0, 2**32 - 1))
-    draws = np.random.default_rng(seed).random((len(biases), n))
-    lag = draw(st.integers(1, max(n - 1, 1)))
-    return (draws < np.array(biases)[:, None]).astype(np.uint8), lag
+def streams(draw):
+    """A stream of n >= 2 bits at a bias of its own, 0 and 1 included, as a
+    bool array."""
+    n = draw(st.integers(2, 300))
+    bias = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n) < bias
 
 
-@given(bit_blocks())
-@settings(max_examples=300, deadline=None)
-@example((np.ones((2, 9), np.uint8), 8))
-@example((np.eye(2, 8193, 8192, dtype=np.uint8), 8192))
-def test_packed_counts_equals_reference_and_run_test(case):
-    """The packed kernel equals the uint8 reference kernel, and run_test cell
-    by cell; it refuses exactly the lags the reference refuses."""
-    bits, lag = case
-    n = bits.shape[1]
-    packed = np.packbits(bits, axis=1)
-    try:
-        expected = autocorr_counts(bits, lag)
-    except ValueError as exc:
-        assert str(exc).startswith("lag must")
-        with pytest.raises(ValueError, match="^lag must"):
-            packed_counts(packed, n, lag)
-        return
-    statistic, ones = packed_counts(packed, n, lag)
-    assert statistic.dtype == ones.dtype == np.int64
-    assert statistic.tolist() == expected[0].tolist()
-    assert ones.tolist() == expected[1].tolist()
-    for row, count, ones_count in zip(bits, statistic.tolist(), ones.tolist()):
-        result = run_test(BitSequence(row), TestParams(lag=lag))
-        assert (count, ones_count / n) == (result.statistic, result.bias)
+@given(streams())
+@settings(max_examples=100, deadline=None)
+@example(np.ones(9, dtype=bool))
+@example(np.eye(1, 8193, 8192, dtype=bool)[0])
+def test_stream_counts_equals_reference_and_run_test_at_every_lag(bits):
+    """``stream_counts`` of the bool stream and of its uint8 copy equals
+    ``autocorr_statistic`` and ``ones_count``, and ``run_test``'s statistic
+    and bias, at every lag 1..n-1."""
+    n, seq = bits.size, BitSequence(bits)
+    for lag in range(1, n):
+        counts = stream_counts(bits, lag)
+        assert stream_counts(bits.astype(np.uint8), lag) == counts
+        assert counts == (autocorr_statistic(seq, lag), seq.ones_count()), lag
+        result = run_test(seq, TestParams(lag=lag))
+        assert (counts[0], counts[1] / n) == (result.statistic, result.bias), lag
 
 
-def test_packed_counts_equals_reference_at_every_lag():
+def test_stream_counts_equals_reference_kernel_at_every_lag():
     """Every lag of every n up to 70, and the lags at both ends of n around
-    8192, on rows of every bias: all zero, all one, sparse, dense, fair."""
+    8192, on streams of every bias: all zero, all one, sparse, dense, fair;
+    as bool and as uint8."""
     rng = np.random.default_rng(20190509)
     for n in [*range(2, 71), 8191, 8192, 8193]:
         bits = (rng.random((5, n)) < np.array([[0.0], [1.0], [0.1], [0.9], [0.5]]))
-        bits = bits.astype(np.uint8)
-        packed = np.packbits(bits, axis=1)
         lags = range(1, n) if n <= 70 else [*range(1, 18), *range(n - 17, n)]
         for lag in lags:
-            statistic, ones = packed_counts(packed, n, lag)
-            expected = autocorr_counts(bits, lag)
-            assert statistic.tolist() == expected[0].tolist(), (n, lag)
-            assert ones.tolist() == expected[1].tolist(), (n, lag)
-
-
-@pytest.mark.parametrize("block_bytes", [1, 4, 64], ids=["row", "row-again", "sixteen-rows"])
-def test_packed_counts_of_many_rows_counts_a_block_at_a_time(monkeypatch, block_bytes):
-    """Rows past one block of ``BLOCK_BYTES`` are counted a block at a time
-    (here 4-byte rows, 1, 1 and 16 to a block, the last block partial) and
-    joined in row order."""
-    rng = np.random.default_rng(7)
-    bits = (rng.random((37, 29)) < rng.random((37, 1))).astype(np.uint8)
-    monkeypatch.setattr(autocorr, "BLOCK_BYTES", block_bytes)
-    for lag in (1, 9, 28):
-        statistic, ones = packed_counts(np.packbits(bits, axis=1), 29, lag)
-        expected = autocorr_counts(bits, lag)
-        assert statistic.tolist() == expected[0].tolist(), lag
-        assert ones.tolist() == expected[1].tolist(), lag
+            expected = np.column_stack(autocorr_counts(bits.astype(np.uint8), lag)).tolist()
+            for rows in (bits, bits.astype(np.uint8)):
+                assert [list(stream_counts(row, lag)) for row in rows] == expected, (n, lag)
 
 
 def test_bitsequence_validation():

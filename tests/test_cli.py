@@ -213,7 +213,8 @@ def job_file_forms(text):
 
 @pytest.mark.parametrize("form", ["lf", "crlf", "shuffled", "quoted"])
 def test_test_writes_the_pipeline_results_from_every_form_of_its_job_file(tmp_path, form):
-    """80 rows of 8192 bits: more than one 64 KiB block of packed rows."""
+    """80 rows of 8192 bits, in every form ``test`` reads: the results the
+    pipeline counted as it drew each stream."""
     workdir = tmp_path / "run"
     assert run(["pipeline", "--qubits", 20, "--jobs", 4, "--bits", 8192, "--seed", 5,
                 "--model", "markov", "--rho", 0.1, "--workdir", workdir]) == 0
@@ -286,9 +287,9 @@ def test_tested_line_gives_the_verdict_counts_of_the_results_file(tmp_path, caps
     assert tested == f"{counts} -> {results}\n"
 
 
-def multi_block_job_rows():
+def paper_row_job_rows():
     """The data rows of a 5 x 20 job file of 8192-bit streams in grid order:
-    100 rows, more than one 64 KiB block of packed rows."""
+    100 rows."""
     rng = np.random.default_rng(21)
     return [f"j{j},2019-05-09T1{j}:00:00Z,{q},"
             f"{''.join('01'[b] for b in rng.integers(0, 2, 8192).tolist())}\n"
@@ -328,9 +329,9 @@ BAD_ROW_90 = "j4,2019-05-09T14:00:00Z,9," + "01a0" * 2048 + "\n"
         "negative-qubit-lag-n"])
 def test_test_error_precedence(tmp_path, capsys, edit, flags, code, message):
     """A file's parse and grid errors come before the emptiness check, and
-    that before the lag check, whatever block of rows holds the fault."""
+    that before the lag check, whatever row holds the fault."""
     jobs = tmp_path / "jobs.csv"
-    jobs.write_text("job_id,timestamp,qubit_id,bits\n" + "".join(edit(multi_block_job_rows())))
+    jobs.write_text("job_id,timestamp,qubit_id,bits\n" + "".join(edit(paper_row_job_rows())))
     out = tmp_path / "r.csv"
     assert (run(["test", "--in", jobs, "--out", out, *flags]), capsys.readouterr().err) == (
         code, f"error: {message}\n")
@@ -861,12 +862,11 @@ def test_pipeline_matches_manual_stages(tmp_path):
 @pytest.mark.parametrize("shape", [
     ["--jobs", 7, "--qubits", 20, "--bits", 8192],
     ["--jobs", 2, "--qubits", 20, "--bits", 131072, "--model", "markov", "--rho", -0.1],
-], ids=["three-blocks", "job-wider-than-block"])
-def test_pipeline_of_job_blocks_matches_simulate_and_test(tmp_path, shape):
-    """The pipeline writes and counts its run a block of jobs at a time
-    (3 jobs at 20 x 8192, so 7 jobs end in a partial block; 1 job at
-    20 x 131072): ``simulate`` gives its job file and ``test`` of that file
-    its results file, byte for byte."""
+], ids=["seven-paper-jobs", "long-markov-streams"])
+def test_pipeline_matches_simulate_and_test(tmp_path, shape):
+    """The pipeline counts each stream as it is drawn and written; the
+    parser counts each row as it is read: ``simulate`` gives the pipeline's
+    job file and ``test`` of that file its results file, byte for byte."""
     workdir = tmp_path / "run"
     assert run(["pipeline", *shape, "--seed", 2**64 - 1, "--workdir", workdir]) == 0
     jobs, results = tmp_path / "jobs.csv", tmp_path / "results.csv"
@@ -926,7 +926,7 @@ def test_bits_above_csv_field_limit_exit_2_before_generating(tmp_path, capsys, m
     def refuse(*_args, **_kwargs):
         raise AssertionError("generated a run that no job file can hold")
 
-    monkeypatch.setattr(simulate, "device_run_blocks", refuse)
+    monkeypatch.setattr(simulate, "device_streams", refuse)
     where = ["--out", tmp_path / "jobs.csv"] if command == "simulate" else [
         "--workdir", tmp_path / "run"]
     assert run([command, "--jobs", 1, "--qubits", 2, "--bits", 131072 + 1, *where]) == 2
@@ -943,7 +943,7 @@ def test_failed_allocation_exits_1_without_traceback(tmp_path, capsys, monkeypat
     def fail(*_args, **_kwargs):
         raise MemoryError("Unable to allocate 4.21 TiB for an array")
 
-    monkeypatch.setattr(simulate, "device_run_blocks", fail)
+    monkeypatch.setattr(simulate, "device_streams", fail)
     monkeypatch.setattr(oracle, "approximation_error", fail)
     argv = (["simulate", "--jobs", 579, "--qubits", 1000000000, "--bits", 8]
             if command == "simulate" else ["oracle", "--n", 10**12])
@@ -955,16 +955,16 @@ def test_failed_allocation_exits_1_without_traceback(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
 def test_a_run_that_fails_part_way_leaves_no_job_file(tmp_path, capsys, monkeypatch, command):
-    """A failed allocation for the second of three blocks of jobs, after the
+    """A failed allocation for the second stream of the run, after the
     first is written: exit 1, and the half-written job file is removed. A
     job file already at the target keeps its bytes."""
-    draw = simulate.device_run_blocks
+    draw = simulate.device_streams
 
-    def second_block_fails(config):
+    def second_stream_fails(config):
         yield next(draw(config))
         raise MemoryError("Unable to allocate 480. KiB for an array")
 
-    monkeypatch.setattr(simulate, "device_run_blocks", second_block_fails)
+    monkeypatch.setattr(simulate, "device_streams", second_stream_fails)
     where = ["--out", tmp_path / "jobs.csv"] if command == "simulate" else [
         "--workdir", tmp_path / "run"]
     argv = [command, "--jobs", 7, "--qubits", 20, "--bits", 8192, *where]

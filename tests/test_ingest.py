@@ -23,7 +23,7 @@ from qrng_audit.ingest import (
     serialize_calibration,
     write_results,
 )
-from reference import (bits_of, grid_matrix, matrix_fields, rows_from_bits, serialize_jobs_str,
+from reference import (grid_matrix, matrix_fields, rows_from_bits, serialize_jobs_str,
                        whole_row_parse_jobs)
 
 TS = datetime(2019, 5, 9, 11, 24, 27, tzinfo=timezone.utc)
@@ -35,7 +35,7 @@ def job_file(*rows, header="job_id,timestamp,qubit_id,bits"):
 
 
 def job_rows(*cells):
-    """JobRows from (job_id, timestamp, qubit_id, bit string) cells in grid
+    """A JobGrid from (job_id, timestamp, qubit_id, bit string) cells in grid
     order: jobs in time order, each with its qubits ascending."""
     jobs = dict.fromkeys((c[0], c[1]) for c in cells)
     return rows_from_bits(
@@ -51,7 +51,7 @@ def test_parse_single_row():
     rows = whole_row_parse_jobs(job_file("j1,2019-05-09T11:24:27Z,0,0110"))
     assert (rows.job_ids, rows.timestamps, rows.qubit_ids) == (("j1",), (TS,), (0,))
     assert rows.bits.dtype == np.uint8
-    assert bits_of(rows).tolist() == [[0, 1, 1, 0]]
+    assert rows.bits.tolist() == [[0, 1, 1, 0]]
 
 
 def test_parse_groups_rows_into_jobs():
@@ -66,7 +66,7 @@ def test_parse_groups_rows_into_jobs():
     rows = whole_row_parse_jobs(grouped())
     assert (rows.job_ids, rows.qubit_ids) == (("j1", "j2"), (0, 1))
     # row j * 2 + k holds job j's stream on qubit k, whatever the file order
-    assert bits_of(rows).tolist() == [[1, 1], [0, 1], [1, 0], [0, 0]]
+    assert rows.bits.tolist() == [[1, 1], [0, 1], [1, 0], [0, 0]]
     matrix = parse_jobs(grouped(), TestParams(lag=1))
     assert (matrix.job_ids, matrix.qubit_ids) == (("j1", "j2"), (0, 1))
     assert matrix.statistic.tolist() == [[0, 1], [1, 0]]
@@ -206,7 +206,7 @@ def test_job_round_trip_identity(rows):
     parsed = whole_row_parse_jobs(io.BytesIO(text.encode()))
     assert (parsed.job_ids, parsed.timestamps, parsed.qubit_ids) == (
         rows.job_ids, rows.timestamps, rows.qubit_ids)
-    assert bits_of(parsed).tolist() == bits_of(rows).tolist()
+    assert parsed.bits.tolist() == rows.bits.tolist()
     assert serialize_jobs_str(parsed) == text
 
 
@@ -238,7 +238,7 @@ def reference_test(stream, params):
 
 def whole_row_serialize_jobs(rows):
     """The job CSV as one csv.writer wrote it, bit field included: the
-    reference the block-wise writer must match byte for byte."""
+    reference the writer must match byte for byte."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["job_id", "timestamp", "qubit_id", "bits"])
@@ -246,15 +246,15 @@ def whole_row_serialize_jobs(rows):
              for job_id, ts in zip(rows.job_ids, rows.timestamps) for qubit in rows.qubit_ids]
     writer.writerows(
         [*cell, (bits + ord("0")).tobytes().decode("ascii")]
-        for cell, bits in zip(cells, bits_of(rows))
+        for cell, bits in zip(cells, rows.bits)
     )
     return buf.getvalue()
 
 
 @st.composite
 def bit_matrices(draw):
-    """(rows, n) bits; at n >= 2731 a 64 KiB block holds at most 23 rows, so
-    up to 24 rows span several blocks, the last one partial."""
+    """(rows, n) bits: up to 24 rows of 1 to 65537 bits, at the lengths
+    around 2**13 and 2**16 among others."""
     n = draw(st.sampled_from([1, 2, 2730, 2731, 8191, 8192, 8193, 65535, 65536, 65537])
              | st.integers(1, 64))
     count = draw(st.integers(0, 24))
@@ -284,7 +284,7 @@ def test_serialize_jobs_matches_whole_row_csv_writer(bits, data):
 @pytest.mark.parametrize("bits", [
     np.zeros((0, 5), dtype=np.uint8),
     np.random.default_rng(1).integers(0, 2, (2 * 32768 + 4, 1), dtype=np.uint8),
-], ids=["empty-2d", "n1-three-blocks"])
+], ids=["empty-2d", "n1-65540-rows"])
 def test_serialize_jobs_matches_whole_row_csv_writer_at_edge_shapes(bits):
     qubits = min(len(bits), 20)
     jobs = len(bits) // 20
@@ -311,29 +311,32 @@ def test_write_results_writes_each_block_of_jobs_as_one_row_per_cell():
     ones[::7], ones[::11] = 0, n  # degenerate cells
     statistic = rng.integers(0, n, jobs * 3)
     matrix = PValueMatrix.from_counts(tuple(f"j{j}" for j in range(jobs)), (0, 1, 2), n,
-                                      [(statistic, ones)], TestParams(lag=1))
+                                      statistic, ones, TestParams(lag=1))
     buf = io.StringIO()
     write_results(matrix, buf)
-    verdicts, lines = matrix.verdicts(), [",".join(ingest.RESULT_HEADER)]
+    failed, degenerate = matrix.failed(), matrix.degenerate
+    lines = [",".join(ingest.RESULT_HEADER)]
     for (j, job_id), (k, qubit) in itertools.product(enumerate(matrix.job_ids),
                                                      enumerate(matrix.qubit_ids)):
         z, p = (float(a[j, k]) for a in (matrix.normalized, matrix.p_value))
         lines.append(",".join([job_id, str(qubit), str(n), "1", repr(float(matrix.bias[j, k])),
                                str(int(matrix.statistic[j, k])), "" if math.isnan(z) else repr(z),
-                               "" if math.isnan(p) else repr(p), verdicts[j, k].value]))
-    assert 0 < int(matrix.degenerate.sum()) < jobs * 3
+                               "" if math.isnan(p) else repr(p),
+                               "degenerate" if degenerate[j, k] else
+                               "fail" if failed[j, k] else "pass"]))
+    assert 0 < int(degenerate.sum()) < jobs * 3 and failed.any()
     assert buf.getvalue() == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 16, 8193])
-def test_parse_jobs_holds_each_row_in_ceil_n_over_8_bytes(n):
+def test_parse_jobs_reads_rows_of_any_length(n):
     stream = ("10" * n)[:n]
     text = "".join(f"j{j},2019-05-09T11:2{j}:27Z,{q},{stream}\n"
                    for j in range(3) for q in (0, 1))
     parsed = whole_row_parse_jobs(job_file(text.rstrip("\n")))
     assert parsed.n == n
-    assert parsed.bits.nbytes == 6 * -(-n // 8)
-    assert bits_of(parsed).tolist() == [[int(b) for b in stream]] * 6
+    assert parsed.bits.shape == (6, n)
+    assert parsed.bits.tolist() == [[int(b) for b in stream]] * 6
     if n > 1:  # every pair of neighbours differs
         assert parse_jobs(job_file(text.rstrip("\n")), PARAMS).statistic.tolist() == (
             [[n - 1] * 2] * 3)
@@ -466,7 +469,7 @@ def test_read_results_reads_back_every_matrix_from_counts_gives(n, data):
     cells = jobs * qubits
     counts = (rng.integers(0, n - params.lag + 1, cells), rng.integers(0, n + 1, cells))
     matrix = PValueMatrix.from_counts(tuple(f"j{j}" for j in range(jobs)), tuple(range(qubits)),
-                                      n, [counts], params)
+                                      n, *counts, params)
     buf = io.StringIO()
     write_results(matrix, buf)
     read = read_results(io.BytesIO(buf.getvalue().encode()), alpha=params.alpha)
@@ -674,8 +677,8 @@ def file_example(data, block_bytes=ingest.BLOCK_BYTES):
     f"{'j' * LIMIT},{STAMPS[0]},{q},{'1' * LIMIT}\n".encode() for q in range(2)))
 @settings(max_examples=300, deadline=None)
 def test_parse_jobs_matches_the_whole_row_parse(data, lag, fixed_bias, block_bytes):
-    """The byte-line parser, counting blocks of ``block_bytes`` of packed
-    rows, gives the matrix ``grid_matrix`` gives for the grid of the
+    """The byte-line parser, reading the file in pieces of at most
+    ``4 * block_bytes`` bytes, gives the matrix ``grid_matrix`` gives for the grid of the
     whole-row parse, field for field, or refuses the file alike."""
     params = TestParams(lag=lag, fixed_bias=fixed_bias)
     with pytest.MonkeyPatch.context() as patch:

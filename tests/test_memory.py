@@ -6,20 +6,22 @@ and ``oracle``, which imports no numpy either, at 15.2 to 18.4 MiB: each
 at least 10 MiB below the reference.
 
 * The pipeline at 145 jobs x 20 qubits x 8192 bits (the benchmark's paper
-  shape) generates, writes and counts one block of 3 jobs (60 KiB of packed
-  bits) at a time and keeps only each stream's two counts: about 7.8 MiB
-  above the reference, against about 11 MiB holding the run's 2.9 MB of packed
-  bits and about 30 MiB at one byte per bit. ``pipeline`` peaks about
-  1.1 MiB higher at 1158 jobs than at 579 (each stream's counts and
-  outcomes) and ``simulate`` about 0.2 MiB (the seeds are computed 4096
-  streams at a time), against 1.3 and 1.6 MiB seeding every stream in one
-  pass and 14 and 12 MiB holding the grid.
-* ``test`` on a 579 x 20 x 8192 job file holds none of its 11.9 MB of
-  packed bits, only each stream's two counts, in grid order, shuffled, or
-  with its lines ending in a lone CR: about 4 MiB above the reference, against
-  about 16 MiB holding the packed matrix, about 26 MiB with one gather of
-  it for a shuffled file, and about 185 MiB reading a lone-CR file as one
-  line.
+  shape) generates, writes and counts one stream at a time and keeps only
+  each stream's two counts: about 7.5 MiB above the reference, against
+  about 11 MiB holding the run's 2.9 MB of packed bits and about 30 MiB at
+  one byte per bit. ``pipeline`` peaks 0.8 to 1.2 MiB higher at 1158 jobs
+  than at 579 (each stream's counts and outcomes) and ``simulate`` about
+  0.2 MiB (the seeds are computed 4096 streams at a time), against 1.3 and
+  1.6 MiB seeding every stream in one pass and 14 and 12 MiB holding the
+  grid.
+* ``test`` on a 579 x 20 x 8192 job file holds none of its bits, only each
+  stream's two counts, in grid order, shuffled, or with its lines ending
+  in a lone CR: about 3 MiB above the reference, against about 16 MiB
+  holding the packed matrix, about 26 MiB with one gather of it for a
+  shuffled file, and about 185 MiB reading a lone-CR file as one line.
+* ``aggregate`` of that file's results keeps each row's numbers in typed
+  arrays, no Python object per row: about 4 MiB above the reference,
+  against about 6 MiB holding them in lists.
 * ``test`` on a job file whose second line is 24 MiB of bits with no line
   end reads that line only until it passes the longest line a job row can
   take (about 1 MiB: only job_id and bits may reach the csv field limit),
@@ -51,6 +53,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Peaks above the startup reference, in MiB.
 PEAK_ABOVE_STARTUP_MIB = 11
 TEST_PEAK_ABOVE_STARTUP_MIB = 8
+AGGREGATE_PEAK_ABOVE_STARTUP_MIB = 5
 # Growth of a peak from 579 to 1158 jobs.
 PEAK_GROWTH_MIB = 1.5
 CHILD_TIMEOUT_S = 120.0
@@ -153,6 +156,15 @@ def test_test_of_a_job_file_holds_no_bits(paper_shape_jobs, name):
     startup = startup_rss_mib(paper_shape_jobs)
     test = peak_rss_mib(["test", "--in", name, "--out", "results.csv"], paper_shape_jobs)
     assert test - startup < TEST_PEAK_ABOVE_STARTUP_MIB, (test, startup)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_aggregate_of_the_paper_shape_results_keeps_no_object_per_row(paper_shape_jobs):
+    peak_rss_mib(["test", "--in", "jobs.csv", "--out", "paper-results.csv"], paper_shape_jobs)
+    startup = startup_rss_mib(paper_shape_jobs)
+    aggregate = peak_rss_mib(["aggregate", "--in", "paper-results.csv", "--report", "report.csv"],
+                             paper_shape_jobs)
+    assert aggregate - startup < AGGREGATE_PEAK_ABOVE_STARTUP_MIB, (aggregate, startup)
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as sp_stats
 
 from qrng_audit import simulate
-from qrng_audit.autocorr import BLOCK_BYTES, BitSequence, TestParams, autocorr_statistic
+from qrng_audit.autocorr import BitSequence, TestParams, autocorr_statistic
 from qrng_audit.ingest import parse_jobs
 from qrng_audit.simulate import (
     JOB_INTERVAL_S,
@@ -22,12 +22,12 @@ from qrng_audit.simulate import (
     _generators,
     _seed_grid,
     _seed_sequence_words,
-    device_run_blocks,
+    device_streams,
     drifting_bias,
     generate_calibration_series,
     stream_run,
 )
-from reference import (bits_of, derive_substream_seed, ideal_source, markov_source, matrix_fields,
+from reference import (derive_substream_seed, ideal_source, markov_source, matrix_fields,
                        serialize_jobs_str, stream_seed, whole_run)
 
 
@@ -253,30 +253,30 @@ def test_device_run_shape_and_subset_regeneration():
     )
     rows = whole_run(config)
     assert (rows.job_ids, rows.qubit_ids) == (("j0001", "j0002"), (0, 1, 2))
-    assert bits_of(rows).shape == (6, 16) and rows.bits.dtype == np.uint8
+    assert rows.bits.shape == (6, 16)
     cells = [(j, q) for j in range(2) for q in range(3)]
     # any (job, qubit) stream regenerates independently, bit for bit
     for row, (j, q) in enumerate(cells):
-        assert BitSequence(bits_of(rows)[row]) == ideal_source(0.5, 16, stream_seed(7, j, q))
+        assert BitSequence(rows.bits[row]) == ideal_source(0.5, 16, stream_seed(7, j, q))
     # and so does every other model's: markov at either sign of rho, and
     # drifting at the bias of the job's phase
     for rho in (0.3, -0.3):
         markov = whole_run(replace(config, bias=0.5, rho=rho))
         for row, (j, q) in enumerate(cells):
             seed = stream_seed(7, j, q)
-            assert BitSequence(bits_of(markov)[row]) == markov_source(0.5, rho, 16, seed)
+            assert BitSequence(markov.bits[row]) == markov_source(0.5, rho, 16, seed)
     phases = drifting_bias(((0.2, 1), (0.9, 1)))
     drifting = whole_run(replace(config, bias=phases))
     for row, (j, q) in enumerate(cells):
         seed = stream_seed(7, j, q)
-        assert BitSequence(bits_of(drifting)[row]) == ideal_source((0.2, 0.9)[j], 16, seed)
+        assert BitSequence(drifting.bits[row]) == ideal_source((0.2, 0.9)[j], 16, seed)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 8193])
-def test_device_run_holds_each_row_in_ceil_n_over_8_bytes(n):
-    rows = whole_run(DeviceRunConfig(qubit_count=3, jobs=2, bits_per_job=n))
-    assert rows.n == n
-    assert rows.bits.nbytes == 6 * -(-n // 8)
+def test_device_streams_are_n_bit_bool_arrays(n):
+    streams = list(device_streams(DeviceRunConfig(qubit_count=3, jobs=2, bits_per_job=n)))
+    assert len(streams) == 6
+    assert all(bits.dtype == bool and bits.shape == (n,) for *_, bits in streams)
 
 
 def test_device_run_deterministic():
@@ -297,7 +297,7 @@ def test_device_run_timestamps_advance():
 def test_device_run_per_qubit_models():
     config = DeviceRunConfig(qubit_count=2, jobs=1, bits_per_job=4096, bias=0.5, rho=[0.0, 0.3],
                              master_seed=9)
-    ideal, markov = bits_of(whole_run(config))
+    ideal, markov = whole_run(config).bits
     ideal_stat = autocorr_statistic(BitSequence(ideal), 1)
     markov_stat = autocorr_statistic(BitSequence(markov), 1)
     assert markov_stat < ideal_stat  # rho=0.3 suppresses adjacent flips hard
@@ -341,67 +341,51 @@ def test_device_run_draws_each_cell_from_its_chain(form, n, seed):
     for row, (j, q) in enumerate(np.ndindex(jobs, qubits)):
         expected = markov_source(float(cell_bias[j, q]), float(cell_rho[j, q]), n,
                                  stream_seed(seed, j, q))
-        assert BitSequence(bits_of(rows)[row]) == expected
+        assert BitSequence(rows.bits[row]) == expected
 
 
-# A job of 20 qubits x 8192 bits packs into 20 KiB, so a block holds 3.
-PAPER_BLOCK_JOBS = BLOCK_BYTES // (20 * 8192 // 8)
-BLOCK_MODELS = {
+STREAM_MODELS = {
     "ideal": lambda jobs: (0.5, 0.0),
     "markov-positive": lambda jobs: (0.5, 0.05),
     "markov-negative": lambda jobs: (0.4, -0.2),
-    # A bias of each job's own, so a block that takes the wrong jobs' chains shows.
+    # A bias of each job's own, so a stream drawn from the wrong job's chain shows.
     "drifting": lambda jobs: (drifting_bias([(0.3 + 0.1 * j, 1) for j in range(jobs)]), 0.0),
 }
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-@pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
-@pytest.mark.parametrize("jobs, bits", [
-    (1, 8192), (PAPER_BLOCK_JOBS - 1, 8192), (PAPER_BLOCK_JOBS, 8192),
-    (PAPER_BLOCK_JOBS + 1, 8192), (2, 131072)],
-    ids=["one-job", "block-less-one", "one-block", "block-plus-one", "job-wider-than-block"])
-def test_device_run_blocks_join_to_each_stream_drawn_alone(jobs, bits, model, seed):
-    """The blocks hold whole jobs, as many as fit in BLOCK_BYTES (at least
-    one), in one reused buffer; joined, they are the run each stream drawn
-    alone from numpy's own seeding gives."""
-    assert PAPER_BLOCK_JOBS == 3
-    bias, rho = BLOCK_MODELS[model](jobs)
+@pytest.mark.parametrize("model", sorted(STREAM_MODELS))
+@pytest.mark.parametrize("jobs, bits", [(1, 8192), (4, 8192), (2, 131072), (5, 13), (3, 8193)],
+                         ids=["one-job", "four-jobs", "long-streams", "short-odd-streams",
+                              "odd-length-streams"])
+def test_device_streams_are_each_stream_drawn_alone(jobs, bits, model, seed):
+    """The run's streams come one at a time in grid order, each with its
+    job's id and timestamp, and each the stream numpy's own seeding of its
+    cell draws alone."""
+    bias, rho = STREAM_MODELS[model](jobs)
     config = DeviceRunConfig(qubit_count=20, jobs=jobs, bits_per_job=bits, bias=bias, rho=rho,
                              master_seed=seed)
     cell_bias, cell_rho = config.chain_grid()
-    per_block = max(1, BLOCK_BYTES // (20 * bits // 8))
-    first_bits, job = None, 0
-    for block in device_run_blocks(config):
-        assert len(block.job_ids) == min(per_block, jobs - job)
-        assert block.qubit_ids == tuple(range(20)) and block.n == bits
-        first_bits = block.bits if first_bits is None else first_bits
-        assert np.shares_memory(block.bits, first_bits)
-        streams = bits_of(block)
-        for row, (j, q) in enumerate(np.ndindex(len(block.job_ids), 20)):
-            j += job  # the job's index in the run
-            expected = markov_source(float(cell_bias[j, q]), float(cell_rho[j, q]), bits,
-                                     stream_seed(seed, j, q))
-            assert BitSequence(streams[row]) == expected
-        span = range(job, job + len(block.job_ids))
-        assert block.job_ids == tuple(f"j{j + 1:04d}" for j in span)
-        assert block.timestamps == tuple(RUN_START + timedelta(seconds=j * JOB_INTERVAL_S)
-                                         for j in span)
-        job += len(block.job_ids)
-    assert job == jobs
+    streams = device_streams(config)
+    for (j, q), (job_id, timestamp, qubit, stream) in zip(np.ndindex(jobs, 20), streams,
+                                                         strict=True):
+        assert (job_id, timestamp, qubit) == (
+            f"j{j + 1:04d}", RUN_START + timedelta(seconds=j * JOB_INTERVAL_S), q)
+        expected = markov_source(float(cell_bias[j, q]), float(cell_rho[j, q]), bits,
+                                 stream_seed(seed, j, q))
+        assert BitSequence(stream) == expected
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-@pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
-def test_stream_run_writes_and_tests_the_run_a_block_at_a_time(model, seed, monkeypatch):
-    """7 jobs of 20 x 8192 bits span three blocks (3, 3, 1): ``stream_run``
-    writes the text of the whole run written at once, the matrix it counts
-    as it goes is the one ``parse_jobs`` reads from that text. Without
-    parameters it returns None; without a job file it writes nothing."""
-    bias, rho = BLOCK_MODELS[model](7)
+@pytest.mark.parametrize("model", sorted(STREAM_MODELS))
+def test_stream_run_writes_and_tests_the_run_a_stream_at_a_time(model, seed, monkeypatch):
+    """``stream_run`` of 7 jobs of 20 x 8192 bits writes the text of the
+    whole run written at once, and the matrix it counts as it goes is the
+    one ``parse_jobs`` reads from that text. Without parameters it returns
+    None; without a job file it writes nothing."""
+    bias, rho = STREAM_MODELS[model](7)
     config = DeviceRunConfig(qubit_count=20, jobs=7, bits_per_job=8192, bias=bias, rho=rho,
                              master_seed=seed)
-    assert len(list(device_run_blocks(config))) == 3
     written, params = io.BytesIO(), TestParams(lag=2)
     matrix = stream_run(config, params, written)
     text = written.getvalue().decode()
@@ -413,7 +397,7 @@ def test_stream_run_writes_and_tests_the_run_a_block_at_a_time(model, seed, monk
     assert written.getvalue().decode() == text
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("wrote a block with no job file to write to")
+        raise AssertionError("wrote a stream with no job file to write to")
 
     monkeypatch.setattr(simulate, "serialize_jobs", refuse)
     assert matrix_fields(stream_run(config, params)) == matrix_fields(matrix)
@@ -495,13 +479,11 @@ def test_calibration_series_covers_every_qubit():
 
 def test_ten_t1_reset_fleet_indistinguishable_from_ideal():
     """rho = exp(-10) is ~4.5e-5: far below detectability at n=8192."""
-    from qrng_audit.autocorr import Verdict
-
     shape = dict(qubit_count=5, jobs=40, bits_per_job=8192, master_seed=15)
 
     def fail_fraction(rho):
         config = DeviceRunConfig(bias=0.5, rho=rho, **shape)
         matrix = stream_run(config, TestParams(lag=1))
-        return int((matrix.verdicts() == Verdict.FAIL).sum()) / 200
+        return int(matrix.failed().sum()) / 200
 
     assert abs(fail_fraction(math.exp(-10.0)) - fail_fraction(0.0)) <= 0.02
