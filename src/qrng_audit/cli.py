@@ -75,8 +75,8 @@ def _chain_parameters(args: argparse.Namespace) -> dict:
 
 def _run_config(args: argparse.Namespace) -> DeviceRunConfig:
     """The run the flags describe, whose job file ``test`` can read."""
-    from .ingest import check_stream_length
     from .simulate import DeviceRunConfig
+    from .standardize import check_stream_length
 
     config = DeviceRunConfig(**_given(qubit_count=args.qubits, jobs=args.jobs,
                                       bits_per_job=args.bits, master_seed=args.seed),
@@ -88,27 +88,27 @@ def _run_config(args: argparse.Namespace) -> DeviceRunConfig:
 def _simulate(config: DeviceRunConfig, model: str, out: str, calibration_out: str | None,
               params: TestParams | None = None,
               ) -> tuple[PValueMatrix | None, list[CalibrationRecord] | None]:
-    """Write the job file by ``stream_run``, under a temporary name renamed
-    onto ``out`` once whole (a run that fails part way changes nothing at
-    ``out``), and the calibration file, if asked for. Returns the run's
+    """Write the job file by ``stream_run`` under a temporary name and the
+    calibration file, if asked for, then rename the job file onto ``out``:
+    a run that fails part way changes nothing at ``out``. Returns the run's
     p-value matrix (given test parameters) and the calibration records."""
     from .ingest import serialize_calibration
     from .simulate import generate_calibration_series, stream_run
 
     partial = f"{out}.{os.getpid()}.partial"
     fh = open(partial, "xb")
+    calibration = None
     try:
         with fh:
             matrix = stream_run(config, params, fh)
+        if calibration_out is not None:
+            calibration = generate_calibration_series(config)
+            with open(calibration_out, "w", newline="", encoding="utf-8") as fh:
+                serialize_calibration(calibration, fh)
         os.replace(partial, out)
     except BaseException:
         os.remove(partial)
         raise
-    calibration = None
-    if calibration_out is not None:
-        calibration = generate_calibration_series(config)
-        with open(calibration_out, "w", newline="", encoding="utf-8") as fh:
-            serialize_calibration(calibration, fh)
     _status(
         f"simulated {config.jobs} jobs x {config.qubit_count} qubits x "
         f"{config.bits_per_job} bits (model {model}, seed {config.master_seed}) "

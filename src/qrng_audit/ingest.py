@@ -325,12 +325,6 @@ def parse_jobs(stream: BinaryIO, params: TestParams) -> PValueMatrix:
     return PValueMatrix.from_counts(job_ids, qubit_ids, declared, statistic, ones, params, order)
 
 
-def check_stream_length(n: int) -> None:
-    """Refuse streams longer than the csv module's field limit: no parser reads them."""
-    if n > (limit := csv.field_size_limit()):
-        raise ValueError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
-
-
 def serialize_jobs(rows: Iterable[tuple[str, datetime, int, np.ndarray]],
                    stream: BinaryIO) -> None:
     """Write streams, each (job_id, timestamp, qubit_id, bits) with ``bits``

@@ -52,7 +52,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import compress, count
 
-from .standardize import check_lag, p_value, standardization
+from .standardize import check_lag, check_stream_length, p_value, standardization
 
 # Each (statistic, ones) count is below 2^n. Up to n = 53, the doubles'
 # significand width, every count converts to a double exactly, so at p = 1/2
@@ -225,9 +225,10 @@ def approximation_error(
     k_lo, k_hi = k_range if k_range is not None else (0, m)
     if not 0 <= k_lo <= k_hi <= m:
         raise ValueError(f"k_range must lie within [0, {m}], got {k_range}")
-    # The table is read later: refuse a bias or variance it cannot use now,
-    # before an exact law is picked or built.
+    # The table is read later: refuse now a bias or variance it cannot use, or
+    # an n longer than any stream the test reads, before an exact law is built.
     center, scale = standardization(n, lag, bias)
+    check_stream_length(n)
     if n <= ENUMERATION_MAX_N:
         dist = exact_distribution_enumerate(n, lag, bias)
     elif bias == 0.5:

@@ -1,12 +1,14 @@
-"""The test's scalar standardization, in plain Python floats.
+"""The test's scalar standardization, in plain Python floats, and the
+longest stream a job file holds, which bounds every command's n.
 
-``autocorr`` re-exports every name here, so the test and its callers read
-them from there. The ``oracle`` command imports this module and ``oracle``
-alone: it loads no numpy.
+``autocorr`` re-exports the names the test uses, so the test and its
+callers read them from there. The ``oracle`` command imports this module
+and ``oracle`` alone: it loads no numpy.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 # Smallest positive double; p-values are clamped here so they stay in (0, 1]
@@ -19,6 +21,12 @@ def check_lag(n: int, lag: int) -> None:
     """Refuse a lag that leaves no bit pair in a stream of n bits."""
     if not 1 <= lag < n:
         raise ValueError(f"lag must satisfy 1 <= lag < n={n}, got {lag}")
+
+
+def check_stream_length(n: int) -> None:
+    """Refuse streams longer than the csv module's field limit: no parser reads them."""
+    if n > (limit := csv.field_size_limit()):
+        raise ValueError(f"{n}-bit streams exceed the job CSV field limit of {limit} characters")
 
 
 def pair_mismatch_rate(bias: float) -> float:

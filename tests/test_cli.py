@@ -199,19 +199,20 @@ def test_test_refuses_an_over_limit_stream_on_a_later_row(tmp_path, capsys):
 
 
 def job_file_forms(text):
-    """Four forms of one job file, each of which reads as the same grid."""
+    """Five forms of one job file, each of which reads as the same grid."""
     header, *rows = text.splitlines(True)
     shuffled = rows[:]
     random.Random(7).shuffle(shuffled)
     return {
         "lf": text,
         "crlf": text.replace("\n", "\r\n"),
+        "cr": text.replace("\n", "\r"),
         "shuffled": header + "".join(shuffled),
         "quoted": header + "".join(re.sub(r"^([^,]*),", r'"\1",', row) for row in rows),
     }
 
 
-@pytest.mark.parametrize("form", ["lf", "crlf", "shuffled", "quoted"])
+@pytest.mark.parametrize("form", ["lf", "crlf", "cr", "shuffled", "quoted"])
 def test_test_writes_the_pipeline_results_from_every_form_of_its_job_file(tmp_path, form):
     """80 rows of 8192 bits, in every form ``test`` reads: the results the
     pipeline counted as it drew each stream."""
@@ -699,6 +700,8 @@ def test_oracle_reaches_n_53_at_any_bias(tmp_path):
         (["--n", 12, "--p", 1], "zero variance"),
         (["--n", 12, "--k-min", 3, "--k-max", 12], "k_range must lie within"),
         (["--n", 12, "--k-min", 5, "--k-max", 4], "k_range must lie within"),
+        (["--n", 131073], "field limit of 131072"),
+        (["--n", 10**20], "field limit of 131072"),
     ],
 )
 def test_oracle_flag_errors_exit_2(tmp_path, capsys, flags, message):
@@ -979,6 +982,21 @@ def test_a_run_that_fails_part_way_leaves_no_job_file(tmp_path, capsys, monkeypa
     assert run(argv) == 1
     assert target.read_bytes() == kept
     assert [path for path in tmp_path.rglob("*") if path.is_file()] == [target]
+
+
+def test_a_failed_calibration_write_leaves_the_job_file_at_out(tmp_path, capsys):
+    """The calibration file is written before the job file is renamed onto
+    ``--out``: when that write fails, the file already at ``--out`` keeps
+    its bytes and no other file is left."""
+    jobs = tmp_path / "keep.csv"
+    jobs.write_bytes(b"job_id,timestamp,qubit_id,bits\nj1,2019-05-09T11:00:00Z,0,0110\n")
+    kept = jobs.read_bytes()
+    assert run(["simulate", "--jobs", 2, "--qubits", 3, "--bits", 64, "--out", jobs,
+                "--calibration-out", tmp_path / "nodir" / "cal.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nodir" in err
+    assert jobs.read_bytes() == kept
+    assert list(tmp_path.iterdir()) == [jobs]
 
 
 def test_bits_at_csv_field_limit_round_trip(tmp_path):

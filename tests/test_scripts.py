@@ -3,7 +3,10 @@ Python examples."""
 
 import hashlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +63,23 @@ def test_fleet_study_small_output_is_pinned(capsys):
     load_script("run_fleet_study").main(["--jobs", "30", "--qubits", "6", "--bits", "2048"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "730db3c784ae742e273e8157114a307ba031136ea5ffff22270b0c458120a121"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("approximation_gap_study", ["--big-n", "1024"]),
+    ("run_fleet_study", ["--jobs", "2", "--qubits", "3", "--bits", "64"]),
+], ids=["approximation_gap_study", "run_fleet_study"])
+def test_script_runs_as_a_file(tmp_path, capsys, name, argv):
+    """Each study script run as ``python scripts/<name>.py``, from another
+    directory: its ``__main__`` guard passes the command line to ``main``,
+    which prints what it prints in process."""
+    child = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), *argv], cwd=tmp_path,
+                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                           capture_output=True, text=True, timeout=300)
+    assert (child.returncode, child.stderr) == (0, "")
+    load_script(name).main(argv)
+    assert child.stdout == capsys.readouterr().out != ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_has_python_examples():
